@@ -29,20 +29,23 @@ from .groups import (
     Torus,
     TorusPoint,
     TorusSubgroup,
-    canonical_angle,
+    solenoid_coordinates,
 )
-from .measures import EMPTY_LEVY, LevyMeasure, Quadruplet, validate_quadruplet
-from .sampling import make_rng
-from .verification import (
+from .measures import LevyMeasure, Quadruplet, validate_quadruplet
+from .sampling import (
     PadicSamples,
     SolenoidSamples,
     TorusSamples,
+    make_rng,
+    padic_phase_coefficients,
+    quadruplet_sampler,
+)
+from .verification import (
     check_compare_inequality,
     check_compatibility,
     check_divisibility,
     default_characters,
     oracle_padic_arithmetic,
-    quadruplet_sampler,
     run_suite,
 )
 from .characters import PadicCharacter, SolenoidCharacter, TorusCharacter
@@ -140,9 +143,9 @@ def _parse_characters(group, depth, raw):
             if d > depth:
                 raise ConfigError(field, f"character depth {d} exceeds configured depth {depth}")
             if isinstance(group, PadicIntegers):
-                if not 0 <= ell < group.p ** (d + 1):
-                    raise ConfigError(field, f"ell outside 0..{group.p ** (d + 1) - 1}")
-                chars.append(PadicCharacter(d, ell))
+                chi = PadicCharacter(d, ell)
+                padic_phase_coefficients(group.p, chi)  # frequency range, int64 envelope
+                chars.append(chi)
             else:
                 chars.append(SolenoidCharacter(d, ell))
         except ValueError as exc:
@@ -286,16 +289,16 @@ def _summary(name, report):
 # ---------------------------------------------------------------------------
 # commands
 
+def _override(doc, args, *fields):
+    """doc with every given field that was set on the command line replaced."""
+    for name in fields:
+        if getattr(args, name) is not None:
+            doc[name] = getattr(args, name)
+    return doc
+
+
 def cmd_verify(args) -> int:
-    doc = load_config(args.config)
-    if args.samples is not None:
-        doc["samples"] = args.samples
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.depth is not None:
-        doc["depth"] = args.depth
-    if args.tolerance_c is not None:
-        doc["tolerance_c"] = args.tolerance_c
+    doc = _override(load_config(args.config), args, "samples", "seed", "depth", "tolerance_c")
     quad, depth, characters, samples, seed, tolerance_c = parse_config(doc)
     report = run_suite(quad, characters, samples, seed, tolerance_c, depth=depth)
     _emit_report(report, args.out, args.csv)
@@ -317,24 +320,21 @@ def _sample_lines(batch, fmt):
                 else json.dumps({"digits": digits})
             )
     elif isinstance(batch, SolenoidSamples):
-        for deep in batch.deep_angles:
-            coords = [
-                float(canonical_angle(batch.p ** (batch.depth - j) * float(deep)))
-                for j in range(batch.depth + 1)
-            ]
+        columns = [batch.deep_angles] + [
+            solenoid_coordinates(batch.p, batch.depth, batch.deep_angles, j)
+            for j in range(batch.depth + 1)
+        ]
+        # lazy float conversion: float lists per column cost 32 bytes a value
+        for deep, *coords in zip(*(map(float, col) for col in columns)):
             if fmt == "csv":
-                lines.append(",".join(repr(c) for c in [float(deep)] + coords))
+                lines.append(",".join(repr(c) for c in [deep, *coords]))
             else:
-                lines.append(json.dumps({"deep_angle": float(deep), "coordinates": coords}))
+                lines.append(json.dumps({"deep_angle": deep, "coordinates": coords}))
     return "\n".join(lines) + "\n"
 
 
 def cmd_sample(args) -> int:
-    doc = load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.depth is not None:
-        doc["depth"] = args.depth
+    doc = _override(load_config(args.config), args, "seed", "depth")
     quad, depth, _, samples, seed, _ = parse_config(doc)
     count = args.count if args.count is not None else samples
     if count < 1:
@@ -346,23 +346,17 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _haar_quadruplet(group_name, p, depth):
-    if group_name == "padic":
-        group = PadicIntegers(p)
-        return Quadruplet(group, PadicSubgroup(0), PadicInt.zero(p, depth), 0.0, EMPTY_LEVY)
-    group = Solenoid(p)
-    return Quadruplet(
-        group, SolenoidSubgroup.full(), SolenoidPoint.identity(p, depth), 0.0, EMPTY_LEVY
-    )
-
-
 def cmd_haar_demo(args) -> int:
-    try:
-        quad = _haar_quadruplet(args.group, args.p, args.depth)
-    except ValueError as exc:
-        raise ConfigError("p", str(exc)) from exc
-    characters = default_characters(quad.group, depth=args.depth)
-    report = run_suite(quad, characters, args.samples, args.seed, args.tolerance_c, depth=args.depth)
+    """The verify suite of the group's Haar law: full subgroup, identity
+    shift, no Gauss or jump layer, default characters."""
+    if args.group == "padic":
+        haar = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
+    else:
+        haar = {"H": {"kind": "full"}, "a": 0.0}
+    doc = {"group": args.group, "quadruplet": haar}
+    doc = _override(doc, args, "p", "depth", "samples", "seed", "tolerance_c")
+    quad, depth, characters, samples, seed, tolerance_c = parse_config(doc)
+    report = run_suite(quad, characters, samples, seed, tolerance_c, depth=depth)
     _emit_report(report, args.out, args.csv)
     print(f"Haar construction on {args.group} (p={args.p}, depth={args.depth}):", file=sys.stderr)
     print(f"{'character':>12} {'|empirical|':>12} {'abs_err':>10} {'tol':>8} pass", file=sys.stderr)
@@ -433,7 +427,7 @@ def _selftest_fixtures(samples, seed):
 
 
 def cmd_selftest(args) -> int:
-    results = _selftest_fixtures(args.samples, args.seed)
+    results = _selftest_fixtures(_as_int("samples", args.samples, 1), args.seed)
     overall = all(ok for _, ok in results)
     for name, ok in results:
         print(f"{name}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)

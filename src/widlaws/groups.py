@@ -164,12 +164,7 @@ class PadicInt:
     @staticmethod
     def from_int(p: int, value: int, depth: int) -> "PadicInt":
         """Digit expansion of value mod p**(depth+1) (value may be negative)."""
-        m = value % p ** (depth + 1)
-        digits = []
-        for _ in range(depth + 1):
-            digits.append(m % p)
-            m //= p
-        return PadicInt(p, tuple(digits))
+        return padic_from_ints(p, [value if j == 0 else 0 for j in range(depth + 1)])
 
     def to_int(self) -> int:
         """The integer sum(digits[j] * p**j), exact."""
@@ -187,42 +182,21 @@ def _check_same_padic(x: PadicInt, y: PadicInt):
 
 
 def padic_add(x: PadicInt, y: PadicInt) -> PadicInt:
-    """Schoolbook carry addition base p, truncated at the last digit."""
+    """Carry addition base p, truncated at the last digit."""
     _check_same_padic(x, y)
-    p = x.p
-    out = []
-    carry = 0
-    for a, b in zip(x.digits, y.digits):
-        t = a + b + carry
-        out.append(t % p)
-        carry = t // p
-    return PadicInt(p, tuple(out))
+    return padic_from_ints(x.p, [a + b for a, b in zip(x.digits, y.digits)])
 
 
 def padic_neg(x: PadicInt) -> PadicInt:
-    """Additive inverse: (p-1)-complement of every digit, plus one."""
-    p = x.p
-    out = []
-    carry = 1
-    for d in x.digits:
-        t = (p - 1 - d) + carry
-        out.append(t % p)
-        carry = t // p
-    return PadicInt(p, tuple(out))
+    """Additive inverse, truncated at the last digit."""
+    return padic_from_ints(x.p, [-d for d in x.digits])
 
 
 def padic_mul_nat(k: int, x: PadicInt) -> PadicInt:
     """k-fold sum of x with itself, for a nonnegative integer k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    p = x.p
-    out = []
-    carry = 0
-    for d in x.digits:
-        t = k * d + carry
-        out.append(t % p)
-        carry = t // p
-    return PadicInt(p, tuple(out))
+    return padic_from_ints(x.p, [k * d for d in x.digits])
 
 
 def padic_from_ints(p: int, entries) -> PadicInt:
@@ -237,10 +211,8 @@ def padic_from_ints(p: int, entries) -> PadicInt:
     out = []
     carry = 0
     for e in entries:
-        t = int(e) + carry
-        d = t % p
+        carry, d = divmod(int(e) + carry, p)
         out.append(d)
-        carry = (t - d) // p
     return PadicInt(p, tuple(out))
 
 
@@ -270,6 +242,15 @@ def padic_in_subgroup(x: PadicInt, r: int) -> bool:
     return all(d == 0 for d in x.digits[:r])
 
 
+def solenoid_coordinates(p: int, depth: int, deep_angles, j: int):
+    """Canonical angle of coordinate j of the tower whose coordinate
+    `depth` has angle deep_angles: p**(depth-j) * deep_angles mod 2pi.
+
+    Scalar or ndarray input, like canonical_angle.
+    """
+    return canonical_angle(p ** (depth - j) * deep_angles)
+
+
 @dataclass(frozen=True)
 class SolenoidPoint:
     """A solenoid element truncated at coordinate index `depth`.
@@ -297,7 +278,7 @@ class SolenoidPoint:
     def coordinate_angle(self, j: int) -> float:
         if not 0 <= j <= self.depth:
             raise ValueError(f"coordinate index {j} outside 0..{self.depth}")
-        return canonical_angle(self.p ** (self.depth - j) * self.deep_angle)
+        return solenoid_coordinates(self.p, self.depth, self.deep_angle, j)
 
     def is_identity(self) -> bool:
         return self.deep_angle == 0.0

@@ -1,4 +1,4 @@
-"""Deterministic, seedable exact samplers for every building block.
+"""Deterministic, seedable exact samplers and the batches they return.
 
 Randomness comes from numpy Generators over the counter-based Philox
 bit generator, keyed by a 64-bit seed plus a stream index through
@@ -9,29 +9,31 @@ independent streams.  Poisson counts use the generator's exact routine
 normal draws its exact ziggurat, so every sampler below realizes its
 target law exactly, never through a normal approximation.
 
-Each sampler consumes randomness in a fixed documented order (Haar
-layer, then Gauss, then jump count, then jump selection); degenerate
-layers (trivial subgroup, zero variance, empty jump measure) consume
-nothing.  With size=None a single group element is returned; with
-size=n the raw array form (angles, digit matrix, deepest angles).
+Each sampler draws `size` elements at once and consumes randomness in a
+fixed documented order (Haar layer, then Gauss, then jump count, then
+jump selection); degenerate layers (trivial subgroup, zero variance,
+empty jump measure) consume nothing.  The samplers return the raw
+array form (angles, digit matrix, deepest angles); quadruplet_sampler
+wraps it in the group's batch type, which owns the batch's group
+product and its character means.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import PadicCharacter, SolenoidCharacter, TorusCharacter
 from .groups import (
-    PadicInt,
     PadicIntegers,
     Solenoid,
-    SolenoidPoint,
     Torus,
-    TorusPoint,
     TWO_PI,
     canonical_angle,
     padic_digit_matrix,
+    solenoid_coordinates,
     solenoid_lift,
     solenoid_lift_matrix,
     validate_prime,
@@ -53,61 +55,16 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# ---------------------------------------------------------------------------
-# scalar building blocks
-
-def sample_uniform_real(rng, lo: float, hi: float, size=None):
-    """Uniform on [lo, hi)."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-    out = rng.uniform(lo, hi, size=1 if size is None else size)
-    return float(out[0]) if size is None else out
-
-
-def sample_uniform_digit(rng, p: int, size=None):
-    """Uniform on {0, ..., p-1}."""
-    validate_prime(p)
-    out = rng.integers(0, p, size=1 if size is None else size, dtype=np.int64)
-    return int(out[0]) if size is None else out
-
-
-def sample_normal(rng, variance: float, size=None):
-    """Centered normal with the given variance; variance 0 returns exact
-    zeros without consuming randomness."""
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
-    n = 1 if size is None else size
-    if variance == 0:
-        out = np.zeros(n)
-    else:
-        out = rng.normal(0.0, math.sqrt(variance), size=n)
-    return float(out[0]) if size is None else out
-
-
-def sample_poisson_count(rng, lam: float, size=None):
-    """Exact Poisson counts with mean lam; lam 0 returns zeros without
-    consuming randomness."""
-    if lam < 0 or not math.isfinite(lam):
-        raise ValueError("Poisson mean must be finite and >= 0")
-    n = 1 if size is None else size
-    if lam == 0:
-        out = np.zeros(n, dtype=np.int64)
-    else:
-        out = rng.poisson(lam, size=n).astype(np.int64)
-    return int(out[0]) if size is None else out
-
-
-def sample_compound_poisson(rng, measure: LatticeMeasure, size=None):
+def sample_compound_poisson(rng, measure: LatticeMeasure, size: int):
     """Poisson(total mass) many jumps, each an atom picked with
     probability mass/total, summed coordinatewise on R x Z^k.
 
     Atom selection walks a precomputed cumulative mass table by binary
     search over uniforms.  Returns (real part, integer part): floats of
-    shape (n,) and an int64 matrix of shape (n, k); with size=None a
-    single (float, tuple) pair.  The empty measure yields the origin
-    and consumes nothing.
+    shape (n,) and an int64 matrix of shape (n, k).  The empty measure
+    yields the origin and consumes nothing.
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     k = measure.int_dim
     reals = np.zeros(n)
     ints = np.zeros((n, k), dtype=np.int64)
@@ -129,59 +86,36 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size=None):
             for j in range(k):
                 col = np.bincount(owner, weights=atom_ints[picks, j], minlength=n)
                 ints[:, j] = col.astype(np.int64)
-    if size is None:
-        return float(reals[0]), tuple(int(v) for v in ints[0])
     return reals, ints
 
 
 # ---------------------------------------------------------------------------
 # full quadruplet samplers
 
-def _torus_angles(rng, q: Quadruplet, n: int) -> np.ndarray:
-    angles = np.zeros(n)
+def sample_torus_wid(rng, q: Quadruplet, size: int) -> np.ndarray:
+    """Draw canonical angles from a circle quadruplet: exp(i(U + arg a +
+    X + Y)) with U the Haar layer of the subgroup, X the Gauss layer, Y
+    the centered compound-Poisson layer."""
+    if not isinstance(q.group, Torus):
+        raise ValueError("quadruplet is not on the circle")
+    validate_quadruplet(q)
+    angles = np.zeros(size)
     order = q.subgroup.order
     if order is None:
-        angles += rng.uniform(0.0, TWO_PI, size=n)
+        angles += rng.uniform(0.0, TWO_PI, size=size)
     elif order > 1:
-        angles += rng.integers(0, order, size=n) * (TWO_PI / order)
+        angles += rng.integers(0, order, size=size) * (TWO_PI / order)
     angles += q.shift.angle
     if q.gauss_b > 0:
-        angles += rng.normal(0.0, math.sqrt(q.gauss_b), size=n)
+        angles += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
     if not q.levy.is_empty():
-        jumps, _ = sample_compound_poisson(rng, pushforward_torus(q.levy), size=n)
+        jumps, _ = sample_compound_poisson(rng, pushforward_torus(q.levy), size)
         angles += jumps - local_mean_drift(q.group, q.levy)
     return canonical_angle(angles)
 
 
-def sample_torus_wid(rng, q: Quadruplet, size=None):
-    """Draw from a circle quadruplet: exp(i(U + arg a + X + Y)) with U the
-    Haar layer of the subgroup, X the Gauss layer, Y the centered
-    compound-Poisson layer."""
-    if not isinstance(q.group, Torus):
-        raise ValueError("quadruplet is not on the circle")
-    validate_quadruplet(q)
-    out = _torus_angles(rng, q, 1 if size is None else size)
-    return TorusPoint(float(out[0])) if size is None else out
-
-
-def _padic_digits(rng, q: Quadruplet, depth: int, n: int) -> np.ndarray:
-    p = q.group.p
-    width = depth + 1
-    if q.shift.depth < depth:
-        raise ValueError(f"shift carries digits 0..{q.shift.depth}, need 0..{depth}")
-    totals = np.zeros((n, width), dtype=np.int64)
-    start = min(q.subgroup.zero_digits, width)
-    if start < width:
-        totals[:, start:] = rng.integers(0, p, size=(n, width - start), dtype=np.int64)
-    totals += np.array(q.shift.digits[:width], dtype=np.int64)
-    if not q.levy.is_empty():
-        _, jumps = sample_compound_poisson(rng, pushforward_padic(q.levy, depth), size=n)
-        totals += jumps
-    return padic_digit_matrix(p, totals)
-
-
-def sample_padic_wid(rng, q: Quadruplet, depth: int, size=None):
-    """Draw digits 0..depth from a p-adic quadruplet.
+def sample_padic_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray:
+    """Draw digits 0..depth from a p-adic quadruplet, shape (size, depth+1).
 
     Uniform digits above the subgroup's zero prefix, plus the shift's
     digits, plus one compound-Poisson draw of digit-prefix jump vectors,
@@ -193,41 +127,24 @@ def sample_padic_wid(rng, q: Quadruplet, depth: int, size=None):
     if depth < 0:
         raise ValueError("depth must be >= 0")
     validate_quadruplet(q)
-    out = _padic_digits(rng, q, depth, 1 if size is None else size)
-    if size is None:
-        return PadicInt(q.group.p, tuple(int(d) for d in out[0]))
-    return out
-
-
-def _solenoid_deep(rng, q: Quadruplet, depth: int, n: int) -> np.ndarray:
     p = q.group.p
-    if q.subgroup.whole:
-        return _solenoid_haar_deep(rng, p, depth, n)
+    width = depth + 1
     if q.shift.depth < depth:
-        raise ValueError(f"shift carries coordinates 0..{q.shift.depth}, need 0..{depth}")
-    t0, a_ints = solenoid_lift(q.shift)
-    y0 = np.full(n, t0)
-    ints = np.tile(np.array(a_ints[:depth], dtype=np.int64), (n, 1)) if depth > 0 else np.zeros(
-        (n, 0), dtype=np.int64
-    )
-    if q.gauss_b > 0:
-        y0 = y0 + rng.normal(0.0, math.sqrt(q.gauss_b), size=n)
+        raise ValueError(f"shift carries digits 0..{q.shift.depth}, need 0..{depth}")
+    totals = np.zeros((size, width), dtype=np.int64)
+    start = min(q.subgroup.zero_digits, width)
+    if start < width:
+        totals[:, start:] = rng.integers(0, p, size=(size, width - start), dtype=np.int64)
+    totals += np.array(q.shift.digits[:width], dtype=np.int64)
     if not q.levy.is_empty():
-        jr, ji = sample_compound_poisson(rng, pushforward_solenoid(q.levy, depth), size=n)
-        y0 = y0 + jr - local_mean_drift(q.group, q.levy)
-        ints = ints + ji
-    return solenoid_lift_matrix(p, depth, y0, ints)
+        _, jumps = sample_compound_poisson(rng, pushforward_padic(q.levy, depth), size)
+        totals += jumps
+    return padic_digit_matrix(p, totals)
 
 
-def _solenoid_haar_deep(rng, p: int, depth: int, n: int) -> np.ndarray:
-    u0 = rng.uniform(0.0, TWO_PI, size=n)
-    digits = rng.integers(0, p, size=(n, depth), dtype=np.int64)
-    return solenoid_lift_matrix(p, depth, u0, digits)
-
-
-def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size=None):
+def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray:
     """Draw deepest angles (coordinate index = depth) from a solenoid
-    quadruplet.
+    quadruplet, shape (size,).
 
     With the trivial subgroup: lift the shift, add the Gauss layer to
     the real coordinate and a centered compound-Poisson draw to the
@@ -239,29 +156,170 @@ def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size=None):
     if depth < 0:
         raise ValueError("depth must be >= 0")
     validate_quadruplet(q)
-    out = _solenoid_deep(rng, q, depth, 1 if size is None else size)
-    if size is None:
-        return SolenoidPoint(q.group.p, depth, float(out[0]))
-    return out
+    p = q.group.p
+    if q.subgroup.whole:
+        return sample_solenoid_haar(rng, p, depth, size)
+    if q.shift.depth < depth:
+        raise ValueError(f"shift carries coordinates 0..{q.shift.depth}, need 0..{depth}")
+    t0, a_ints = solenoid_lift(q.shift)
+    y0 = np.full(size, t0)
+    ints = np.tile(np.array(a_ints[:depth], dtype=np.int64).reshape(1, depth), (size, 1))
+    if q.gauss_b > 0:
+        y0 = y0 + rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
+    if not q.levy.is_empty():
+        jr, ji = sample_compound_poisson(rng, pushforward_solenoid(q.levy, depth), size)
+        y0 = y0 + jr - local_mean_drift(q.group, q.levy)
+        ints = ints + ji
+    return solenoid_lift_matrix(p, depth, y0, ints)
 
 
-def sample_solenoid_haar(rng, p: int, depth: int, size=None):
+def sample_solenoid_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
     """Haar draw on the solenoid: a uniform angle at the top of the tower
-    refined by uniform base-p digits down to the requested depth."""
+    refined by uniform base-p digits down to the requested depth.
+    Returns deepest angles, shape (size,)."""
     validate_prime(p)
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    out = _solenoid_haar_deep(rng, p, depth, 1 if size is None else size)
-    return SolenoidPoint(p, depth, float(out[0])) if size is None else out
+    u0 = rng.uniform(0.0, TWO_PI, size=size)
+    digits = rng.integers(0, p, size=(size, depth), dtype=np.int64)
+    return solenoid_lift_matrix(p, depth, u0, digits)
 
 
-def sample_padic_haar(rng, p: int, depth: int, size=None):
-    """Haar draw on the p-adic integers: every digit independent uniform."""
+def sample_padic_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
+    """Haar draw on the p-adic integers: every digit independent uniform.
+    Returns digits, shape (size, depth+1)."""
     validate_prime(p)
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    n = 1 if size is None else size
-    out = rng.integers(0, p, size=(n, depth + 1), dtype=np.int64)
-    if size is None:
-        return PadicInt(p, tuple(int(d) for d in out[0]))
-    return out
+    return rng.integers(0, p, size=(size, depth + 1), dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# sample batches
+
+@dataclass(frozen=True)
+class TorusSamples:
+    """Circle draws, stored as canonical angles."""
+
+    angles: np.ndarray
+
+    def __len__(self):
+        return len(self.angles)
+
+    def combine(self, other: "TorusSamples") -> "TorusSamples":
+        return TorusSamples(canonical_angle(self.angles + other.angles))
+
+    def char_mean(self, chi) -> complex:
+        if not isinstance(chi, TorusCharacter):
+            raise TypeError("character/batch mismatch")
+        return complex(np.exp(1j * canonical_angle(chi.ell * self.angles)).mean())
+
+
+def padic_phase_coefficients(p: int, chi: PadicCharacter) -> list:
+    """The coefficients c_j = ell * p**j mod p**(d+1), j = 0..d, of the
+    character (d, ell): its phase numerator at digits x is
+    sum(c_j * x_j) mod p**(d+1).
+
+    Raises ValueError outside the exact envelope p**(d+2) < 2**63, where
+    the int64 accumulation in PadicSamples.char_mean could wrap.
+    """
+    modulus = p ** (chi.d + 1)
+    if not 0 <= chi.ell < modulus:
+        raise ValueError(f"character frequency {chi.ell} outside 0..{modulus - 1}")
+    if p * modulus >= 2**63:
+        raise ValueError(
+            f"character depth {chi.d} too large for exact batched evaluation at p={p} "
+            "(needs p**(d+2) < 2**63)"
+        )
+    return [chi.ell * p**j % modulus for j in range(chi.d + 1)]
+
+
+@dataclass(frozen=True)
+class PadicSamples:
+    """p-adic draws, stored as base-p digit rows, shape (n, depth+1)."""
+
+    p: int
+    digits: np.ndarray
+
+    def __len__(self):
+        return len(self.digits)
+
+    def combine(self, other: "PadicSamples") -> "PadicSamples":
+        if self.p != other.p or self.digits.shape != other.digits.shape:
+            raise ValueError("mismatched p-adic batches")
+        return PadicSamples(self.p, padic_digit_matrix(self.p, self.digits + other.digits))
+
+    def char_mean(self, chi) -> complex:
+        if not isinstance(chi, PadicCharacter):
+            raise TypeError("character/batch mismatch")
+        if chi.d > self.digits.shape[1] - 1:
+            raise ValueError("character depth exceeds sample depth")
+        modulus = self.p ** (chi.d + 1)
+        # Sum c_j * x_j in int64, reducing mod p**(d+1) only when the next
+        # term could pass int64 (after a reduction it cannot: p**(d+2) < 2**63).
+        num = np.zeros(len(self.digits), dtype=np.int64)
+        bound = 0
+        for j, c in enumerate(padic_phase_coefficients(self.p, chi)):
+            if bound + c * (self.p - 1) >= 2**63:
+                np.remainder(num, modulus, out=num)
+                bound = modulus - 1
+            num += c * self.digits[:, j]
+            bound += c * (self.p - 1)
+        np.remainder(num, modulus, out=num)
+        return complex(np.exp(2j * np.pi * num / modulus).mean())
+
+
+@dataclass(frozen=True)
+class SolenoidSamples:
+    """Solenoid draws, stored through their deepest angles, shape (n,)."""
+
+    p: int
+    depth: int
+    deep_angles: np.ndarray
+
+    def __len__(self):
+        return len(self.deep_angles)
+
+    def combine(self, other: "SolenoidSamples") -> "SolenoidSamples":
+        if self.p != other.p or self.depth != other.depth:
+            raise ValueError("mismatched solenoid batches")
+        return SolenoidSamples(
+            self.p, self.depth, canonical_angle(self.deep_angles + other.deep_angles)
+        )
+
+    def char_mean(self, chi) -> complex:
+        if not isinstance(chi, SolenoidCharacter):
+            raise TypeError("character/batch mismatch")
+        if chi.d > self.depth:
+            raise ValueError("character depth exceeds sample depth")
+        coord = solenoid_coordinates(self.p, self.depth, self.deep_angles, chi.d)
+        return complex(np.exp(1j * canonical_angle(chi.ell * coord)).mean())
+
+
+def combine_samples(a, b):
+    """Group product of two equally sized batches, elementwise."""
+    if type(a) is not type(b):
+        raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
+    return a.combine(b)
+
+
+def char_mean(batch, chi) -> complex:
+    """Mean of the character over the batch — the empirical CF."""
+    return batch.char_mean(chi)
+
+
+def quadruplet_sampler(q: Quadruplet, depth: int | None = None):
+    """Batch sampler (rng, n) -> samples for the quadruplet's group.
+
+    depth defaults to the depth of the quadruplet's shift element; it is
+    ignored on the circle.
+    """
+    validate_quadruplet(q)
+    if isinstance(q.group, Torus):
+        return lambda rng, n: TorusSamples(sample_torus_wid(rng, q, n))
+    if depth is None:
+        depth = q.shift.depth
+    p = q.group.p
+    if isinstance(q.group, PadicIntegers):
+        return lambda rng, n: PadicSamples(p, sample_padic_wid(rng, q, depth, n))
+    return lambda rng, n: SolenoidSamples(p, depth, sample_solenoid_wid(rng, q, depth, n))

@@ -8,10 +8,11 @@ summand has modulus one, so either component of the empirical mean has
 standard deviation at most 1/sqrt(N) and the per-row false-failure
 probability sits below 1e-4).
 
-Every row owns its own RNG stream (stream index = row position in the
-character-sorted order), so rows are statistically independent and a
-report is bit-reproducible for a fixed seed regardless of evaluation
-order.
+One engine builds every report: run_suite, check_compatibility and
+check_divisibility only choose the rows.  Every row owns its own RNG
+stream (stream index = row position in the report, characters in sorted
+order), so rows are statistically independent and a report is
+bit-reproducible for a fixed seed regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -30,112 +31,9 @@ from .characters import (
     angle_cutoff,
     character_label,
 )
-from .groups import (
-    PadicIntegers,
-    Solenoid,
-    Torus,
-    canonical_angle,
-    padic_digit_matrix,
-)
+from .groups import PadicIntegers, Solenoid, Torus, canonical_angle
 from .measures import Quadruplet, ft_quadruplet, validate_quadruplet
-from .sampling import (
-    _padic_digits,
-    _solenoid_deep,
-    _torus_angles,
-    make_rng,
-)
-
-
-# ---------------------------------------------------------------------------
-# sample batches
-
-@dataclass(frozen=True)
-class TorusSamples:
-    angles: np.ndarray
-
-    def __len__(self):
-        return len(self.angles)
-
-
-@dataclass(frozen=True)
-class PadicSamples:
-    p: int
-    digits: np.ndarray  # (n, depth+1) int64
-
-    def __len__(self):
-        return len(self.digits)
-
-
-@dataclass(frozen=True)
-class SolenoidSamples:
-    p: int
-    depth: int
-    deep_angles: np.ndarray
-
-    def __len__(self):
-        return len(self.deep_angles)
-
-
-def combine_samples(a, b):
-    """Group product of two equally sized batches, elementwise."""
-    if isinstance(a, TorusSamples):
-        return TorusSamples(canonical_angle(a.angles + b.angles))
-    if isinstance(a, PadicSamples):
-        if a.p != b.p or a.digits.shape != b.digits.shape:
-            raise ValueError("mismatched p-adic batches")
-        return PadicSamples(a.p, padic_digit_matrix(a.p, a.digits + b.digits))
-    if isinstance(a, SolenoidSamples):
-        if a.p != b.p or a.depth != b.depth:
-            raise ValueError("mismatched solenoid batches")
-        return SolenoidSamples(a.p, a.depth, canonical_angle(a.deep_angles + b.deep_angles))
-    raise TypeError(f"not a sample batch: {a!r}")
-
-
-def char_mean(batch, chi) -> complex:
-    """Mean of the character over the batch — the empirical CF."""
-    if isinstance(batch, TorusSamples):
-        if not isinstance(chi, TorusCharacter):
-            raise TypeError("character/batch mismatch")
-        return complex(np.exp(1j * canonical_angle(chi.ell * batch.angles)).mean())
-    if isinstance(batch, PadicSamples):
-        if not isinstance(chi, PadicCharacter):
-            raise TypeError("character/batch mismatch")
-        depth = batch.digits.shape[1] - 1
-        if chi.d > depth:
-            raise ValueError("character depth exceeds sample depth")
-        modulus = batch.p ** (chi.d + 1)
-        if not 0 <= chi.ell < modulus:
-            raise ValueError(f"character frequency {chi.ell} outside 0..{modulus - 1}")
-        powers = batch.p ** np.arange(chi.d + 1, dtype=np.int64)
-        vals = batch.digits[:, : chi.d + 1] @ powers
-        num = np.mod(chi.ell * vals, modulus)
-        return complex(np.exp(2j * np.pi * num / modulus).mean())
-    if isinstance(batch, SolenoidSamples):
-        if not isinstance(chi, SolenoidCharacter):
-            raise TypeError("character/batch mismatch")
-        if chi.d > batch.depth:
-            raise ValueError("character depth exceeds sample depth")
-        coord = canonical_angle(batch.p ** (batch.depth - chi.d) * batch.deep_angles)
-        return complex(np.exp(1j * canonical_angle(chi.ell * coord)).mean())
-    raise TypeError(f"not a sample batch: {batch!r}")
-
-
-def quadruplet_sampler(q: Quadruplet, depth: int | None = None):
-    """Batch sampler (rng, n) -> samples for the quadruplet's group.
-
-    depth defaults to the depth of the quadruplet's shift element; it is
-    ignored on the circle.
-    """
-    validate_quadruplet(q)
-    if isinstance(q.group, Torus):
-        return lambda rng, n: TorusSamples(_torus_angles(rng, q, n))
-    if depth is None:
-        depth = q.shift.depth
-    if isinstance(q.group, PadicIntegers):
-        p = q.group.p
-        return lambda rng, n: PadicSamples(p, _padic_digits(rng, q, depth, n))
-    p, d = q.group.p, depth
-    return lambda rng, n: SolenoidSamples(p, d, _solenoid_deep(rng, q, d, n))
+from .sampling import char_mean, combine_samples, make_rng, quadruplet_sampler
 
 
 def empirical_cf(sampler, chi, n: int, rng) -> complex:
@@ -197,11 +95,6 @@ class VerificationReport:
     wall_time: float = 0.0
 
 
-def _row(label, theory, empirical, tolerance) -> ComparisonRow:
-    err = abs(theory - empirical)
-    return ComparisonRow(label, theory, empirical, err, tolerance, err <= tolerance)
-
-
 def describe_quadruplet(q: Quadruplet) -> dict:
     """JSON-ready summary of a quadruplet (used in report config echoes)."""
     if isinstance(q.group, Torus):
@@ -226,6 +119,33 @@ def describe_quadruplet(q: Quadruplet) -> dict:
     return head
 
 
+def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, **config):
+    """The comparison engine behind every report.
+
+    rows is a list of (label, character, draw) triples, where
+    draw(rng, samples) returns a batch.  Row i draws from RNG stream i
+    of the seed and passes when its empirical character mean lies within
+    tolerance_c / sqrt(samples) of the closed form of q.  config holds
+    the caller's extra report keys.
+    """
+    start = time.perf_counter()
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    tol = tolerance_c / math.sqrt(samples)
+    config.update(
+        quadruplet=describe_quadruplet(q), samples=samples, seed=seed, tolerance_c=tolerance_c
+    )
+    report = VerificationReport(config=config)
+    for stream, (label, chi, draw) in enumerate(rows):
+        theory = ft_quadruplet(q, chi)
+        empirical = char_mean(draw(make_rng(seed, stream=stream), samples), chi)
+        err = abs(theory - empirical)
+        report.rows.append(ComparisonRow(label, theory, empirical, err, tol, err <= tol))
+    report.overall_pass = all(r.passed for r in report.rows)
+    report.wall_time = time.perf_counter() - start
+    return report
+
+
 def run_suite(
     q: Quadruplet,
     characters,
@@ -239,26 +159,12 @@ def run_suite(
     Each row draws `samples` fresh elements from its own RNG stream and
     is accepted when |theory - empirical| <= tolerance_c / sqrt(samples).
     """
-    start = time.perf_counter()
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     sampler = quadruplet_sampler(q, depth)
-    tol = tolerance_c / math.sqrt(samples)
-    config = {
-        "quadruplet": describe_quadruplet(q),
-        "samples": samples,
-        "seed": seed,
-        "tolerance_c": tolerance_c,
-    }
+    rows = [(character_label(chi), chi, sampler) for chi in sorted(characters, key=_char_key)]
+    extra = {}
     if depth is not None or not isinstance(q.group, Torus):
-        config["depth"] = depth if depth is not None else q.shift.depth
-    report = VerificationReport(config=config)
-    for idx, chi in enumerate(sorted(characters, key=_char_key)):
-        emp = empirical_cf(sampler, chi, samples, make_rng(seed, stream=idx))
-        report.rows.append(_row(character_label(chi), ft_quadruplet(q, chi), emp, tol))
-    report.overall_pass = all(r.passed for r in report.rows)
-    report.wall_time = time.perf_counter() - start
-    return report
+        extra["depth"] = depth if depth is not None else q.shift.depth
+    return _compare(q, rows, samples, seed, tolerance_c, **extra)
 
 
 def check_compatibility(
@@ -274,35 +180,17 @@ def check_compatibility(
     against the shared closed form; the deeper run must reproduce the
     shallower marginals.
     """
-    start = time.perf_counter()
     if isinstance(q.group, Torus):
         raise ValueError("compatibility check applies to the p-adic and solenoid samplers")
     if n < 1:
         raise ValueError("n must be >= 1")
     validate_quadruplet(q)
     chars = sorted(default_characters(q.group, depth=n - 1), key=_char_key)
-    tol = tolerance_c / math.sqrt(samples)
-    config = {
-        "check": "compatibility",
-        "n": n,
-        "quadruplet": describe_quadruplet(q),
-        "samples": samples,
-        "seed": seed,
-        "tolerance_c": tolerance_c,
-    }
-    report = VerificationReport(config=config)
-    stream = 0
+    rows = []
     for d in (n, n + 1):
         sampler = quadruplet_sampler(q, depth=d)
-        for chi in chars:
-            emp = empirical_cf(sampler, chi, samples, make_rng(seed, stream=stream))
-            stream += 1
-            report.rows.append(
-                _row(f"{character_label(chi)} @depth={d}", ft_quadruplet(q, chi), emp, tol)
-            )
-    report.overall_pass = all(r.passed for r in report.rows)
-    report.wall_time = time.perf_counter() - start
-    return report
+        rows += [(f"{character_label(chi)} @depth={d}", chi, sampler) for chi in chars]
+    return _compare(q, rows, samples, seed, tolerance_c, check="compatibility", n=n)
 
 
 def _effectively_trivial_subgroup(q: Quadruplet, depth: int | None) -> bool:
@@ -329,7 +217,6 @@ def check_divisibility(
     them in the group, and compares the empirical CF of the product
     against the unscaled closed form.
     """
-    start = time.perf_counter()
     if n < 2:
         raise ValueError("n must be >= 2")
     validate_quadruplet(q)
@@ -337,33 +224,20 @@ def check_divisibility(
         raise ValueError("divisibility check requires centered measure")
     scaled = Quadruplet(q.group, q.subgroup, q.shift, q.gauss_b / n, q.levy.scaled(1.0 / n))
     sampler = quadruplet_sampler(scaled, depth)
+
+    def draw(rng, size):
+        batch = sampler(rng, size)
+        for _ in range(n - 1):
+            batch = combine_samples(batch, sampler(rng, size))
+        return batch
+
     if characters is None:
         d = depth
         if d is None:
             d = 3 if isinstance(q.group, Torus) else q.shift.depth
         characters = default_characters(q.group, depth=d)
-    chars = sorted(characters, key=_char_key)
-    tol = tolerance_c / math.sqrt(samples)
-    config = {
-        "check": "divisibility",
-        "n": n,
-        "quadruplet": describe_quadruplet(q),
-        "samples": samples,
-        "seed": seed,
-        "tolerance_c": tolerance_c,
-    }
-    report = VerificationReport(config=config)
-    for idx, chi in enumerate(chars):
-        rng = make_rng(seed, stream=idx)
-        batch = sampler(rng, samples)
-        for _ in range(n - 1):
-            batch = combine_samples(batch, sampler(rng, samples))
-        report.rows.append(
-            _row(character_label(chi), ft_quadruplet(q, chi), char_mean(batch, chi), tol)
-        )
-    report.overall_pass = all(r.passed for r in report.rows)
-    report.wall_time = time.perf_counter() - start
-    return report
+    rows = [(character_label(chi), chi, draw) for chi in sorted(characters, key=_char_key)]
+    return _compare(q, rows, samples, seed, tolerance_c, check="divisibility", n=n)
 
 
 def check_compare_inequality(group, characters, grid_size: int = 1000):
@@ -372,36 +246,29 @@ def check_compare_inequality(group, characters, grid_size: int = 1000):
 
     The grid spans the neighborhood chosen so the pairing g stays within
     pi/4 and, on the solenoid, so that the base coordinate does not wrap
-    (|arg y_0| < pi/2, keeping the cutoff linear).  1 - Re(chi) is
-    evaluated as 2*sin(u/2)**2 (no cancellation at tiny angles), and the
-    lower bound is tested with an absolute 1e-12 slack.  Returns a list
-    of (character label, passed) pairs.
+    (|arg y_0| < pi/2, keeping the cutoff linear).  The circle is the
+    solenoid case with p**d = 1.  1 - Re(chi) is evaluated as
+    2*sin(u/2)**2 (no cancellation at tiny angles), and the lower bound
+    is tested with an absolute 1e-12 slack.  Returns a list of
+    (character label, passed) pairs.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    if isinstance(group, Torus):
+        kind, base = TorusCharacter, 1
+    elif isinstance(group, Solenoid):
+        kind, base = SolenoidCharacter, group.p
+    else:
+        raise ValueError("the centering bound is checked on the circle and the solenoid only")
     results = []
     for chi in sorted(characters, key=_char_key):
-        ell = chi.ell
-        if isinstance(group, Torus):
-            if not isinstance(chi, TorusCharacter):
-                raise TypeError("character/group mismatch")
-            theta_max = math.pi / (4 * (abs(ell) + 1))
-            theta = np.linspace(-theta_max, theta_max, grid_size)
-            g = ell * angle_cutoff(theta)
-            one_minus_re = 2.0 * np.sin(canonical_angle(ell * theta) / 2.0) ** 2
-        elif isinstance(group, Solenoid):
-            if not isinstance(chi, SolenoidCharacter):
-                raise TypeError("character/group mismatch")
-            pd = group.p ** chi.d
-            theta_max = min(math.pi / (4 * (abs(ell) + 1)), math.pi / (2 * pd))
-            theta = np.linspace(-theta_max, theta_max, grid_size)
-            arg0 = canonical_angle(pd * theta)
-            g = ell * angle_cutoff(arg0) / pd
-            one_minus_re = 2.0 * np.sin(canonical_angle(ell * theta) / 2.0) ** 2
-        else:
-            raise ValueError(
-                "the centering bound is checked on the circle and the solenoid only"
-            )
+        if not isinstance(chi, kind):
+            raise TypeError("character/group mismatch")
+        ell, pd = chi.ell, base ** getattr(chi, "d", 0)
+        theta_max = min(math.pi / (4 * (abs(ell) + 1)), math.pi / (2 * pd))
+        theta = np.linspace(-theta_max, theta_max, grid_size)
+        g = ell * angle_cutoff(canonical_angle(pd * theta)) / pd
+        one_minus_re = 2.0 * np.sin(canonical_angle(ell * theta) / 2.0) ** 2
         lower_ok = np.all(0.25 * g**2 <= one_minus_re + 1e-12)
         upper_ok = np.all(one_minus_re <= 0.5 * g**2)
         results.append((character_label(chi), bool(lower_ok and upper_ok)))

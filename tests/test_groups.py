@@ -18,6 +18,7 @@ from widlaws import (
     padic_in_subgroup,
     padic_mul_nat,
     padic_neg,
+    solenoid_coordinates,
     solenoid_from_lift,
     solenoid_lift,
     solenoid_mul,
@@ -299,3 +300,15 @@ def test_solenoid_tower_relation():
                     circular_distance(p * x.coordinate_angle(j), x.coordinate_angle(j - 1))
                     <= 1e-12
                 )
+
+
+def test_solenoid_coordinates_batch_matches_scalar_bits():
+    # the batched coordinates must equal the per-value reduction bit for bit
+    rng = np.random.default_rng(1618)
+    deeps = rng.uniform(-math.pi, math.pi, size=300)
+    for p in (2, 3, 5):
+        for depth in range(6):
+            for j in range(depth + 1):
+                batch = solenoid_coordinates(p, depth, deeps, j)
+                scalar = [canonical_angle(p ** (depth - j) * float(x)) for x in deeps]
+                assert np.array_equal(batch.view(np.int64), np.array(scalar).view(np.int64))

@@ -14,6 +14,7 @@ from widlaws import (
     PadicCharacter,
     PadicInt,
     PadicIntegers,
+    PadicSamples,
     PadicSubgroup,
     Quadruplet,
     Solenoid,
@@ -27,19 +28,17 @@ from widlaws import (
     char_mean,
     circular_distance,
     empirical_cf,
+    eval_padic_char,
     ft_quadruplet,
     make_rng,
     quadruplet_sampler,
     sample_compound_poisson,
-    sample_normal,
     sample_padic_haar,
     sample_padic_wid,
-    sample_poisson_count,
     sample_solenoid_haar,
     sample_solenoid_wid,
     sample_torus_wid,
-    sample_uniform_digit,
-    sample_uniform_real,
+    solenoid_coordinates,
     trivial_quadruplet,
 )
 
@@ -64,26 +63,24 @@ def test_streams_are_reproducible_and_distinct():
 
 
 # ---------------------------------------------------------------------------
-# scalar blocks
+# single layers
 
 def test_uniform_real_contract():
-    with pytest.raises(ValueError):
-        sample_uniform_real(make_rng(0), 1.0, 1.0)
-    xs = sample_uniform_real(make_rng(1), 0.0, 2 * math.pi, size=N)
-    assert np.all((xs >= 0.0) & (xs < 2 * math.pi))
+    # the circle's Haar layer: uniform angles, reported in [-pi, pi)
+    q = Quadruplet(Torus(), TorusSubgroup.full(), TorusPoint.identity(), 0.0, EMPTY_LEVY)
+    xs = sample_torus_wid(make_rng(1), q, size=N)
+    assert np.all((xs >= -math.pi) & (xs < math.pi))
     # CLT: uniform std dev is (hi-lo)/sqrt(12)
-    assert abs(xs.mean() - math.pi) <= 4 * (2 * math.pi / math.sqrt(12)) / math.sqrt(N)
-    again = sample_uniform_real(make_rng(1), 0.0, 2 * math.pi, size=N)
+    assert abs(xs.mean()) <= 4 * (2 * math.pi / math.sqrt(12)) / math.sqrt(N)
+    again = sample_torus_wid(make_rng(1), q, size=N)
     assert np.array_equal(xs, again)
-    one = sample_uniform_real(make_rng(2), -1.0, 1.0)
-    assert isinstance(one, float) and -1.0 <= one < 1.0
 
 
 def test_uniform_digit_frequencies():
-    ds = sample_uniform_digit(make_rng(3), 2, size=N)
+    ds = sample_padic_haar(make_rng(3), 2, 0, size=N)[:, 0]
     assert set(np.unique(ds)) <= {0, 1}
     assert abs(ds.mean() - 0.5) <= 4 * 0.5 / math.sqrt(N)
-    ds5 = sample_uniform_digit(make_rng(4), 5, size=N)
+    ds5 = sample_padic_haar(make_rng(4), 5, 0, size=N)[:, 0]
     assert ds5.min() >= 0 and ds5.max() <= 4
     counts = np.bincount(ds5, minlength=5)
     chi2_stat = float(((counts - N / 5) ** 2 / (N / 5)).sum())
@@ -91,34 +88,39 @@ def test_uniform_digit_frequencies():
 
 
 def test_normal_moments():
-    assert sample_normal(make_rng(5), 0.0) == 0.0
-    assert np.all(sample_normal(make_rng(5), 0.0, size=10) == 0.0)
-    xs = sample_normal(make_rng(6), 1.0, size=N)
-    assert abs(xs.mean()) <= 4 / math.sqrt(N)
-    ys = sample_normal(make_rng(7), 2.0, size=N)
+    # the circle's Gauss layer; at b = 0.04 an angle never wraps (pi is 15 sd)
+    def gauss(b):
+        return Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint.identity(), b, EMPTY_LEVY)
+
+    assert np.all(sample_torus_wid(make_rng(5), gauss(0.0), size=10) == 0.0)
+    xs = sample_torus_wid(make_rng(6), gauss(0.04), size=N)
+    assert abs(xs.mean()) <= 4 * 0.2 / math.sqrt(N)
     # var of the sample variance of N(0, s2) is ~ 2 s2^2 / n
-    assert abs(ys.var(ddof=1) - 2.0) <= 4 * 2.0 * math.sqrt(2) / math.sqrt(N)
+    assert abs(xs.var(ddof=1) - 0.04) <= 4 * 0.04 * math.sqrt(2) / math.sqrt(N)
     with pytest.raises(ValueError):
-        sample_normal(make_rng(8), -0.1)
+        sample_torus_wid(make_rng(8), gauss(-0.1), size=1)
 
 
 def test_poisson_counts():
-    assert sample_poisson_count(make_rng(9), 0.0) == 0
-    ks = sample_poisson_count(make_rng(10), 3.0, size=N)
+    # one unit atom of mass lam: the real coordinate is the Poisson count
+    def counts(seed, lam):
+        unit = LatticeMeasure(True, 0, ((1.0, (), lam),))
+        return sample_compound_poisson(make_rng(seed), unit, size=N)[0]
+
+    ks = counts(10, 3.0)
     assert abs(ks.mean() - 3.0) <= 4 * math.sqrt(3) / math.sqrt(N)
-    k1 = sample_poisson_count(make_rng(11), 1.0, size=N)
+    k1 = counts(11, 1.0)
     p0 = float((k1 == 0).mean())
     assert abs(p0 - math.exp(-1)) <= 4 * 0.5 / math.sqrt(N)
     with pytest.raises(ValueError):
-        sample_poisson_count(make_rng(12), -1.0)
+        counts(12, -1.0)
 
 
 def test_compound_poisson_empty_measure_is_origin():
     empty = LatticeMeasure(True, 2, ())
     reals, ints = sample_compound_poisson(make_rng(13), empty, size=50)
     assert np.all(reals == 0.0) and np.all(ints == 0)
-    r, k = sample_compound_poisson(make_rng(13), empty)
-    assert r == 0.0 and k == (0, 0)
+    assert reals.shape == (50,) and ints.shape == (50, 2)
 
 
 def test_compound_poisson_single_atom_matches_closed_form():
@@ -151,7 +153,6 @@ def test_compound_poisson_two_atoms_product_form():
 def test_torus_trivial_quadruplet_is_identity():
     q = trivial_quadruplet(Torus())
     assert np.all(sample_torus_wid(make_rng(16), q, size=100) == 0.0)
-    assert sample_torus_wid(make_rng(16), q) == TorusPoint.identity()
 
 
 def test_torus_haar_kills_nontrivial_characters():
@@ -185,8 +186,7 @@ def test_padic_deterministic_when_subgroup_below_depth():
     a = PadicInt(2, (1, 0, 1, 1))
     q = Quadruplet(PadicIntegers(2), PadicSubgroup(4), a, 0.0, EMPTY_LEVY)
     out = sample_padic_wid(make_rng(21), q, 3, size=200)
-    assert np.all(out == np.array(a.digits))
-    assert sample_padic_wid(make_rng(21), q, 3) == a
+    assert out.shape == (200, 4) and np.all(out == np.array(a.digits))
 
 
 def test_padic_gen_poisson_block():
@@ -224,9 +224,9 @@ def test_solenoid_shift_only_reproduces_the_point():
     q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), a, 0.0, EMPTY_LEVY)
     out = sample_solenoid_wid(make_rng(25), q, 3, size=50)
     assert np.all(circular_distance(out, a.deep_angle) <= 1e-12)
-    pt = sample_solenoid_wid(make_rng(25), q, 3)
     for j in range(4):
-        assert circular_distance(pt.coordinate_angle(j), a.coordinate_angle(j)) <= 1e-12
+        coords = solenoid_coordinates(p, 3, out, j)
+        assert np.all(circular_distance(coords, a.coordinate_angle(j)) <= 1e-12)
 
 
 def test_solenoid_haar_block():
@@ -279,18 +279,40 @@ def test_convolution_property():
 def test_sampler_requires_matching_group():
     q = trivial_quadruplet(Torus())
     with pytest.raises(ValueError):
-        sample_padic_wid(make_rng(0), q, 2)
+        sample_padic_wid(make_rng(0), q, 2, size=1)
     with pytest.raises(ValueError):
-        sample_solenoid_wid(make_rng(0), q, 2)
+        sample_solenoid_wid(make_rng(0), q, 2, size=1)
     qp = trivial_quadruplet(PadicIntegers(2), depth=2)
     with pytest.raises(ValueError):
-        sample_torus_wid(make_rng(0), qp)
+        sample_torus_wid(make_rng(0), qp, size=1)
 
 
 def test_shift_depth_must_cover_requested_depth():
     qp = trivial_quadruplet(PadicIntegers(2), depth=2)
     with pytest.raises(ValueError, match="digits"):
-        sample_padic_wid(make_rng(0), qp, 5)
+        sample_padic_wid(make_rng(0), qp, 5, size=1)
     qs = trivial_quadruplet(Solenoid(2), depth=2)
     with pytest.raises(ValueError, match="coordinates"):
-        sample_solenoid_wid(make_rng(0), qs, 5)
+        sample_solenoid_wid(make_rng(0), qs, 5, size=1)
+
+
+# ---------------------------------------------------------------------------
+# batched character means
+
+def test_padic_char_mean_is_exact_at_large_depth():
+    # ell * x passes int64 here; the mean must still match the exact
+    # big-integer evaluation draw by draw
+    for p, d in ((3, 30), (5, 25), (2, 60), (3, 37)):
+        digits = sample_padic_haar(make_rng(0), p, d, size=200)
+        for ell in (12345678901234 % p ** (d + 1), p ** (d + 1) - 1):
+            chi = PadicCharacter(d, ell)
+            want = sum(eval_padic_char(chi, PadicInt(p, tuple(row))) for row in digits.tolist())
+            assert abs(char_mean(PadicSamples(p, digits), chi) - want / 200) <= 1e-12
+
+
+def test_padic_char_mean_rejects_depth_beyond_int64_envelope():
+    # exact while p**(d+2) < 2**63: d = 37 is the last such depth at p = 3
+    digits = sample_padic_haar(make_rng(0), 3, 38, size=10)
+    char_mean(PadicSamples(3, digits), PadicCharacter(37, 5))
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        char_mean(PadicSamples(3, digits), PadicCharacter(38, 5))

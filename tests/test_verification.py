@@ -183,6 +183,16 @@ def test_check_divisibility_requires_centered_measure():
         check_divisibility(trivial_quadruplet(Torus()), 1, 100, seed=0)
 
 
+def test_every_check_rejects_zero_samples():
+    qp = Quadruplet(PadicIntegers(2), PadicSubgroup(4), PadicInt.zero(2, 3), 0.0, EMPTY_LEVY)
+    with pytest.raises(ValueError, match="samples"):
+        run_suite(qp, [PadicCharacter(0, 1)], 0, seed=0)
+    with pytest.raises(ValueError, match="samples"):
+        check_compatibility(qp, 1, 0, seed=0)
+    with pytest.raises(ValueError, match="samples"):
+        check_divisibility(trivial_quadruplet(Torus()), 2, 0, seed=0)
+
+
 def test_compare_inequality_worked_example():
     # circle, frequency 1, angle 0.1: g = 0.1 and 1 - cos(0.1) ~ 0.0049958
     g = 0.1
