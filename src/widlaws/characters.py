@@ -1,148 +1,36 @@
-"""Character groups and the duality-side data of the three groups.
+"""Character evaluation and the duality-side data of the three groups.
 
 Characters are indexed by an integer frequency ell (circle) or by a
 depth/frequency pair (d, ell) (p-adic integers and solenoid).  The
-module also carries the piecewise-linear angle cutoff, the quadratic
-forms parametrizing Gauss measures, the local inner products used to
-center Poisson jumps, and the annihilator test behind Haar transforms.
+character types and the angle cutoff live in groups, next to their
+groups, and are re-exported here.  The functions below are the public
+entry points: each evaluates a character or asks the group descriptor
+for its quadratic form, its centering pairing or its annihilator test.
 Everything is a pure function of immutable values.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
-
-import numpy as np
-
-from .groups import (
-    PadicInt,
-    PadicIntegers,
-    PadicSubgroup,
-    Solenoid,
-    SolenoidPoint,
-    SolenoidSubgroup,
-    Torus,
-    TorusPoint,
-    TorusSubgroup,
-    canonical_angle,
+from .groups import (  # noqa: F401  (re-exported)
+    PadicCharacter,
+    SolenoidCharacter,
+    TorusCharacter,
+    angle_cutoff,
 )
 
 
-@dataclass(frozen=True)
-class TorusCharacter:
-    """y -> y**ell on the circle."""
-
-    ell: int
-
-
-@dataclass(frozen=True)
-class PadicCharacter:
-    """x -> exp(2*pi*i*ell*(x_0 + p*x_1 + ... + p**d*x_d) / p**(d+1)).
-
-    Canonical indexing takes 0 <= ell < p**(d+1); the range is checked
-    where p is known (evaluation and annihilator tests).
-    """
-
-    d: int
-    ell: int
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("character depth must be >= 0")
-        if self.ell < 0:
-            raise ValueError("p-adic character frequency must be >= 0")
-
-
-@dataclass(frozen=True)
-class SolenoidCharacter:
-    """y -> (coordinate d of y)**ell on the solenoid."""
-
-    d: int
-    ell: int
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("character depth must be >= 0")
-
-
 def character_label(chi) -> str:
-    if isinstance(chi, TorusCharacter):
-        return f"l={chi.ell}"
-    return f"d={chi.d},l={chi.ell}"
-
-
-def angle_cutoff(x):
-    """Piecewise-linear cutoff: identity on [-pi/2, pi/2), folded linearly
-    to zero toward +-pi, and zero outside [-pi, pi).
-
-    Scalar or ndarray input.  Near the identity the circle characters
-    satisfy chi(y) = exp(i * ell * cutoff(arg y)), which is what makes
-    this the centering function for Poisson jumps.
-    """
-    arr = np.asarray(x, dtype=float)
-    out = np.where(
-        arr < -np.pi,
-        0.0,
-        np.where(
-            arr < -np.pi / 2,
-            -arr - np.pi,
-            np.where(arr < np.pi / 2, arr, np.where(arr < np.pi, -arr + np.pi, 0.0)),
-        ),
-    )
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# character evaluation
-
-def eval_torus_char(chi: TorusCharacter, y: TorusPoint) -> complex:
-    return cmath.exp(1j * canonical_angle(chi.ell * y.angle))
-
-
-def _padic_char_check(chi: PadicCharacter, p: int, depth: int):
-    if chi.d > depth:
-        raise ValueError("character depth exceeds element depth")
-    if not 0 <= chi.ell < p ** (chi.d + 1):
-        raise ValueError(
-            f"character frequency {chi.ell} outside 0..{p ** (chi.d + 1) - 1}"
-        )
-
-
-def eval_padic_char(chi: PadicCharacter, x: PadicInt) -> complex:
-    """Exact evaluation through integer arithmetic: the phase numerator is
-    reduced mod p**(d+1) before exponentiation."""
-    _padic_char_check(chi, x.p, x.depth)
-    modulus = x.p ** (chi.d + 1)
-    acc = 0
-    for j in range(chi.d + 1):
-        acc += x.digits[j] * x.p ** j
-    num = (chi.ell * acc) % modulus
-    return cmath.exp(2j * math.pi * num / modulus)
-
-
-def eval_solenoid_char(chi: SolenoidCharacter, y: SolenoidPoint) -> complex:
-    if chi.d > y.depth:
-        raise ValueError("character depth exceeds element depth")
-    return cmath.exp(1j * canonical_angle(chi.ell * y.coordinate_angle(chi.d)))
+    return chi.label
 
 
 def eval_char(chi, x) -> complex:
-    """Evaluate any of the three character kinds on a matching element."""
-    if isinstance(chi, TorusCharacter):
-        return eval_torus_char(chi, x)
-    if isinstance(chi, PadicCharacter):
-        return eval_padic_char(chi, x)
-    if isinstance(chi, SolenoidCharacter):
-        return eval_solenoid_char(chi, x)
-    raise TypeError(f"not a character: {chi!r}")
+    """Evaluate any of the three character kinds on a matching element
+    (p-adic characters exactly, through integer arithmetic)."""
+    return chi(x)
 
 
-# ---------------------------------------------------------------------------
-# quadratic forms and local inner products
+eval_torus_char = eval_padic_char = eval_solenoid_char = eval_char
+
 
 def quadratic_form(group, b: float, chi) -> float:
     """The nonneg. dual-group quadratic form with scale b.
@@ -153,30 +41,15 @@ def quadratic_form(group, b: float, chi) -> float:
     """
     if b < 0:
         raise ValueError("quadratic form scale must be >= 0")
-    if isinstance(group, Torus):
-        return b * chi.ell ** 2
-    if isinstance(group, PadicIntegers):
-        return 0.0
-    if isinstance(group, Solenoid):
-        return b * chi.ell ** 2 / group.p ** (2 * chi.d)
-    raise TypeError(f"not a group descriptor: {group!r}")
+    return group.quadratic_form(b, chi)
 
 
 def local_inner_product(group, x, chi) -> float:
     """Centering pairing g(x, chi): ell*cutoff(arg x) on the circle,
     identically 0 on the p-adic integers, ell*cutoff(arg x_0)/p**d on the
     solenoid."""
-    if isinstance(group, Torus):
-        return chi.ell * angle_cutoff(x.angle)
-    if isinstance(group, PadicIntegers):
-        return 0.0
-    if isinstance(group, Solenoid):
-        return chi.ell * angle_cutoff(x.coordinate_angle(0)) / group.p ** chi.d
-    raise TypeError(f"not a group descriptor: {group!r}")
+    return group.pairing(x, chi)
 
-
-# ---------------------------------------------------------------------------
-# annihilators
 
 def annihilates(group, subgroup, chi) -> bool:
     """True iff chi is identically 1 on the subgroup.
@@ -186,27 +59,4 @@ def annihilates(group, subgroup, chi) -> bool:
     p**(d+1-r) | ell.  Solenoid: trivial subgroup annihilated by every
     character; whole solenoid only by ell == 0.
     """
-    if isinstance(group, Torus):
-        if not isinstance(subgroup, TorusSubgroup):
-            raise TypeError("subgroup/group mismatch")
-        if subgroup.order is None:
-            return chi.ell == 0
-        return chi.ell % subgroup.order == 0
-    if isinstance(group, PadicIntegers):
-        if not isinstance(subgroup, PadicSubgroup):
-            raise TypeError("subgroup/group mismatch")
-        if not 0 <= chi.ell < group.p ** (chi.d + 1):
-            raise ValueError(
-                f"character frequency {chi.ell} outside 0..{group.p ** (chi.d + 1) - 1}"
-            )
-        r = subgroup.zero_digits
-        if chi.d < r:
-            return True
-        return chi.ell % group.p ** (chi.d + 1 - r) == 0
-    if isinstance(group, Solenoid):
-        if not isinstance(subgroup, SolenoidSubgroup):
-            raise TypeError("subgroup/group mismatch")
-        if subgroup.whole:
-            return chi.ell == 0
-        return True
-    raise TypeError(f"not a group descriptor: {group!r}")
+    return group.annihilates(subgroup, chi)

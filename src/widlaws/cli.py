@@ -29,17 +29,11 @@ from .groups import (
     Torus,
     TorusPoint,
     TorusSubgroup,
-    solenoid_coordinates,
+    config_int,
+    config_real,
 )
 from .measures import LevyMeasure, Quadruplet, validate_quadruplet
-from .sampling import (
-    PadicSamples,
-    SolenoidSamples,
-    TorusSamples,
-    make_rng,
-    padic_phase_coefficients,
-    quadruplet_sampler,
-)
+from .sampling import make_rng, quadruplet_sampler
 from .verification import (
     check_compare_inequality,
     check_compatibility,
@@ -48,7 +42,6 @@ from .verification import (
     oracle_padic_arithmetic,
     run_suite,
 )
-from .characters import PadicCharacter, SolenoidCharacter, TorusCharacter
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ["character", "re_theory", "im_theory", "re_emp", "im_emp", "abs_err", "tol", "pass"]
@@ -68,60 +61,33 @@ def _get(doc, field, default=None, required=False):
     return default
 
 
+def _field(field, parse, *args):
+    """parse(*args), with a ValueError reported as a ConfigError naming field."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
 def _as_int(field, value, minimum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(field, f"must be >= {minimum}")
-    return value
+    return _field(field, config_int, value, minimum)
 
 
 def _as_real(field, value):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _parse_point(field, group, depth, raw):
-    try:
-        if isinstance(group, Torus):
-            return TorusPoint(_as_real(field, raw))
-        if isinstance(group, PadicIntegers):
-            if not isinstance(raw, list):
-                raise ConfigError(field, "expected a list of digits")
-            digits = [_as_int(field, d) for d in raw]
-            if len(digits) > depth + 1:
-                raise ConfigError(field, f"more than depth+1 = {depth + 1} digits")
-            digits += [0] * (depth + 1 - len(digits))
-            return PadicInt(group.p, tuple(digits))
-        return SolenoidPoint(group.p, depth, _as_real(field, raw))
-    except ValueError as exc:
-        raise ConfigError(field, str(exc)) from exc
+    return _field(field, config_real, value)
 
 
 def _parse_subgroup(group, raw):
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("quadruplet.H", "expected an object with a 'kind'")
-    kind = raw["kind"]
-    try:
-        if isinstance(group, Torus):
-            if kind == "full":
-                return TorusSubgroup.full()
-            if kind == "cyclic":
-                return TorusSubgroup.cyclic(_as_int("quadruplet.H.r", _get(raw, "r", required=True), 1))
-            if kind == "trivial":
-                return TorusSubgroup.trivial()
-        elif isinstance(group, PadicIntegers):
-            if kind == "lambda":
-                return PadicSubgroup(_as_int("quadruplet.H.r", _get(raw, "r", required=True), 0))
-        else:
-            if kind == "trivial":
-                return SolenoidSubgroup.trivial()
-            if kind == "full":
-                return SolenoidSubgroup.full()
-    except ValueError as exc:
-        raise ConfigError("quadruplet.H", str(exc)) from exc
-    raise ConfigError("quadruplet.H.kind", f"unknown kind {kind!r} for this group")
+
+    def order(minimum):
+        return _as_int("quadruplet.H.r", _get(raw, "r", required=True), minimum)
+
+    subgroup = _field("quadruplet.H", group.parse_subgroup, raw["kind"], order)
+    if subgroup is None:
+        raise ConfigError("quadruplet.H.kind", f"unknown kind {raw['kind']!r} for this group")
+    return subgroup
 
 
 def _parse_characters(group, depth, raw):
@@ -129,28 +95,10 @@ def _parse_characters(group, depth, raw):
         return default_characters(group, depth=depth)
     if not isinstance(raw, list):
         raise ConfigError("characters", "expected 'default' or a list")
-    chars = []
-    for i, item in enumerate(raw):
-        field = f"characters[{i}]"
-        try:
-            if isinstance(group, Torus):
-                chars.append(TorusCharacter(_as_int(field, item)))
-                continue
-            if not (isinstance(item, list) and len(item) == 2):
-                raise ConfigError(field, "expected a [d, ell] pair")
-            d = _as_int(field, item[0], 0)
-            ell = _as_int(field, item[1])
-            if d > depth:
-                raise ConfigError(field, f"character depth {d} exceeds configured depth {depth}")
-            if isinstance(group, PadicIntegers):
-                chi = PadicCharacter(d, ell)
-                padic_phase_coefficients(group.p, chi)  # frequency range, int64 envelope
-                chars.append(chi)
-            else:
-                chars.append(SolenoidCharacter(d, ell))
-        except ValueError as exc:
-            raise ConfigError(field, str(exc)) from exc
-    return chars
+    return [
+        _field(f"characters[{i}]", group.parse_character, item, depth)
+        for i, item in enumerate(raw)
+    ]
 
 
 def parse_config(doc):
@@ -164,10 +112,7 @@ def parse_config(doc):
         group = Torus()
     elif group_name in ("padic", "solenoid"):
         p = _as_int("p", _get(doc, "p", required=True), 2)
-        try:
-            group = PadicIntegers(p) if group_name == "padic" else Solenoid(p)
-        except ValueError as exc:
-            raise ConfigError("p", str(exc)) from exc
+        group = _field("p", PadicIntegers if group_name == "padic" else Solenoid, p)
     else:
         raise ConfigError("group", f"unknown group {group_name!r}")
     depth = _as_int("depth", _get(doc, "depth", 3), 0)
@@ -176,7 +121,9 @@ def parse_config(doc):
     if not isinstance(qraw, dict):
         raise ConfigError("quadruplet", "expected an object")
     subgroup = _parse_subgroup(group, _get(qraw, "H", required=True))
-    shift = _parse_point("quadruplet.a", group, depth, _get(qraw, "a", required=True))
+    shift = _field(
+        "quadruplet.a", group.parse_point, _get(qraw, "a", required=True), depth, subgroup
+    )
     b = _as_real("quadruplet.b", _get(qraw, "b", 0.0))
     eta_raw = _get(qraw, "eta", [])
     if not isinstance(eta_raw, list):
@@ -186,14 +133,11 @@ def parse_config(doc):
         field = f"quadruplet.eta[{i}]"
         if not (isinstance(atom, dict) and "point" in atom and "mass" in atom):
             raise ConfigError(field, "expected an object with 'point' and 'mass'")
-        pt = _parse_point(field + ".point", group, depth, atom["point"])
+        pt = _field(field + ".point", group.parse_point, atom["point"], depth, subgroup)
         atoms.append((pt, _as_real(field + ".mass", atom["mass"])))
-    try:
-        levy = LevyMeasure(tuple(atoms))
-        quad = Quadruplet(group, subgroup, shift, b, levy)
-        validate_quadruplet(quad)
-    except ValueError as exc:
-        raise ConfigError("quadruplet", str(exc)) from exc
+    levy = _field("quadruplet", LevyMeasure, tuple(atoms))
+    quad = Quadruplet(group, subgroup, shift, b, levy)
+    _field("quadruplet", validate_quadruplet, quad)
 
     samples = _as_int("samples", _get(doc, "samples", 100000), 1)
     seed = _as_int("seed", _get(doc, "seed", 0))
@@ -307,29 +251,10 @@ def cmd_verify(args) -> int:
 
 
 def _sample_lines(batch, fmt):
-    lines = []
-    if isinstance(batch, TorusSamples):
-        for a in batch.angles:
-            lines.append(repr(float(a)) if fmt == "csv" else json.dumps({"angle": float(a)}))
-    elif isinstance(batch, PadicSamples):
-        for row in batch.digits:
-            digits = [int(d) for d in row]
-            lines.append(
-                ",".join(str(d) for d in digits)
-                if fmt == "csv"
-                else json.dumps({"digits": digits})
-            )
-    elif isinstance(batch, SolenoidSamples):
-        columns = [batch.deep_angles] + [
-            solenoid_coordinates(batch.p, batch.depth, batch.deep_angles, j)
-            for j in range(batch.depth + 1)
-        ]
-        # lazy float conversion: float lists per column cost 32 bytes a value
-        for deep, *coords in zip(*(map(float, col) for col in columns)):
-            if fmt == "csv":
-                lines.append(",".join(repr(c) for c in [deep, *coords]))
-            else:
-                lines.append(json.dumps({"deep_angle": deep, "coordinates": coords}))
+    if fmt == "csv":
+        lines = [",".join(map(repr, row)) for row in batch.rows()]
+    else:
+        lines = [json.dumps(batch.record(row)) for row in batch.rows()]
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
-"""Finite-precision models of three compact abelian groups.
+"""Finite-precision models of three compact abelian groups and their
+characters, with each group's share of the math behind the laws.
 
 The three groups are the circle group (unit complex numbers under
 multiplication, stored as angles), the p-adic integers (base-p digit
@@ -6,8 +7,12 @@ vectors under carry addition), and the p-adic solenoid (coherent towers
 of circle points, stored through their deepest retained coordinate).
 Alongside the group arithmetic this module provides the homomorphisms
 that present the two profinite-flavored groups as quotients of products
-of subgroups of the real line, plus the canonical compact subgroups of
-each group.
+of subgroups of the real line, the canonical compact subgroups, and the
+characters of each group.
+
+The group descriptors (Torus, PadicIntegers, Solenoid) own, as methods,
+everything that differs between the groups; the circle shares the
+solenoid's formulas with p**d = 1.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -15,6 +20,8 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -70,32 +77,43 @@ def circular_distance(a, b):
     return np.abs(canonical_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
-# ---------------------------------------------------------------------------
-# group descriptors
+def angle_cutoff(x):
+    """Piecewise-linear cutoff: identity on [-pi/2, pi/2), folded linearly
+    to zero toward +-pi, and zero outside [-pi, pi).
 
-@dataclass(frozen=True)
-class Torus:
-    """The circle group."""
+    Scalar or ndarray input.  Near the identity the circle characters
+    satisfy chi(y) = exp(i * ell * cutoff(arg y)), which is what makes
+    this the centering function for Poisson jumps.
+    """
+    arr = np.asarray(x, dtype=float)
+    out = np.where(
+        arr < -np.pi,
+        0.0,
+        np.where(
+            arr < -np.pi / 2,
+            -arr - np.pi,
+            np.where(arr < np.pi / 2, arr, np.where(arr < np.pi, -arr + np.pi, 0.0)),
+        ),
+    )
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
 
 
-@dataclass(frozen=True)
-class PadicIntegers:
-    """The group of p-adic integers for a fixed prime p."""
+def config_int(value, minimum=None) -> int:
+    """A JSON config integer (bools rejected), at least minimum if given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"must be >= {minimum}")
+    return value
 
-    p: int
 
-    def __post_init__(self):
-        validate_prime(self.p)
-
-
-@dataclass(frozen=True)
-class Solenoid:
-    """The p-adic solenoid for a fixed prime p."""
-
-    p: int
-
-    def __post_init__(self):
-        validate_prime(self.p)
+def config_real(value) -> float:
+    """A JSON config number (bools rejected), as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +124,7 @@ class TorusPoint:
     """A circle element, stored via its canonical angle in [-pi, pi)."""
 
     angle: float
+    depth = None  # a circle point has no tower of coordinates
 
     def __post_init__(self):
         object.__setattr__(self, "angle", canonical_angle(self.angle))
@@ -402,6 +421,12 @@ class SolenoidSubgroup:
 
     whole: bool = False
 
+    @property
+    def order(self):
+        """None for the whole solenoid; the trivial subgroup is cyclic of
+        order 1 (the circle's TorusSubgroup convention)."""
+        return None if self.whole else 1
+
     @staticmethod
     def trivial() -> "SolenoidSubgroup":
         return SolenoidSubgroup(False)
@@ -409,3 +434,375 @@ class SolenoidSubgroup:
     @staticmethod
     def full() -> "SolenoidSubgroup":
         return SolenoidSubgroup(True)
+
+
+# ---------------------------------------------------------------------------
+# characters
+
+@dataclass(frozen=True)
+class TorusCharacter:
+    """y -> y**ell on the circle."""
+
+    ell: int
+
+    @property
+    def label(self) -> str:
+        return f"l={self.ell}"
+
+    def __call__(self, y: TorusPoint) -> complex:
+        return cmath.exp(1j * canonical_angle(self.ell * y.angle))
+
+
+@dataclass(frozen=True)
+class _DepthCharacter:
+    """A character indexed by a depth d >= 0 and a frequency ell."""
+
+    d: int
+    ell: int
+
+    def __post_init__(self):
+        if self.d < 0:
+            raise ValueError("character depth must be >= 0")
+
+    @property
+    def label(self) -> str:
+        return f"d={self.d},l={self.ell}"
+
+    def _check_depth(self, depth: int):
+        if self.d > depth:
+            raise ValueError("character depth exceeds element depth")
+
+
+@dataclass(frozen=True)
+class PadicCharacter(_DepthCharacter):
+    """x -> exp(2*pi*i*ell*(x_0 + p*x_1 + ... + p**d*x_d) / p**(d+1)).
+
+    Canonical indexing takes 0 <= ell < p**(d+1); the range is checked
+    where p is known (evaluation and annihilator tests).
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.ell < 0:
+            raise ValueError("p-adic character frequency must be >= 0")
+
+    def check_frequency(self, p: int) -> int:
+        """The modulus p**(d+1), after checking 0 <= ell < p**(d+1)."""
+        modulus = p ** (self.d + 1)
+        if not 0 <= self.ell < modulus:
+            raise ValueError(f"character frequency {self.ell} outside 0..{modulus - 1}")
+        return modulus
+
+    def __call__(self, x: PadicInt) -> complex:
+        """Exact evaluation through integer arithmetic: the phase numerator is
+        reduced mod p**(d+1) before exponentiation."""
+        self._check_depth(x.depth)
+        modulus = self.check_frequency(x.p)
+        acc = 0
+        for j in range(self.d + 1):
+            acc += x.digits[j] * x.p ** j
+        num = (self.ell * acc) % modulus
+        return cmath.exp(2j * math.pi * num / modulus)
+
+
+@dataclass(frozen=True)
+class SolenoidCharacter(_DepthCharacter):
+    """y -> (coordinate d of y)**ell on the solenoid."""
+
+    def __call__(self, y: SolenoidPoint) -> complex:
+        self._check_depth(y.depth)
+        return cmath.exp(1j * canonical_angle(self.ell * y.coordinate_angle(self.d)))
+
+
+def padic_phase_coefficients(p: int, chi: PadicCharacter) -> list:
+    """The coefficients c_j = ell * p**j mod p**(d+1), j = 0..d, of the
+    character (d, ell): its phase numerator at digits x is
+    sum(c_j * x_j) mod p**(d+1).
+
+    Raises ValueError outside the exact envelope p**(d+2) < 2**63, where
+    the int64 accumulation of a batched character mean could wrap.
+    """
+    modulus = chi.check_frequency(p)
+    if p * modulus >= 2**63:
+        raise ValueError(
+            f"character depth {chi.d} too large for exact batched evaluation at p={p} "
+            "(needs p**(d+2) < 2**63)"
+        )
+    return [chi.ell * p**j % modulus for j in range(chi.d + 1)]
+
+
+# ---------------------------------------------------------------------------
+# group descriptors: the per-group backends
+
+class _Group:
+    """What every group descriptor provides.
+
+    Each descriptor sets name, point_type, subgroup_type, character_type
+    and shift_key (the report's key for the shift, also the point field
+    it echoes), and implements quadratic_form(b, chi), pairing(x, chi)
+    (the centering pairing g), drift(eta) (the local-mean drift),
+    _annihilates, point_mass(depth) (the trivial subgroup and the
+    identity), subgroup_is_trivial, default_characters, describe_subgroup
+    and the config parsers parse_point(raw, depth, subgroup),
+    parse_subgroup(kind, order) and parse_character(raw, depth).  The
+    parsers raise ValueError and leave naming the config field to the
+    caller; parse_subgroup returns None for a kind the group lacks and
+    calls order(minimum) to read the kind's integer parameter.
+    """
+
+    def annihilates(self, subgroup, chi) -> bool:
+        """True iff chi is identically 1 on the subgroup."""
+        if not isinstance(subgroup, self.subgroup_type):
+            raise TypeError("subgroup/group mismatch")
+        return self._annihilates(subgroup, chi)
+
+    def validate_quadruplet(self, q):
+        """The group half of quadruplet validation: the subgroup and every
+        element belong to this group."""
+        if not isinstance(q.subgroup, self.subgroup_type):
+            raise ValueError(f"subgroup must be a {self.subgroup_type.__name__}")
+        kind = self.point_type.__name__
+        if not isinstance(q.shift, self.point_type):
+            raise ValueError(f"shift must be a {kind}")
+        for pt, _ in q.levy.atoms:
+            if not isinstance(pt, self.point_type):
+                raise ValueError(f"Levy atom must be a {kind}")
+            self._check_element(q.shift, pt)
+        self._check_element(q.shift, q.shift)
+
+    def _check_element(self, shift, x):
+        """Raise ValueError unless x shares the group's p and the shift's depth."""
+
+    def describe_point(self, x):
+        return getattr(x, self.shift_key)
+
+    def describe(self, q) -> dict:
+        """JSON-ready echo of a quadruplet on this group."""
+        return {
+            "group": self.name,
+            **dataclasses.asdict(self),
+            "H": self.describe_subgroup(q.subgroup),
+            "a": {self.shift_key: self.describe_point(q.shift)},
+            "b": q.gauss_b,
+            "eta": [{"point": self.describe_point(pt), "mass": m} for pt, m in q.levy.atoms],
+        }
+
+
+class _CircleTower(_Group):
+    """Math the circle shares with the solenoid.
+
+    The circle is the solenoid formula with p**d = 1 and its own angle as
+    the base coordinate; multiplying or dividing by 1 is exact, so the
+    shared formulas give the circle's values bit for bit.  Subgroups are
+    the whole group (order None) or finite cyclic of the given order.
+    """
+
+    def quadratic_form(self, b: float, chi) -> float:
+        """b*ell**2 / p**(2d)."""
+        return b * chi.ell ** 2 / self.scale(chi) ** 2
+
+    def centering(self, base_angle, chi):
+        """g at a point whose base coordinate has angle base_angle:
+        ell*cutoff(base_angle) / p**d.  Scalar or ndarray input."""
+        return chi.ell * angle_cutoff(base_angle) / self.scale(chi)
+
+    def pairing(self, x, chi) -> float:
+        return self.centering(self.base_angle(x), chi)
+
+    def drift(self, eta) -> float:
+        """sum of mass * cutoff(base angle) over the atoms of eta."""
+        return sum(m * angle_cutoff(self.base_angle(pt)) for pt, m in eta.atoms)
+
+    def _annihilates(self, subgroup, chi) -> bool:
+        if subgroup.order is None:
+            return chi.ell == 0
+        return chi.ell % subgroup.order == 0
+
+    def subgroup_is_trivial(self, subgroup, depth) -> bool:
+        return subgroup.order == 1
+
+
+@dataclass(frozen=True)
+class Torus(_CircleTower):
+    """The circle group."""
+
+    name = "torus"
+    point_type = TorusPoint
+    subgroup_type = TorusSubgroup
+    character_type = TorusCharacter
+    shift_key = "angle"
+
+    def scale(self, chi) -> int:
+        return 1
+
+    def base_angle(self, x) -> float:
+        return x.angle
+
+    def point_mass(self, depth=None):
+        return TorusSubgroup.trivial(), TorusPoint.identity()
+
+    def default_characters(self, depth, max_ell: int) -> list:
+        """Frequencies -max_ell..max_ell; depth is ignored."""
+        return [TorusCharacter(ell) for ell in range(-max_ell, max_ell + 1)]
+
+    def describe_subgroup(self, subgroup) -> dict:
+        if subgroup.order is None:
+            return {"kind": "full"}
+        return {"kind": "cyclic", "r": subgroup.order}
+
+    def parse_point(self, raw, depth, subgroup) -> TorusPoint:
+        return TorusPoint(config_real(raw))
+
+    def parse_subgroup(self, kind, order):
+        if kind == "cyclic":
+            return TorusSubgroup.cyclic(order(1))
+        return {"full": TorusSubgroup.full(), "trivial": TorusSubgroup.trivial()}.get(kind)
+
+    def parse_character(self, raw, depth) -> TorusCharacter:
+        return TorusCharacter(config_int(raw))
+
+
+@dataclass(frozen=True)
+class _PrimeGroup(_Group):
+    """A group descriptor for a fixed prime p."""
+
+    p: int
+
+    def __post_init__(self):
+        validate_prime(self.p)
+
+    def _check_element(self, shift, x):
+        if shift.p != self.p or x.p != self.p:
+            raise ValueError("element prime does not match the group")
+        if x.depth != shift.depth:
+            raise ValueError(self._depth_mismatch)
+
+    def parse_character(self, raw, depth):
+        if not (isinstance(raw, list) and len(raw) == 2):
+            raise ValueError("expected a [d, ell] pair")
+        d, ell = config_int(raw[0], 0), config_int(raw[1])
+        if d > depth:
+            raise ValueError(f"character depth {d} exceeds configured depth {depth}")
+        return self.character_type(d, ell)
+
+
+@dataclass(frozen=True)
+class PadicIntegers(_PrimeGroup):
+    """The group of p-adic integers for a fixed prime p.
+
+    The group is totally disconnected: the quadratic form, the pairing g
+    and the drift vanish identically, and no nontrivial Gauss measure
+    exists.  The subgroups are the zero-prefix subgroups Lambda(r).
+    """
+
+    name = "padic"
+    point_type = PadicInt
+    subgroup_type = PadicSubgroup
+    character_type = PadicCharacter
+    shift_key = "digits"
+    _depth_mismatch = "p-adic elements must share their digit length"
+
+    def quadratic_form(self, b: float, chi) -> float:
+        return 0.0
+
+    def pairing(self, x, chi) -> float:
+        return 0.0
+
+    def drift(self, eta) -> float:
+        return 0.0
+
+    def _annihilates(self, subgroup, chi) -> bool:
+        """chi.d < r or p**(d+1-r) | ell, for the depth-r zero-prefix subgroup."""
+        chi.check_frequency(self.p)
+        r = subgroup.zero_digits
+        return chi.d < r or chi.ell % self.p ** (chi.d + 1 - r) == 0
+
+    def validate_quadruplet(self, q):
+        super().validate_quadruplet(q)
+        if q.gauss_b != 0:
+            raise ValueError(
+                "no nontrivial Gauss measure exists on the p-adic integers (gauss_b must be 0)"
+            )
+
+    def point_mass(self, depth: int):
+        return PadicSubgroup(depth + 1), PadicInt.zero(self.p, depth)
+
+    def subgroup_is_trivial(self, subgroup, depth) -> bool:
+        return subgroup.zero_digits >= depth + 1
+
+    def default_characters(self, depth: int, max_ell: int) -> list:
+        """Every (d, ell) with d <= min(3, depth); max_ell is ignored."""
+        return [
+            PadicCharacter(d, ell)
+            for d in range(min(3, depth) + 1)
+            for ell in range(self.p ** (d + 1))
+        ]
+
+    def describe_subgroup(self, subgroup) -> dict:
+        return {"kind": "lambda", "r": subgroup.zero_digits}
+
+    def describe_point(self, x) -> list:
+        return list(x.digits)
+
+    def parse_point(self, raw, depth, subgroup) -> PadicInt:
+        """A digit list, zero-padded to depth+1 digits."""
+        if not isinstance(raw, list):
+            raise ValueError("expected a list of digits")
+        digits = [config_int(d) for d in raw]
+        if len(digits) > depth + 1:
+            raise ValueError(f"more than depth+1 = {depth + 1} digits")
+        return PadicInt(self.p, tuple(digits + [0] * (depth + 1 - len(digits))))
+
+    def parse_subgroup(self, kind, order):
+        return PadicSubgroup(order(0)) if kind == "lambda" else None
+
+    def parse_character(self, raw, depth) -> PadicCharacter:
+        chi = super().parse_character(raw, depth)
+        padic_phase_coefficients(self.p, chi)  # frequency range, int64 envelope
+        return chi
+
+
+@dataclass(frozen=True)
+class Solenoid(_PrimeGroup, _CircleTower):
+    """The p-adic solenoid for a fixed prime p."""
+
+    name = "solenoid"
+    point_type = SolenoidPoint
+    subgroup_type = SolenoidSubgroup
+    character_type = SolenoidCharacter
+    shift_key = "deep_angle"
+    _depth_mismatch = "solenoid elements must share their depth"
+
+    def scale(self, chi) -> int:
+        return self.p ** chi.d
+
+    def base_angle(self, x) -> float:
+        return x.coordinate_angle(0)
+
+    def point_mass(self, depth: int):
+        return SolenoidSubgroup.trivial(), SolenoidPoint.identity(self.p, depth)
+
+    def default_characters(self, depth: int, max_ell: int) -> list:
+        """d <= min(3, depth) and |ell| <= max_ell."""
+        return [
+            SolenoidCharacter(d, ell)
+            for d in range(min(3, depth) + 1)
+            for ell in range(-max_ell, max_ell + 1)
+        ]
+
+    def describe_subgroup(self, subgroup) -> dict:
+        return {"kind": "full" if subgroup.whole else "trivial"}
+
+    def parse_point(self, raw, depth, subgroup) -> SolenoidPoint:
+        """A deepest angle.  Below the whole subgroup the sampler lifts the
+        point to R x Z^depth, so the lift is checked here."""
+        x = SolenoidPoint(self.p, depth, config_real(raw))
+        if not subgroup.whole:
+            try:
+                solenoid_lift(x)
+            except ValueError as exc:
+                raise ValueError(f"no exact lift at p={self.p}, depth={depth}: {exc}") from exc
+        return x
+
+    def parse_subgroup(self, kind, order):
+        return {"trivial": SolenoidSubgroup.trivial(), "full": SolenoidSubgroup.full()}.get(kind)

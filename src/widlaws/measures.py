@@ -16,19 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .characters import annihilates, angle_cutoff, eval_char, local_inner_product, quadratic_form
-from .groups import (
-    PadicInt,
-    PadicIntegers,
-    PadicSubgroup,
-    Solenoid,
-    SolenoidPoint,
-    SolenoidSubgroup,
-    Torus,
-    TorusPoint,
-    TorusSubgroup,
-    solenoid_lift,
-)
+from .characters import quadratic_form
+from .groups import solenoid_lift
 
 _IDENTITY_MESSAGE = "Levy measure must satisfy η({e})=0: atom at the identity"
 
@@ -96,74 +85,21 @@ class Quadruplet:
 
 def trivial_quadruplet(group, depth: int = 0) -> Quadruplet:
     """The point mass at the identity, as a quadruplet."""
-    if isinstance(group, Torus):
-        return Quadruplet(group, TorusSubgroup.trivial(), TorusPoint.identity(), 0.0, EMPTY_LEVY)
-    if isinstance(group, PadicIntegers):
-        return Quadruplet(
-            group, PadicSubgroup(depth + 1), PadicInt.zero(group.p, depth), 0.0, EMPTY_LEVY
-        )
-    if isinstance(group, Solenoid):
-        return Quadruplet(
-            group, SolenoidSubgroup.trivial(), SolenoidPoint.identity(group.p, depth), 0.0, EMPTY_LEVY
-        )
-    raise TypeError(f"not a group descriptor: {group!r}")
+    return Quadruplet(group, *group.point_mass(depth), 0.0, EMPTY_LEVY)
 
 
 def validate_quadruplet(q: Quadruplet):
     """Raise ValueError on any broken invariant; return None when valid.
 
-    Checks: component/group type agreement, shared p and depth, a
-    nonnegative finite Gauss scale, and zero Gauss scale on the p-adic
-    integers (no nontrivial Gauss measure exists there).
+    Checks: a nonnegative finite Gauss scale, then the group's own half
+    (component/group type agreement, shared p and depth, and zero Gauss
+    scale on the p-adic integers, where no nontrivial Gauss measure
+    exists).
     """
     b = q.gauss_b
     if not (isinstance(b, (int, float)) and math.isfinite(b)) or b < 0:
         raise ValueError(f"gauss_b must be a finite nonnegative real, got {b!r}")
-
-    def check_points(expected_type, same=lambda a, b: None):
-        if not isinstance(q.shift, expected_type):
-            raise ValueError(f"shift must be a {expected_type.__name__}")
-        for pt, _ in q.levy.atoms:
-            if not isinstance(pt, expected_type):
-                raise ValueError(f"Levy atom must be a {expected_type.__name__}")
-            same(q.shift, pt)
-
-    if isinstance(q.group, Torus):
-        if not isinstance(q.subgroup, TorusSubgroup):
-            raise ValueError("subgroup must be a TorusSubgroup")
-        check_points(TorusPoint)
-    elif isinstance(q.group, PadicIntegers):
-        if not isinstance(q.subgroup, PadicSubgroup):
-            raise ValueError("subgroup must be a PadicSubgroup")
-        if b != 0:
-            raise ValueError(
-                "no nontrivial Gauss measure exists on the p-adic integers (gauss_b must be 0)"
-            )
-
-        def same(a, c):
-            if a.p != q.group.p or c.p != q.group.p:
-                raise ValueError("element prime does not match the group")
-            if len(a.digits) != len(c.digits):
-                raise ValueError("p-adic elements must share their digit length")
-
-        check_points(PadicInt, same)
-        if q.shift.p != q.group.p:
-            raise ValueError("element prime does not match the group")
-    elif isinstance(q.group, Solenoid):
-        if not isinstance(q.subgroup, SolenoidSubgroup):
-            raise ValueError("subgroup must be a SolenoidSubgroup")
-
-        def same(a, c):
-            if a.p != q.group.p or c.p != q.group.p:
-                raise ValueError("element prime does not match the group")
-            if a.depth != c.depth:
-                raise ValueError("solenoid elements must share their depth")
-
-        check_points(SolenoidPoint, same)
-        if q.shift.p != q.group.p:
-            raise ValueError("element prime does not match the group")
-    else:
-        raise ValueError(f"not a group descriptor: {q.group!r}")
+    q.group.validate_quadruplet(q)
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +108,12 @@ def validate_quadruplet(q: Quadruplet):
 def ft_haar(group, subgroup, chi) -> complex:
     """Indicator of the annihilator: 1 if chi is trivial on the subgroup,
     else 0."""
-    return 1.0 + 0.0j if annihilates(group, subgroup, chi) else 0.0 + 0.0j
+    return 1.0 + 0.0j if group.annihilates(subgroup, chi) else 0.0 + 0.0j
 
 
 def ft_dirac(a, chi) -> complex:
     """Transform of the point mass at a: just chi(a)."""
-    return eval_char(chi, a)
+    return chi(a)
 
 
 def ft_gauss(group, b: float, chi) -> complex:
@@ -188,7 +124,7 @@ def ft_compound_poisson(eta: LevyMeasure, chi) -> complex:
     """exp( sum_atoms mass * (chi(point) - 1) )."""
     acc = 0.0 + 0.0j
     for pt, m in eta.atoms:
-        acc += m * (eval_char(chi, pt) - 1.0)
+        acc += m * (chi(pt) - 1.0)
     return cmath.exp(acc)
 
 
@@ -200,7 +136,7 @@ def ft_gen_poisson(group, eta: LevyMeasure, chi) -> complex:
     """
     acc = 0.0 + 0.0j
     for pt, m in eta.atoms:
-        acc += m * (eval_char(chi, pt) - 1.0 - 1j * local_inner_product(group, pt, chi))
+        acc += m * (chi(pt) - 1.0 - 1j * group.pairing(pt, chi))
     return cmath.exp(acc)
 
 
@@ -223,13 +159,7 @@ def local_mean_drift(group, eta: LevyMeasure) -> float:
     exp(i*ell*s / p**d) on the solenoid, and vanishes identically on the
     p-adic integers.
     """
-    if isinstance(group, PadicIntegers):
-        return 0.0
-    if isinstance(group, Torus):
-        return sum(m * angle_cutoff(pt.angle) for pt, m in eta.atoms)
-    if isinstance(group, Solenoid):
-        return sum(m * angle_cutoff(pt.coordinate_angle(0)) for pt, m in eta.atoms)
-    raise TypeError(f"not a group descriptor: {group!r}")
+    return group.drift(eta)
 
 
 # ---------------------------------------------------------------------------

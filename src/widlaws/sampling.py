@@ -15,7 +15,7 @@ jump selection); degenerate layers (trivial subgroup, zero variance,
 empty jump measure) consume nothing.  The samplers return the raw
 array form (angles, digit matrix, deepest angles); quadruplet_sampler
 wraps it in the group's batch type, which owns the batch's group
-product and its character means.
+product, its character means and its rows for the sample dump.
 """
 
 from __future__ import annotations
@@ -25,14 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import PadicCharacter, SolenoidCharacter, TorusCharacter
 from .groups import (
+    PadicCharacter,
     PadicIntegers,
     Solenoid,
+    SolenoidCharacter,
     Torus,
+    TorusCharacter,
     TWO_PI,
     canonical_angle,
     padic_digit_matrix,
+    padic_phase_coefficients,
     solenoid_coordinates,
     solenoid_lift,
     solenoid_lift_matrix,
@@ -41,7 +44,6 @@ from .groups import (
 from .measures import (
     LatticeMeasure,
     Quadruplet,
-    local_mean_drift,
     pushforward_padic,
     pushforward_solenoid,
     pushforward_torus,
@@ -110,7 +112,7 @@ def sample_torus_wid(rng, q: Quadruplet, size: int) -> np.ndarray:
         angles += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
     if not q.levy.is_empty():
         jumps, _ = sample_compound_poisson(rng, pushforward_torus(q.levy), size)
-        angles += jumps - local_mean_drift(q.group, q.levy)
+        angles += jumps - q.group.drift(q.levy)
     return canonical_angle(angles)
 
 
@@ -168,7 +170,7 @@ def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray
         y0 = y0 + rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
     if not q.levy.is_empty():
         jr, ji = sample_compound_poisson(rng, pushforward_solenoid(q.levy, depth), size)
-        y0 = y0 + jr - local_mean_drift(q.group, q.levy)
+        y0 = y0 + jr - q.group.drift(q.levy)
         ints = ints + ji
     return solenoid_lift_matrix(p, depth, y0, ints)
 
@@ -195,7 +197,8 @@ def sample_padic_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sample batches
+# sample batches: combine, char_mean, and the sample dump's rows() (each
+# draw's CSV values) and record(row) (its JSON object)
 
 @dataclass(frozen=True)
 class TorusSamples:
@@ -206,6 +209,13 @@ class TorusSamples:
     def __len__(self):
         return len(self.angles)
 
+    def rows(self):
+        return ([a] for a in map(float, self.angles))
+
+    @staticmethod
+    def record(row) -> dict:
+        return {"angle": row[0]}
+
     def combine(self, other: "TorusSamples") -> "TorusSamples":
         return TorusSamples(canonical_angle(self.angles + other.angles))
 
@@ -213,25 +223,6 @@ class TorusSamples:
         if not isinstance(chi, TorusCharacter):
             raise TypeError("character/batch mismatch")
         return complex(np.exp(1j * canonical_angle(chi.ell * self.angles)).mean())
-
-
-def padic_phase_coefficients(p: int, chi: PadicCharacter) -> list:
-    """The coefficients c_j = ell * p**j mod p**(d+1), j = 0..d, of the
-    character (d, ell): its phase numerator at digits x is
-    sum(c_j * x_j) mod p**(d+1).
-
-    Raises ValueError outside the exact envelope p**(d+2) < 2**63, where
-    the int64 accumulation in PadicSamples.char_mean could wrap.
-    """
-    modulus = p ** (chi.d + 1)
-    if not 0 <= chi.ell < modulus:
-        raise ValueError(f"character frequency {chi.ell} outside 0..{modulus - 1}")
-    if p * modulus >= 2**63:
-        raise ValueError(
-            f"character depth {chi.d} too large for exact batched evaluation at p={p} "
-            "(needs p**(d+2) < 2**63)"
-        )
-    return [chi.ell * p**j % modulus for j in range(chi.d + 1)]
 
 
 @dataclass(frozen=True)
@@ -243,6 +234,13 @@ class PadicSamples:
 
     def __len__(self):
         return len(self.digits)
+
+    def rows(self):
+        return (row.tolist() for row in self.digits)
+
+    @staticmethod
+    def record(row) -> dict:
+        return {"digits": row}
 
     def combine(self, other: "PadicSamples") -> "PadicSamples":
         if self.p != other.p or self.digits.shape != other.digits.shape:
@@ -280,6 +278,19 @@ class SolenoidSamples:
     def __len__(self):
         return len(self.deep_angles)
 
+    def rows(self):
+        """(deepest angle, coordinate 0, ..., coordinate depth) per draw."""
+        columns = [self.deep_angles] + [
+            solenoid_coordinates(self.p, self.depth, self.deep_angles, j)
+            for j in range(self.depth + 1)
+        ]
+        # lazy float conversion: float lists per column cost 32 bytes a value
+        return zip(*(map(float, col) for col in columns))
+
+    @staticmethod
+    def record(row) -> dict:
+        return {"deep_angle": row[0], "coordinates": list(row[1:])}
+
     def combine(self, other: "SolenoidSamples") -> "SolenoidSamples":
         if self.p != other.p or self.depth != other.depth:
             raise ValueError("mismatched solenoid batches")
@@ -308,6 +319,17 @@ def char_mean(batch, chi) -> complex:
     return batch.char_mean(chi)
 
 
+_SAMPLERS = {
+    Torus: lambda q, depth, rng, n: TorusSamples(sample_torus_wid(rng, q, n)),
+    PadicIntegers: lambda q, depth, rng, n: PadicSamples(
+        q.group.p, sample_padic_wid(rng, q, depth, n)
+    ),
+    Solenoid: lambda q, depth, rng, n: SolenoidSamples(
+        q.group.p, depth, sample_solenoid_wid(rng, q, depth, n)
+    ),
+}
+
+
 def quadruplet_sampler(q: Quadruplet, depth: int | None = None):
     """Batch sampler (rng, n) -> samples for the quadruplet's group.
 
@@ -315,11 +337,7 @@ def quadruplet_sampler(q: Quadruplet, depth: int | None = None):
     ignored on the circle.
     """
     validate_quadruplet(q)
-    if isinstance(q.group, Torus):
-        return lambda rng, n: TorusSamples(sample_torus_wid(rng, q, n))
     if depth is None:
         depth = q.shift.depth
-    p = q.group.p
-    if isinstance(q.group, PadicIntegers):
-        return lambda rng, n: PadicSamples(p, sample_padic_wid(rng, q, depth, n))
-    return lambda rng, n: SolenoidSamples(p, depth, sample_solenoid_wid(rng, q, depth, n))
+    draw = _SAMPLERS[type(q.group)]
+    return lambda rng, n: draw(q, depth, rng, n)

@@ -24,14 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups
-from .characters import (
-    PadicCharacter,
-    SolenoidCharacter,
-    TorusCharacter,
-    angle_cutoff,
-    character_label,
-)
-from .groups import PadicIntegers, Solenoid, Torus, canonical_angle
+from .groups import PadicIntegers, Torus, canonical_angle
 from .measures import Quadruplet, ft_quadruplet, validate_quadruplet
 from .sampling import char_mean, combine_samples, make_rng, quadruplet_sampler
 
@@ -55,22 +48,7 @@ def default_characters(group, depth: int = 3, max_ell: int = 8):
     depth-limited samples; the stock set covers every annihilator
     regime (divisible and indivisible frequencies) at desk-scale cost.
     """
-    if isinstance(group, Torus):
-        return [TorusCharacter(ell) for ell in range(-max_ell, max_ell + 1)]
-    dmax = min(3, depth)
-    if isinstance(group, PadicIntegers):
-        return [
-            PadicCharacter(d, ell)
-            for d in range(dmax + 1)
-            for ell in range(group.p ** (d + 1))
-        ]
-    if isinstance(group, Solenoid):
-        return [
-            SolenoidCharacter(d, ell)
-            for d in range(dmax + 1)
-            for ell in range(-max_ell, max_ell + 1)
-        ]
-    raise TypeError(f"not a group descriptor: {group!r}")
+    return group.default_characters(depth, max_ell)
 
 
 def _char_key(chi):
@@ -97,26 +75,7 @@ class VerificationReport:
 
 def describe_quadruplet(q: Quadruplet) -> dict:
     """JSON-ready summary of a quadruplet (used in report config echoes)."""
-    if isinstance(q.group, Torus):
-        sub = {"kind": "full"} if q.subgroup.order is None else {
-            "kind": "cyclic",
-            "r": q.subgroup.order,
-        }
-        shift = {"angle": q.shift.angle}
-        eta = [{"point": pt.angle, "mass": m} for pt, m in q.levy.atoms]
-        head = {"group": "torus"}
-    elif isinstance(q.group, PadicIntegers):
-        sub = {"kind": "lambda", "r": q.subgroup.zero_digits}
-        shift = {"digits": list(q.shift.digits)}
-        eta = [{"point": list(pt.digits), "mass": m} for pt, m in q.levy.atoms]
-        head = {"group": "padic", "p": q.group.p}
-    else:
-        sub = {"kind": "full" if q.subgroup.whole else "trivial"}
-        shift = {"deep_angle": q.shift.deep_angle}
-        eta = [{"point": pt.deep_angle, "mass": m} for pt, m in q.levy.atoms]
-        head = {"group": "solenoid", "p": q.group.p}
-    head.update({"H": sub, "a": shift, "b": q.gauss_b, "eta": eta})
-    return head
+    return q.group.describe(q)
 
 
 def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, **config):
@@ -160,10 +119,10 @@ def run_suite(
     is accepted when |theory - empirical| <= tolerance_c / sqrt(samples).
     """
     sampler = quadruplet_sampler(q, depth)
-    rows = [(character_label(chi), chi, sampler) for chi in sorted(characters, key=_char_key)]
-    extra = {}
-    if depth is not None or not isinstance(q.group, Torus):
-        extra["depth"] = depth if depth is not None else q.shift.depth
+    rows = [(chi.label, chi, sampler) for chi in sorted(characters, key=_char_key)]
+    if depth is None:
+        depth = q.shift.depth
+    extra = {} if depth is None else {"depth": depth}
     return _compare(q, rows, samples, seed, tolerance_c, **extra)
 
 
@@ -189,17 +148,8 @@ def check_compatibility(
     rows = []
     for d in (n, n + 1):
         sampler = quadruplet_sampler(q, depth=d)
-        rows += [(f"{character_label(chi)} @depth={d}", chi, sampler) for chi in chars]
+        rows += [(f"{chi.label} @depth={d}", chi, sampler) for chi in chars]
     return _compare(q, rows, samples, seed, tolerance_c, check="compatibility", n=n)
-
-
-def _effectively_trivial_subgroup(q: Quadruplet, depth: int | None) -> bool:
-    if isinstance(q.group, Torus):
-        return q.subgroup.order == 1
-    if isinstance(q.group, PadicIntegers):
-        d = q.shift.depth if depth is None else depth
-        return q.subgroup.zero_digits >= d + 1
-    return not q.subgroup.whole
 
 
 def check_divisibility(
@@ -220,7 +170,9 @@ def check_divisibility(
     if n < 2:
         raise ValueError("n must be >= 2")
     validate_quadruplet(q)
-    if not (_effectively_trivial_subgroup(q, depth) and q.shift.is_identity()):
+    if depth is None:
+        depth = q.shift.depth
+    if not (q.group.subgroup_is_trivial(q.subgroup, depth) and q.shift.is_identity()):
         raise ValueError("divisibility check requires centered measure")
     scaled = Quadruplet(q.group, q.subgroup, q.shift, q.gauss_b / n, q.levy.scaled(1.0 / n))
     sampler = quadruplet_sampler(scaled, depth)
@@ -232,11 +184,8 @@ def check_divisibility(
         return batch
 
     if characters is None:
-        d = depth
-        if d is None:
-            d = 3 if isinstance(q.group, Torus) else q.shift.depth
-        characters = default_characters(q.group, depth=d)
-    rows = [(character_label(chi), chi, draw) for chi in sorted(characters, key=_char_key)]
+        characters = default_characters(q.group, depth=depth)
+    rows = [(chi.label, chi, draw) for chi in sorted(characters, key=_char_key)]
     return _compare(q, rows, samples, seed, tolerance_c, check="divisibility", n=n)
 
 
@@ -254,24 +203,20 @@ def check_compare_inequality(group, characters, grid_size: int = 1000):
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    if isinstance(group, Torus):
-        kind, base = TorusCharacter, 1
-    elif isinstance(group, Solenoid):
-        kind, base = SolenoidCharacter, group.p
-    else:
+    if isinstance(group, PadicIntegers):
         raise ValueError("the centering bound is checked on the circle and the solenoid only")
     results = []
     for chi in sorted(characters, key=_char_key):
-        if not isinstance(chi, kind):
+        if not isinstance(chi, group.character_type):
             raise TypeError("character/group mismatch")
-        ell, pd = chi.ell, base ** getattr(chi, "d", 0)
+        ell, pd = chi.ell, group.scale(chi)
         theta_max = min(math.pi / (4 * (abs(ell) + 1)), math.pi / (2 * pd))
         theta = np.linspace(-theta_max, theta_max, grid_size)
-        g = ell * angle_cutoff(canonical_angle(pd * theta)) / pd
+        g = group.centering(canonical_angle(pd * theta), chi)
         one_minus_re = 2.0 * np.sin(canonical_angle(ell * theta) / 2.0) ** 2
         lower_ok = np.all(0.25 * g**2 <= one_minus_re + 1e-12)
         upper_ok = np.all(one_minus_re <= 0.5 * g**2)
-        results.append((character_label(chi), bool(lower_ok and upper_ok)))
+        results.append((chi.label, bool(lower_ok and upper_ok)))
     return results
 
 

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from widlaws import (
+    LevyMeasure,
     PadicCharacter,
     PadicInt,
     PadicIntegers,
@@ -26,6 +28,7 @@ from widlaws import (
     eval_solenoid_char,
     eval_torus_char,
     local_inner_product,
+    local_mean_drift,
     quadratic_form,
     padic_add,
     solenoid_mul,
@@ -206,6 +209,25 @@ def test_local_inner_product_additive_and_odd():
         gs = lambda ell, pt: local_inner_product(Solenoid(p), pt, SolenoidCharacter(d, ell))
         assert gs(l1 + l2, s) == pytest.approx(gs(l1, s) + gs(l2, s), abs=1e-12)
         assert gs(l1, SolenoidPoint(p, 3, -s.deep_angle)) == pytest.approx(-gs(l1, s), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "b,ell,angle", [(0.37, 3, 1.1), (2.0, -5, -2.9), (0.05, 7, 3.0), (1.3, 0, 0.4), (0.8, 1, -1.7)]
+)
+def test_circle_is_the_solenoid_at_depth_zero(p, b, ell, angle):
+    # the circle shares the solenoid's formulas with p**d = 1: at d = 0 the
+    # quadratic form, g, the drift and the whole-subgroup annihilator agree
+    # bit for bit
+    bits = lambda x: struct.pack("<d", x)
+    T, S = Torus(), Solenoid(p)
+    tchi, schi = TorusCharacter(ell), SolenoidCharacter(0, ell)
+    x, y = TorusPoint(angle), SolenoidPoint(p, 0, angle)
+    assert bits(quadratic_form(T, b, tchi)) == bits(quadratic_form(S, b, schi))
+    assert bits(local_inner_product(T, x, tchi)) == bits(local_inner_product(S, y, schi))
+    t_drift = local_mean_drift(T, LevyMeasure(((x, b),)))
+    assert bits(t_drift) == bits(local_mean_drift(S, LevyMeasure(((y, b),))))
+    assert annihilates(T, TorusSubgroup.full(), tchi) == annihilates(S, SolenoidSubgroup.full(), schi)
 
 
 def test_annihilates_torus():

@@ -47,3 +47,43 @@ def test_config_rejects_padic_character_beyond_exact_envelope(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg), "--samples", "10"]) == 2
     assert "characters[1]" in capsys.readouterr().err
+
+
+# Below the trivial subgroup the solenoid sampler lifts the shift and every
+# jump atom to R x Z^depth.  A float deep angle at p**depth ~ 8e11 has no
+# exact lift; the config names the point instead of failing in the sampler.
+def _deep_solenoid(subgroup, shift, eta):
+    return {
+        "group": "solenoid",
+        "p": 3,
+        "depth": 25,
+        "quadruplet": {"H": {"kind": subgroup}, "a": shift, "eta": eta},
+    }
+
+
+@pytest.mark.parametrize(
+    "shift,eta,field",
+    [
+        (0.0, [{"point": 1.0, "mass": 0.5}], "quadruplet.eta[0].point"),
+        (1.0, [], "quadruplet.a"),
+    ],
+)
+def test_deep_solenoid_point_without_exact_lift_names_its_field(shift, eta, field, tmp_path, capsys):
+    doc = _deep_solenoid("trivial", shift, eta)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.field == field
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--samples", "10"]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
+def test_deep_solenoid_below_full_subgroup_still_verifies(tmp_path):
+    # the Haar layer absorbs the law, so nothing is lifted
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(_deep_solenoid("full", 0.0, [{"point": 1.0, "mass": 0.5}])))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--samples", "2000", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 68 and all(r["pass"] for r in rows)

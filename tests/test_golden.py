@@ -1,0 +1,70 @@
+"""Byte identity of the machine output against checked-in golden files.
+
+Each case runs one CLI command in-process and compares every file it
+writes with tests/data/golden/ byte for byte: verify JSON and CSV, sample
+csv and jsonl, and haar-demo JSON, over one config per group.  The
+golden bytes depend on numpy's Generator streams (Philox, the ziggurat
+normal, the Poisson routine), so a numpy release that changes a stream
+changes them too.
+
+Regenerate the files only when the output is meant to change:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import pathlib
+import shutil
+import sys
+
+import pytest
+
+from widlaws.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+GROUPS = ("torus", "padic", "solenoid")
+
+
+def _cases():
+    """(name, argv, output files) per golden case; argv names its outputs
+    by their golden file names, relative to the working directory."""
+    cases = []
+    for group in GROUPS:
+        config = str(GOLDEN / f"config-{group}.json")
+        out, table = f"verify-{group}.json", f"verify-{group}.csv"
+        argv = ["verify", "--config", config, "--samples", "2000", "--out", out, "--csv", table]
+        cases.append((f"verify-{group}", argv, (out, table)))
+        for fmt in ("csv", "jsonl"):
+            out = f"sample-{group}.{fmt}"
+            argv = ["sample", "--config", config, "--count", "20", "--format", fmt, "--out", out]
+            cases.append((f"sample-{group}-{fmt}", argv, (out,)))
+    for group in ("padic", "solenoid"):
+        out = f"haar-{group}-p3.json"
+        argv = ["haar-demo", "--group", group, "--p", "3", "--depth", "2", "--samples", "2000",
+                "--seed", "3", "--out", out]
+        cases.append((f"haar-{group}", argv, (out,)))
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("argv,outputs", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_machine_output_is_byte_identical(argv, outputs, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+if __name__ == "__main__":
+    work = GOLDEN / "_regen"
+    work.mkdir(exist_ok=True)
+    try:
+        for _, argv, outputs in CASES:
+            argv = [str(work / a) if a in outputs else a for a in argv]
+            if main(argv) != 0:
+                sys.exit(f"golden case failed: {argv}")
+            for name in outputs:
+                shutil.move(str(work / name), str(GOLDEN / name))
+    finally:
+        shutil.rmtree(work)
