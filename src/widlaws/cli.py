@@ -53,11 +53,14 @@ class ConfigError(Exception):
         super().__init__(f"field '{field}': {message}")
 
 
-def _get(doc, field, default=None, required=False):
-    if field in doc:
-        return doc[field]
+def _get(doc, path, default=None, required=False):
+    """doc's value at the last key of the dotted config path; a missing
+    required key is reported under the full path."""
+    key = path.rsplit(".", 1)[-1]
+    if key in doc:
+        return doc[key]
     if required:
-        raise ConfigError(field, "missing")
+        raise ConfigError(path, "missing")
     return default
 
 
@@ -82,7 +85,7 @@ def _parse_subgroup(group, raw):
         raise ConfigError("quadruplet.H", "expected an object with a 'kind'")
 
     def order(minimum):
-        return _as_int("quadruplet.H.r", _get(raw, "r", required=True), minimum)
+        return _as_int("quadruplet.H.r", _get(raw, "quadruplet.H.r", required=True), minimum)
 
     subgroup = _field("quadruplet.H", group.parse_subgroup, raw["kind"], order)
     if subgroup is None:
@@ -120,12 +123,11 @@ def parse_config(doc):
     qraw = _get(doc, "quadruplet", required=True)
     if not isinstance(qraw, dict):
         raise ConfigError("quadruplet", "expected an object")
-    subgroup = _parse_subgroup(group, _get(qraw, "H", required=True))
-    shift = _field(
-        "quadruplet.a", group.parse_point, _get(qraw, "a", required=True), depth, subgroup
-    )
-    b = _as_real("quadruplet.b", _get(qraw, "b", 0.0))
-    eta_raw = _get(qraw, "eta", [])
+    subgroup = _parse_subgroup(group, _get(qraw, "quadruplet.H", required=True))
+    a_raw = _get(qraw, "quadruplet.a", required=True)
+    shift = _field("quadruplet.a", group.parse_point, a_raw, depth, subgroup)
+    b = _as_real("quadruplet.b", _get(qraw, "quadruplet.b", 0.0))
+    eta_raw = _get(qraw, "quadruplet.eta", [])
     if not isinstance(eta_raw, list):
         raise ConfigError("quadruplet.eta", "expected a list of atoms")
     atoms = []
@@ -234,10 +236,13 @@ def _summary(name, report):
 # commands
 
 def _override(doc, args, *fields):
-    """doc with every given field that was set on the command line replaced."""
-    for name in fields:
-        if getattr(args, name) is not None:
-            doc[name] = getattr(args, name)
+    """doc with every given field that was set on the command line replaced.
+    A doc that is not an object is returned as it is, for parse_config to
+    reject as field '<root>'."""
+    if isinstance(doc, dict):
+        for name in fields:
+            if getattr(args, name) is not None:
+                doc[name] = getattr(args, name)
     return doc
 
 

@@ -16,12 +16,19 @@ empty jump measure) consume nothing.  The samplers return the raw
 array form (angles, digit matrix, deepest angles); quadruplet_sampler
 wraps it in the group's batch type, which owns the batch's group
 product, its character means and its rows for the sample dump.
+
+A batch is read by many characters (one verification suite draws one
+batch), so the p-adic and solenoid batches keep the per-depth work of
+their character means in a private cache: the residue histogram of
+x mod p**(d+1), and the coordinate column d.  The cache is filled on
+first use and never changes a result, so batches behave as immutable
+values; their arrays must not be written to after the first mean.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -231,6 +238,7 @@ class PadicSamples:
 
     p: int
     digits: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.digits)
@@ -252,7 +260,12 @@ class PadicSamples:
             raise TypeError("character/batch mismatch")
         if chi.d > self.digits.shape[1] - 1:
             raise ValueError("character depth exceeds sample depth")
-        modulus = self.p ** (chi.d + 1)
+        modulus = chi.check_frequency(self.p)
+        if modulus <= len(self.digits):
+            # at most p**(d+1) distinct phases: sum them over the histogram
+            residues, counts = self._residue_histogram(chi.d)
+            phase = chi.ell * residues % modulus
+            return complex(counts @ np.exp(2j * np.pi * phase / modulus) / len(self.digits))
         # Sum c_j * x_j in int64, reducing mod p**(d+1) only when the next
         # term could pass int64 (after a reduction it cannot: p**(d+2) < 2**63).
         num = np.zeros(len(self.digits), dtype=np.int64)
@@ -266,6 +279,20 @@ class PadicSamples:
         np.remainder(num, modulus, out=num)
         return complex(np.exp(2j * np.pi * num / modulus).mean())
 
+    def _residue_histogram(self, d: int):
+        """The residues r = x mod p**(d+1) that occur in the batch and
+        their counts.  Only called with p**(d+1) <= len(batch), so the
+        Horner sum stays far inside int64."""
+        if d not in self._cache:
+            residues = self.digits[:, d].astype(np.int64)
+            for j in range(d - 1, -1, -1):
+                residues *= self.p
+                residues += self.digits[:, j]
+            hist = np.bincount(residues, minlength=self.p ** (d + 1))
+            occupied = np.flatnonzero(hist)
+            self._cache[d] = (occupied, hist[occupied])
+        return self._cache[d]
+
 
 @dataclass(frozen=True)
 class SolenoidSamples:
@@ -274,6 +301,7 @@ class SolenoidSamples:
     p: int
     depth: int
     deep_angles: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.deep_angles)
@@ -303,8 +331,9 @@ class SolenoidSamples:
             raise TypeError("character/batch mismatch")
         if chi.d > self.depth:
             raise ValueError("character depth exceeds sample depth")
-        coord = solenoid_coordinates(self.p, self.depth, self.deep_angles, chi.d)
-        return complex(np.exp(1j * canonical_angle(chi.ell * coord)).mean())
+        if chi.d not in self._cache:
+            self._cache[chi.d] = solenoid_coordinates(self.p, self.depth, self.deep_angles, chi.d)
+        return complex(np.exp(1j * canonical_angle(chi.ell * self._cache[chi.d])).mean())
 
 
 def combine_samples(a, b):

@@ -87,3 +87,37 @@ def test_deep_solenoid_below_full_subgroup_still_verifies(tmp_path):
     assert main(["verify", "--config", str(cfg), "--samples", "2000", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 68 and all(r["pass"] for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--samples", "100"],
+        ["verify"],
+        ["sample", "--seed", "1", "--count", "3"],
+    ],
+)
+def test_non_object_config_names_root_with_or_without_overrides(argv, tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+    assert "field '<root>'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "quadruplet,field",
+    [
+        ({"H": {"kind": "cyclic"}, "a": 0.0}, "quadruplet.H.r"),
+        ({"a": 0.0}, "quadruplet.H"),
+        ({"H": {"kind": "full"}}, "quadruplet.a"),
+    ],
+)
+def test_missing_nested_field_is_named_by_its_full_path(quadruplet, field, tmp_path, capsys):
+    doc = {"group": "torus", "quadruplet": quadruplet}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.field == field
+    cfg = tmp_path / "missing.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--samples", "10"]) == 2
+    assert f"field '{field}': missing" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from widlaws import (
     Solenoid,
     SolenoidCharacter,
     SolenoidPoint,
+    SolenoidSamples,
     SolenoidSubgroup,
     Torus,
     TorusCharacter,
@@ -316,3 +317,48 @@ def test_padic_char_mean_rejects_depth_beyond_int64_envelope():
     char_mean(PadicSamples(3, digits), PadicCharacter(37, 5))
     with pytest.raises(ValueError, match="2\\*\\*63"):
         char_mean(PadicSamples(3, digits), PadicCharacter(38, 5))
+
+
+def _direct_char_mean(p, digits, chi):
+    """Reference: the draw-by-draw mean of exp(2 pi i ell x / p**(d+1)),
+    with x = sum(x_j p**j, j <= d) evaluated per draw."""
+    modulus = p ** (chi.d + 1)
+    x = digits[:, : chi.d + 1] @ (p ** np.arange(chi.d + 1))
+    return complex(np.exp(2j * np.pi * (chi.ell * x % modulus) / modulus).mean())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_padic_char_mean_histogram_matches_direct_evaluation_on_one_batch(p):
+    # every (d, ell) with p**(d+1) <= n reads the batch's residue histogram
+    n = 700
+    batch = PadicSamples(p, sample_padic_haar(make_rng(41 + p), p, 8, size=n))
+    d = 0
+    while p ** (d + 1) <= n:
+        for ell in range(p ** (d + 1)):
+            chi = PadicCharacter(d, ell)
+            assert abs(char_mean(batch, chi) - _direct_char_mean(p, batch.digits, chi)) <= 1e-12
+        assert d in batch._cache
+        d += 1
+
+
+@pytest.mark.parametrize("p,d", [(2, 9), (3, 5), (5, 3)])
+def test_padic_char_mean_above_batch_size_takes_the_direct_path(p, d):
+    # p**(d+1) > n: no histogram is built, and the mean is the same
+    n = 300
+    batch = PadicSamples(p, sample_padic_haar(make_rng(43), p, d, size=n))
+    for ell in (1, p + 1, p ** (d + 1) - 2):
+        chi = PadicCharacter(d, ell)
+        assert abs(char_mean(batch, chi) - _direct_char_mean(p, batch.digits, chi)) <= 1e-12
+    assert d not in batch._cache
+
+
+def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():
+    # the cached coordinate column gives the bits a fresh batch gives
+    p, depth = 3, 3
+    deep = sample_solenoid_haar(make_rng(47), p, depth, size=1000)
+    shared = SolenoidSamples(p, depth, deep)
+    for d in range(depth + 1):
+        for ell in (-4, 1, 5):
+            chi = SolenoidCharacter(d, ell)
+            assert char_mean(shared, chi) == char_mean(SolenoidSamples(p, depth, deep), chi)
+    assert sorted(shared._cache) == list(range(depth + 1))

@@ -1,10 +1,13 @@
 """Verification engine: suites, compatibility, divisibility, oracles."""
 
+import cmath
 import math
 
 import pytest
 
 import widlaws.groups
+import widlaws.sampling
+import widlaws.verification
 from widlaws import (
     EMPTY_LEVY,
     LevyMeasure,
@@ -26,6 +29,7 @@ from widlaws import (
     default_characters,
     empirical_cf,
     ft_compound_poisson,
+    ft_quadruplet,
     make_rng,
     oracle_padic_arithmetic,
     quadruplet_sampler,
@@ -233,3 +237,162 @@ def test_oracle_padic_arithmetic_catches_injected_bug(monkeypatch):
 
     monkeypatch.setattr(widlaws.groups, "padic_add", broken_add)
     assert not oracle_padic_arithmetic(300, seed=37)
+
+
+def test_oracle_padic_arithmetic_catches_bug_in_the_shared_carry_routine(monkeypatch):
+    # add, neg and mul_nat all normalize through padic_from_ints; a routine
+    # that loses the last digit agrees with itself, not with the integers
+    real_from_ints = widlaws.groups.padic_from_ints
+
+    def drops_last_digit(p, entries):
+        return PadicInt(p, real_from_ints(p, entries).digits[:-1] + (0,))
+
+    monkeypatch.setattr(widlaws.groups, "padic_from_ints", drops_last_digit)
+    assert not oracle_padic_arithmetic(300, seed=37)
+
+
+# ---------------------------------------------------------------------------
+# one batch per check
+
+def test_annihilated_padic_rows_are_exact_on_both_evaluation_paths():
+    # Haar of 9Z_3 at depth 3: every (d, ell) with d < 2 or 3**(d-1) | ell
+    # is annihilated; at 50 samples d <= 2 reads the residue histogram and
+    # d = 3 (81 residues) the draw-by-draw path
+    p = 3
+    q = Quadruplet(PadicIntegers(p), PadicSubgroup(2), PadicInt.zero(p, 3), 0.0, EMPTY_LEVY)
+    rep = run_suite(q, default_characters(q.group, depth=3), 50, seed=53)
+    exact = [r for r in rep.rows if r.theory == 1 + 0j]
+    assert {r.label.split(",")[0] for r in exact} == {"d=0", "d=1", "d=2", "d=3"}
+    for row in exact:
+        assert row.empirical == 1 + 0j, row.label
+
+
+@pytest.fixture
+def draw_log(monkeypatch):
+    """Records (batch size) per sampler call and one entry per RNG stream
+    the engine opens."""
+    log = {"draws": [], "streams": []}
+    real_factory, real_rng = widlaws.verification.quadruplet_sampler, widlaws.verification.make_rng
+
+    def factory(*args, **kwargs):
+        sampler = real_factory(*args, **kwargs)
+
+        def draw(rng, n):
+            log["draws"].append(n)
+            return sampler(rng, n)
+
+        return draw
+
+    def make_rng_logged(seed, stream=0):
+        log["streams"].append(stream)
+        return real_rng(seed, stream)
+
+    monkeypatch.setattr(widlaws.verification, "quadruplet_sampler", factory)
+    monkeypatch.setattr(widlaws.verification, "make_rng", make_rng_logged)
+    return log
+
+
+def test_each_check_draws_once_per_sampler(draw_log):
+    p = 2
+    eta = LevyMeasure(((PadicInt(p, (1, 0, 1, 0)), 0.8),))
+    q = Quadruplet(PadicIntegers(p), PadicSubgroup(4), PadicInt.zero(p, 3), 0.0, eta)
+    assert len(run_suite(q, default_characters(q.group, depth=3), 300, seed=1).rows) == 30
+    assert draw_log == {"draws": [300], "streams": [0]}
+
+    for entries in draw_log.values():
+        entries.clear()
+    assert len(check_compatibility(q, 2, 300, seed=1).rows) == 12
+    assert draw_log == {"draws": [300, 300], "streams": [0, 1]}
+
+    for entries in draw_log.values():
+        entries.clear()
+    assert len(check_divisibility(q, 3, 300, seed=1).rows) == 30
+    assert draw_log == {"draws": [300, 300, 300], "streams": [0]}
+
+
+_ALONE_CASES = {
+    "torus": Quadruplet(
+        Torus(),
+        TorusSubgroup.cyclic(3),
+        TorusPoint(0.4),
+        0.3,
+        LevyMeasure(((TorusPoint(2.1), 0.7),)),
+    ),
+    "padic": Quadruplet(
+        PadicIntegers(3),
+        PadicSubgroup(2),
+        PadicInt(3, (1, 2, 0, 0)),
+        0.0,
+        LevyMeasure(((PadicInt(3, (2, 1, 0, 0)), 0.9),)),
+    ),
+    "solenoid": Quadruplet(
+        Solenoid(2),
+        SolenoidSubgroup.trivial(),
+        SolenoidPoint(2, 3, 0.2),
+        0.4,
+        LevyMeasure(((SolenoidPoint(2, 3, -0.5), 0.6),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("q", _ALONE_CASES.values(), ids=_ALONE_CASES.keys())
+def test_row_value_does_not_depend_on_the_other_characters(q):
+    # every row of a suite reads the stream-0 batch, so a character
+    # verified alone gets the bits it gets inside the default set
+    chars = default_characters(q.group, depth=3)
+    full = {r.label: r.empirical for r in run_suite(q, chars, 3000, seed=59).rows}
+    for chi in chars[:: max(1, len(chars) // 9)]:
+        (row,) = run_suite(q, [chi], 3000, seed=59).rows
+        assert row.empirical == full[row.label], row.label
+
+
+# ---------------------------------------------------------------------------
+# the default-N gate catches broken samplers
+
+def test_gate_catches_solenoid_sampler_without_drift_centering(monkeypatch):
+    p, depth = 2, 2
+    # one atom at base angle 1.0: the drift is 0.5, so the uncentered
+    # sampler rotates coordinate d by 0.5 ell / p**d
+    eta = LevyMeasure(((SolenoidPoint(p, depth, 0.25), 0.5),))
+    origin = SolenoidPoint.identity(p, depth)
+    q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), origin, 0.0, eta)
+    chars = default_characters(q.group, depth=depth)
+    drift = q.group.drift(eta)
+    defect = max(
+        abs(ft_quadruplet(q, chi)) * abs(1 - cmath.exp(1j * chi.ell * drift / p**chi.d))
+        for chi in chars
+    )
+    assert defect > 10 * 4 / math.sqrt(N)
+    assert run_suite(q, chars, N, seed=61).overall_pass
+
+    real = widlaws.sampling.sample_solenoid_wid
+
+    def uncentered(rng, q, depth, size):
+        with monkeypatch.context() as m:
+            m.setattr(Solenoid, "drift", lambda self, eta: 0.0)
+            return real(rng, q, depth, size)
+
+    monkeypatch.setattr(widlaws.sampling, "sample_solenoid_wid", uncentered)
+    assert not run_suite(q, chars, N, seed=61).overall_pass
+
+
+def test_gate_catches_padic_haar_layer_one_digit_late(monkeypatch):
+    p, r = 3, 1
+    eta = LevyMeasure(((PadicInt(p, (1, 2, 0, 0)), 0.5),))
+    q = Quadruplet(PadicIntegers(p), PadicSubgroup(r), PadicInt.zero(p, 3), 0.0, eta)
+    chars = default_characters(q.group, depth=3)
+    # theory: Haar of 3Z_3 kills (1, ell) for 3 not dividing ell; the late
+    # sampler fixes digit 1, so those rows keep the Poisson factor's modulus
+    late_q = Quadruplet(q.group, PadicSubgroup(r + 1), q.shift, q.gauss_b, q.levy)
+    defect = max(abs(ft_quadruplet(late_q, chi) - ft_quadruplet(q, chi)) for chi in chars)
+    assert defect > 10 * 4 / math.sqrt(N)
+    assert run_suite(q, chars, N, seed=67).overall_pass
+
+    real = widlaws.sampling.sample_padic_wid
+
+    def late(rng, q, depth, size):
+        shifted = PadicSubgroup(q.subgroup.zero_digits + 1)
+        return real(rng, Quadruplet(q.group, shifted, q.shift, q.gauss_b, q.levy), depth, size)
+
+    monkeypatch.setattr(widlaws.sampling, "sample_padic_wid", late)
+    assert not run_suite(q, chars, N, seed=67).overall_pass
