@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .groups import (
@@ -33,7 +34,7 @@ from .groups import (
     config_real,
 )
 from .measures import LevyMeasure, Quadruplet, validate_quadruplet
-from .sampling import make_rng, quadruplet_sampler
+from .sampling import check_jump_budget, make_rng, quadruplet_sampler
 from .verification import (
     check_compare_inequality,
     check_compatibility,
@@ -142,10 +143,11 @@ def parse_config(doc):
     _field("quadruplet", validate_quadruplet, quad)
 
     samples = _as_int("samples", _get(doc, "samples", 100000), 1)
+    _field("quadruplet.eta", check_jump_budget, levy, samples)
     seed = _as_int("seed", _get(doc, "seed", 0))
     tolerance_c = _as_real("tolerance_c", _get(doc, "tolerance_c", 4.0))
-    if tolerance_c <= 0:
-        raise ConfigError("tolerance_c", "must be positive")
+    if not (math.isfinite(tolerance_c) and tolerance_c > 0):
+        raise ConfigError("tolerance_c", f"must be finite and positive, got {tolerance_c!r}")
     characters = _parse_characters(group, depth, _get(doc, "characters", "default"))
     return quad, depth, characters, samples, seed, tolerance_c
 
@@ -269,6 +271,7 @@ def cmd_sample(args) -> int:
     count = args.count if args.count is not None else samples
     if count < 1:
         raise ConfigError("count", "must be >= 1")
+    _field("quadruplet.eta", check_jump_budget, quad.levy, count)
     sampler = quadruplet_sampler(quad, depth=depth)
     batch = sampler(make_rng(seed, stream=0), count)
     _emit(_sample_lines(batch, args.format), args.out)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,10 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+@functools.lru_cache(maxsize=256)
 def is_prime(p) -> bool:
-    """Trial-division primality check (fine for the small p used here)."""
+    """Trial-division primality check (fine for the small p used here),
+    memoized: every carry normalization checks its prime."""
     if p < 2:
         return False
     if p < 4:
@@ -171,6 +174,18 @@ class PadicInt:
                 raise ValueError(f"digit {d} outside 0..{self.p - 1}")
         object.__setattr__(self, "digits", digits)
 
+    @classmethod
+    def _normalized(cls, p, digits: tuple) -> "PadicInt":
+        """The element with these digits, built without __post_init__.
+
+        Only for callers that have already checked p and made digits a
+        nonempty tuple of Python ints in 0..p-1, such as padic_from_ints.
+        """
+        x = object.__new__(cls)
+        object.__setattr__(x, "p", p)
+        object.__setattr__(x, "digits", digits)
+        return x
+
     @property
     def depth(self) -> int:
         """Highest retained digit index."""
@@ -186,8 +201,11 @@ class PadicInt:
         return padic_from_ints(p, [value if j == 0 else 0 for j in range(depth + 1)])
 
     def to_int(self) -> int:
-        """The integer sum(digits[j] * p**j), exact."""
-        return sum(d * self.p ** j for j, d in enumerate(self.digits))
+        """The integer sum(digits[j] * p**j), exact (Horner's rule)."""
+        p, acc = int(self.p), 0
+        for d in reversed(self.digits):
+            acc = acc * p + d
+        return acc
 
     def is_identity(self) -> bool:
         return all(d == 0 for d in self.digits)
@@ -227,12 +245,16 @@ def padic_from_ints(p: int, entries) -> PadicInt:
     addition onto the p-adic integers.
     """
     validate_prime(p)
+    base = int(p)
     out = []
     carry = 0
     for e in entries:
-        carry, d = divmod(int(e) + carry, p)
+        carry, d = divmod(int(e) + carry, base)
         out.append(d)
-    return PadicInt(p, tuple(out))
+    if not out:
+        raise ValueError("p-adic element needs at least one digit")
+    # divmod by the checked prime leaves every digit in 0..p-1
+    return PadicInt._normalized(p, tuple(out))
 
 
 def padic_digit_matrix(p: int, values: np.ndarray) -> np.ndarray:

@@ -64,6 +64,24 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# The most Poisson jumps one batch may hold.  Every jump costs about
+# 40 bytes of working arrays (its uniform, its atom index, its owner and
+# its weights), so the cap keeps one batch's jump layer near 0.4 GB; the
+# stock fixtures draw about 1e5 jumps per batch.
+MAX_JUMPS = 10**7
+
+
+def check_jump_budget(levy, draws: int):
+    """Raise ValueError when `draws` draws of a law with Levy measure levy
+    expect more than MAX_JUMPS Poisson jumps in total (mass * draws)."""
+    expected = levy.total_mass * draws
+    if expected > MAX_JUMPS:
+        raise ValueError(
+            f"total mass {levy.total_mass:.6g} over {draws} draws expects {expected:.3g} "
+            f"Poisson jumps, above the cap of {MAX_JUMPS}"
+        )
+
+
 def sample_compound_poisson(rng, measure: LatticeMeasure, size: int):
     """Poisson(total mass) many jumps, each an atom picked with
     probability mass/total, summed coordinatewise on R x Z^k.
@@ -71,7 +89,9 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int):
     Atom selection walks a precomputed cumulative mass table by binary
     search over uniforms.  Returns (real part, integer part): floats of
     shape (n,) and an int64 matrix of shape (n, k).  The empty measure
-    yields the origin and consumes nothing.
+    yields the origin and consumes nothing.  Raises ValueError, before
+    anything per jump is allocated, when the drawn jump total exceeds
+    MAX_JUMPS.
     """
     n = int(size)
     k = measure.int_dim
@@ -85,7 +105,11 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int):
         masses = np.array([m for _, _, m in measure.atoms])
         total = masses.sum()
         counts = rng.poisson(total, size=n)
-        jumps = int(counts.sum())
+        # summed in float: huge per-draw counts must not wrap int64
+        jumps = counts.sum(dtype=float)
+        if jumps > MAX_JUMPS:
+            raise ValueError(f"{jumps:.3g} Poisson jumps drawn, above the cap of {MAX_JUMPS}")
+        jumps = int(jumps)
         if jumps > 0:
             cum = np.cumsum(masses) / total
             picks = np.searchsorted(cum, rng.random(jumps), side="right")

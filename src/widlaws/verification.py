@@ -97,6 +97,8 @@ def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, *
     start = time.perf_counter()
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not (math.isfinite(tolerance_c) and tolerance_c > 0):
+        raise ValueError(f"tolerance_c must be finite and positive, got {tolerance_c!r}")
     tol = tolerance_c / math.sqrt(samples)
     config.update(
         quadruplet=describe_quadruplet(q), samples=samples, seed=seed, tolerance_c=tolerance_c
@@ -230,42 +232,74 @@ def check_compare_inequality(group, characters, grid_size: int = 1000):
     return results
 
 
+# k in the oracle's k*x trials is drawn from 0.._ORACLE_K_BOUND-1; trials
+# are checked in blocks of _ORACLE_BLOCK so the expected-digit matrices
+# stay a few hundred kB whatever the trial count.
+_ORACLE_K_BOUND = 1000
+_ORACLE_BLOCK = 512
+
+
+def _expected_digits(p: int, depth: int, xs, ys, ks):
+    """Base-p digits of x+y, -x and k*x modulo p**(depth+1), one tuple per
+    trial in each of three lists; xs and ys hold digit rows, ks the k.
+
+    Each value v gives digits ((v mod p**(depth+1)) // p**j) mod p, from
+    int64 numpy while k*x stays inside int64 and from Python ints beyond,
+    never through the carry normalization under test.
+    """
+    modulus = p ** (depth + 1)
+    if _ORACLE_K_BOUND * modulus < 2**63:
+        powers = p ** np.arange(depth + 1, dtype=np.int64)
+        xv, yv = xs @ powers, ys @ powers
+        values = np.mod(np.stack([xv + yv, -xv, ks * xv]), modulus)
+        digits = values[..., None] // powers % p
+        return [list(map(tuple, block)) for block in digits.tolist()]
+    powers = [p**j for j in range(depth + 1)]
+
+    def expected(v):
+        v %= modulus
+        return tuple(v // pj % p for pj in powers)
+
+    xv = [sum(d * pj for d, pj in zip(row, powers)) for row in xs.tolist()]
+    yv = [sum(d * pj for d, pj in zip(row, powers)) for row in ys.tolist()]
+    return (
+        [expected(a + b) for a, b in zip(xv, yv)],
+        [expected(-a) for a in xv],
+        [expected(k * a) for k, a in zip(ks.tolist(), xv)],
+    )
+
+
 def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int = 15) -> bool:
     """Cross-check the digit arithmetic against exact integer arithmetic.
 
     For `trials` random pairs per prime, addition, negation, and natural
-    multiples must agree bit-exactly with big-integer arithmetic modulo
+    multiples must agree bit-exactly with integer arithmetic modulo
     p**(depth+1) expanded in base p; additionally x + (-x) = 0 and the
     p-th multiple always has leading digit 0.  The expected digits come
-    straight from the Python int, ((v mod p**(depth+1)) // p**j) mod p,
-    so they share no code with the carry normalization under test.
+    from _expected_digits, which shares no code with the carry
+    normalization under test.
     """
     rng = make_rng(seed, stream=0)
     for p in primes:
-        modulus = p ** (depth + 1)
-        powers = [p**j for j in range(depth + 1)]
-
-        def expected(v):
-            v %= modulus
-            return tuple(v // pj % p for pj in powers)
-
         xs = rng.integers(0, p, size=(trials, depth + 1))
         ys = rng.integers(0, p, size=(trials, depth + 1))
-        ks = rng.integers(0, 1000, size=trials)
-        for i in range(trials):
-            x = groups.PadicInt(p, tuple(int(v) for v in xs[i]))
-            y = groups.PadicInt(p, tuple(int(v) for v in ys[i]))
-            xv, yv = x.to_int(), y.to_int()
-            if groups.padic_add(x, y).digits != expected(xv + yv):
-                return False
-            neg = groups.padic_neg(x)
-            if neg.digits != expected(-xv):
-                return False
-            if not groups.padic_add(x, neg).is_identity():
-                return False
-            k = int(ks[i])
-            if groups.padic_mul_nat(k, x).digits != expected(k * xv):
-                return False
-            if groups.padic_mul_nat(p, x).digits[0] != 0:
-                return False
+        ks = rng.integers(0, _ORACLE_K_BOUND, size=trials)
+        for lo in range(0, trials, _ORACLE_BLOCK):
+            block = slice(lo, lo + _ORACLE_BLOCK)
+            sums, negs, mults = _expected_digits(p, depth, xs[block], ys[block], ks[block])
+            rows = zip(xs[block].tolist(), ys[block].tolist(), ks[block].tolist())
+            for (xd, yd, k), s, n, m in zip(rows, sums, negs, mults):
+                x = groups.PadicInt(p, tuple(xd))
+                y = groups.PadicInt(p, tuple(yd))
+                if groups.padic_add(x, y).digits != s:
+                    return False
+                neg = groups.padic_neg(x)
+                if neg.digits != n:
+                    return False
+                if not groups.padic_add(x, neg).is_identity():
+                    return False
+                if groups.padic_mul_nat(k, x).digits != m:
+                    return False
+                if groups.padic_mul_nat(p, x).digits[0] != 0:
+                    return False
     return True

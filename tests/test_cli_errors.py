@@ -121,3 +121,75 @@ def test_missing_nested_field_is_named_by_its_full_path(quadruplet, field, tmp_p
     cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg), "--samples", "10"]) == 2
     assert f"field '{field}': missing" in capsys.readouterr().err
+
+
+# A non-finite tolerance would pass (inf) or fail (nan) every row whatever
+# the sampler does.  JSON reads 1e400 as inf.
+@pytest.mark.parametrize(
+    "flags,config_tol",
+    [
+        (["--tolerance-c", "inf"], "4.0"),
+        (["--tolerance-c", "nan"], "4.0"),
+        ([], "1e400"),
+    ],
+)
+def test_verify_rejects_non_finite_tolerance(flags, config_tol, tmp_path, capsys):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(
+        '{"group": "torus", "quadruplet": {"H": {"kind": "full"}, "a": 0.0}, '
+        f'"tolerance_c": {config_tol}}}'
+    )
+    assert main(["verify", "--config", str(cfg), "--samples", "100"] + flags) == 2
+    assert "field 'tolerance_c'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group,tol", [("padic", "inf"), ("solenoid", "nan"), ("padic", "1e400")])
+def test_haar_demo_rejects_non_finite_tolerance(group, tol, capsys):
+    argv = ["haar-demo", "--group", group, "--p", "3", "--samples", "100", "--tolerance-c", tol]
+    assert main(argv) == 2
+    assert "field 'tolerance_c'" in capsys.readouterr().err
+
+
+def test_non_finite_tolerance_in_a_config_names_its_field():
+    doc = {"group": "torus", "quadruplet": {"H": {"kind": "full"}, "a": 0.0}}
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(doc, tolerance_c=tol))
+        assert err.value.field == "tolerance_c"
+
+
+# The jump layer holds one value per Poisson jump; a config whose expected
+# jump count (total eta mass times draws) passes widlaws.sampling.MAX_JUMPS
+# is refused before anything is drawn.
+def _jumpy(mass, samples, group="torus"):
+    """One jump atom of the given mass on the circle or on Z_3 (depth 2)."""
+    if group == "padic":
+        quadruplet = {"H": {"kind": "lambda", "r": 3}, "a": [0], "eta": [{"point": [1], "mass": mass}]}
+        return {"group": "padic", "p": 3, "depth": 2, "samples": samples, "quadruplet": quadruplet}
+    quadruplet = {"H": {"kind": "trivial"}, "a": 0.0, "eta": [{"point": 1.0, "mass": mass}]}
+    return {"group": "torus", "samples": samples, "quadruplet": quadruplet}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_jumpy(1e12, 10, group="padic"), _jumpy(1e308, 100000)],
+    ids=["padic-1e12", "torus-1e308"],
+)
+def test_config_over_the_jump_cap_names_eta(doc, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.field == "quadruplet.eta"
+    cfg = tmp_path / "jumpy.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "field 'quadruplet.eta'" in capsys.readouterr().err
+
+
+def test_sample_count_over_the_jump_cap_names_eta(tmp_path, capsys):
+    cfg = tmp_path / "jumpy.json"
+    cfg.write_text(json.dumps(_jumpy(1e5, 10)))
+    out = tmp_path / "draws.csv"
+    assert main(["sample", "--config", str(cfg), "--count", "10", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 10
+    assert main(["sample", "--config", str(cfg), "--count", "1000"]) == 2
+    assert "field 'quadruplet.eta'" in capsys.readouterr().err

@@ -203,6 +203,31 @@ def test_phi_padic_matches_bigint(prime_idx, entries):
     assert padic_from_ints(p, entries) == PadicInt.from_int(p, value, depth)
 
 
+def test_padic_from_ints_equals_the_checked_constructor():
+    rng = np.random.default_rng(101)
+    for p in (2, 3, 5, 7):
+        for entries in rng.integers(-(10**6), 10**6, size=(50, 6)):
+            x = padic_from_ints(p, entries)
+            checked = PadicInt(p, x.digits)
+            assert x == checked and hash(x) == hash(checked)
+            assert all(type(d) is int for d in x.digits)
+    # a numpy prime still gives Python-int digits
+    x = padic_from_ints(np.int64(3), [-1, 0, 0])
+    assert x == PadicInt(3, (2, 2, 2)) and all(type(d) is int for d in x.digits)
+
+
+@pytest.mark.parametrize("p,entries", [(4, [1, 2]), (1, [0]), (2.0, [1]), (True, [1]), (3, [])])
+def test_padic_from_ints_rejects_non_prime_and_empty_entries(p, entries):
+    with pytest.raises(ValueError):
+        padic_from_ints(p, entries)
+
+
+def test_padic_to_int_is_the_digit_sum():
+    for p, digits in ((2, (1, 0, 1, 1)), (5, (4,) * 31), (3, (0, 2, 1))):
+        x = PadicInt(p, digits)
+        assert x.to_int() == sum(d * p**j for j, d in enumerate(digits))
+
+
 def test_padic_digit_matrix_matches_scalar():
     rng = np.random.default_rng(99)
     for p in (2, 3, 5):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import widlaws.sampling
 from widlaws import (
     EMPTY_LEVY,
     LatticeMeasure,
@@ -115,6 +116,21 @@ def test_poisson_counts():
     assert abs(p0 - math.exp(-1)) <= 4 * 0.5 / math.sqrt(N)
     with pytest.raises(ValueError):
         counts(12, -1.0)
+
+
+def test_compound_poisson_refuses_a_jump_total_over_the_cap(monkeypatch):
+    # 1e13 expected jumps would need about 0.4 PB of working arrays
+    huge = LatticeMeasure(False, 3, ((0.0, (1, 0, 0), 1e12),))
+    with pytest.raises(ValueError, match="cap"):
+        sample_compound_poisson(make_rng(16), huge, size=10)
+    # the cap applies to the drawn total, not the expectation
+    unit = LatticeMeasure(True, 0, ((1.0, (), 1.0),))
+    total = int(sample_compound_poisson(make_rng(17), unit, size=50)[0].sum())
+    monkeypatch.setattr(widlaws.sampling, "MAX_JUMPS", total)
+    assert sample_compound_poisson(make_rng(17), unit, size=50)[0].sum() == total
+    monkeypatch.setattr(widlaws.sampling, "MAX_JUMPS", total - 1)
+    with pytest.raises(ValueError, match="cap"):
+        sample_compound_poisson(make_rng(17), unit, size=50)
 
 
 def test_compound_poisson_empty_measure_is_origin():

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 import widlaws.groups
@@ -251,6 +252,57 @@ def test_oracle_padic_arithmetic_catches_bug_in_the_shared_carry_routine(monkeyp
     assert not oracle_padic_arithmetic(300, seed=37)
 
 
+# the oracle's expected digits come from int64 blocks while
+# 1000 * p**(depth+1) < 2**63 and from Python ints beyond (p=5, depth 30)
+_ORACLE_PATHS = {"int64": {}, "python-int": {"primes": (5,), "depth": 30}}
+
+
+@pytest.mark.parametrize("path", _ORACLE_PATHS.values(), ids=_ORACLE_PATHS.keys())
+def test_oracle_padic_arithmetic_passes_on_both_expectation_paths(path):
+    assert oracle_padic_arithmetic(300, seed=37, **path)
+
+
+def _corrupt_slice(out):
+    """out with its last digit shifted, on a slice of results."""
+    if sum(out.digits) % 7 != 3:
+        return out
+    digits = list(out.digits)
+    digits[-1] = (digits[-1] + 1) % out.p
+    return PadicInt(out.p, tuple(digits))
+
+
+@pytest.mark.parametrize("path", _ORACLE_PATHS.values(), ids=_ORACLE_PATHS.keys())
+@pytest.mark.parametrize("routine", ["padic_neg", "padic_mul_nat"])
+def test_oracle_padic_arithmetic_catches_bug_in_neg_and_mul_nat(routine, path, monkeypatch):
+    real = getattr(widlaws.groups, routine)
+    monkeypatch.setattr(widlaws.groups, routine, lambda *args: _corrupt_slice(real(*args)))
+    assert not oracle_padic_arithmetic(300, seed=37, **path)
+
+
+def test_oracle_expected_digits_agree_on_both_paths(monkeypatch):
+    rng = np.random.default_rng(71)
+    for p, depth in ((2, 15), (3, 15), (5, 15), (7, 4)):
+        xs = rng.integers(0, p, size=(200, depth + 1))
+        ys = rng.integers(0, p, size=(200, depth + 1))
+        ks = rng.integers(0, 1000, size=200)
+        blocked = widlaws.verification._expected_digits(p, depth, xs, ys, ks)
+        with monkeypatch.context() as m:
+            m.setattr(widlaws.verification, "_ORACLE_K_BOUND", 2**63)
+            exact = widlaws.verification._expected_digits(p, depth, xs, ys, ks)
+        assert list(blocked) == list(exact)
+        # and the k*x digits of the first trial against the integers
+        x, k = xs[0].tolist(), int(ks[0])
+        kx = k * sum(d * p**j for j, d in enumerate(x)) % p ** (depth + 1)
+        assert blocked[2][0] == tuple(kx // p**j % p for j in range(depth + 1))
+
+
+@pytest.mark.parametrize("tolerance_c", [math.inf, math.nan, 0.0, -1.0])
+def test_engine_rejects_non_finite_or_non_positive_tolerance(tolerance_c):
+    q = trivial_quadruplet(Torus())
+    with pytest.raises(ValueError, match="tolerance_c"):
+        run_suite(q, [TorusCharacter(1)], 10, seed=1, tolerance_c=tolerance_c)
+
+
 # ---------------------------------------------------------------------------
 # one batch per check
 
@@ -396,3 +448,59 @@ def test_gate_catches_padic_haar_layer_one_digit_late(monkeypatch):
 
     monkeypatch.setattr(widlaws.sampling, "sample_padic_wid", late)
     assert not run_suite(q, chars, N, seed=67).overall_pass
+
+
+def test_gate_catches_padic_carry_one_digit_late(monkeypatch):
+    # a point mass at a plus Poisson(lam) copies of one atom: every draw
+    # is a + n*atom, so the broken law is a Poisson-weighted sum over n
+    p, depth, lam = 3, 3, 0.9
+    a, atom = (1, 2, 0, 0), (2, 1, 0, 0)
+    eta = LevyMeasure(((PadicInt(p, atom), lam),))
+    q = Quadruplet(PadicIntegers(p), PadicSubgroup(depth + 1), PadicInt(p, a), 0.0, eta)
+    chars = default_characters(q.group, depth=depth)
+
+    def late_carry(p, values):
+        """Carry normalization whose carry out of digit j lands on j+2."""
+        values = np.array(values, dtype=np.int64)
+        out = np.mod(values, p)
+        for j in range(values.shape[1] - 2):
+            values[:, j + 2] += values[:, j] // p
+            out[:, j + 2] = np.mod(values[:, j + 2], p)
+        return out
+
+    counts = np.arange(60)
+    weights = [math.exp(-lam) * lam**n / math.factorial(n) for n in counts.tolist()]
+    broken = late_carry(p, np.array(a) + counts[:, None] * np.array(atom)).tolist()
+
+    exact = widlaws.groups.padic_digit_matrix(p, np.array(a) + counts[:, None] * np.array(atom))
+
+    def series(rows, chi):
+        return sum(w * chi(PadicInt(p, tuple(row))) for w, row in zip(weights, rows))
+
+    # the truncated series reproduces the closed form with the real carry
+    assert max(abs(series(exact.tolist(), chi) - ft_quadruplet(q, chi)) for chi in chars) < 1e-12
+    defect = max(abs(series(broken, chi) - ft_quadruplet(q, chi)) for chi in chars)
+    assert defect > 10 * 4 / math.sqrt(N)
+    assert run_suite(q, chars, N, seed=73).overall_pass
+
+    monkeypatch.setattr(widlaws.sampling, "padic_digit_matrix", late_carry)
+    assert not run_suite(q, chars, N, seed=73).overall_pass
+
+
+def test_gate_catches_solenoid_gauss_scale_p_to_the_d(monkeypatch):
+    p, depth = 2, 3
+    eta = LevyMeasure(((SolenoidPoint(p, depth, 0.9), 0.4),))
+    origin = SolenoidPoint.identity(p, depth)
+    q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), origin, 0.5, eta)
+    chars = default_characters(q.group, depth=depth)
+    theory = [ft_quadruplet(q, chi) for chi in chars]
+    assert run_suite(q, chars, N, seed=79).overall_pass
+
+    # b*ell**2 / p**d in place of b*ell**2 / p**(2d): the closed form is
+    # wrong for d >= 1 while the sampler still draws the true law
+    monkeypatch.setattr(
+        Solenoid, "quadratic_form", lambda self, b, chi: b * chi.ell**2 / self.scale(chi)
+    )
+    defect = max(abs(ft_quadruplet(q, chi) - t) for chi, t in zip(chars, theory))
+    assert defect > 10 * 4 / math.sqrt(N)
+    assert not run_suite(q, chars, N, seed=79).overall_pass
