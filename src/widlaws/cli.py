@@ -165,6 +165,20 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # report serialization
 
+def _row_values(r) -> list:
+    """One report row's values, in CSV_COLUMNS order."""
+    return [
+        r.label,
+        r.theory.real,
+        r.theory.imag,
+        r.empirical.real,
+        r.empirical.imag,
+        r.abs_error,
+        r.tolerance,
+        r.passed,
+    ]
+
+
 def report_to_document(report):
     """Machine JSON form of a report.  wall_time is deliberately omitted
     so that fixed seeds give byte-identical output; it is shown in the
@@ -173,19 +187,7 @@ def report_to_document(report):
         "schema_version": SCHEMA_VERSION,
         "config": report.config,
         "overall_pass": report.overall_pass,
-        "rows": [
-            {
-                "character": r.label,
-                "re_theory": r.theory.real,
-                "im_theory": r.theory.imag,
-                "re_emp": r.empirical.real,
-                "im_emp": r.empirical.imag,
-                "abs_err": r.abs_error,
-                "tol": r.tolerance,
-                "pass": r.passed,
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(CSV_COLUMNS, _row_values(r))) for r in report.rows],
     }
 
 
@@ -194,18 +196,8 @@ def rows_to_csv(report) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in report.rows:
-        writer.writerow(
-            [
-                r.label,
-                repr(r.theory.real),
-                repr(r.theory.imag),
-                repr(r.empirical.real),
-                repr(r.empirical.imag),
-                repr(r.abs_error),
-                repr(r.tolerance),
-                "true" if r.passed else "false",
-            ]
-        )
+        label, *numbers, passed = _row_values(r)
+        writer.writerow([label, *map(repr, numbers), "true" if passed else "false"])
     return buf.getvalue()
 
 

@@ -31,10 +31,18 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-@functools.lru_cache(maxsize=256)
 def is_prime(p) -> bool:
+    """True iff p is a prime integer; False for bools and non-integers."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        return False
+    return _is_prime_int(int(p))
+
+
+@functools.lru_cache(maxsize=256)
+def _is_prime_int(p: int) -> bool:
     """Trial-division primality check (fine for the small p used here),
-    memoized: every carry normalization checks its prime."""
+    memoized: every carry normalization checks its prime.  Only ever
+    called with a Python int, so one cache key is one question."""
     if p < 2:
         return False
     if p < 4:
@@ -50,7 +58,7 @@ def is_prime(p) -> bool:
 
 
 def validate_prime(p):
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or not is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be a prime integer, got {p!r}")
 
 
@@ -347,28 +355,15 @@ def solenoid_project(x: SolenoidPoint, d: int) -> TorusPoint:
     return TorusPoint(x.coordinate_angle(d))
 
 
-def solenoid_from_lift(p: int, depth: int, y0: float, ints) -> SolenoidPoint:
-    """Image of (y0, k1, k2, ...) in R x Z^depth under the covering map.
+def solenoid_lift_matrix(p, depth, y0, ints):
+    """Image of rows (y0, k1, k2, ...) of R x Z^depth under the covering
+    map: y0 shape (n,), ints shape (n, depth).
 
     Coordinate j gets the angle
-    (y0 + 2pi*(k1 + k2*p + ... + kj*p**(j-1))) / p**j; storing the
-    j = depth case determines the rest.  The map is a homomorphism in
-    (y0, ints) under entrywise addition.
-    """
-    validate_prime(p)
-    ints = tuple(int(k) for k in ints)
-    if len(ints) < depth:
-        raise ValueError(f"need at least {depth} integer entries, got {len(ints)}")
-    total = float(y0)
-    for j in range(depth):
-        total += TWO_PI * ints[j] * p ** j
-    return SolenoidPoint(p, depth, total / p ** depth)
-
-
-def solenoid_lift_matrix(p, depth, y0, ints):
-    """Vectorized solenoid_from_lift: y0 shape (n,), ints shape (n, depth).
-
-    Returns canonical deepest angles, shape (n,).
+    (y0 + 2pi*(k1 + k2*p + ... + kj*p**(j-1))) / p**j; the j = depth
+    case determines the rest, and is returned as canonical deepest
+    angles, shape (n,).  The map is a homomorphism in (y0, ints) under
+    entrywise addition.
     """
     y0 = np.asarray(y0, dtype=float)
     total = y0.copy()
@@ -377,6 +372,17 @@ def solenoid_lift_matrix(p, depth, y0, ints):
         powers = p ** np.arange(depth, dtype=np.int64)
         total = total + TWO_PI * (ints @ powers.astype(float))
     return canonical_angle(total / p ** depth)
+
+
+def solenoid_from_lift(p: int, depth: int, y0: float, ints) -> SolenoidPoint:
+    """The point solenoid_lift_matrix gives the single lift (y0, ints);
+    entries of ints past the first depth are ignored."""
+    validate_prime(p)
+    ints = tuple(int(k) for k in ints)
+    if len(ints) < depth:
+        raise ValueError(f"need at least {depth} integer entries, got {len(ints)}")
+    row = np.array(ints[:depth], dtype=np.int64).reshape(1, depth)
+    return SolenoidPoint(p, depth, float(solenoid_lift_matrix(p, depth, [float(y0)], row)[0]))
 
 
 def solenoid_lift(x: SolenoidPoint, tol: float = 1e-6):
@@ -536,13 +542,15 @@ class SolenoidCharacter(_DepthCharacter):
         return cmath.exp(1j * canonical_angle(self.ell * y.coordinate_angle(self.d)))
 
 
-def padic_phase_coefficients(p: int, chi: PadicCharacter) -> list:
-    """The coefficients c_j = ell * p**j mod p**(d+1), j = 0..d, of the
-    character (d, ell): its phase numerator at digits x is
-    sum(c_j * x_j) mod p**(d+1).
+def check_padic_character(p: int, chi: PadicCharacter) -> int:
+    """The modulus p**(d+1) of the character (d, ell), after checking
+    0 <= ell < p**(d+1) and the exact envelope p**(d+2) < 2**63.
 
-    Raises ValueError outside the exact envelope p**(d+2) < 2**63, where
-    the int64 accumulation of a batched character mean could wrap.
+    A batched p-adic mean reads x mod p**(d+1) off the digits by Horner's
+    rule in int64, which is exact while p**(d+1) <= 2**63; the envelope
+    keeps one more factor p of headroom.  parse_config refuses every
+    character outside it, so an accepted config never reaches a mean
+    that could wrap.
     """
     modulus = chi.check_frequency(p)
     if p * modulus >= 2**63:
@@ -550,7 +558,7 @@ def padic_phase_coefficients(p: int, chi: PadicCharacter) -> list:
             f"character depth {chi.d} too large for exact batched evaluation at p={p} "
             "(needs p**(d+2) < 2**63)"
         )
-    return [chi.ell * p**j % modulus for j in range(chi.d + 1)]
+    return modulus
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +788,7 @@ class PadicIntegers(_PrimeGroup):
 
     def parse_character(self, raw, depth) -> PadicCharacter:
         chi = super().parse_character(raw, depth)
-        padic_phase_coefficients(self.p, chi)  # frequency range, int64 envelope
+        check_padic_character(self.p, chi)
         return chi
 
 

@@ -19,8 +19,11 @@ product, its character means and its rows for the sample dump.
 
 A batch is read by many characters (one verification suite draws one
 batch), so the p-adic and solenoid batches keep the per-depth work of
-their character means in a private cache: the residue histogram of
-x mod p**(d+1), and the coordinate column d.  The cache is filled on
+their character means in a private cache: the distinct residues of
+x mod p**(d+1) with their counts, and the coordinate column d.  A p-adic
+mean sums counts * exp(2 pi i ell r / p**(d+1)) over those residues,
+with each phase ell * r mod p**(d+1) taken exactly in Python ints; every
+depth and every batch size take this one path.  The cache is filled on
 first use and never changes a result, so batches behave as immutable
 values; their arrays must not be written to after the first mean.
 """
@@ -41,8 +44,8 @@ from .groups import (
     TorusCharacter,
     TWO_PI,
     canonical_angle,
+    check_padic_character,
     padic_digit_matrix,
-    padic_phase_coefficients,
     solenoid_coordinates,
     solenoid_lift,
     solenoid_lift_matrix,
@@ -196,7 +199,7 @@ def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray
         raise ValueError(f"shift carries coordinates 0..{q.shift.depth}, need 0..{depth}")
     t0, a_ints = solenoid_lift(q.shift)
     y0 = np.full(size, t0)
-    ints = np.tile(np.array(a_ints[:depth], dtype=np.int64).reshape(1, depth), (size, 1))
+    ints = np.array(a_ints[:depth], dtype=np.int64).reshape(1, depth)  # broadcast over draws
     if q.gauss_b > 0:
         y0 = y0 + rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
     if not q.levy.is_empty():
@@ -284,37 +287,23 @@ class PadicSamples:
             raise TypeError("character/batch mismatch")
         if chi.d > self.digits.shape[1] - 1:
             raise ValueError("character depth exceeds sample depth")
-        modulus = chi.check_frequency(self.p)
-        if modulus <= len(self.digits):
-            # at most p**(d+1) distinct phases: sum them over the histogram
-            residues, counts = self._residue_histogram(chi.d)
-            phase = chi.ell * residues % modulus
-            return complex(counts @ np.exp(2j * np.pi * phase / modulus) / len(self.digits))
-        # Sum c_j * x_j in int64, reducing mod p**(d+1) only when the next
-        # term could pass int64 (after a reduction it cannot: p**(d+2) < 2**63).
-        num = np.zeros(len(self.digits), dtype=np.int64)
-        bound = 0
-        for j, c in enumerate(padic_phase_coefficients(self.p, chi)):
-            if bound + c * (self.p - 1) >= 2**63:
-                np.remainder(num, modulus, out=num)
-                bound = modulus - 1
-            num += c * self.digits[:, j]
-            bound += c * (self.p - 1)
-        np.remainder(num, modulus, out=num)
-        return complex(np.exp(2j * np.pi * num / modulus).mean())
+        modulus = check_padic_character(self.p, chi)
+        residues, counts = self._residues(chi.d)
+        # ell * r in Python ints: exact at any depth inside the envelope
+        phase = np.array([chi.ell * r % modulus for r in residues], dtype=np.int64)
+        return complex(counts @ np.exp(2j * np.pi * phase / modulus) / len(self.digits))
 
-    def _residue_histogram(self, d: int):
-        """The residues r = x mod p**(d+1) that occur in the batch and
-        their counts.  Only called with p**(d+1) <= len(batch), so the
-        Horner sum stays far inside int64."""
+    def _residues(self, d: int):
+        """The distinct residues r = x mod p**(d+1) of the batch, as a
+        list of ints in increasing order, and their counts.  Horner's rule
+        in int64 is exact inside check_padic_character's envelope."""
         if d not in self._cache:
             residues = self.digits[:, d].astype(np.int64)
             for j in range(d - 1, -1, -1):
                 residues *= self.p
                 residues += self.digits[:, j]
-            hist = np.bincount(residues, minlength=self.p ** (d + 1))
-            occupied = np.flatnonzero(hist)
-            self._cache[d] = (occupied, hist[occupied])
+            distinct, counts = np.unique(residues, return_counts=True)
+            self._cache[d] = (distinct.tolist(), counts)
         return self._cache[d]
 
 

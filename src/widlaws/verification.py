@@ -275,9 +275,11 @@ def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int
     For `trials` random pairs per prime, addition, negation, and natural
     multiples must agree bit-exactly with integer arithmetic modulo
     p**(depth+1) expanded in base p; additionally x + (-x) = 0 and the
-    p-th multiple always has leading digit 0.  The expected digits come
+    p-th multiple always has leading digit 0.  The batched carry
+    padic_digit_matrix must give the same digits on the entrywise sums,
+    negations and multiples of the digit rows.  The expected digits come
     from _expected_digits, which shares no code with the carry
-    normalization under test.
+    normalizations under test.
     """
     rng = make_rng(seed, stream=0)
     for p in primes:
@@ -286,8 +288,13 @@ def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int
         ks = rng.integers(0, _ORACLE_K_BOUND, size=trials)
         for lo in range(0, trials, _ORACLE_BLOCK):
             block = slice(lo, lo + _ORACLE_BLOCK)
-            sums, negs, mults = _expected_digits(p, depth, xs[block], ys[block], ks[block])
-            rows = zip(xs[block].tolist(), ys[block].tolist(), ks[block].tolist())
+            xb, yb, kb = xs[block], ys[block], ks[block]
+            sums, negs, mults = _expected_digits(p, depth, xb, yb, kb)
+            # the batched carry the samplers use, on the entrywise x+y, -x, k*x
+            for values, want in ((xb + yb, sums), (-xb, negs), (kb[:, None] * xb, mults)):
+                if list(map(tuple, groups.padic_digit_matrix(p, values).tolist())) != want:
+                    return False
+            rows = zip(xb.tolist(), yb.tolist(), kb.tolist())
             for (xd, yd, k), s, n, m in zip(rows, sums, negs, mults):
                 x = groups.PadicInt(p, tuple(xd))
                 y = groups.PadicInt(p, tuple(yd))

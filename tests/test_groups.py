@@ -27,7 +27,7 @@ from widlaws import (
     torus_inverse,
     torus_mul,
 )
-from widlaws.groups import padic_digit_matrix
+from widlaws.groups import padic_digit_matrix, validate_prime
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,6 +106,29 @@ def test_prime_validation():
         PadicInt(4, (1, 0))
     with pytest.raises(ValueError):
         PadicInt(3, (3, 0))
+
+
+def test_is_prime_is_false_for_non_integers():
+    for p in (2.5, 3.5, 3.0, 2.0, True, "3", None, [3]):
+        assert not is_prime(p), p
+        with pytest.raises(ValueError):
+            validate_prime(p)
+    assert is_prime(np.int64(3)) and is_prime(np.int32(97))
+
+
+@pytest.mark.parametrize("float_first,q", [(True, 7919), (False, 7927)])
+def test_is_prime_answers_by_type_in_either_call_order(float_first, q):
+    # a prime no other test asks about, so each order starts from a cold
+    # cache: the float must not share an answer with the integer
+    def as_float():
+        assert not is_prime(float(q))
+
+    def as_integer():
+        validate_prime(np.int64(q))
+        assert is_prime(q)
+
+    for check in (as_float, as_integer) if float_first else (as_integer, as_float):
+        check()
 
 
 def test_padic_add_examples():

@@ -359,13 +359,26 @@ def test_padic_char_mean_histogram_matches_direct_evaluation_on_one_batch(p):
 
 @pytest.mark.parametrize("p,d", [(2, 9), (3, 5), (5, 3)])
 def test_padic_char_mean_above_batch_size_takes_the_direct_path(p, d):
-    # p**(d+1) > n: no histogram is built, and the mean is the same
+    # p**(d+1) > n: the mean is the same, read off at most n distinct residues
     n = 300
     batch = PadicSamples(p, sample_padic_haar(make_rng(43), p, d, size=n))
     for ell in (1, p + 1, p ** (d + 1) - 2):
         chi = PadicCharacter(d, ell)
         assert abs(char_mean(batch, chi) - _direct_char_mean(p, batch.digits, chi)) <= 1e-12
-    assert d not in batch._cache
+    residues, counts = batch._cache[d]
+    assert len(residues) <= n < p ** (d + 1) and counts.sum() == n
+
+
+@pytest.mark.parametrize("p,d", [(2, 6), (3, 3), (5, 2)])
+def test_padic_char_mean_is_bit_equal_on_a_batch_stacked_twice(p, d):
+    # n < p**(d+1) < 2n: the same draws, once and twice over, straddle the
+    # batch size p**(d+1) and must still give the same bits
+    n = p ** (d + 1) // 2 + 1
+    digits = sample_padic_haar(make_rng(59), p, d, size=n)
+    once, twice = PadicSamples(p, digits), PadicSamples(p, np.vstack([digits, digits]))
+    for ell in make_rng(61).integers(0, p ** (d + 1), size=8).tolist():
+        chi = PadicCharacter(d, ell)
+        assert char_mean(once, chi) == char_mean(twice, chi), ell
 
 
 def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():

@@ -279,6 +279,13 @@ def test_oracle_padic_arithmetic_catches_bug_in_neg_and_mul_nat(routine, path, m
     assert not oracle_padic_arithmetic(300, seed=37, **path)
 
 
+@pytest.mark.parametrize("path", _ORACLE_PATHS.values(), ids=_ORACLE_PATHS.keys())
+def test_oracle_padic_arithmetic_catches_batched_carry_one_digit_late(path, monkeypatch):
+    # the samplers carry through padic_digit_matrix, not padic_from_ints
+    monkeypatch.setattr(widlaws.groups, "padic_digit_matrix", _late_carry)
+    assert not oracle_padic_arithmetic(300, seed=37, **path)
+
+
 def test_oracle_expected_digits_agree_on_both_paths(monkeypatch):
     rng = np.random.default_rng(71)
     for p, depth in ((2, 15), (3, 15), (5, 15), (7, 4)):
@@ -450,6 +457,16 @@ def test_gate_catches_padic_haar_layer_one_digit_late(monkeypatch):
     assert not run_suite(q, chars, N, seed=67).overall_pass
 
 
+def _late_carry(p, values):
+    """Carry normalization whose carry out of digit j lands on j+2."""
+    values = np.array(values, dtype=np.int64)
+    out = np.mod(values, p)
+    for j in range(values.shape[1] - 2):
+        values[:, j + 2] += values[:, j] // p
+        out[:, j + 2] = np.mod(values[:, j + 2], p)
+    return out
+
+
 def test_gate_catches_padic_carry_one_digit_late(monkeypatch):
     # a point mass at a plus Poisson(lam) copies of one atom: every draw
     # is a + n*atom, so the broken law is a Poisson-weighted sum over n
@@ -459,18 +476,9 @@ def test_gate_catches_padic_carry_one_digit_late(monkeypatch):
     q = Quadruplet(PadicIntegers(p), PadicSubgroup(depth + 1), PadicInt(p, a), 0.0, eta)
     chars = default_characters(q.group, depth=depth)
 
-    def late_carry(p, values):
-        """Carry normalization whose carry out of digit j lands on j+2."""
-        values = np.array(values, dtype=np.int64)
-        out = np.mod(values, p)
-        for j in range(values.shape[1] - 2):
-            values[:, j + 2] += values[:, j] // p
-            out[:, j + 2] = np.mod(values[:, j + 2], p)
-        return out
-
     counts = np.arange(60)
     weights = [math.exp(-lam) * lam**n / math.factorial(n) for n in counts.tolist()]
-    broken = late_carry(p, np.array(a) + counts[:, None] * np.array(atom)).tolist()
+    broken = _late_carry(p, np.array(a) + counts[:, None] * np.array(atom)).tolist()
 
     exact = widlaws.groups.padic_digit_matrix(p, np.array(a) + counts[:, None] * np.array(atom))
 
@@ -483,7 +491,7 @@ def test_gate_catches_padic_carry_one_digit_late(monkeypatch):
     assert defect > 10 * 4 / math.sqrt(N)
     assert run_suite(q, chars, N, seed=73).overall_pass
 
-    monkeypatch.setattr(widlaws.sampling, "padic_digit_matrix", late_carry)
+    monkeypatch.setattr(widlaws.sampling, "padic_digit_matrix", _late_carry)
     assert not run_suite(q, chars, N, seed=73).overall_pass
 
 
