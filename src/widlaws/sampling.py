@@ -18,14 +18,24 @@ wraps it in the group's batch type, which owns the batch's group
 product, its character means and its rows for the sample dump.
 
 A batch is read by many characters (one verification suite draws one
-batch), so the p-adic and solenoid batches keep the per-depth work of
-their character means in a private cache: the distinct residues of
-x mod p**(d+1) with their counts, and the coordinate column d.  A p-adic
-mean sums counts * exp(2 pi i ell r / p**(d+1)) over those residues,
-with each phase ell * r mod p**(d+1) taken exactly in Python ints; every
-depth and every batch size take this one path.  The cache is filled on
-first use and never changes a result, so batches behave as immutable
-values; their arrays must not be written to after the first mean.
+batch), so every batch keeps the per-depth work of its character means
+in a private cache.  A p-adic batch caches the distinct residues of
+x mod p**(d+1) with their counts; a mean sums
+counts * exp(2 pi i ell r / p**(d+1)) over them, with each phase
+ell * r mod p**(d+1) taken exactly in Python ints, at every depth and
+batch size.  A circle batch caches, and a solenoid batch caches per
+depth d, its angle column theta with the list of the means of z**1 ...
+z**k taken so far, z = exp(i theta).  Asked with exact=False, a row
+with 1 <= |ell| <= MAX_POWER reads the mean of z**|ell| from that list
+(the conjugate for ell < 0, exactly 1 for ell = 0); an |ell| beyond the
+list re-sweeps z, z*z, ... from z up to |ell|, so the mean depends only
+on (batch, d, |ell|), never on which rows asked first.  Rows asked with
+exact=True (the default, and the engine's choice for rows whose closed
+form has modulus one) and rows with |ell| > MAX_POWER take the direct
+exp(1j * canonical_angle(ell * theta)), so a point-mass row stays
+exactly 1 + 0j.  The cache is filled on first use and never changes a
+result, so batches behave as immutable values; their arrays must not be
+written to after the first mean.
 """
 
 from __future__ import annotations
@@ -234,11 +244,41 @@ def sample_padic_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
 # sample batches: combine, char_mean, and the sample dump's rows() (each
 # draw's CSV values) and record(row) (its JSON object)
 
+# The largest |ell| read off cached powers; a larger one goes direct, so
+# the cost and the rounding of a row stay within MAX_POWER products.
+MAX_POWER = 64
+
+
+def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> complex:
+    """Mean of exp(i ell theta) over the canonical angles theta in column.
+
+    means holds the means of z**1 ... z**k, z = exp(i theta), taken so
+    far; a row with exact=False and 1 <= |ell| <= MAX_POWER reads entry
+    |ell| of it, extending it by one sweep of products from z when |ell|
+    > k.  Only z and the current power are alive during a sweep.
+    """
+    k = abs(ell)
+    if exact or k > MAX_POWER:
+        return complex(np.exp(1j * canonical_angle(ell * column)).mean())
+    if k == 0:
+        return 1 + 0j
+    if k > len(means):
+        z = np.exp(1j * column)
+        power = z.copy()
+        for j in range(1, k + 1):
+            if j > 1:
+                power *= z
+            if j > len(means):
+                means.append(complex(power.mean()))
+    return means[k - 1] if ell > 0 else means[k - 1].conjugate()
+
+
 @dataclass(frozen=True)
 class TorusSamples:
     """Circle draws, stored as canonical angles."""
 
     angles: np.ndarray
+    _means: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.angles)
@@ -253,10 +293,10 @@ class TorusSamples:
     def combine(self, other: "TorusSamples") -> "TorusSamples":
         return TorusSamples(canonical_angle(self.angles + other.angles))
 
-    def char_mean(self, chi) -> complex:
+    def char_mean(self, chi, exact: bool = True) -> complex:
         if not isinstance(chi, TorusCharacter):
             raise TypeError("character/batch mismatch")
-        return complex(np.exp(1j * canonical_angle(chi.ell * self.angles)).mean())
+        return _angle_char_mean(self.angles, self._means, chi.ell, exact)
 
 
 @dataclass(frozen=True)
@@ -282,7 +322,9 @@ class PadicSamples:
             raise ValueError("mismatched p-adic batches")
         return PadicSamples(self.p, padic_digit_matrix(self.p, self.digits + other.digits))
 
-    def char_mean(self, chi) -> complex:
+    def char_mean(self, chi, exact: bool = True) -> complex:
+        """exact is accepted for the common signature: every p-adic mean
+        is taken one exact way."""
         if not isinstance(chi, PadicCharacter):
             raise TypeError("character/batch mismatch")
         if chi.d > self.digits.shape[1] - 1:
@@ -339,14 +381,15 @@ class SolenoidSamples:
             self.p, self.depth, canonical_angle(self.deep_angles + other.deep_angles)
         )
 
-    def char_mean(self, chi) -> complex:
+    def char_mean(self, chi, exact: bool = True) -> complex:
         if not isinstance(chi, SolenoidCharacter):
             raise TypeError("character/batch mismatch")
         if chi.d > self.depth:
             raise ValueError("character depth exceeds sample depth")
         if chi.d not in self._cache:
-            self._cache[chi.d] = solenoid_coordinates(self.p, self.depth, self.deep_angles, chi.d)
-        return complex(np.exp(1j * canonical_angle(chi.ell * self._cache[chi.d])).mean())
+            column = solenoid_coordinates(self.p, self.depth, self.deep_angles, chi.d)
+            self._cache[chi.d] = (column, [])
+        return _angle_char_mean(*self._cache[chi.d], chi.ell, exact)
 
 
 def combine_samples(a, b):
@@ -356,9 +399,14 @@ def combine_samples(a, b):
     return a.combine(b)
 
 
-def char_mean(batch, chi) -> complex:
-    """Mean of the character over the batch — the empirical CF."""
-    return batch.char_mean(chi)
+def char_mean(batch, chi, exact: bool = True) -> complex:
+    """Mean of the character over the batch — the empirical CF.
+
+    exact=False lets a circle or solenoid batch read the mean off its
+    cached powers (see the module docstring); the default keeps the
+    direct evaluation.
+    """
+    return batch.char_mean(chi, exact)
 
 
 _SAMPLERS = {

@@ -109,7 +109,11 @@ def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, *
         batch = draw(make_rng(seed, stream=stream), samples)
         for label, chi, _ in run:
             theory = ft_quadruplet(q, chi)
-            empirical = char_mean(batch, chi)
+            # |theory| = 1: the character is constant on the law's draws
+            # (a point mass, or a Haar layer it annihilates), so the row
+            # takes the direct evaluation and stays exact
+            exact = abs(abs(theory) - 1.0) <= 1e-12
+            empirical = char_mean(batch, chi, exact)
             err = abs(theory - empirical)
             report.rows.append(ComparisonRow(label, theory, empirical, err, tol, err <= tol))
     report.overall_pass = all(r.passed for r in report.rows)

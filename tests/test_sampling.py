@@ -26,7 +26,9 @@ from widlaws import (
     Torus,
     TorusCharacter,
     TorusPoint,
+    TorusSamples,
     TorusSubgroup,
+    canonical_angle,
     char_mean,
     circular_distance,
     empirical_cf,
@@ -358,7 +360,7 @@ def test_padic_char_mean_histogram_matches_direct_evaluation_on_one_batch(p):
 
 
 @pytest.mark.parametrize("p,d", [(2, 9), (3, 5), (5, 3)])
-def test_padic_char_mean_above_batch_size_takes_the_direct_path(p, d):
+def test_padic_char_mean_above_batch_size_reads_at_most_n_residues(p, d):
     # p**(d+1) > n: the mean is the same, read off at most n distinct residues
     n = 300
     batch = PadicSamples(p, sample_padic_haar(make_rng(43), p, d, size=n))
@@ -391,3 +393,64 @@ def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():
             chi = SolenoidCharacter(d, ell)
             assert char_mean(shared, chi) == char_mean(SolenoidSamples(p, depth, deep), chi)
     assert sorted(shared._cache) == list(range(depth + 1))
+
+
+# ---------------------------------------------------------------------------
+# circle and solenoid means from cached powers of z = exp(i theta)
+
+def _power_cases():
+    """(batch, character type, [(d, angle column of depth d), ...]) for a
+    freshly drawn torus batch and p=3, depth-3 solenoid batch."""
+    eta = LevyMeasure(((TorusPoint(2.1), 0.7),))
+    q = Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint(0.5), 0.3, eta)
+    torus = TorusSamples(sample_torus_wid(make_rng(71), q, size=5000))
+    p, depth = 3, 3
+    deep = sample_solenoid_haar(make_rng(73), p, depth, size=5000)
+    columns = [(d, solenoid_coordinates(p, depth, deep, d)) for d in range(depth + 1)]
+    return [
+        (torus, TorusCharacter, [(0, torus.angles)]),
+        (SolenoidSamples(p, depth, deep), SolenoidCharacter, columns),
+    ]
+
+
+def _direct(column, ell):
+    return complex(np.exp(1j * canonical_angle(ell * column)).mean())
+
+
+def _character(kind, d, ell):
+    return kind(ell) if kind is TorusCharacter else kind(d, ell)
+
+
+def test_power_path_matches_the_direct_formula_up_to_max_power():
+    for batch, kind, columns in _power_cases():
+        for d, column in columns:
+            assert char_mean(batch, _character(kind, d, 0), exact=False) == 1 + 0j
+            for ell in range(-64, 65):
+                if ell == 0:
+                    continue
+                got = char_mean(batch, _character(kind, d, ell), exact=False)
+                assert abs(got - _direct(column, ell)) <= 1e-13, (kind, d, ell)
+
+
+def test_exact_rows_and_large_frequencies_take_the_direct_path_bit_for_bit():
+    for batch, kind, columns in _power_cases():
+        for d, column in columns:
+            char_mean(batch, _character(kind, d, 8), exact=False)  # fills the power cache
+            for ell in (65, -65, 200):
+                chi = _character(kind, d, ell)
+                assert char_mean(batch, chi, exact=False) == _direct(column, ell)
+            for ell in (1, -3, 8, 64, 65):
+                chi = _character(kind, d, ell)
+                assert char_mean(batch, chi, exact=True) == _direct(column, ell)
+                assert char_mean(batch, chi) == _direct(column, ell)
+                assert batch.char_mean(chi) == _direct(column, ell)
+
+
+def test_power_path_mean_does_not_depend_on_which_row_asked_first():
+    # two fresh copies of each batch: ell = 3 then 8 on one, 8 then 3 on the other
+    for (up, kind, columns), (down, _, _) in zip(_power_cases(), _power_cases()):
+        for d, _ in columns:
+            small, big = _character(kind, d, 3), _character(kind, d, 8)
+            first = (char_mean(up, small, exact=False), char_mean(up, big, exact=False))
+            second = (char_mean(down, big, exact=False), char_mean(down, small, exact=False))
+            assert first == second[::-1], (kind, d)

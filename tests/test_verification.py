@@ -313,10 +313,10 @@ def test_engine_rejects_non_finite_or_non_positive_tolerance(tolerance_c):
 # ---------------------------------------------------------------------------
 # one batch per check
 
-def test_annihilated_padic_rows_are_exact_on_both_evaluation_paths():
+def test_annihilated_padic_rows_are_exact_at_every_depth():
     # Haar of 9Z_3 at depth 3: every (d, ell) with d < 2 or 3**(d-1) | ell
-    # is annihilated; at 50 samples d <= 2 reads the residue histogram and
-    # d = 3 (81 residues) the draw-by-draw path
+    # is annihilated; at 50 samples d = 3 (81 possible residues) holds
+    # fewer residues than it could, and its rows must still be exact
     p = 3
     q = Quadruplet(PadicIntegers(p), PadicSubgroup(2), PadicInt.zero(p, 3), 0.0, EMPTY_LEVY)
     rep = run_suite(q, default_characters(q.group, depth=3), 50, seed=53)
@@ -433,6 +433,27 @@ def test_gate_catches_solenoid_sampler_without_drift_centering(monkeypatch):
 
     monkeypatch.setattr(widlaws.sampling, "sample_solenoid_wid", uncentered)
     assert not run_suite(q, chars, N, seed=61).overall_pass
+
+
+def test_gate_catches_torus_gauss_layer_with_std_b(monkeypatch):
+    # b is the Gauss layer's variance; the broken sampler draws N(0, b**2),
+    # whose law is the quadruplet with b**2 in place of b
+    b = 0.3
+    eta = LevyMeasure(((TorusPoint(2.1), 0.4),))
+    q = Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint(0.5), b, eta)
+    chars = default_characters(q.group)
+    broken_q = Quadruplet(q.group, q.subgroup, q.shift, b**2, q.levy)
+    defect = max(abs(ft_quadruplet(broken_q, chi) - ft_quadruplet(q, chi)) for chi in chars)
+    assert defect > 10 * 4 / math.sqrt(N)
+    assert run_suite(q, chars, N, seed=83).overall_pass
+
+    real = widlaws.sampling.sample_torus_wid
+
+    def std_b(rng, q, size):
+        return real(rng, Quadruplet(q.group, q.subgroup, q.shift, q.gauss_b**2, q.levy), size)
+
+    monkeypatch.setattr(widlaws.sampling, "sample_torus_wid", std_b)
+    assert not run_suite(q, chars, N, seed=83).overall_pass
 
 
 def test_gate_catches_padic_haar_layer_one_digit_late(monkeypatch):
