@@ -24,6 +24,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +66,29 @@ def validate_prime(p):
 def canonical_angle(x):
     """Reduce an angle in radians to the canonical interval [-pi, pi).
 
-    Accepts a scalar or an ndarray and returns the same shape.  The
-    reduction is ((x + pi) mod 2pi) - pi with a final fold of the
-    boundary value pi down to -pi (the mod can land exactly on 2pi in
-    floating point).
+    Accepts a scalar or an ndarray and returns the same shape (a Python
+    float for a scalar).  The reduction is ((x + pi) mod 2pi) - pi with a
+    final fold of the boundary value pi down to -pi (the mod can land
+    exactly on 2pi in floating point); inputs already in [-pi, pi) come
+    back bitwise unchanged.
+
+    A float, int or numpy-scalar input takes a plain-float path with
+    the same steps in Python's float arithmetic, skipping numpy's
+    per-call overhead.  It is bit-identical to the array path:
+    both convert to a double first, the sums and differences are the
+    same IEEE operations, and Python's float % is C fmod followed by
+    adding the divisor when the remainder's sign differs from it (a zero
+    remainder taking the divisor's sign), which is how np.mod reduces
+    doubles.
     """
+    if isinstance(x, (float, int, np.floating, np.integer)):
+        a = float(x)
+        if not math.isfinite(a):
+            raise ValueError("non-finite angle")
+        if -math.pi <= a < math.pi:
+            return a
+        out = (a + math.pi) % TWO_PI - math.pi
+        return out - TWO_PI if out >= math.pi else out
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite angle")
@@ -229,12 +248,12 @@ def _check_same_padic(x: PadicInt, y: PadicInt):
 def padic_add(x: PadicInt, y: PadicInt) -> PadicInt:
     """Carry addition base p, truncated at the last digit."""
     _check_same_padic(x, y)
-    return padic_from_ints(x.p, [a + b for a, b in zip(x.digits, y.digits)])
+    return padic_from_ints(x.p, map(operator.add, x.digits, y.digits))
 
 
 def padic_neg(x: PadicInt) -> PadicInt:
     """Additive inverse, truncated at the last digit."""
-    return padic_from_ints(x.p, [-d for d in x.digits])
+    return padic_from_ints(x.p, map(operator.neg, x.digits))
 
 
 def padic_mul_nat(k: int, x: PadicInt) -> PadicInt:
@@ -250,18 +269,20 @@ def padic_from_ints(p: int, entries) -> PadicInt:
     For every d, sum(out[j] * p**j, j<=d) is congruent to
     sum(entries[j] * p**j, j<=d) mod p**(d+1).  Entries may be negative;
     the map is a homomorphism from integer sequences under entrywise
-    addition onto the p-adic integers.
+    addition onto the p-adic integers.  entries may be any iterable of
+    integers, read once.
     """
     validate_prime(p)
     base = int(p)
     out = []
     carry = 0
-    for e in entries:
-        carry, d = divmod(int(e) + carry, base)
-        out.append(d)
+    for t in map(int, entries):
+        t += carry
+        carry = t // base
+        out.append(t - carry * base)
     if not out:
         raise ValueError("p-adic element needs at least one digit")
-    # divmod by the checked prime leaves every digit in 0..p-1
+    # floor division by the checked prime leaves every digit in 0..p-1
     return PadicInt._normalized(p, tuple(out))
 
 
@@ -561,6 +582,32 @@ def check_padic_character(p: int, chi: PadicCharacter) -> int:
     return modulus
 
 
+# The largest |ell| a circle or solenoid character may have in a config.
+MAX_ANGLE_FREQUENCY = 2**31
+
+
+def check_angle_frequency(ell: int) -> int:
+    """ell, after checking |ell| <= MAX_ANGLE_FREQUENCY = 2**31.
+
+    A circle or solenoid character is evaluated, in its closed form and
+    in its empirical mean alike, as exp(i * canonical_angle(ell * theta))
+    with theta a float in [-pi, pi).  Up to 2**31 that phase is off
+    from the exact one by less than 2e-6 radians, far below any
+    Monte-Carlo tolerance: the rounding of ell * theta and of its sum
+    with pi each add at most |ell| * pi * 2**-53 < 7.5e-7, and the float
+    2pi's error over at most 2**30 turns adds 2.6e-7.  Beyond it the
+    rounding error grows with |ell| (at |ell| = 1e20 it spans whole
+    turns); both sides share it, so the gate would pass a wrong value
+    unseen, and parse_config refuses the character instead.
+    """
+    if abs(ell) > MAX_ANGLE_FREQUENCY:
+        raise ValueError(
+            f"character frequency {ell} outside -2**31..2**31: its float phase "
+            "ell * theta would be inexact"
+        )
+    return ell
+
+
 # ---------------------------------------------------------------------------
 # group descriptors: the per-group backends
 
@@ -689,7 +736,7 @@ class Torus(_CircleTower):
         return {"full": TorusSubgroup.full(), "trivial": TorusSubgroup.trivial()}.get(kind)
 
     def parse_character(self, raw, depth) -> TorusCharacter:
-        return TorusCharacter(config_int(raw))
+        return TorusCharacter(check_angle_frequency(config_int(raw)))
 
 
 @dataclass(frozen=True)
@@ -836,3 +883,8 @@ class Solenoid(_PrimeGroup, _CircleTower):
 
     def parse_subgroup(self, kind, order):
         return {"trivial": SolenoidSubgroup.trivial(), "full": SolenoidSubgroup.full()}.get(kind)
+
+    def parse_character(self, raw, depth) -> SolenoidCharacter:
+        chi = super().parse_character(raw, depth)
+        check_angle_frequency(chi.ell)
+        return chi

@@ -12,10 +12,15 @@ target law exactly, never through a normal approximation.
 Each sampler draws `size` elements at once and consumes randomness in a
 fixed documented order (Haar layer, then Gauss, then jump count, then
 jump selection); degenerate layers (trivial subgroup, zero variance,
-empty jump measure) consume nothing.  The samplers return the raw
-array form (angles, digit matrix, deepest angles); quadruplet_sampler
-wraps it in the group's batch type, which owns the batch's group
-product, its character means and its rows for the sample dump.
+empty jump measure) consume nothing.  A compound-Poisson layer picks
+every jump's atom at once and sums the jump vectors per draw on
+R x Z^k: the real coordinates by one weighted bincount over the jumps,
+in jump order; each integer coordinate by its own weighted bincount,
+cast to int64, exact while a sum stays below 2**53.  The samplers
+return the raw array form (angles, digit matrix, deepest angles);
+quadruplet_sampler wraps it in the group's batch type, which owns the
+batch's group product, its character means and its rows for the sample
+dump.
 
 A batch is read by many characters (one verification suite draws one
 batch), so every batch keeps the per-depth work of its character means
@@ -108,30 +113,30 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int):
     """
     n = int(size)
     k = measure.int_dim
-    reals = np.zeros(n)
-    ints = np.zeros((n, k), dtype=np.int64)
-    if len(measure.atoms) > 0:
-        atom_real = np.array([x for x, _, _ in measure.atoms])
-        atom_ints = np.array([ki for _, ki, _ in measure.atoms], dtype=np.int64).reshape(
-            len(measure.atoms), k
-        )
-        masses = np.array([m for _, _, m in measure.atoms])
-        total = masses.sum()
-        counts = rng.poisson(total, size=n)
-        # summed in float: huge per-draw counts must not wrap int64
-        jumps = counts.sum(dtype=float)
-        if jumps > MAX_JUMPS:
-            raise ValueError(f"{jumps:.3g} Poisson jumps drawn, above the cap of {MAX_JUMPS}")
-        jumps = int(jumps)
-        if jumps > 0:
-            cum = np.cumsum(masses) / total
-            picks = np.searchsorted(cum, rng.random(jumps), side="right")
-            picks = np.minimum(picks, len(masses) - 1)
-            owner = np.repeat(np.arange(n), counts)
-            reals = np.bincount(owner, weights=atom_real[picks], minlength=n)
-            for j in range(k):
-                col = np.bincount(owner, weights=atom_ints[picks, j], minlength=n)
-                ints[:, j] = col.astype(np.int64)
+    if len(measure.atoms) == 0:
+        return np.zeros(n), np.zeros((n, k), dtype=np.int64)
+    atom_real = np.array([x for x, _, _ in measure.atoms])
+    atom_ints = np.array([ki for _, ki, _ in measure.atoms], dtype=np.int64).reshape(
+        len(measure.atoms), k
+    )
+    masses = np.array([m for _, _, m in measure.atoms])
+    total = masses.sum()
+    counts = rng.poisson(total, size=n)
+    # summed in float: huge per-draw counts must not wrap int64
+    jumps = counts.sum(dtype=float)
+    if jumps > MAX_JUMPS:
+        raise ValueError(f"{jumps:.3g} Poisson jumps drawn, above the cap of {MAX_JUMPS}")
+    jumps = int(jumps)
+    if jumps == 0:
+        return np.zeros(n), np.zeros((n, k), dtype=np.int64)
+    cum = np.cumsum(masses) / total
+    picks = np.searchsorted(cum, rng.random(jumps), side="right")
+    picks = np.minimum(picks, len(masses) - 1)
+    owner = np.repeat(np.arange(n), counts)
+    reals = np.bincount(owner, weights=atom_real[picks], minlength=n)
+    ints = np.empty((n, k), dtype=np.int64)
+    for j in range(k):
+        ints[:, j] = np.bincount(owner, weights=atom_ints[picks, j], minlength=n)
     return reals, ints
 
 

@@ -287,6 +287,7 @@ def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int
     """
     rng = make_rng(seed, stream=0)
     for p in primes:
+        groups.validate_prime(p)
         xs = rng.integers(0, p, size=(trials, depth + 1))
         ys = rng.integers(0, p, size=(trials, depth + 1))
         ks = rng.integers(0, _ORACLE_K_BOUND, size=trials)
@@ -300,8 +301,9 @@ def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int
                     return False
             rows = zip(xb.tolist(), yb.tolist(), kb.tolist())
             for (xd, yd, k), s, n, m in zip(rows, sums, negs, mults):
-                x = groups.PadicInt(p, tuple(xd))
-                y = groups.PadicInt(p, tuple(yd))
+                # rng.integers(0, p) digits of a checked prime need no re-check
+                x = groups.PadicInt._normalized(p, tuple(xd))
+                y = groups.PadicInt._normalized(p, tuple(yd))
                 if groups.padic_add(x, y).digits != s:
                     return False
                 neg = groups.padic_neg(x)

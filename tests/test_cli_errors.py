@@ -193,3 +193,58 @@ def test_sample_count_over_the_jump_cap_names_eta(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 10
     assert main(["sample", "--config", str(cfg), "--count", "1000"]) == 2
     assert "field 'quadruplet.eta'" in capsys.readouterr().err
+
+
+# exp(i * 1e20 * 0.5) is -0.9391 + 0.3435i, but the float product 1e20 * 0.5
+# reduced by a float 2pi gives 0.5835 + 0.8121i on both sides of the gate.
+_HUGE_ELL = 10**20
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            "group": "torus",
+            "quadruplet": {"H": {"kind": "trivial"}, "a": 0.5, "b": 0, "eta": []},
+            "characters": [_HUGE_ELL, 3],
+        },
+        {
+            "group": "solenoid",
+            "p": 3,
+            "depth": 2,
+            "quadruplet": {"H": {"kind": "trivial"}, "a": 0.5, "b": 0, "eta": []},
+            "characters": [[0, 3], [1, -_HUGE_ELL]],
+        },
+    ],
+    ids=["torus", "solenoid"],
+)
+def test_character_frequency_beyond_2_to_31_is_refused(doc, tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--samples", "100"]) == 2
+    bad = 0 if doc["group"] == "torus" else 1
+    assert f"field 'characters[{bad}]'" in capsys.readouterr().err
+
+
+def test_character_frequency_of_2_to_31_is_accepted():
+    torus = {"group": "torus", "quadruplet": {"H": {"kind": "trivial"}, "a": 0.5}}
+    chars = parse_config({**torus, "characters": [2**31, -(2**31)]})[2]
+    assert [chi.ell for chi in chars] == [2**31, -(2**31)]
+    with pytest.raises(ConfigError) as err:
+        parse_config({**torus, "characters": [2**31 + 1]})
+    assert err.value.field == "characters[0]"
+    solenoid = {
+        "group": "solenoid",
+        "p": 2,
+        "depth": 1,
+        "quadruplet": {"H": {"kind": "trivial"}, "a": 0.5},
+    }
+    assert parse_config({**solenoid, "characters": [[1, -(2**31)]]})[2][0].ell == -(2**31)
+    # p-adic frequencies are exact integers with their own envelope
+    padic = {
+        "group": "padic",
+        "p": 3,
+        "depth": 25,
+        "quadruplet": {"H": {"kind": "lambda", "r": 0}, "a": [0]},
+    }
+    assert parse_config({**padic, "characters": [[25, 3**26 - 1]]})[2][0].ell == 3**26 - 1

@@ -96,6 +96,42 @@ def test_canonical_angle_property(x):
     assert abs(k - round(k)) < 1e-6
 
 
+def _array_path(x):
+    return canonical_angle(np.array([x], dtype=float))[0]
+
+
+def test_canonical_angle_scalar_path_is_bit_identical_to_the_array_path():
+    rng = np.random.default_rng(2024)
+    specials = [math.pi, -math.pi, TWO_PI, -TWO_PI, 3 * math.pi, -3 * math.pi, 0.0, -0.0]
+    specials += [1e300, -1e300, 5e-324, math.nextafter(math.pi, 0.0)]
+    # a few ulps around odd multiples of pi, where the mod can land on 2pi
+    for k in range(-9, 11, 2):
+        x = k * math.pi
+        for _ in range(4):
+            specials += [x, -x]
+            x = math.nextafter(x, -math.inf)
+    samples = np.concatenate(
+        [rng.uniform(-10, 10, 500), rng.uniform(-1e6, 1e6, 500), rng.normal(0, 1e15, 200)]
+    )
+    for x in specials + samples.tolist():
+        out = canonical_angle(x)
+        assert type(out) is float
+        assert np.float64(out).view(np.int64) == _array_path(x).view(np.int64), x
+    for x in (np.float32(7.25), np.float32(-1e30), np.float64(-9.5), np.int64(-7), np.int32(3)):
+        assert canonical_angle(x) == _array_path(x) and type(canonical_angle(x)) is float
+    for x in (0, 7, -1000003, 2**62):
+        assert np.float64(canonical_angle(x)).view(np.int64) == _array_path(x).view(np.int64)
+    assert canonical_angle(True) == 1.0
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_canonical_angle_scalar_path_rejects_non_finite_like_the_array_path(x):
+    with pytest.raises(ValueError, match="non-finite angle"):
+        canonical_angle(x)
+    with pytest.raises(ValueError, match="non-finite angle"):
+        _array_path(x)
+
+
 # ---------------------------------------------------------------------------
 # p-adic integers
 
@@ -237,6 +273,19 @@ def test_padic_from_ints_equals_the_checked_constructor():
     # a numpy prime still gives Python-int digits
     x = padic_from_ints(np.int64(3), [-1, 0, 0])
     assert x == PadicInt(3, (2, 2, 2)) and all(type(d) is int for d in x.digits)
+
+
+def test_padic_from_ints_reads_any_iterable_like_a_list():
+    rng = np.random.default_rng(103)
+    for p in (2, 3, 7):
+        for row in rng.integers(-(10**9), 10**9, size=(40, 8)):
+            want = padic_from_ints(p, row.tolist())
+            assert padic_from_ints(p, (int(e) for e in row)) == want
+            assert padic_from_ints(p, list(row)) == want  # numpy-int entries
+            assert padic_from_ints(p, row) == want
+            assert all(type(d) is int for d in padic_from_ints(p, row).digits)
+    with pytest.raises(ValueError):
+        padic_from_ints(3, iter(()))
 
 
 @pytest.mark.parametrize("p,entries", [(4, [1, 2]), (1, [0]), (2.0, [1]), (True, [1]), (3, [])])

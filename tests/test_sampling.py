@@ -1,5 +1,6 @@
 """Seeded samplers: determinism, exact laws, Monte-Carlo agreement."""
 
+import bisect
 import cmath
 import math
 
@@ -35,6 +36,9 @@ from widlaws import (
     eval_padic_char,
     ft_quadruplet,
     make_rng,
+    pushforward_padic,
+    pushforward_solenoid,
+    pushforward_torus,
     quadruplet_sampler,
     sample_compound_poisson,
     sample_padic_haar,
@@ -164,6 +168,68 @@ def test_compound_poisson_two_atoms_product_form():
             + 0.4 * (cmath.exp(1j * (t * -1.0 + w * 1)) - 1)
         )
         assert abs(emp - want) <= mc_tol(N)
+
+
+def _compound_poisson_reference(seed, measure, size):
+    """Per-jump pure-Python sums over the same random stream: the draws'
+    Poisson counts, then one uniform per jump picking an atom."""
+    rng = make_rng(seed)
+    masses = np.array([m for _, _, m in measure.atoms])
+    counts = rng.poisson(masses.sum(), size=size).tolist()
+    uniforms = iter(rng.random(sum(counts)).tolist())
+    cum = (np.cumsum(masses) / masses.sum()).tolist()
+    reals, ints = [], []
+    for count in counts:
+        real, vec = 0.0, [0] * measure.int_dim
+        for _ in range(count):
+            x, ki, _ = measure.atoms[min(bisect.bisect_right(cum, next(uniforms)), len(cum) - 1)]
+            real += x
+            vec = [a + b for a, b in zip(vec, ki)]
+        reals.append(real)
+        ints.append(vec)
+    return reals, ints
+
+
+def _solenoid_eta(p, depth):
+    return LevyMeasure(
+        ((SolenoidPoint(p, depth, 2.5), 0.6), (SolenoidPoint(p, depth, -2.9), 0.4))
+    )
+
+
+_JUMP_MEASURES = {
+    "torus": lambda: pushforward_torus(
+        LevyMeasure(((TorusPoint(2.1), 1.1), (TorusPoint(-0.6), 0.5)))
+    ),
+    "padic": lambda: pushforward_padic(
+        LevyMeasure(
+            ((PadicInt(2, (1, 0, 1, 0, 0, 0)), 0.8), (PadicInt(2, (0, 1, 1, 0, 0, 0)), 0.5))
+        ),
+        3,
+    ),
+    "solenoid-depth-1": lambda: pushforward_solenoid(_solenoid_eta(3, 2), 1),
+    "solenoid-depth-3": lambda: pushforward_solenoid(_solenoid_eta(3, 3), 3),
+    "many-atoms": lambda: LatticeMeasure(
+        True, 2, tuple((0.1 * i, (i % 3, -i), 0.2) for i in range(1, 8))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _JUMP_MEASURES)
+def test_compound_poisson_matches_a_per_jump_reference_bit_for_bit(name):
+    measure = _JUMP_MEASURES[name]()
+    reals, ints = sample_compound_poisson(make_rng(21), measure, size=3000)
+    want_reals, want_ints = _compound_poisson_reference(21, measure, 3000)
+    assert reals.dtype == np.float64 and reals.shape == (3000,)
+    assert ints.dtype == np.int64 and ints.shape == (3000, measure.int_dim)
+    assert reals.view(np.int64).tolist() == np.array(want_reals).view(np.int64).tolist()
+    assert ints.tolist() == want_ints
+
+
+def test_compound_poisson_without_jumps_is_origin_with_the_full_shape():
+    tiny = LatticeMeasure(True, 3, ((0.5, (1, 0, 2), 1e-12),))
+    reals, ints = sample_compound_poisson(make_rng(22), tiny, size=40)
+    assert reals.dtype == np.float64 and reals.shape == (40,) and not reals.any()
+    assert ints.dtype == np.int64 and ints.shape == (40, 3) and not ints.any()
 
 
 # ---------------------------------------------------------------------------
