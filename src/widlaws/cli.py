@@ -96,7 +96,7 @@ def _parse_subgroup(group, raw):
 
 def _parse_characters(group, depth, raw):
     if raw == "default" or raw is None:
-        return default_characters(group, depth=depth)
+        return _field("characters", default_characters, group, depth)
     if not isinstance(raw, list):
         raise ConfigError("characters", "expected 'default' or a list")
     return [
@@ -144,7 +144,7 @@ def parse_config(doc):
 
     samples = _as_int("samples", _get(doc, "samples", 100000), 1)
     _field("quadruplet.eta", check_jump_budget, levy, samples)
-    seed = _as_int("seed", _get(doc, "seed", 0))
+    seed = _as_int("seed", _get(doc, "seed", 0), 0)
     tolerance_c = _as_real("tolerance_c", _get(doc, "tolerance_c", 4.0))
     if not (math.isfinite(tolerance_c) and tolerance_c > 0):
         raise ConfigError("tolerance_c", f"must be finite and positive, got {tolerance_c!r}")
@@ -352,7 +352,8 @@ def _selftest_fixtures(samples, seed):
 
 
 def cmd_selftest(args) -> int:
-    results = _selftest_fixtures(_as_int("samples", args.samples, 1), args.seed)
+    samples, seed = _as_int("samples", args.samples, 1), _as_int("seed", args.seed, 0)
+    results = _selftest_fixtures(samples, seed)
     overall = all(ok for _, ok in results)
     for name, ok in results:
         print(f"{name}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)

@@ -406,12 +406,12 @@ def solenoid_from_lift(p: int, depth: int, y0: float, ints) -> SolenoidPoint:
     return SolenoidPoint(p, depth, float(solenoid_lift_matrix(p, depth, [float(y0)], row)[0]))
 
 
-def solenoid_lift(x: SolenoidPoint, tol: float = 1e-6):
+def solenoid_lift(x: SolenoidPoint):
     """Canonical preimage of x in R x Z^depth: (arg x_0, then the integer
     winding increments (p*arg x_{k} - arg x_{k-1}) / 2pi).
 
     Reconstructing through solenoid_from_lift returns x.  The increments
-    are integers up to float rounding; a residual above tol means the
+    are integers up to float rounding; a residual above 1e-6 means the
     stored angles do not form a coherent tower.
     """
     angles = [x.coordinate_angle(j) for j in range(x.depth + 1)]
@@ -419,7 +419,7 @@ def solenoid_lift(x: SolenoidPoint, tol: float = 1e-6):
     for k in range(1, x.depth + 1):
         raw = (x.p * angles[k] - angles[k - 1]) / TWO_PI
         n = round(raw)
-        if abs(raw - n) > tol:
+        if abs(raw - n) > 1e-6:
             raise ValueError(f"not a solenoid point (winding residual {raw - n:.3g})")
         ints.append(int(n))
     return angles[0], tuple(ints)
@@ -718,9 +718,9 @@ class Torus(_CircleTower):
     def point_mass(self, depth=None):
         return TorusSubgroup.trivial(), TorusPoint.identity()
 
-    def default_characters(self, depth, max_ell: int) -> list:
-        """Frequencies -max_ell..max_ell; depth is ignored."""
-        return [TorusCharacter(ell) for ell in range(-max_ell, max_ell + 1)]
+    def default_characters(self, depth) -> list:
+        """Frequencies -8..8; depth is ignored."""
+        return [TorusCharacter(ell) for ell in range(-8, 9)]
 
     def describe_subgroup(self, subgroup) -> dict:
         if subgroup.order is None:
@@ -746,6 +746,11 @@ class _PrimeGroup(_Group):
     p: int
 
     def __post_init__(self):
+        """p must be a prime below 2**32: no p-adic character exists once
+        p**2 >= 2**63 (see check_padic_character), and the trial division
+        behind the primality test takes at most 2**15 steps below 2**32."""
+        if isinstance(self.p, (int, np.integer)) and self.p >= 2**32:
+            raise ValueError(f"p must be below 2**32, got {self.p}")
         validate_prime(self.p)
 
     def _check_element(self, shift, x):
@@ -807,13 +812,17 @@ class PadicIntegers(_PrimeGroup):
     def subgroup_is_trivial(self, subgroup, depth) -> bool:
         return subgroup.zero_digits >= depth + 1
 
-    def default_characters(self, depth: int, max_ell: int) -> list:
-        """Every (d, ell) with d <= min(3, depth); max_ell is ignored."""
-        return [
-            PadicCharacter(d, ell)
-            for d in range(min(3, depth) + 1)
-            for ell in range(self.p ** (d + 1))
-        ]
+    def default_characters(self, depth: int) -> list:
+        """Every (d, ell) with d <= min(3, depth).  The set grows as p**4,
+        so it is counted first and refused above 10**5 characters."""
+        depths = range(min(3, depth) + 1)
+        count = sum(self.p ** (d + 1) for d in depths)
+        if count > 10**5:
+            raise ValueError(
+                f"the default set at p={self.p} has {count} characters, more than 10**5; "
+                "list the characters instead"
+            )
+        return [PadicCharacter(d, ell) for d in depths for ell in range(self.p ** (d + 1))]
 
     def describe_subgroup(self, subgroup) -> dict:
         return {"kind": "lambda", "r": subgroup.zero_digits}
@@ -859,13 +868,10 @@ class Solenoid(_PrimeGroup, _CircleTower):
     def point_mass(self, depth: int):
         return SolenoidSubgroup.trivial(), SolenoidPoint.identity(self.p, depth)
 
-    def default_characters(self, depth: int, max_ell: int) -> list:
-        """d <= min(3, depth) and |ell| <= max_ell."""
-        return [
-            SolenoidCharacter(d, ell)
-            for d in range(min(3, depth) + 1)
-            for ell in range(-max_ell, max_ell + 1)
-        ]
+    def default_characters(self, depth: int) -> list:
+        """d <= min(3, depth) and |ell| <= 8."""
+        depths = range(min(3, depth) + 1)
+        return [SolenoidCharacter(d, ell) for d in depths for ell in range(-8, 9)]
 
     def describe_subgroup(self, subgroup) -> dict:
         return {"kind": "full" if subgroup.whole else "trivial"}

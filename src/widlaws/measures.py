@@ -16,7 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .characters import quadratic_form
 from .groups import solenoid_lift
 
 _IDENTITY_MESSAGE = "Levy measure must satisfy η({e})=0: atom at the identity"
@@ -117,7 +116,10 @@ def ft_dirac(a, chi) -> complex:
 
 
 def ft_gauss(group, b: float, chi) -> complex:
-    return complex(math.exp(-quadratic_form(group, b, chi) / 2.0))
+    """exp(-Q_b(chi)/2) for the group's quadratic form Q_b, b >= 0."""
+    if b < 0:
+        raise ValueError("quadratic form scale must be >= 0")
+    return complex(math.exp(-group.quadratic_form(b, chi) / 2.0))
 
 
 def ft_compound_poisson(eta: LevyMeasure, chi) -> complex:
@@ -167,14 +169,14 @@ def local_mean_drift(group, eta: LevyMeasure) -> float:
 
 @dataclass(frozen=True)
 class LatticeMeasure:
-    """Finite atomic measure on R x Z^n (has_real) or on Z^n alone.
+    """Finite atomic measure on R x Z^n.
 
     Atoms are (real coordinate, integer tuple, mass); the origin is
     excluded by construction.  int_dim is the length of every integer
-    tuple (0 gives a measure on R alone).
+    tuple (0 gives a measure on R alone).  The p-adic pushforward puts
+    every atom at real coordinate 0.0.
     """
 
-    has_real: bool
     int_dim: int
     atoms: tuple = field(default=())
 
@@ -182,7 +184,7 @@ class LatticeMeasure:
         merged = {}
         order = []
         for x, ints, mass in self.atoms:
-            x = float(x) if self.has_real else 0.0
+            x = float(x)
             ints = tuple(int(k) for k in ints)
             mass = float(mass)
             if len(ints) != self.int_dim:
@@ -208,7 +210,7 @@ class LatticeMeasure:
 
 def pushforward_torus(eta: LevyMeasure) -> LatticeMeasure:
     """Image on R under the angle map: atoms (arg point, mass)."""
-    return LatticeMeasure(True, 0, tuple((pt.angle, (), m) for pt, m in eta.atoms))
+    return LatticeMeasure(0, tuple((pt.angle, (), m) for pt, m in eta.atoms))
 
 
 def pushforward_padic(eta: LevyMeasure, n: int) -> LatticeMeasure:
@@ -229,7 +231,7 @@ def pushforward_padic(eta: LevyMeasure, n: int) -> LatticeMeasure:
         prefix = pt.digits[: n + 1]
         if any(d != 0 for d in prefix):
             atoms.append((0.0, prefix, m))
-    return LatticeMeasure(False, n + 1, tuple(atoms))
+    return LatticeMeasure(n + 1, tuple(atoms))
 
 
 def pushforward_solenoid(eta: LevyMeasure, n: int) -> LatticeMeasure:
@@ -247,4 +249,4 @@ def pushforward_solenoid(eta: LevyMeasure, n: int) -> LatticeMeasure:
         ints = ints[:n]
         if y0 != 0.0 or any(k != 0 for k in ints):
             atoms.append((y0, ints, m))
-    return LatticeMeasure(True, n, tuple(atoms))
+    return LatticeMeasure(n, tuple(atoms))

@@ -45,16 +45,17 @@ def empirical_cf(sampler, chi, n: int, rng) -> complex:
 # ---------------------------------------------------------------------------
 # character sets and reports
 
-def default_characters(group, depth: int = 3, max_ell: int = 8):
+def default_characters(group, depth: int = 3):
     """The stock verification character set.
 
-    Circle: frequencies -max_ell..max_ell.  p-adic integers: every
-    (d, ell) with d <= min(3, depth).  Solenoid: d <= min(3, depth) and
-    |ell| <= max_ell.  The depth cap keeps every character evaluable on
-    depth-limited samples; the stock set covers every annihilator
-    regime (divisible and indivisible frequencies) at desk-scale cost.
+    Circle: frequencies -8..8.  p-adic integers: every (d, ell) with
+    d <= min(3, depth), refused above 10**5 characters.  Solenoid:
+    d <= min(3, depth) and |ell| <= 8.  The depth cap keeps every
+    character evaluable on depth-limited samples; the stock set covers
+    every annihilator regime (divisible and indivisible frequencies) at
+    desk-scale cost.
     """
-    return group.default_characters(depth, max_ell)
+    return group.default_characters(depth)
 
 
 def _char_key(chi):
@@ -79,11 +80,6 @@ class VerificationReport:
     wall_time: float = 0.0
 
 
-def describe_quadruplet(q: Quadruplet) -> dict:
-    """JSON-ready summary of a quadruplet (used in report config echoes)."""
-    return q.group.describe(q)
-
-
 def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, **config):
     """The comparison engine behind every report.
 
@@ -101,7 +97,7 @@ def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, *
         raise ValueError(f"tolerance_c must be finite and positive, got {tolerance_c!r}")
     tol = tolerance_c / math.sqrt(samples)
     config.update(
-        quadruplet=describe_quadruplet(q), samples=samples, seed=seed, tolerance_c=tolerance_c
+        quadruplet=q.group.describe(q), samples=samples, seed=seed, tolerance_c=tolerance_c
     )
     report = VerificationReport(config=config)
     runs = itertools.groupby(rows, key=lambda row: row[2])
@@ -142,18 +138,13 @@ def run_suite(
     return _compare(q, rows, samples, seed, tolerance_c, **extra)
 
 
-def check_compatibility(
-    q: Quadruplet,
-    n: int,
-    samples: int,
-    seed: int,
-    tolerance_c: float = 4.0,
-) -> VerificationReport:
+def check_compatibility(q: Quadruplet, n: int, samples: int, seed: int) -> VerificationReport:
     """Marginal agreement between the depth-n and depth-(n+1) samplers.
 
     One batch per depth (streams 0 and 1) is compared, at every stock
     character of depth <= n-1, against the shared closed form; the
-    deeper batch must reproduce the shallower marginals.
+    deeper batch must reproduce the shallower marginals, with
+    tolerance_c = 4.
     """
     if isinstance(q.group, Torus):
         raise ValueError("compatibility check applies to the p-adic and solenoid samplers")
@@ -165,7 +156,7 @@ def check_compatibility(
     for d in (n, n + 1):
         sampler = quadruplet_sampler(q, depth=d)
         rows += [(f"{chi.label} @depth={d}", chi, sampler) for chi in chars]
-    return _compare(q, rows, samples, seed, tolerance_c, check="compatibility", n=n)
+    return _compare(q, rows, samples, seed, 4.0, check="compatibility", n=n)
 
 
 def check_divisibility(
@@ -173,7 +164,6 @@ def check_divisibility(
     n: int,
     samples: int,
     seed: int,
-    tolerance_c: float = 4.0,
     depth: int | None = None,
     characters=None,
 ) -> VerificationReport:
@@ -181,7 +171,8 @@ def check_divisibility(
 
     Draws n independent batches with parameters (b/n, eta/n) in turn
     from RNG stream 0, multiplies them in the group, and compares the
-    empirical CF of the product against the unscaled closed form.
+    empirical CF of the product against the unscaled closed form, with
+    tolerance_c = 4.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -202,7 +193,7 @@ def check_divisibility(
     if characters is None:
         characters = default_characters(q.group, depth=depth)
     rows = [(chi.label, chi, draw) for chi in sorted(characters, key=_char_key)]
-    return _compare(q, rows, samples, seed, tolerance_c, check="divisibility", n=n)
+    return _compare(q, rows, samples, seed, 4.0, check="divisibility", n=n)
 
 
 def check_compare_inequality(group, characters, grid_size: int = 1000):

@@ -1,4 +1,5 @@
-"""Characters, the angle cutoff, quadratic forms, local inner products."""
+"""Characters, the angle cutoff, and the descriptors' quadratic forms,
+centering pairings and annihilator tests."""
 
 import cmath
 import math
@@ -22,14 +23,8 @@ from widlaws import (
     TorusPoint,
     TorusSubgroup,
     angle_cutoff,
-    annihilates,
-    eval_char,
-    eval_padic_char,
-    eval_solenoid_char,
-    eval_torus_char,
-    local_inner_product,
+    ft_gauss,
     local_mean_drift,
-    quadratic_form,
     padic_add,
     solenoid_mul,
     torus_mul,
@@ -60,50 +55,50 @@ def test_angle_cutoff_array_matches_scalar():
 
 def test_eval_torus_char_examples():
     y = TorusPoint(PI / 2)
-    assert eval_torus_char(TorusCharacter(0), y) == 1 + 0j
-    assert eval_torus_char(TorusCharacter(3), y) == pytest.approx(-1j, abs=1e-15)
-    got = eval_torus_char(TorusCharacter(-2), TorusPoint(1.0))
+    assert TorusCharacter(0)(y) == 1 + 0j
+    assert TorusCharacter(3)(y) == pytest.approx(-1j, abs=1e-15)
+    got = TorusCharacter(-2)(TorusPoint(1.0))
     assert got == pytest.approx(cmath.exp(-2j), abs=1e-15)
 
 
 def test_eval_padic_char_examples():
-    assert eval_padic_char(PadicCharacter(0, 0), PadicInt(2, (1, 1))) == 1 + 0j
-    got = eval_padic_char(PadicCharacter(1, 1), PadicInt(2, (1, 0)))
+    assert PadicCharacter(0, 0)(PadicInt(2, (1, 1))) == 1 + 0j
+    got = PadicCharacter(1, 1)(PadicInt(2, (1, 0)))
     assert got == pytest.approx(1j, abs=1e-15)
     # modular exponent reduction: e^{2 pi i * 4/3} = e^{2 pi i/3}
-    got = eval_padic_char(PadicCharacter(0, 2), PadicInt(3, (2, 0)))
+    got = PadicCharacter(0, 2)(PadicInt(3, (2, 0)))
     assert got == pytest.approx(cmath.exp(2j * PI / 3), abs=1e-15)
 
 
 def test_eval_padic_char_depth_error():
     with pytest.raises(ValueError, match="depth exceeds"):
-        eval_padic_char(PadicCharacter(2, 1), PadicInt(2, (1, 0)))
+        PadicCharacter(2, 1)(PadicInt(2, (1, 0)))
     with pytest.raises(ValueError, match="frequency"):
-        eval_padic_char(PadicCharacter(0, 2), PadicInt(2, (1, 0)))
+        PadicCharacter(0, 2)(PadicInt(2, (1, 0)))
 
 
 def test_eval_solenoid_char_examples():
     e = SolenoidPoint.identity(2, 2)
-    assert eval_solenoid_char(SolenoidCharacter(1, 0), e) == 1 + 0j
-    assert eval_solenoid_char(SolenoidCharacter(0, 1), e) == 1 + 0j
-    got = eval_solenoid_char(SolenoidCharacter(1, 2), SolenoidPoint(2, 1, PI / 2))
+    assert SolenoidCharacter(1, 0)(e) == 1 + 0j
+    assert SolenoidCharacter(0, 1)(e) == 1 + 0j
+    got = SolenoidCharacter(1, 2)(SolenoidPoint(2, 1, PI / 2))
     assert got == pytest.approx(-1, abs=1e-15)
     with pytest.raises(ValueError, match="depth exceeds"):
-        eval_solenoid_char(SolenoidCharacter(3, 1), SolenoidPoint(2, 1, 0.1))
+        SolenoidCharacter(3, 1)(SolenoidPoint(2, 1, 0.1))
 
 
 def test_characters_have_unit_modulus():
     rng = np.random.default_rng(321)
     for _ in range(300):
         y = TorusPoint(float(rng.uniform(-PI, PI)))
-        assert abs(abs(eval_torus_char(TorusCharacter(int(rng.integers(-20, 20))), y)) - 1) <= 1e-12
+        assert abs(abs(TorusCharacter(int(rng.integers(-20, 20)))(y)) - 1) <= 1e-12
         p = int(rng.choice([2, 3, 5]))
         x = PadicInt(p, tuple(int(d) for d in rng.integers(0, p, size=4)))
         d = int(rng.integers(0, 4))
         ell = int(rng.integers(0, p ** (d + 1)))
-        assert abs(abs(eval_padic_char(PadicCharacter(d, ell), x)) - 1) <= 1e-12
+        assert abs(abs(PadicCharacter(d, ell)(x)) - 1) <= 1e-12
         s = SolenoidPoint(p, 3, float(rng.uniform(-PI, PI)))
-        assert abs(abs(eval_solenoid_char(SolenoidCharacter(d, int(rng.integers(-9, 9))), s)) - 1) <= 1e-12
+        assert abs(abs(SolenoidCharacter(d, int(rng.integers(-9, 9)))(s)) - 1) <= 1e-12
 
 
 def test_characters_multiplicative():
@@ -113,8 +108,8 @@ def test_characters_multiplicative():
         a = TorusPoint(float(rng.uniform(-PI, PI)))
         b = TorusPoint(float(rng.uniform(-PI, PI)))
         chi = TorusCharacter(int(rng.integers(-8, 9)))
-        lhs = eval_torus_char(chi, torus_mul(a, b))
-        rhs = eval_torus_char(chi, a) * eval_torus_char(chi, b)
+        lhs = chi(torus_mul(a, b))
+        rhs = chi(a) * chi(b)
         assert abs(lhs - rhs) <= 1e-10
         # p-adic
         p = int(rng.choice([2, 3, 5]))
@@ -122,24 +117,25 @@ def test_characters_multiplicative():
         y = PadicInt(p, tuple(int(v) for v in rng.integers(0, p, size=4)))
         d = int(rng.integers(0, 4))
         chp = PadicCharacter(d, int(rng.integers(0, p ** (d + 1))))
-        lhs = eval_padic_char(chp, padic_add(x, y))
-        rhs = eval_padic_char(chp, x) * eval_padic_char(chp, y)
+        lhs = chp(padic_add(x, y))
+        rhs = chp(x) * chp(y)
         assert abs(lhs - rhs) <= 1e-10
         # solenoid
         u = SolenoidPoint(p, 3, float(rng.uniform(-PI, PI)))
         v = SolenoidPoint(p, 3, float(rng.uniform(-PI, PI)))
         chs = SolenoidCharacter(d, int(rng.integers(-8, 9)))
-        lhs = eval_solenoid_char(chs, solenoid_mul(u, v))
-        rhs = eval_solenoid_char(chs, u) * eval_solenoid_char(chs, v)
+        lhs = chs(solenoid_mul(u, v))
+        rhs = chs(u) * chs(v)
         assert abs(lhs - rhs) <= 1e-10
 
 
 def test_quadratic_form_examples():
-    assert quadratic_form(Torus(), 2.0, TorusCharacter(3)) == 18.0
-    assert quadratic_form(Solenoid(2), 1.0, SolenoidCharacter(2, 3)) == 9 / 16
-    assert quadratic_form(PadicIntegers(5), 0.0, PadicCharacter(2, 7)) == 0.0
+    assert Torus().quadratic_form(2.0, TorusCharacter(3)) == 18.0
+    assert Solenoid(2).quadratic_form(1.0, SolenoidCharacter(2, 3)) == 9 / 16
+    assert PadicIntegers(5).quadratic_form(0.0, PadicCharacter(2, 7)) == 0.0
+    # the b >= 0 check sits in the Gauss transform, the form's only caller
     with pytest.raises(ValueError):
-        quadratic_form(Torus(), -1.0, TorusCharacter(1))
+        ft_gauss(Torus(), -1.0, TorusCharacter(1))
 
 
 def test_quadratic_form_parallelogram_torus():
@@ -149,13 +145,9 @@ def test_quadratic_form_parallelogram_torus():
         l1, l2 = (int(v) for v in rng.integers(-20, 20, size=2))
         # index arithmetic is exact in integers
         assert (l1 + l2) ** 2 + (l1 - l2) ** 2 == 2 * (l1**2 + l2**2)
-        lhs = quadratic_form(Torus(), b, TorusCharacter(l1 + l2)) + quadratic_form(
-            Torus(), b, TorusCharacter(l1 - l2)
-        )
-        rhs = 2 * (
-            quadratic_form(Torus(), b, TorusCharacter(l1))
-            + quadratic_form(Torus(), b, TorusCharacter(l2))
-        )
+        Q = lambda ell: Torus().quadratic_form(b, TorusCharacter(ell))
+        lhs = Q(l1 + l2) + Q(l1 - l2)
+        rhs = 2 * (Q(l1) + Q(l2))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -169,28 +161,23 @@ def test_quadratic_form_parallelogram_solenoid_common_depth():
         big = max(d1, d2)
         e1 = l1 * p ** (big - d1)
         e2 = l2 * p ** (big - d2)
-        lifted1 = quadratic_form(Solenoid(p), b, SolenoidCharacter(big, e1))
-        assert lifted1 == pytest.approx(
-            quadratic_form(Solenoid(p), b, SolenoidCharacter(d1, l1)), rel=1e-12
-        )
-        lhs = quadratic_form(Solenoid(p), b, SolenoidCharacter(big, e1 + e2)) + quadratic_form(
-            Solenoid(p), b, SolenoidCharacter(big, e1 - e2)
-        )
-        rhs = 2 * (
-            lifted1 + quadratic_form(Solenoid(p), b, SolenoidCharacter(d2, l2))
-        )
+        Q = lambda d, ell: Solenoid(p).quadratic_form(b, SolenoidCharacter(d, ell))
+        lifted1 = Q(big, e1)
+        assert lifted1 == pytest.approx(Q(d1, l1), rel=1e-12)
+        lhs = Q(big, e1 + e2) + Q(big, e1 - e2)
+        rhs = 2 * (lifted1 + Q(d2, l2))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_local_inner_product_examples():
-    assert local_inner_product(Torus(), TorusPoint(PI / 4), TorusCharacter(2)) == pytest.approx(
+    assert Torus().pairing(TorusPoint(PI / 4), TorusCharacter(2)) == pytest.approx(
         PI / 2, abs=1e-15
     )
-    assert local_inner_product(PadicIntegers(3), PadicInt(3, (2, 1)), PadicCharacter(1, 4)) == 0.0
+    assert PadicIntegers(3).pairing(PadicInt(3, (2, 1)), PadicCharacter(1, 4)) == 0.0
     # arg y_0 = pi/4 at depth 1, p=5: choose deep angle so that 5*deep = pi/4
     y = SolenoidPoint(5, 1, PI / 20)
     assert y.coordinate_angle(0) == pytest.approx(PI / 4, abs=1e-15)
-    got = local_inner_product(Solenoid(5), y, SolenoidCharacter(1, 2))
+    got = Solenoid(5).pairing(y, SolenoidCharacter(1, 2))
     assert got == pytest.approx(PI / 10, abs=1e-15)
 
 
@@ -199,14 +186,14 @@ def test_local_inner_product_additive_and_odd():
     for _ in range(1000):
         y = TorusPoint(float(rng.uniform(-PI, PI)))
         l1, l2 = (int(v) for v in rng.integers(-8, 9, size=2))
-        g = lambda ell, pt: local_inner_product(Torus(), pt, TorusCharacter(ell))
+        g = lambda ell, pt: Torus().pairing(pt, TorusCharacter(ell))
         assert g(l1 + l2, y) == pytest.approx(g(l1, y) + g(l2, y), abs=1e-12)
         assert g(l1, TorusPoint(-y.angle)) == pytest.approx(-g(l1, y), abs=1e-12)
 
         p = int(rng.choice([2, 3, 5]))
         s = SolenoidPoint(p, 3, float(rng.uniform(-PI, PI)))
         d = int(rng.integers(0, 4))
-        gs = lambda ell, pt: local_inner_product(Solenoid(p), pt, SolenoidCharacter(d, ell))
+        gs = lambda ell, pt: Solenoid(p).pairing(pt, SolenoidCharacter(d, ell))
         assert gs(l1 + l2, s) == pytest.approx(gs(l1, s) + gs(l2, s), abs=1e-12)
         assert gs(l1, SolenoidPoint(p, 3, -s.deep_angle)) == pytest.approx(-gs(l1, s), abs=1e-12)
 
@@ -223,31 +210,31 @@ def test_circle_is_the_solenoid_at_depth_zero(p, b, ell, angle):
     T, S = Torus(), Solenoid(p)
     tchi, schi = TorusCharacter(ell), SolenoidCharacter(0, ell)
     x, y = TorusPoint(angle), SolenoidPoint(p, 0, angle)
-    assert bits(quadratic_form(T, b, tchi)) == bits(quadratic_form(S, b, schi))
-    assert bits(local_inner_product(T, x, tchi)) == bits(local_inner_product(S, y, schi))
+    assert bits(T.quadratic_form(b, tchi)) == bits(S.quadratic_form(b, schi))
+    assert bits(T.pairing(x, tchi)) == bits(S.pairing(y, schi))
     t_drift = local_mean_drift(T, LevyMeasure(((x, b),)))
     assert bits(t_drift) == bits(local_mean_drift(S, LevyMeasure(((y, b),))))
-    assert annihilates(T, TorusSubgroup.full(), tchi) == annihilates(S, SolenoidSubgroup.full(), schi)
+    assert T.annihilates(TorusSubgroup.full(), tchi) == S.annihilates(SolenoidSubgroup.full(), schi)
 
 
 def test_annihilates_torus():
     T = Torus()
-    assert annihilates(T, TorusSubgroup.cyclic(3), TorusCharacter(6))
-    assert not annihilates(T, TorusSubgroup.cyclic(3), TorusCharacter(4))
-    assert annihilates(T, TorusSubgroup.full(), TorusCharacter(0))
-    assert not annihilates(T, TorusSubgroup.full(), TorusCharacter(1))
-    assert annihilates(T, TorusSubgroup.trivial(), TorusCharacter(5))
+    assert T.annihilates(TorusSubgroup.cyclic(3), TorusCharacter(6))
+    assert not T.annihilates(TorusSubgroup.cyclic(3), TorusCharacter(4))
+    assert T.annihilates(TorusSubgroup.full(), TorusCharacter(0))
+    assert not T.annihilates(TorusSubgroup.full(), TorusCharacter(1))
+    assert T.annihilates(TorusSubgroup.trivial(), TorusCharacter(5))
 
 
 def test_annihilates_padic():
     P = PadicIntegers(2)
-    assert annihilates(P, PadicSubgroup(1), PadicCharacter(2, 4))
-    assert not annihilates(P, PadicSubgroup(1), PadicCharacter(2, 2))
+    assert P.annihilates(PadicSubgroup(1), PadicCharacter(2, 4))
+    assert not P.annihilates(PadicSubgroup(1), PadicCharacter(2, 2))
     # shallow characters are trivial on deep subgroups
-    assert annihilates(P, PadicSubgroup(1), PadicCharacter(0, 1))
+    assert P.annihilates(PadicSubgroup(1), PadicCharacter(0, 1))
     # the whole group is annihilated only by the trivial character
-    assert annihilates(P, PadicSubgroup(0), PadicCharacter(2, 0))
-    assert not annihilates(P, PadicSubgroup(0), PadicCharacter(2, 4))
+    assert P.annihilates(PadicSubgroup(0), PadicCharacter(2, 0))
+    assert not P.annihilates(PadicSubgroup(0), PadicCharacter(2, 4))
 
 
 def test_annihilates_agrees_with_direct_character_sums():
@@ -264,20 +251,12 @@ def test_annihilates_agrees_with_direct_character_sums():
         for d in range(depth + 1):
             for ell in range(p ** (d + 1)):
                 chi = PadicCharacter(d, ell)
-                brute = all(abs(eval_padic_char(chi, m) - 1) < 1e-9 for m in members)
-                assert annihilates(P, PadicSubgroup(r), chi) == brute
+                brute = all(abs(chi(m) - 1) < 1e-9 for m in members)
+                assert P.annihilates(PadicSubgroup(r), chi) == brute
 
 
 def test_annihilates_solenoid():
     S = Solenoid(3)
-    assert annihilates(S, SolenoidSubgroup.trivial(), SolenoidCharacter(2, 5))
-    assert annihilates(S, SolenoidSubgroup.full(), SolenoidCharacter(2, 0))
-    assert not annihilates(S, SolenoidSubgroup.full(), SolenoidCharacter(2, 5))
-
-
-def test_eval_char_dispatch():
-    assert eval_char(TorusCharacter(1), TorusPoint(0.5)) == eval_torus_char(
-        TorusCharacter(1), TorusPoint(0.5)
-    )
-    with pytest.raises(TypeError):
-        eval_char("nope", TorusPoint(0.0))
+    assert S.annihilates(SolenoidSubgroup.trivial(), SolenoidCharacter(2, 5))
+    assert S.annihilates(SolenoidSubgroup.full(), SolenoidCharacter(2, 0))
+    assert not S.annihilates(SolenoidSubgroup.full(), SolenoidCharacter(2, 5))

@@ -2,10 +2,12 @@
 named, before any sampling starts."""
 
 import json
+import pathlib
 
 import pytest
 
 import widlaws.cli
+import widlaws.groups
 from widlaws.cli import ConfigError, main, parse_config
 
 
@@ -248,3 +250,80 @@ def test_character_frequency_of_2_to_31_is_accepted():
         "quadruplet": {"H": {"kind": "lambda", "r": 0}, "a": [0]},
     }
     assert parse_config({**padic, "characters": [[25, 3**26 - 1]]})[2][0].ell == 3**26 - 1
+
+
+_CONFIG_TORUS = str(pathlib.Path(__file__).parent / "data" / "golden" / "config-torus.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--config", _CONFIG_TORUS, "--samples", "10", "--seed", "-1"],
+        ["sample", "--config", _CONFIG_TORUS, "--count", "3", "--seed", "-1"],
+        ["haar-demo", "--group", "padic", "--p", "3", "--samples", "10", "--seed", "-1"],
+        ["selftest", "--seed", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_names_its_field(argv, capsys):
+    assert main(argv) == 2
+    assert "field 'seed'" in capsys.readouterr().err
+
+
+def test_negative_seed_in_a_config_names_its_field():
+    doc = json.loads(pathlib.Path(_CONFIG_TORUS).read_text())
+    with pytest.raises(ConfigError) as err:
+        parse_config(dict(doc, seed=-1))
+    assert err.value.field == "seed"
+
+
+def _padic_haar(p, depth, **extra):
+    haar = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
+    return {"group": "padic", "p": p, "depth": depth, "quadruplet": haar, **extra}
+
+
+def test_prime_of_2_to_32_or_more_is_refused_before_trial_division(monkeypatch, tmp_path, capsys):
+    # trial division of 2**61 - 1 would take about 7.6e8 steps
+    def trial_division(p):
+        raise AssertionError(f"trial division ran on p={p}")
+
+    monkeypatch.setattr(widlaws.groups, "_is_prime_int", trial_division)
+    doc = _padic_haar(2**61 - 1, 0, characters=[[0, 1]])
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.field == "p"
+    cfg = tmp_path / "huge-p.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--samples", "10"]) == 2
+    assert "field 'p'" in capsys.readouterr().err
+
+
+def test_prime_just_below_the_character_envelope_still_verifies(tmp_path):
+    # 3037000493**2 < 2**63: the largest prime with a depth-0 character
+    doc = _padic_haar(3037000493, 0, characters=[[0, 0], [0, 1], [0, 3037000492]])
+    cfg = tmp_path / "big-p.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--samples", "2000", "--out", str(out)]) == 0
+    assert all(row["pass"] for row in json.loads(out.read_text())["rows"])
+
+
+def test_default_padic_set_over_10_to_5_is_refused_before_it_is_built(monkeypatch, tmp_path, capsys):
+    # at p = 101 the set would hold about 1.04e8 characters
+    def build(d, ell):
+        raise AssertionError("a default character was built")
+
+    monkeypatch.setattr(widlaws.groups, "PadicCharacter", build)
+    doc = _padic_haar(101, 3)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.field == "characters"
+    cfg = tmp_path / "p101.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--samples", "10"]) == 2
+    assert "field 'characters'" in capsys.readouterr().err
+
+
+def test_default_padic_set_at_p_17_still_parses():
+    # 17 + 17**2 + 17**3 + 17**4 = 88,740 characters, under 10**5
+    assert len(parse_config(_padic_haar(17, 3))[2]) == 88740

@@ -238,7 +238,7 @@ def test_pushforward_torus():
     assert pushforward_torus(EMPTY_LEVY).atoms == ()
     eta = LevyMeasure(((TorusPoint(0.8), 1.7), (TorusPoint(-1.1), 0.4)))
     m = pushforward_torus(eta)
-    assert m.has_real and m.int_dim == 0
+    assert m.int_dim == 0
     assert m.atoms == ((0.8, (), 1.7), (-1.1, (), 0.4))
 
 
@@ -248,7 +248,6 @@ def test_pushforward_padic_drops_zero_prefix_and_merges():
     eta = LevyMeasure(((PadicInt(2, (1, 0, 0)), 2.0), (PadicInt(2, (1, 1, 0)), 3.0)))
     m = pushforward_padic(eta, 0)
     assert m.atoms == ((0.0, (1,), 5.0),)
-    assert not m.has_real
     deeper = pushforward_padic(eta, 1)
     assert deeper.atoms == ((0.0, (1, 0), 2.0), (0.0, (1, 1), 3.0))
     # total mass is the mass outside the zero-prefix subgroup
@@ -263,7 +262,7 @@ def test_pushforward_solenoid():
     # angle already lies in [-pi, pi)) and the atom's lift recovers it
     pt = solenoid_from_lift(3, 3, 0.2, (1, 0, 0))
     m = pushforward_solenoid(LevyMeasure(((pt, 1.0),)), 1)
-    assert m.has_real and m.int_dim == 1
+    assert m.int_dim == 1
     ((x, ints, mass),) = m.atoms
     assert x == pytest.approx(0.2, abs=1e-12)
     assert ints == (1,)
@@ -313,8 +312,8 @@ def test_pushforward_compatibility_in_closed_form():
 
 def test_lattice_measure_validation():
     with pytest.raises(ValueError, match="origin"):
-        LatticeMeasure(True, 1, ((0.0, (0,), 1.0),))
+        LatticeMeasure(1, ((0.0, (0,), 1.0),))
     with pytest.raises(ValueError, match="length"):
-        LatticeMeasure(True, 2, ((0.5, (1,), 1.0),))
-    m = LatticeMeasure(True, 0, ((0.5, (), 1.0), (0.5, (), 0.25)))
+        LatticeMeasure(2, ((0.5, (1,), 1.0),))
+    m = LatticeMeasure(0, ((0.5, (), 1.0), (0.5, (), 0.25)))
     assert m.atoms == ((0.5, (), 1.25),)

@@ -33,7 +33,6 @@ from widlaws import (
     char_mean,
     circular_distance,
     empirical_cf,
-    eval_padic_char,
     ft_quadruplet,
     make_rng,
     pushforward_padic,
@@ -112,7 +111,7 @@ def test_normal_moments():
 def test_poisson_counts():
     # one unit atom of mass lam: the real coordinate is the Poisson count
     def counts(seed, lam):
-        unit = LatticeMeasure(True, 0, ((1.0, (), lam),))
+        unit = LatticeMeasure(0, ((1.0, (), lam),))
         return sample_compound_poisson(make_rng(seed), unit, size=N)[0]
 
     ks = counts(10, 3.0)
@@ -126,11 +125,11 @@ def test_poisson_counts():
 
 def test_compound_poisson_refuses_a_jump_total_over_the_cap(monkeypatch):
     # 1e13 expected jumps would need about 0.4 PB of working arrays
-    huge = LatticeMeasure(False, 3, ((0.0, (1, 0, 0), 1e12),))
+    huge = LatticeMeasure(3, ((0.0, (1, 0, 0), 1e12),))
     with pytest.raises(ValueError, match="cap"):
         sample_compound_poisson(make_rng(16), huge, size=10)
     # the cap applies to the drawn total, not the expectation
-    unit = LatticeMeasure(True, 0, ((1.0, (), 1.0),))
+    unit = LatticeMeasure(0, ((1.0, (), 1.0),))
     total = int(sample_compound_poisson(make_rng(17), unit, size=50)[0].sum())
     monkeypatch.setattr(widlaws.sampling, "MAX_JUMPS", total)
     assert sample_compound_poisson(make_rng(17), unit, size=50)[0].sum() == total
@@ -140,7 +139,7 @@ def test_compound_poisson_refuses_a_jump_total_over_the_cap(monkeypatch):
 
 
 def test_compound_poisson_empty_measure_is_origin():
-    empty = LatticeMeasure(True, 2, ())
+    empty = LatticeMeasure(2, ())
     reals, ints = sample_compound_poisson(make_rng(13), empty, size=50)
     assert np.all(reals == 0.0) and np.all(ints == 0)
     assert reals.shape == (50,) and ints.shape == (50, 2)
@@ -148,7 +147,7 @@ def test_compound_poisson_empty_measure_is_origin():
 
 def test_compound_poisson_single_atom_matches_closed_form():
     lam = 1.3
-    m = LatticeMeasure(True, 0, ((1.0, (), lam),))
+    m = LatticeMeasure(0, ((1.0, (), lam),))
     reals, _ = sample_compound_poisson(make_rng(14), m, size=N)
     # single unit jump: the real coordinate is the Poisson count itself
     assert np.allclose(reals, np.round(reals))
@@ -159,7 +158,7 @@ def test_compound_poisson_single_atom_matches_closed_form():
 
 
 def test_compound_poisson_two_atoms_product_form():
-    m = LatticeMeasure(True, 1, ((0.5, (2,), 0.8), (-1.0, (1,), 0.4)))
+    m = LatticeMeasure(1, ((0.5, (2,), 0.8), (-1.0, (1,), 0.4)))
     reals, ints = sample_compound_poisson(make_rng(15), m, size=N)
     for t, w in ((0.9, 1.1), (-0.3, 2.0)):
         emp = np.exp(1j * (t * reals + w * ints[:, 0])).mean()
@@ -209,7 +208,7 @@ _JUMP_MEASURES = {
     "solenoid-depth-1": lambda: pushforward_solenoid(_solenoid_eta(3, 2), 1),
     "solenoid-depth-3": lambda: pushforward_solenoid(_solenoid_eta(3, 3), 3),
     "many-atoms": lambda: LatticeMeasure(
-        True, 2, tuple((0.1 * i, (i % 3, -i), 0.2) for i in range(1, 8))
+        2, tuple((0.1 * i, (i % 3, -i), 0.2) for i in range(1, 8))
     ),
 }
 
@@ -226,7 +225,7 @@ def test_compound_poisson_matches_a_per_jump_reference_bit_for_bit(name):
 
 
 def test_compound_poisson_without_jumps_is_origin_with_the_full_shape():
-    tiny = LatticeMeasure(True, 3, ((0.5, (1, 0, 2), 1e-12),))
+    tiny = LatticeMeasure(3, ((0.5, (1, 0, 2), 1e-12),))
     reals, ints = sample_compound_poisson(make_rng(22), tiny, size=40)
     assert reals.dtype == np.float64 and reals.shape == (40,) and not reals.any()
     assert ints.dtype == np.int64 and ints.shape == (40, 3) and not ints.any()
@@ -391,7 +390,7 @@ def test_padic_char_mean_is_exact_at_large_depth():
         digits = sample_padic_haar(make_rng(0), p, d, size=200)
         for ell in (12345678901234 % p ** (d + 1), p ** (d + 1) - 1):
             chi = PadicCharacter(d, ell)
-            want = sum(eval_padic_char(chi, PadicInt(p, tuple(row))) for row in digits.tolist())
+            want = sum(chi(PadicInt(p, tuple(row))) for row in digits.tolist())
             assert abs(char_mean(PadicSamples(p, digits), chi) - want / 200) <= 1e-12
 
 
