@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from .groups import (
@@ -45,6 +46,9 @@ from .verification import (
 )
 
 SCHEMA_VERSION = 1
+# The most draws one chunk of the sample dump holds: the dump is written
+# chunk by chunk, so its text never outgrows one chunk.
+CHUNK = 4096
 CSV_COLUMNS = ["character", "re_theory", "im_theory", "re_emp", "im_emp", "abs_err", "tol", "pass"]
 
 
@@ -201,16 +205,30 @@ def rows_to_csv(report) -> str:
     return buf.getvalue()
 
 
-def _emit(text, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
+def _emit(chunks, out_path) -> bool:
+    """Write the text chunks to out_path, or to stdout when it is None.
+
+    Returns False when the reader closed stdout early: nothing more is
+    written, and stdout is pointed at os.devnull so that the flush at
+    interpreter exit cannot fail again.
+    """
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+        return True
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 def _emit_report(report, out_path, csv_path):
-    _emit(json.dumps(report_to_document(report), indent=2, sort_keys=True) + "\n", out_path)
+    _emit([json.dumps(report_to_document(report), indent=2, sort_keys=True) + "\n"], out_path)
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(rows_to_csv(report))
@@ -249,12 +267,27 @@ def cmd_verify(args) -> int:
     return 0 if report.overall_pass else 1
 
 
+def _each_once(columns, convert) -> list:
+    """convert(column) for every column, run once per distinct column
+    object (a solenoid batch hands its deepest angle out twice)."""
+    done = {}
+    for col in columns:
+        if id(col) not in done:
+            done[id(col)] = convert(col)
+    return [done[id(col)] for col in columns]
+
+
 def _sample_lines(batch, fmt):
-    if fmt == "csv":
-        lines = [",".join(map(repr, row)) for row in batch.rows()]
-    else:
-        lines = [json.dumps(batch.record(row)) for row in batch.rows()]
-    return "\n".join(lines) + "\n"
+    """The sample dump as text chunks of at most CHUNK draws, one line
+    per draw: a CSV line of repr'd fields, or a JSON record."""
+    for lo in range(0, len(batch), CHUNK):
+        columns = batch.columns(lo, lo + CHUNK)
+        if fmt == "csv":
+            fields = _each_once(columns, lambda col: list(map(repr, col.tolist())))
+            yield "\n".join(map(",".join, zip(*fields))) + "\n"
+        else:
+            rows = zip(*_each_once(columns, lambda col: col.tolist()))
+            yield "".join(json.dumps(batch.record(row)) + "\n" for row in rows)
 
 
 def cmd_sample(args) -> int:
@@ -266,8 +299,8 @@ def cmd_sample(args) -> int:
     _field("quadruplet.eta", check_jump_budget, quad.levy, count)
     sampler = quadruplet_sampler(quad, depth=depth)
     batch = sampler(make_rng(seed, stream=0), count)
-    _emit(_sample_lines(batch, args.format), args.out)
-    print(f"sample: wrote {count} draws ({args.format})", file=sys.stderr)
+    if _emit(_sample_lines(batch, args.format), args.out):
+        print(f"sample: wrote {count} draws ({args.format})", file=sys.stderr)
     return 0
 
 
@@ -362,7 +395,7 @@ def cmd_selftest(args) -> int:
         "selftest": [{"name": name, "pass": ok} for name, ok in results],
         "overall_pass": overall,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit([json.dumps(doc, indent=2, sort_keys=True) + "\n"], args.out)
     return 0 if overall else 1
 
 

@@ -33,32 +33,55 @@ TWO_PI = 2.0 * math.pi
 
 
 def is_prime(p) -> bool:
-    """True iff p is a prime integer; False for bools and non-integers."""
+    """True iff p is a prime integer; False for bools and non-integers.
+    Raises ValueError for an integer at or above MILLER_RABIN_BOUND."""
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
         return False
     return _is_prime_int(int(p))
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly for
+# every n below MILLER_RABIN_BOUND, the least strong pseudoprime to all
+# of them (Sorenson and Webster, 2017).  The first 12 alone are not
+# enough above 318665857834031151167461, a strong pseudoprime to each.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 @functools.lru_cache(maxsize=256)
 def _is_prime_int(p: int) -> bool:
-    """Trial-division primality check (fine for the small p used here),
-    memoized: every carry normalization checks its prime.  Only ever
-    called with a Python int, so one cache key is one question."""
+    """Deterministic Miller-Rabin test over MILLER_RABIN_BASES, memoized:
+    every carry normalization checks its prime.  Only ever called with a
+    Python int, so one cache key is one question."""
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(f"primality is decided only below {MILLER_RABIN_BOUND}, got {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def validate_prime(p):
+    """Raise ValueError unless p is a prime integer below 2**32: no p-adic
+    character exists once p**2 >= 2**63 (see check_padic_character)."""
+    if isinstance(p, (int, np.integer)) and p >= 2**32:
+        raise ValueError(f"p must be below 2**32, got {p}")
     if not is_prime(p):
         raise ValueError(f"p must be a prime integer, got {p!r}")
 
@@ -746,11 +769,6 @@ class _PrimeGroup(_Group):
     p: int
 
     def __post_init__(self):
-        """p must be a prime below 2**32: no p-adic character exists once
-        p**2 >= 2**63 (see check_padic_character), and the trial division
-        behind the primality test takes at most 2**15 steps below 2**32."""
-        if isinstance(self.p, (int, np.integer)) and self.p >= 2**32:
-            raise ValueError(f"p must be below 2**32, got {self.p}")
         validate_prime(self.p)
 
     def _check_element(self, shift, x):

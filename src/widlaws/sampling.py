@@ -19,8 +19,10 @@ in jump order; each integer coordinate by its own weighted bincount,
 cast to int64, exact while a sum stays below 2**53.  The samplers
 return the raw array form (angles, digit matrix, deepest angles);
 quadruplet_sampler wraps it in the group's batch type, which owns the
-batch's group product, its character means and its rows for the sample
-dump.
+batch's group product, its character means and its column reader for
+the sample dump: columns(lo, hi) returns the dump's fields for draws
+lo..hi-1 as numpy columns computed on that slice only, so the dump can
+be written in chunks without a per-draw form of the whole batch.
 
 A batch is read by many characters (one verification suite draws one
 batch), so every batch keeps the per-depth work of its character means
@@ -246,8 +248,9 @@ def sample_padic_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sample batches: combine, char_mean, and the sample dump's rows() (each
-# draw's CSV values) and record(row) (its JSON object)
+# sample batches: combine, char_mean, and the sample dump's columns(lo, hi)
+# (the CSV fields of draws lo..hi-1, one column each) and record(row) (one
+# draw's JSON object)
 
 # The largest |ell| read off cached powers; a larger one goes direct, so
 # the cost and the rounding of a row stay within MAX_POWER products.
@@ -288,8 +291,8 @@ class TorusSamples:
     def __len__(self):
         return len(self.angles)
 
-    def rows(self):
-        return ([a] for a in map(float, self.angles))
+    def columns(self, lo: int, hi: int) -> list:
+        return [self.angles[lo:hi]]
 
     @staticmethod
     def record(row) -> dict:
@@ -315,12 +318,13 @@ class PadicSamples:
     def __len__(self):
         return len(self.digits)
 
-    def rows(self):
-        return (row.tolist() for row in self.digits)
+    def columns(self, lo: int, hi: int) -> list:
+        """Digits 0..depth of draws lo..hi-1, one column per digit."""
+        return list(self.digits[lo:hi].T)
 
     @staticmethod
     def record(row) -> dict:
-        return {"digits": row}
+        return {"digits": list(row)}
 
     def combine(self, other: "PadicSamples") -> "PadicSamples":
         if self.p != other.p or self.digits.shape != other.digits.shape:
@@ -366,14 +370,16 @@ class SolenoidSamples:
     def __len__(self):
         return len(self.deep_angles)
 
-    def rows(self):
-        """(deepest angle, coordinate 0, ..., coordinate depth) per draw."""
-        columns = [self.deep_angles] + [
-            solenoid_coordinates(self.p, self.depth, self.deep_angles, j)
-            for j in range(self.depth + 1)
-        ]
-        # lazy float conversion: float lists per column cost 32 bytes a value
-        return zip(*(map(float, col) for col in columns))
+    def columns(self, lo: int, hi: int) -> list:
+        """Deepest angle, then coordinates 0..depth, of draws lo..hi-1.
+
+        The first column is the object of the last: coordinate depth is
+        the deepest angle bit for bit, since canonical_angle returns
+        canonical input unchanged.
+        """
+        deep = self.deep_angles[lo:hi]
+        coords = [solenoid_coordinates(self.p, self.depth, deep, j) for j in range(self.depth + 1)]
+        return [coords[-1], *coords]
 
     @staticmethod
     def record(row) -> dict:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import widlaws.groups
 from widlaws import (
     PadicInt,
     SolenoidPoint,
@@ -165,6 +166,40 @@ def test_is_prime_answers_by_type_in_either_call_order(float_first, q):
 
     for check in (as_float, as_integer) if float_first else (as_integer, as_float):
         check()
+
+
+def test_is_prime_decides_large_integers_at_once():
+    assert is_prime(2**61 - 1)
+    # strong pseudoprimes: to bases 2, 3, 5 and 7, and to the first 12 primes
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
+
+
+def test_is_prime_agrees_with_trial_division_below_10_to_5():
+    def trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial_division(n) for n in range(10**5))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: PadicInt(p, (1,)),
+        lambda p: SolenoidPoint(p, 0, 0.0),
+        lambda p: solenoid_from_lift(p, 0, 0.0, ()),
+    ],
+    ids=["PadicInt", "SolenoidPoint", "solenoid_from_lift"],
+)
+def test_constructors_refuse_p_of_2_to_32_or_more_before_the_primality_test(build, monkeypatch):
+    def primality_test(p):
+        raise AssertionError(f"primality test ran on p={p}")
+
+    monkeypatch.setattr(widlaws.groups, "_is_prime_int", primality_test)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        build(2**61 - 1)
 
 
 def test_padic_add_examples():
