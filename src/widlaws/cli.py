@@ -49,6 +49,10 @@ SCHEMA_VERSION = 1
 # The most draws one chunk of the sample dump holds: the dump is written
 # chunk by chunk, so its text never outgrows one chunk.
 CHUNK = 4096
+# A solenoid draw keeps one float deep angle, so coordinate 0 carries an
+# error near p**depth * 2**-51 rad; below this bound on p**depth that is
+# at most 2**-11 rad per unit of the character's ell.
+SOLENOID_DEPTH_BOUND = 2**40
 CSV_COLUMNS = ["character", "re_theory", "im_theory", "re_emp", "im_emp", "abs_err", "tol", "pass"]
 
 
@@ -124,6 +128,10 @@ def parse_config(doc):
     else:
         raise ConfigError("group", f"unknown group {group_name!r}")
     depth = _as_int("depth", _get(doc, "depth", 3), 0)
+    # depth >= 40 already puts p**depth over the bound; testing it first
+    # keeps a huge depth from building a huge power
+    if group_name == "solenoid" and (depth >= 40 or p**depth >= SOLENOID_DEPTH_BOUND):
+        raise ConfigError("depth", f"solenoid needs p**depth below 2**40, got {p}**{depth}")
 
     qraw = _get(doc, "quadruplet", required=True)
     if not isinstance(qraw, dict):

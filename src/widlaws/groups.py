@@ -229,7 +229,7 @@ class PadicInt:
         """The element with these digits, built without __post_init__.
 
         Only for callers that have already checked p and made digits a
-        nonempty tuple of Python ints in 0..p-1, such as padic_from_ints.
+        nonempty tuple of Python ints in 0..p-1, such as _carry.
         """
         x = object.__new__(cls)
         object.__setattr__(x, "p", p)
@@ -258,7 +258,7 @@ class PadicInt:
         return acc
 
     def is_identity(self) -> bool:
-        return all(d == 0 for d in self.digits)
+        return not any(self.digits)
 
 
 def _check_same_padic(x: PadicInt, y: PadicInt):
@@ -271,19 +271,25 @@ def _check_same_padic(x: PadicInt, y: PadicInt):
 def padic_add(x: PadicInt, y: PadicInt) -> PadicInt:
     """Carry addition base p, truncated at the last digit."""
     _check_same_padic(x, y)
-    return padic_from_ints(x.p, map(operator.add, x.digits, y.digits))
+    return _carry(x.p, map(operator.add, x.digits, y.digits))
 
 
 def padic_neg(x: PadicInt) -> PadicInt:
     """Additive inverse, truncated at the last digit."""
-    return padic_from_ints(x.p, map(operator.neg, x.digits))
+    return _carry(x.p, map(operator.neg, x.digits))
 
 
 def padic_mul_nat(k: int, x: PadicInt) -> PadicInt:
-    """k-fold sum of x with itself, for a nonnegative integer k."""
+    """k-fold sum of x with itself, for a nonnegative integer k.
+
+    k is read once through operator.index, so a float raises TypeError
+    and a numpy integer becomes an exact Python int before it multiplies
+    a digit (no int64 wraparound).
+    """
+    k = operator.index(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return padic_from_ints(x.p, [k * d for d in x.digits])
+    return _carry(x.p, [k * d for d in x.digits])
 
 
 def padic_from_ints(p: int, entries) -> PadicInt:
@@ -293,13 +299,21 @@ def padic_from_ints(p: int, entries) -> PadicInt:
     sum(entries[j] * p**j, j<=d) mod p**(d+1).  Entries may be negative;
     the map is a homomorphism from integer sequences under entrywise
     addition onto the p-adic integers.  entries may be any iterable of
-    integers, read once.
+    integers (numpy integers included), read once.  p is checked and
+    every entry converted with int() here; the carry itself is _carry,
+    which padic_add, padic_neg and padic_mul_nat share.
     """
     validate_prime(p)
+    return _carry(p, map(int, entries))
+
+
+def _carry(p, entries) -> PadicInt:
+    """The carry of padic_from_ints, trusting its input: p is a prime
+    already checked and entries an iterable of Python ints, read once."""
     base = int(p)
     out = []
     carry = 0
-    for t in map(int, entries):
+    for t in entries:
         t += carry
         carry = t // base
         out.append(t - carry * base)

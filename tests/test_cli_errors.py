@@ -91,6 +91,35 @@ def test_deep_solenoid_below_full_subgroup_still_verifies(tmp_path):
     assert len(rows) == 68 and all(r["pass"] for r in rows)
 
 
+# A solenoid draw keeps one float deep angle, whose error reaches
+# coordinate 0 times p**depth: at p = 3 the Haar demo fails rows from
+# depth 33, and from depth 41 the int64 powers of solenoid_lift_matrix
+# wrap.  p**depth >= 2**40 is refused before anything is drawn.
+@pytest.mark.parametrize("p,depth", [(3, 26), (3, 33), (3, 41), (2, 40), (2, 52)])
+def test_solenoid_depth_with_p_to_the_depth_of_2_to_40_or_more_names_depth(p, depth, capsys):
+    argv = ["haar-demo", "--group", "solenoid", "--p", str(p), "--depth", str(depth), "--samples", "100"]
+    assert main(argv) == 2
+    assert "field 'depth'" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as err:
+        parse_config(_deep_solenoid("full", 0.0, []) | {"p": p, "depth": depth})
+    assert err.value.field == "depth"
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_depth_override_past_the_solenoid_bound_names_depth(command, capsys):
+    config = str(pathlib.Path(__file__).parent / "data" / "golden" / "config-solenoid.json")
+    count = ["--samples", "10"] if command == "verify" else ["--count", "3"]
+    assert main([command, "--config", config, "--depth", "40"] + count) == 2
+    assert "field 'depth'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,depth", [(3, 25), (2, 39)])
+def test_solenoid_depth_just_below_the_bound_is_accepted(p, depth, capsys):
+    argv = ["haar-demo", "--group", "solenoid", "--p", str(p), "--depth", str(depth), "--samples", "2000"]
+    assert main(argv) == 0
+    assert "overall=PASS" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 """Group arithmetic: angle reduction, p-adic carries, solenoid towers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,47 @@ def test_padic_mul_nat_examples():
         padic_mul_nat(-1, x)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0])
+def test_padic_mul_nat_refuses_a_non_integer_k(k):
+    with pytest.raises(TypeError):
+        padic_mul_nat(k, PadicInt(3, (2, 1, 0, 0)))
+
+
+@pytest.mark.parametrize("k", [0, 5, 2**62, 2**63 - 1])
+def test_padic_mul_nat_reads_a_numpy_k_as_the_same_integer(k):
+    # a numpy k must not multiply the digits in int64 and wrap
+    x = PadicInt(3, (2, 1, 0, 0))
+    want = _expansion(3, k * x.to_int(), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert padic_mul_nat(k, x).digits == want
+        assert padic_mul_nat(np.int64(k), x).digits == want
+        assert padic_mul_nat(np.uint64(k), x).digits == want
+
+
+def _expansion(p, value, n):
+    """Base-p digits of value mod p**n, straight from the integers."""
+    value %= p**n
+    return tuple(value // p**j % p for j in range(n))
+
+
+def test_padic_scalar_ops_match_the_integers_at_p_2_to_31_minus_1():
+    # a prime no oracle trial uses; its digit products pass 2**62
+    p, n = 2**31 - 1, 6
+    rng = np.random.default_rng(109)
+    xs = rng.integers(0, p, size=(300, n)).tolist()
+    ys = rng.integers(0, p, size=(300, n)).tolist()
+    ks = rng.integers(0, 2**62, size=300).tolist()
+    for xd, yd, k in zip(xs, ys, ks):
+        x, y = PadicInt(p, tuple(xd)), PadicInt(p, tuple(yd))
+        u = sum(d * p**j for j, d in enumerate(xd))
+        v = sum(d * p**j for j, d in enumerate(yd))
+        assert padic_add(x, y).digits == _expansion(p, u + v, n)
+        assert padic_neg(x).digits == _expansion(p, -u, n)
+        assert padic_mul_nat(k, x).digits == _expansion(p, k * u, n)
+        assert padic_add(x, padic_neg(x)).is_identity()
+
+
 def test_padic_mul_by_p_kills_leading_digit():
     rng = np.random.default_rng(7)
     for p in (2, 3, 5):
@@ -321,6 +363,29 @@ def test_padic_from_ints_reads_any_iterable_like_a_list():
             assert all(type(d) is int for d in padic_from_ints(p, row).digits)
     with pytest.raises(ValueError):
         padic_from_ints(3, iter(()))
+
+
+def _agrees_with_exact_expansion(from_ints):
+    """from_ints(p, entries) is the base-p expansion of sum(e_j * p**j)
+    mod p**len(entries), on Python-int, numpy-int and negative entries."""
+    rng = np.random.default_rng(107)
+    for p in (2, 3, 5, 7, 2**31 - 1):
+        for row in rng.integers(-(10**12), 10**12, size=(40, 6)):
+            for entries in (row.tolist(), list(row), -np.abs(row)):
+                ints = [int(e) for e in entries]
+                want = _expansion(p, sum(e * p**j for j, e in enumerate(ints)), len(ints))
+                if from_ints(p, entries).digits != want:
+                    return False
+    return True
+
+
+def test_padic_from_ints_is_the_exact_expansion_of_its_entries():
+    assert _agrees_with_exact_expansion(padic_from_ints)
+
+    def drops_last_digit(p, entries):
+        return PadicInt(p, padic_from_ints(p, entries).digits[:-1] + (0,))
+
+    assert not _agrees_with_exact_expansion(drops_last_digit)
 
 
 @pytest.mark.parametrize("p,entries", [(4, [1, 2]), (1, [0]), (2.0, [1]), (True, [1]), (3, [])])

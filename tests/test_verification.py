@@ -239,14 +239,15 @@ def test_oracle_padic_arithmetic_catches_injected_bug(monkeypatch):
 
 
 def test_oracle_padic_arithmetic_catches_bug_in_the_shared_carry_routine(monkeypatch):
-    # add, neg and mul_nat all normalize through padic_from_ints; a routine
-    # that loses the last digit agrees with itself, not with the integers
-    real_from_ints = widlaws.groups.padic_from_ints
+    # add, neg and mul_nat all normalize through the private _carry that
+    # padic_from_ints also calls; a carry that loses the last digit agrees
+    # with itself, not with the integers
+    real_carry = widlaws.groups._carry
 
     def drops_last_digit(p, entries):
-        return PadicInt(p, real_from_ints(p, entries).digits[:-1] + (0,))
+        return PadicInt(p, real_carry(p, entries).digits[:-1] + (0,))
 
-    monkeypatch.setattr(widlaws.groups, "padic_from_ints", drops_last_digit)
+    monkeypatch.setattr(widlaws.groups, "_carry", drops_last_digit)
     assert not oracle_padic_arithmetic(300, seed=37)
 
 
