@@ -9,7 +9,9 @@ base-p digits U_1, U_2, ...: coordinate j is the angle
 
 The digits pick which of the p^j available p^j-th roots to use, uniformly,
 and the transform of the law is 0 at every nontrivial character, which
-pins it as Haar.  This script checks that numerically.
+pins it as Haar.  A batch keeps exactly that pair, the angle and the
+digits, and reads each coordinate off it.  This script checks the law
+numerically.
 """
 
 import math
@@ -17,21 +19,29 @@ import math
 import numpy as np
 
 from widlaws import (
+    EMPTY_LEVY,
+    Quadruplet,
+    Solenoid,
     SolenoidCharacter,
+    SolenoidPoint,
     SolenoidSamples,
+    SolenoidSubgroup,
     canonical_angle,
     char_mean,
     circular_distance,
     make_rng,
-    sample_solenoid_haar,
+    sample_solenoid_wid,
 )
 
 p, depth = 2, 3
 N = 100_000
 TOL = 4 / math.sqrt(N)
 
-deeps = sample_solenoid_haar(make_rng(99), p, depth, size=N)
-batch = SolenoidSamples(p, depth, deeps)
+haar = Quadruplet(
+    Solenoid(p), SolenoidSubgroup.full(), SolenoidPoint.identity(p, depth), 0.0, EMPTY_LEVY
+)
+batch = SolenoidSamples(p, depth, *sample_solenoid_wid(make_rng(99), haar, depth, N))
+deeps = batch.deep_angles
 
 # every retained coordinate pair satisfies the tower relation exactly
 coords = [canonical_angle(p ** (depth - j) * deeps) for j in range(depth + 1)]

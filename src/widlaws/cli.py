@@ -35,7 +35,7 @@ from .groups import (
     config_real,
 )
 from .measures import LevyMeasure, Quadruplet, validate_quadruplet
-from .sampling import check_jump_budget, make_rng, quadruplet_sampler
+from .sampling import check_digit_budget, check_jump_budget, make_rng, quadruplet_sampler
 from .verification import (
     check_compare_inequality,
     check_compatibility,
@@ -49,10 +49,6 @@ SCHEMA_VERSION = 1
 # The most draws one chunk of the sample dump holds: the dump is written
 # chunk by chunk, so its text never outgrows one chunk.
 CHUNK = 4096
-# A solenoid draw keeps one float deep angle, so coordinate 0 carries an
-# error near p**depth * 2**-51 rad; below this bound on p**depth that is
-# at most 2**-11 rad per unit of the character's ell.
-SOLENOID_DEPTH_BOUND = 2**40
 CSV_COLUMNS = ["character", "re_theory", "im_theory", "re_emp", "im_emp", "abs_err", "tol", "pass"]
 
 
@@ -128,10 +124,9 @@ def parse_config(doc):
     else:
         raise ConfigError("group", f"unknown group {group_name!r}")
     depth = _as_int("depth", _get(doc, "depth", 3), 0)
-    # depth >= 40 already puts p**depth over the bound; testing it first
-    # keeps a huge depth from building a huge power
-    if group_name == "solenoid" and (depth >= 40 or p**depth >= SOLENOID_DEPTH_BOUND):
-        raise ConfigError("depth", f"solenoid needs p**depth below 2**40, got {p}**{depth}")
+    samples = _as_int("samples", _get(doc, "samples", 100000), 1)
+    if not isinstance(group, Torus):
+        _field("depth", check_digit_budget, depth, samples)
 
     qraw = _get(doc, "quadruplet", required=True)
     if not isinstance(qraw, dict):
@@ -154,7 +149,6 @@ def parse_config(doc):
     quad = Quadruplet(group, subgroup, shift, b, levy)
     _field("quadruplet", validate_quadruplet, quad)
 
-    samples = _as_int("samples", _get(doc, "samples", 100000), 1)
     _field("quadruplet.eta", check_jump_budget, levy, samples)
     seed = _as_int("seed", _get(doc, "seed", 0), 0)
     tolerance_c = _as_real("tolerance_c", _get(doc, "tolerance_c", 4.0))
@@ -305,6 +299,8 @@ def cmd_sample(args) -> int:
     if count < 1:
         raise ConfigError("count", "must be >= 1")
     _field("quadruplet.eta", check_jump_budget, quad.levy, count)
+    if not isinstance(quad.group, Torus):
+        _field("depth", check_digit_budget, depth, count)
     sampler = quadruplet_sampler(quad, depth=depth)
     batch = sampler(make_rng(seed, stream=0), count)
     if _emit(_sample_lines(batch, args.format), args.out):

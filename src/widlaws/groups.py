@@ -4,7 +4,10 @@ characters, with each group's share of the math behind the laws.
 The three groups are the circle group (unit complex numbers under
 multiplication, stored as angles), the p-adic integers (base-p digit
 vectors under carry addition), and the p-adic solenoid (coherent towers
-of circle points, stored through their deepest retained coordinate).
+of circle points).  A scalar solenoid point is stored through its
+deepest retained coordinate; a batch of draws is stored as the quotient
+(R x Delta_p)/Z, a base angle in [-pi, pi) plus base-p digits, carried
+by the same digit normalization as the p-adic integers.
 Alongside the group arithmetic this module provides the homomorphisms
 that present the two profinite-flavored groups as quotients of products
 of subgroups of the real line, the canonical compact subgroups, and the
@@ -216,7 +219,8 @@ class PadicInt:
 
     def __post_init__(self):
         validate_prime(self.p)
-        digits = tuple(int(d) for d in self.digits)
+        # operator.index refuses a float instead of truncating it
+        digits = tuple(map(operator.index, self.digits))
         if len(digits) == 0:
             raise ValueError("p-adic element needs at least one digit")
         for d in digits:
@@ -300,11 +304,12 @@ def padic_from_ints(p: int, entries) -> PadicInt:
     the map is a homomorphism from integer sequences under entrywise
     addition onto the p-adic integers.  entries may be any iterable of
     integers (numpy integers included), read once.  p is checked and
-    every entry converted with int() here; the carry itself is _carry,
-    which padic_add, padic_neg and padic_mul_nat share.
+    every entry converted with operator.index here, so a float raises
+    TypeError; the carry itself is _carry, which padic_add, padic_neg
+    and padic_mul_nat share.
     """
     validate_prime(p)
-    return _carry(p, map(int, entries))
+    return _carry(p, map(operator.index, entries))
 
 
 def _carry(p, entries) -> PadicInt:
@@ -323,21 +328,23 @@ def _carry(p, entries) -> PadicInt:
     return PadicInt._normalized(p, tuple(out))
 
 
-def padic_digit_matrix(p: int, values: np.ndarray) -> np.ndarray:
+def padic_digit_matrix(p: int, values: np.ndarray, carry=0, out=None) -> np.ndarray:
     """Row-wise digit normalization of an integer matrix.
 
     Vectorized counterpart of padic_from_ints: values has shape
     (n, depth+1) with arbitrary-sign int64 entries; the result holds the
-    base-p digits of each row under the same prefix congruences.
+    base-p digits of each row under the same prefix congruences.  carry,
+    a scalar or one int64 per row, is added to digit 0, so the caller
+    need not copy values to add it (the solenoid lift's whole turns).
+    The digits go to out when given, which may be values itself: column
+    j is read before digit j is written.
     """
     values = np.asarray(values, dtype=np.int64)
-    out = np.empty_like(values)
-    carry = np.zeros(values.shape[0], dtype=np.int64)
+    if out is None:
+        out = np.empty_like(values)
     for j in range(values.shape[1]):
-        t = values[:, j] + carry
-        d = np.mod(t, p)
-        out[:, j] = d
-        carry = (t - d) // p
+        # floor quotient and remainder in one pass, the digit written in place
+        carry, _ = np.divmod(values[:, j] + carry, p, out=(None, out[:, j]))
     return out
 
 
@@ -376,6 +383,13 @@ class SolenoidPoint:
         validate_prime(self.p)
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
+        # coordinate 0 is the float p**depth * deep_angle, finite while
+        # p**depth * pi < 2**1023; depth >= 1021 needs no power built
+        if self.depth >= 1021 or self.p**self.depth >= 2**1021:
+            raise ValueError(
+                f"p**depth = {self.p}**{self.depth} is 2**1021 or more: coordinate 0 of a "
+                "deep angle, p**depth * deep_angle, is not a finite float"
+            )
         object.__setattr__(self, "deep_angle", canonical_angle(self.deep_angle))
 
     @staticmethod
@@ -413,34 +427,59 @@ def solenoid_project(x: SolenoidPoint, d: int) -> TorusPoint:
     return TorusPoint(x.coordinate_angle(d))
 
 
-def solenoid_lift_matrix(p, depth, y0, ints):
-    """Image of rows (y0, k1, k2, ...) of R x Z^depth under the covering
-    map: y0 shape (n,), ints shape (n, depth).
+def solenoid_lift_matrix(p, depth, y0, ints, out=None):
+    """Batch form of the rows (y0, k0, k1, ...) of R x Z^depth under the
+    covering map: y0 shape (n,), ints shape (n, depth).  The digits go
+    to out when given, as in padic_digit_matrix.
 
-    Coordinate j gets the angle
-    (y0 + 2pi*(k1 + k2*p + ... + kj*p**(j-1))) / p**j; the j = depth
-    case determines the rest, and is returned as canonical deepest
-    angles, shape (n,).  The map is a homomorphism in (y0, ints) under
-    entrywise addition.
+    Coordinate j of a row is (y0 + 2pi*(k0 + k1*p + ... + k(j-1)*p**(j-1)))
+    / p**j.  The row is stored as S_p = (R x Delta_p)/Z stores it: the
+    base angle theta0 = y0 - 2pi*n in [-pi, pi), with n moved into k0
+    through (t, x) ~ (t - n, x + n), and the base-p digits of the carried
+    integers.  Returns (theta0 shape (n,), digits shape (n, depth)); the
+    map is a homomorphism in (y0, ints) under entrywise addition.
     """
     y0 = np.asarray(y0, dtype=float)
-    total = y0.copy()
-    if depth > 0:
-        ints = np.asarray(ints, dtype=np.int64)
-        powers = p ** np.arange(depth, dtype=np.int64)
-        total = total + TWO_PI * (ints @ powers.astype(float))
-    return canonical_angle(total / p ** depth)
+    base = canonical_angle(y0)
+    turns = np.rint((y0 - base) / TWO_PI).astype(np.int64)
+    return base, padic_digit_matrix(p, ints, turns, out)
+
+
+def solenoid_tower(p: int, base, digits):
+    """Yield the coordinates 0, 1, ..., depth of the batch (base, digits)
+    as canonical angle columns.
+
+    Coordinate j is (theta0 + 2pi*(x mod p**j)) / p**j.  One Horner sweep
+    f <- (f + x_j) / p keeps f = (x mod p**j) / p**j in [0, 1), so
+    coordinate j = theta0 / p**j + 2pi*f adds two terms of size O(2pi)
+    and its error stays a few ulps at any depth.
+    """
+    frac = np.zeros(len(base))
+    yield base
+    for column in np.asarray(digits).T:
+        base = base / p
+        frac = (frac + column) / p
+        yield canonical_angle(base + TWO_PI * frac)
+
+
+def solenoid_coordinate(p: int, base, digits, j: int):
+    """Coordinate j of the batch (base, digits), swept through digit j-1."""
+    for column in solenoid_tower(p, base, digits[:, :j]):
+        pass
+    return column
 
 
 def solenoid_from_lift(p: int, depth: int, y0: float, ints) -> SolenoidPoint:
-    """The point solenoid_lift_matrix gives the single lift (y0, ints);
-    entries of ints past the first depth are ignored."""
+    """The point with the single lift (y0, ints) under the covering map of
+    solenoid_lift_matrix; entries of ints past the first depth are
+    ignored."""
     validate_prime(p)
     ints = tuple(int(k) for k in ints)
     if len(ints) < depth:
         raise ValueError(f"need at least {depth} integer entries, got {len(ints)}")
     row = np.array(ints[:depth], dtype=np.int64).reshape(1, depth)
-    return SolenoidPoint(p, depth, float(solenoid_lift_matrix(p, depth, [float(y0)], row)[0]))
+    base, digits = solenoid_lift_matrix(p, depth, [float(y0)], row)
+    return SolenoidPoint(p, depth, float(solenoid_coordinate(p, base, digits, depth)[0]))
 
 
 def solenoid_lift(x: SolenoidPoint):
@@ -923,6 +962,14 @@ class Solenoid(_PrimeGroup, _CircleTower):
         return {"trivial": SolenoidSubgroup.trivial(), "full": SolenoidSubgroup.full()}.get(kind)
 
     def parse_character(self, raw, depth) -> SolenoidCharacter:
+        """A [d, ell] pair.  The Gauss form b*ell**2 / p**(2d) divides by
+        the float p**(2d), so d with p**(2d) >= 2**1023 is refused; d <=
+        depth and the point form's p**depth < 2**1021 keep p**d finite."""
         chi = super().parse_character(raw, depth)
         check_angle_frequency(chi.ell)
+        if chi.d >= 512 or self.p ** (2 * chi.d) >= 2**1023:
+            raise ValueError(
+                f"character depth {chi.d} at p={self.p}: the Gauss form needs p**(2d) "
+                "below 2**1023"
+            )
         return chi

@@ -17,8 +17,11 @@ every jump's atom at once and sums the jump vectors per draw on
 R x Z^k: the real coordinates by one weighted bincount over the jumps,
 in jump order; each integer coordinate by its own weighted bincount,
 cast to int64, exact while a sum stays below 2**53.  The samplers
-return the raw array form (angles, digit matrix, deepest angles);
-quadruplet_sampler wraps it in the group's batch type, which owns the
+return the raw array form: angles on the circle, a digit matrix on the
+p-adic integers, and on the solenoid a pair of base angles in [-pi, pi)
+and base-p digits, wrapped and carried by solenoid_lift_matrix through
+the p-adic carry padic_digit_matrix.  quadruplet_sampler wraps the raw
+form in the group's batch type, which owns the
 batch's group product, its character means and its column reader for
 the sample dump: columns(lo, hi) returns the dump's fields for draws
 lo..hi-1 as numpy columns computed on that slice only, so the dump can
@@ -31,7 +34,8 @@ x mod p**(d+1) with their counts; a mean sums
 counts * exp(2 pi i ell r / p**(d+1)) over them, with each phase
 ell * r mod p**(d+1) taken exactly in Python ints, at every depth and
 batch size.  A circle batch caches, and a solenoid batch caches per
-depth d, its angle column theta with the list of the means of z**1 ...
+depth d (a column of one Horner sweep over the digits, solenoid_tower),
+its angle column theta with the list of the means of z**1 ...
 z**k taken so far, z = exp(i theta).  Asked with exact=False, a row
 with 1 <= |ell| <= MAX_POWER reads the mean of z**|ell| from that list
 (the conjugate for ell < 0, exactly 1 for ell = 0); an |ell| beyond the
@@ -63,9 +67,10 @@ from .groups import (
     canonical_angle,
     check_padic_character,
     padic_digit_matrix,
-    solenoid_coordinates,
+    solenoid_coordinate,
     solenoid_lift,
     solenoid_lift_matrix,
+    solenoid_tower,
     validate_prime,
 )
 from .measures import (
@@ -89,6 +94,24 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # its weights), so the cap keeps one batch's jump layer near 0.4 GB; the
 # stock fixtures draw about 1e5 jumps per batch.
 MAX_JUMPS = 10**7
+
+
+# The most base-p digits one p-adic or solenoid batch may hold, counted
+# as draws * (depth + 1).  A digit costs 8 bytes in the batch and as much
+# again in each working array of the draw and the carry, so the cap keeps
+# one batch near 0.3 GB; the stock configs and demos hold under 6e6.
+MAX_DIGITS = 10**7
+
+
+def check_digit_budget(depth: int, draws: int):
+    """Raise ValueError when `draws` draws of depth + 1 digits each hold
+    more than MAX_DIGITS digits in total."""
+    digits = draws * (depth + 1)
+    if digits > MAX_DIGITS:
+        raise ValueError(
+            f"{draws} draws of depth + 1 = {depth + 1} digits hold {digits} digits, "
+            f"above the cap of {MAX_DIGITS}"
+        )
 
 
 def check_jump_budget(levy, draws: int):
@@ -195,13 +218,13 @@ def sample_padic_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray:
     return padic_digit_matrix(p, totals)
 
 
-def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray:
-    """Draw deepest angles (coordinate index = depth) from a solenoid
-    quadruplet, shape (size,).
+def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int):
+    """Draw solenoid elements truncated at coordinate index depth, as the
+    pair (base angles shape (size,), base-p digits shape (size, depth)).
 
     With the trivial subgroup: lift the shift, add the Gauss layer to
     the real coordinate and a centered compound-Poisson draw to the
-    whole lift, then map back down.  With the full subgroup the Haar
+    whole lift, then wrap and carry.  With the full subgroup the Haar
     layer absorbs everything and the draw is pure Haar.
     """
     if not isinstance(q.group, Solenoid):
@@ -211,31 +234,38 @@ def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray
     validate_quadruplet(q)
     p = q.group.p
     if q.subgroup.whole:
-        return sample_solenoid_haar(rng, p, depth, size)
+        return _solenoid_haar(rng, p, depth, size)
     if q.shift.depth < depth:
         raise ValueError(f"shift carries coordinates 0..{q.shift.depth}, need 0..{depth}")
     t0, a_ints = solenoid_lift(q.shift)
     y0 = np.full(size, t0)
-    ints = np.array(a_ints[:depth], dtype=np.int64).reshape(1, depth)  # broadcast over draws
+    ints = np.broadcast_to(np.array(a_ints[:depth], dtype=np.int64), (size, depth))
     if q.gauss_b > 0:
         y0 = y0 + rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
     if not q.levy.is_empty():
         jr, ji = sample_compound_poisson(rng, pushforward_solenoid(q.levy, depth), size)
         y0 = y0 + jr - q.group.drift(q.levy)
-        ints = ints + ji
+        ji += ints  # in place: one (size, depth) matrix alive into the lift
+        ints = ji
     return solenoid_lift_matrix(p, depth, y0, ints)
 
 
-def sample_solenoid_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
-    """Haar draw on the solenoid: a uniform angle at the top of the tower
-    refined by uniform base-p digits down to the requested depth.
-    Returns deepest angles, shape (size,)."""
-    validate_prime(p)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+def _solenoid_haar(rng, p: int, depth: int, size: int):
+    """A uniform angle at the top of the tower refined by uniform base-p
+    digits down to the requested depth, as (base angles, digits)."""
     u0 = rng.uniform(0.0, TWO_PI, size=size)
     digits = rng.integers(0, p, size=(size, depth), dtype=np.int64)
     return solenoid_lift_matrix(p, depth, u0, digits)
+
+
+def sample_solenoid_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
+    """Haar draw on the solenoid.  Returns the deepest angles (coordinate
+    index = depth) of the exact draw, shape (size,)."""
+    validate_prime(p)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    base, digits = _solenoid_haar(rng, p, depth, size)
+    return solenoid_coordinate(p, base, digits, depth)
 
 
 def sample_padic_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
@@ -360,25 +390,34 @@ class PadicSamples:
 
 @dataclass(frozen=True)
 class SolenoidSamples:
-    """Solenoid draws, stored through their deepest angles, shape (n,)."""
+    """Solenoid draws as (R x Delta_p)/Z stores them: base angles theta0
+    in [-pi, pi), shape (n,), and base-p digits x, shape (n, depth).
+    Coordinate j is (theta0 + 2pi*(x mod p**j)) / p**j."""
 
     p: int
     depth: int
-    deep_angles: np.ndarray
+    base: np.ndarray
+    digits: np.ndarray
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
-        return len(self.deep_angles)
+        return len(self.base)
+
+    @property
+    def deep_angles(self) -> np.ndarray:
+        """Coordinate depth of every draw, shape (n,)."""
+        return self._column(self.depth)[0]
+
+    def _column(self, d: int):
+        """Coordinate d's angle column with its list of power means."""
+        if d not in self._cache:
+            self._cache[d] = (solenoid_coordinate(self.p, self.base, self.digits, d), [])
+        return self._cache[d]
 
     def columns(self, lo: int, hi: int) -> list:
-        """Deepest angle, then coordinates 0..depth, of draws lo..hi-1.
-
-        The first column is the object of the last: coordinate depth is
-        the deepest angle bit for bit, since canonical_angle returns
-        canonical input unchanged.
-        """
-        deep = self.deep_angles[lo:hi]
-        coords = [solenoid_coordinates(self.p, self.depth, deep, j) for j in range(self.depth + 1)]
+        """Deepest angle, then coordinates 0..depth, of draws lo..hi-1;
+        the first column is the object of the last."""
+        coords = list(solenoid_tower(self.p, self.base[lo:hi], self.digits[lo:hi]))
         return [coords[-1], *coords]
 
     @staticmethod
@@ -388,19 +427,17 @@ class SolenoidSamples:
     def combine(self, other: "SolenoidSamples") -> "SolenoidSamples":
         if self.p != other.p or self.depth != other.depth:
             raise ValueError("mismatched solenoid batches")
-        return SolenoidSamples(
-            self.p, self.depth, canonical_angle(self.deep_angles + other.deep_angles)
-        )
+        # carried in place: one new digit matrix beside the two batches
+        digits = self.digits + other.digits
+        pair = solenoid_lift_matrix(self.p, self.depth, self.base + other.base, digits, digits)
+        return SolenoidSamples(self.p, self.depth, *pair)
 
     def char_mean(self, chi, exact: bool = True) -> complex:
         if not isinstance(chi, SolenoidCharacter):
             raise TypeError("character/batch mismatch")
         if chi.d > self.depth:
             raise ValueError("character depth exceeds sample depth")
-        if chi.d not in self._cache:
-            column = solenoid_coordinates(self.p, self.depth, self.deep_angles, chi.d)
-            self._cache[chi.d] = (column, [])
-        return _angle_char_mean(*self._cache[chi.d], chi.ell, exact)
+        return _angle_char_mean(*self._column(chi.d), chi.ell, exact)
 
 
 def combine_samples(a, b):
@@ -426,7 +463,7 @@ _SAMPLERS = {
         q.group.p, sample_padic_wid(rng, q, depth, n)
     ),
     Solenoid: lambda q, depth, rng, n: SolenoidSamples(
-        q.group.p, depth, sample_solenoid_wid(rng, q, depth, n)
+        q.group.p, depth, *sample_solenoid_wid(rng, q, depth, n)
     ),
 }
 

@@ -8,6 +8,7 @@ import pytest
 
 import widlaws.cli
 import widlaws.groups
+import widlaws.sampling
 from widlaws.cli import ConfigError, main, parse_config
 
 
@@ -91,33 +92,91 @@ def test_deep_solenoid_below_full_subgroup_still_verifies(tmp_path):
     assert len(rows) == 68 and all(r["pass"] for r in rows)
 
 
-# A solenoid draw keeps one float deep angle, whose error reaches
-# coordinate 0 times p**depth: at p = 3 the Haar demo fails rows from
-# depth 33, and from depth 41 the int64 powers of solenoid_lift_matrix
-# wrap.  p**depth >= 2**40 is refused before anything is drawn.
-@pytest.mark.parametrize("p,depth", [(3, 26), (3, 33), (3, 41), (2, 40), (2, 52)])
-def test_solenoid_depth_with_p_to_the_depth_of_2_to_40_or_more_names_depth(p, depth, capsys):
-    argv = ["haar-demo", "--group", "solenoid", "--p", str(p), "--depth", str(depth), "--samples", "100"]
-    assert main(argv) == 2
-    assert "field 'depth'" in capsys.readouterr().err
-    with pytest.raises(ConfigError) as err:
-        parse_config(_deep_solenoid("full", 0.0, []) | {"p": p, "depth": depth})
-    assert err.value.field == "depth"
+# A solenoid batch keeps a base angle and base-p digits, and reads every
+# coordinate off them with an error of a few ulps at any depth.  One float
+# deep angle per draw put an error near p**depth * 2**-51 rad on
+# coordinate 0, and the Haar demo at the default 100,000 draws failed rows
+# at each of these depths.
+@pytest.mark.parametrize("p,depth", [(3, 33), (3, 34), (2, 52)])
+def test_solenoid_haar_demo_passes_where_the_float_deep_angle_failed(p, depth, capsys):
+    argv = ["haar-demo", "--group", "solenoid", "--p", str(p), "--depth", str(depth), "--seed", "0"]
+    assert main(argv) == 0
+    assert "overall=PASS" in capsys.readouterr().err
 
 
+# The golden config's shift 0.4 has no exact lift at depth 40: p**40 * 0.4
+# is no longer a float multiple of 2pi/p**40 away from a coherent tower.
 @pytest.mark.parametrize("command", ["verify", "sample"])
-def test_depth_override_past_the_solenoid_bound_names_depth(command, capsys):
+def test_depth_override_without_an_exact_lift_names_the_shift(command, capsys):
     config = str(pathlib.Path(__file__).parent / "data" / "golden" / "config-solenoid.json")
     count = ["--samples", "10"] if command == "verify" else ["--count", "3"]
     assert main([command, "--config", config, "--depth", "40"] + count) == 2
+    assert "field 'quadruplet.a'" in capsys.readouterr().err
+
+
+# A deep angle's coordinate 0 is the float p**depth * deep_angle, which
+# needs p**depth < 2**1021; past it the point itself is refused.
+def test_solenoid_point_past_the_float_range_names_its_field(capsys):
+    argv = ["haar-demo", "--group", "solenoid", "--p", "3", "--depth", "700", "--samples", "1000"]
+    assert main(argv) == 2
+    assert "field 'quadruplet.a'" in capsys.readouterr().err
+    doc = _deep_solenoid("full", 0.0, []) | {"depth": 700, "samples": 1000}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.field == "quadruplet.a"
+
+
+def test_solenoid_character_past_the_float_range_names_its_field():
+    # 2**600 < 2**1021 is a valid depth; the Gauss form divides by p**(2d)
+    doc = _deep_solenoid("full", 0.0, []) | {"p": 2, "depth": 600, "samples": 10}
+    assert parse_config(doc | {"characters": [[511, 1]]})[2][0].d == 511
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc | {"characters": [[0, 1], [512, 1]]})
+    assert err.value.field == "characters[1]"
+
+
+# A p-adic or solenoid draw holds depth + 1 digits; a run of more than
+# widlaws.sampling.MAX_DIGITS digits in total is refused before anything
+# is allocated or a point is parsed.
+def _digits_doc(group, depth, samples):
+    if group == "padic":
+        haar = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
+    else:
+        haar = {"H": {"kind": "full"}, "a": 0.0}
+    return {"group": group, "p": 2, "depth": depth, "samples": samples, "quadruplet": haar}
+
+
+@pytest.mark.parametrize("group", ["padic", "solenoid"])
+def test_draw_over_the_digit_cap_names_depth(group, monkeypatch, tmp_path, capsys):
+    def parse_point(*args):
+        raise AssertionError("a point was parsed before the digit cap was checked")
+
+    assert widlaws.sampling.MAX_DIGITS == 10**7
+    with pytest.raises(ConfigError) as err:
+        parse_config(_digits_doc(group, 1_000_000, 100_000))
+    assert err.value.field == "depth"
+    # exactly at the cap is accepted
+    assert parse_config(_digits_doc(group, 999, 10_000))[1] == 999
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(_digits_doc(group, 1_000_000, 100_000)))
+    monkeypatch.setattr(widlaws.groups.PadicIntegers, "parse_point", parse_point)
+    monkeypatch.setattr(widlaws.groups.Solenoid, "parse_point", parse_point)
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "field 'depth'" in capsys.readouterr().err
+    argv = ["haar-demo", "--group", group, "--p", "2", "--depth", "1000000"]
+    assert main(argv) == 2
     assert "field 'depth'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("p,depth", [(3, 25), (2, 39)])
-def test_solenoid_depth_just_below_the_bound_is_accepted(p, depth, capsys):
-    argv = ["haar-demo", "--group", "solenoid", "--p", str(p), "--depth", str(depth), "--samples", "2000"]
-    assert main(argv) == 0
-    assert "overall=PASS" in capsys.readouterr().err
+@pytest.mark.parametrize("group", ["padic", "solenoid"])
+def test_sample_count_over_the_digit_cap_names_depth(group, tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(_digits_doc(group, 999, 10)))
+    out = tmp_path / "draws.csv"
+    assert main(["sample", "--config", str(cfg), "--count", "10", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 10
+    assert main(["sample", "--config", str(cfg), "--count", "10001"]) == 2
+    assert "field 'depth'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

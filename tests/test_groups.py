@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from widlaws import (
     torus_inverse,
     torus_mul,
 )
-from widlaws.groups import padic_digit_matrix, validate_prime
+from widlaws import SolenoidSamples
+from widlaws.groups import (
+    padic_digit_matrix,
+    solenoid_coordinate,
+    solenoid_lift_matrix,
+    validate_prime,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -388,6 +395,21 @@ def test_padic_from_ints_is_the_exact_expansion_of_its_entries():
     assert not _agrees_with_exact_expansion(drops_last_digit)
 
 
+def test_padic_constructors_refuse_non_integer_digits():
+    # int() would truncate 1.7 to 1 and -0.5 to 0 and give a wrong element
+    with pytest.raises(TypeError):
+        PadicInt(3, (1.7, 2.2))
+    with pytest.raises(TypeError):
+        PadicInt(3, (1.0, 2))
+    with pytest.raises(TypeError):
+        padic_from_ints(3, [2.5, -0.5])
+    with pytest.raises(TypeError):
+        padic_from_ints(3, np.array([2.0, 1.0]))
+    # numpy integers are still read as the same Python ints
+    assert PadicInt(3, tuple(np.array([1, 2], dtype=np.int64))).digits == (1, 2)
+    assert padic_from_ints(3, np.array([2, -1], dtype=np.int64)).digits == (2, 2)
+
+
 @pytest.mark.parametrize("p,entries", [(4, [1, 2]), (1, [0]), (2.0, [1]), (True, [1]), (3, [])])
 def test_padic_from_ints_rejects_non_prime_and_empty_entries(p, entries):
     with pytest.raises(ValueError):
@@ -509,3 +531,65 @@ def test_solenoid_coordinates_batch_matches_scalar_bits():
                 batch = solenoid_coordinates(p, depth, deeps, j)
                 scalar = [canonical_angle(p ** (depth - j) * float(x)) for x in deeps]
                 assert np.array_equal(batch.view(np.int64), np.array(scalar).view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# solenoid batches: a base angle plus base-p digits
+
+_PI = Fraction(math.pi)
+
+
+def _exact_coordinate(p, y0, ints, j):
+    """Coordinate j of the lift (y0, ints), (y0 + 2pi*sum(k_i p**i, i<j))
+    / p**j reduced into [-pi, pi), in exact rationals (pi is the float pi,
+    as in the library)."""
+    value = (Fraction(y0) + 2 * _PI * sum(k * p**i for i, k in enumerate(ints[:j]))) / p**j
+    turns = math.floor((value + _PI) / (2 * _PI))
+    return float(value - 2 * _PI * turns)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(25, 60),
+    st.data(),
+)
+def test_deep_solenoid_batch_coordinates_match_exact_rationals(p, depth, data):
+    rows = data.draw(st.integers(1, 3))
+    y0 = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=rows, max_size=rows))
+    entry = st.integers(-3 * p, 3 * p)
+    ints = data.draw(
+        st.lists(st.lists(entry, min_size=depth, max_size=depth), min_size=rows, max_size=rows)
+    )
+    base, digits = solenoid_lift_matrix(p, depth, y0, ints)
+    assert np.all((base >= -math.pi) & (base < math.pi))
+    assert digits.shape == (rows, depth) and np.all((digits >= 0) & (digits < p))
+    batch = SolenoidSamples(p, depth, base, digits)
+    deep, *coords = batch.columns(0, rows)
+    assert deep is coords[-1]
+    for i in range(rows):
+        for j, column in enumerate(coords):
+            want = _exact_coordinate(p, y0[i], ints[i], j)
+            assert circular_distance(column[i], want) <= 1e-12, (i, j)
+
+
+def test_solenoid_batch_reads_one_sweep_for_every_view():
+    # deep_angles, the char_mean column and the dump columns agree bit for bit
+    rng = np.random.default_rng(1414)
+    p, depth = 3, 45
+    base, digits = solenoid_lift_matrix(
+        p, depth, rng.uniform(-9.0, 9.0, size=200), rng.integers(-5, 5, size=(200, depth))
+    )
+    batch = SolenoidSamples(p, depth, base, digits)
+    columns = batch.columns(0, 200)
+    assert np.array_equal(batch.deep_angles, columns[0])
+    for d in (0, 1, 17, depth):
+        assert np.array_equal(solenoid_coordinate(p, base, digits, d), columns[d + 1])
+
+
+def test_solenoid_point_refuses_a_depth_past_the_float_range():
+    # coordinate 0 of a deep angle is the float p**depth * deep_angle
+    x = SolenoidPoint(2, 1020, 3.0)
+    assert math.isfinite(x.coordinate_angle(0))
+    for p, depth in ((2, 1021), (3, 700), (2, 10**9)):
+        with pytest.raises(ValueError, match="not a finite float"):
+            SolenoidPoint(p, depth, 0.0)

@@ -3,9 +3,11 @@
 Each case dumps 2 * CHUNK + 3 draws, so the output crosses two chunk
 boundaries, and compares it with text built here one draw at a time from
 the same batch (the goldens stop at 20 draws, inside the first chunk).
+The last test draws, combines and dumps a solenoid batch at depth 45.
 """
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -15,7 +17,7 @@ import pytest
 
 from widlaws import cli
 from widlaws.cli import CHUNK, load_config, main, parse_config
-from widlaws.groups import solenoid_coordinates
+from widlaws.groups import SolenoidCharacter, solenoid_tower
 from widlaws.sampling import PadicSamples, SolenoidSamples, make_rng, quadruplet_sampler
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -34,10 +36,10 @@ def _reference_records(batch):
         for row in batch.digits:
             yield row.tolist(), {"digits": row.tolist()}
     elif isinstance(batch, SolenoidSamples):
-        deep = batch.deep_angles
-        coords = [solenoid_coordinates(batch.p, batch.depth, deep, j) for j in range(batch.depth + 1)]
+        # one sweep over the whole batch, not chunk by chunk
+        coords = list(solenoid_tower(batch.p, batch.base, batch.digits))
         for i in range(len(batch)):
-            row = [float(deep[i])] + [float(col[i]) for col in coords]
+            row = [float(batch.deep_angles[i])] + [float(col[i]) for col in coords]
             yield row, {"deep_angle": row[0], "coordinates": row[1:]}
     else:
         for a in batch.angles:
@@ -89,3 +91,43 @@ def test_reader_closing_stdout_early_ends_quietly(fmt):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 0, err
     assert "Traceback" not in err and "wrote" not in err, err
+
+
+def test_deep_solenoid_batch_samples_combines_and_dumps(tmp_path, capsys):
+    # p**45 ~ 3e21: far past where one float deep angle kept coordinate 0
+    p, depth = 3, 45
+    doc = {
+        "group": "solenoid",
+        "p": p,
+        "depth": depth,
+        "samples": 4000,
+        "seed": 7,
+        "quadruplet": {"H": {"kind": "trivial"}, "a": 0.0, "b": 0.3},
+    }
+    quad = parse_config(doc)[0]
+    sampler = quadruplet_sampler(quad, depth=depth)
+    batch = sampler(make_rng(7, 0), 4000).combine(sampler(make_rng(7, 1), 4000))
+    assert batch.digits.shape == (4000, depth)
+    # the product of two Gauss(0.3) draws is Gauss(0.6): coordinate d has
+    # variance 0.6 / p**(2d)
+    for d, ell in ((0, 1), (1, 2), (depth, 1)):
+        want = math.exp(-0.6 * ell**2 / p ** (2 * d) / 2)
+        got = batch.char_mean(SolenoidCharacter(d, ell))
+        assert abs(got - want) <= 4 / math.sqrt(4000), (d, ell)
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps(doc))
+    for fmt in ("csv", "jsonl"):
+        assert main(["sample", "--config", str(config), "--count", "50", "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 50
+        for line in lines:
+            if fmt == "csv":
+                deep, *coords = map(float, line.split(","))
+            else:
+                record = json.loads(line)
+                deep, coords = record["deep_angle"], record["coordinates"]
+            assert len(coords) == depth + 1 and coords[-1] == deep
+            assert all(-math.pi <= c < math.pi for c in coords)
+            for j in range(depth):
+                turns = (p * coords[j + 1] - coords[j]) / (2 * math.pi)
+                assert abs(turns - round(turns)) <= 1e-9

@@ -42,12 +42,11 @@ from widlaws import (
     sample_compound_poisson,
     sample_padic_haar,
     sample_padic_wid,
-    sample_solenoid_haar,
     sample_solenoid_wid,
     sample_torus_wid,
-    solenoid_coordinates,
     trivial_quadruplet,
 )
+from widlaws.groups import solenoid_coordinate
 
 N = 100_000
 
@@ -288,7 +287,8 @@ def test_padic_gen_poisson_block():
 
 def test_solenoid_trivial_quadruplet_is_identity():
     q = trivial_quadruplet(Solenoid(2), depth=3)
-    assert np.all(sample_solenoid_wid(make_rng(23), q, 3, size=100) == 0.0)
+    base, digits = sample_solenoid_wid(make_rng(23), q, 3, size=100)
+    assert np.all(base == 0.0) and digits.shape == (100, 3) and np.all(digits == 0)
 
 
 def test_solenoid_gauss_block():
@@ -306,18 +306,24 @@ def test_solenoid_shift_only_reproduces_the_point():
     p = 2
     a = SolenoidPoint(p, 3, 1.234)
     q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), a, 0.0, EMPTY_LEVY)
-    out = sample_solenoid_wid(make_rng(25), q, 3, size=50)
-    assert np.all(circular_distance(out, a.deep_angle) <= 1e-12)
+    batch = SolenoidSamples(p, 3, *sample_solenoid_wid(make_rng(25), q, 3, size=50))
+    assert np.all(circular_distance(batch.deep_angles, a.deep_angle) <= 1e-12)
     for j in range(4):
-        coords = solenoid_coordinates(p, 3, out, j)
+        coords = solenoid_coordinate(p, batch.base, batch.digits, j)
         assert np.all(circular_distance(coords, a.coordinate_angle(j)) <= 1e-12)
 
 
-def test_solenoid_haar_block():
-    from widlaws import SolenoidSamples
+def _solenoid_haar_batch(rng, p, depth, n):
+    """n Haar draws on the solenoid, through the full-subgroup sampler."""
+    q = Quadruplet(
+        Solenoid(p), SolenoidSubgroup.full(), SolenoidPoint.identity(p, depth), 0.0, EMPTY_LEVY
+    )
+    return SolenoidSamples(p, depth, *sample_solenoid_wid(rng, q, depth, n))
 
+
+def test_solenoid_haar_block():
     p, depth = 2, 3
-    sampler = lambda rng, n: SolenoidSamples(p, depth, sample_solenoid_haar(rng, p, depth, size=n))
+    sampler = lambda rng, n: _solenoid_haar_batch(rng, p, depth, n)
     for stream, (d, ell) in enumerate(((0, 1), (1, 2), (3, 3), (0, 2), (0, 3))):
         emp = empirical_cf(sampler, SolenoidCharacter(d, ell), N, make_rng(26, stream))
         assert abs(emp) <= mc_tol(N)
@@ -451,12 +457,12 @@ def test_padic_char_mean_is_bit_equal_on_a_batch_stacked_twice(p, d):
 def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():
     # the cached coordinate column gives the bits a fresh batch gives
     p, depth = 3, 3
-    deep = sample_solenoid_haar(make_rng(47), p, depth, size=1000)
-    shared = SolenoidSamples(p, depth, deep)
+    shared = _solenoid_haar_batch(make_rng(47), p, depth, 1000)
     for d in range(depth + 1):
         for ell in (-4, 1, 5):
             chi = SolenoidCharacter(d, ell)
-            assert char_mean(shared, chi) == char_mean(SolenoidSamples(p, depth, deep), chi)
+            fresh = SolenoidSamples(p, depth, shared.base, shared.digits)
+            assert char_mean(shared, chi) == char_mean(fresh, chi)
     assert sorted(shared._cache) == list(range(depth + 1))
 
 
@@ -470,11 +476,13 @@ def _power_cases():
     q = Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint(0.5), 0.3, eta)
     torus = TorusSamples(sample_torus_wid(make_rng(71), q, size=5000))
     p, depth = 3, 3
-    deep = sample_solenoid_haar(make_rng(73), p, depth, size=5000)
-    columns = [(d, solenoid_coordinates(p, depth, deep, d)) for d in range(depth + 1)]
+    solenoid = _solenoid_haar_batch(make_rng(73), p, depth, 5000)
+    columns = [
+        (d, solenoid_coordinate(p, solenoid.base, solenoid.digits, d)) for d in range(depth + 1)
+    ]
     return [
         (torus, TorusCharacter, [(0, torus.angles)]),
-        (SolenoidSamples(p, depth, deep), SolenoidCharacter, columns),
+        (solenoid, SolenoidCharacter, columns),
     ]
 
 
