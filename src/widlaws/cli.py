@@ -45,7 +45,7 @@ from .verification import (
     run_suite,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # The most draws one chunk of the sample dump holds: the dump is written
 # chunk by chunk, so its text never outgrows one chunk.
 CHUNK = 4096

@@ -4,10 +4,10 @@ characters, with each group's share of the math behind the laws.
 The three groups are the circle group (unit complex numbers under
 multiplication, stored as angles), the p-adic integers (base-p digit
 vectors under carry addition), and the p-adic solenoid (coherent towers
-of circle points).  A scalar solenoid point is stored through its
-deepest retained coordinate; a batch of draws is stored as the quotient
-(R x Delta_p)/Z, a base angle in [-pi, pi) plus base-p digits, carried
-by the same digit normalization as the p-adic integers.
+of circle points).  A solenoid point, and each row of a batch of
+draws, is stored as the quotient (R x Delta_p)/Z stores it: a base
+angle in [-pi, pi) plus base-p digits, carried by the same digit
+normalization as the p-adic integers.
 Alongside the group arithmetic this module provides the homomorphisms
 that present the two profinite-flavored groups as quotients of products
 of subgroups of the real line, the canonical compact subgroups, and the
@@ -265,16 +265,17 @@ class PadicInt:
         return not any(self.digits)
 
 
-def _check_same_padic(x: PadicInt, y: PadicInt):
+def _check_same(x, y):
+    """Raise ValueError unless x and y share their prime and digit count."""
     if x.p != y.p:
         raise ValueError(f"mismatched primes: {x.p} vs {y.p}")
     if len(x.digits) != len(y.digits):
-        raise ValueError(f"mismatched digit lengths: {len(x.digits)} vs {len(y.digits)}")
+        raise ValueError(f"mismatched digit lengths: depth {x.depth} vs {y.depth}")
 
 
 def padic_add(x: PadicInt, y: PadicInt) -> PadicInt:
     """Carry addition base p, truncated at the last digit."""
-    _check_same_padic(x, y)
+    _check_same(x, y)
     return _carry(x.p, map(operator.add, x.digits, y.digits))
 
 
@@ -365,61 +366,65 @@ def solenoid_coordinates(p: int, depth: int, deep_angles, j: int):
     return canonical_angle(p ** (depth - j) * deep_angles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolenoidPoint:
-    """A solenoid element truncated at coordinate index `depth`.
-
-    Only the deepest retained coordinate's angle is stored; coordinate j
-    (0 <= j <= depth) is recovered as p**(depth-j) * deep_angle mod 2pi,
-    so the tower relation (coordinate j) = (coordinate j+1)**p holds by
-    construction.
+    """A solenoid element truncated at coordinate index depth, stored as a
+    batch row: a base angle in [-pi, pi) and depth base-p digits (Python
+    ints).  SolenoidPoint(p, depth, deep_angle) is the image of the real
+    p**depth * deep_angle, whose coordinate depth has angle deep_angle.
     """
 
     p: int
-    depth: int
-    deep_angle: float
+    base: float
+    digits: tuple
 
-    def __post_init__(self):
-        validate_prime(self.p)
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
-        # coordinate 0 is the float p**depth * deep_angle, finite while
+    def __init__(self, p: int, depth: int, deep_angle: float):
+        validate_prime(p)
+        # the real p**depth * deep_angle is a finite float while
         # p**depth * pi < 2**1023; depth >= 1021 needs no power built
-        if self.depth >= 1021 or self.p**self.depth >= 2**1021:
+        if depth >= 1021 or p**depth >= 2**1021:
             raise ValueError(
-                f"p**depth = {self.p}**{self.depth} is 2**1021 or more: coordinate 0 of a "
+                f"p**depth = {p}**{depth} is 2**1021 or more: coordinate 0 of a "
                 "deep angle, p**depth * deep_angle, is not a finite float"
             )
-        object.__setattr__(self, "deep_angle", canonical_angle(self.deep_angle))
+        y0 = p**depth * canonical_angle(deep_angle)
+        self.__dict__.update(vars(solenoid_from_lift(p, depth, y0, [0] * depth)))
+
+    @property
+    def depth(self) -> int:
+        return len(self.digits)
+
+    @property
+    def deep_angle(self) -> float:
+        return self.coordinate_angle(self.depth)
 
     @staticmethod
     def identity(p: int, depth: int) -> "SolenoidPoint":
         return SolenoidPoint(p, depth, 0.0)
 
     def coordinate_angle(self, j: int) -> float:
+        """(base + 2pi*(x mod p**j)) / p**j in solenoid_tower's float
+        operations, so a point and a batch row give the same bits."""
         if not 0 <= j <= self.depth:
             raise ValueError(f"coordinate index {j} outside 0..{self.depth}")
-        return solenoid_coordinates(self.p, self.depth, self.deep_angle, j)
+        base, frac = self.base, 0.0
+        for digit in self.digits[:j]:
+            base /= self.p
+            frac = (frac + digit) / self.p
+        return canonical_angle(base + TWO_PI * frac) if j else self.base
 
     def is_identity(self) -> bool:
-        return self.deep_angle == 0.0
-
-
-def _check_same_solenoid(a: SolenoidPoint, b: SolenoidPoint):
-    if a.p != b.p:
-        raise ValueError(f"mismatched primes: {a.p} vs {b.p}")
-    if a.depth != b.depth:
-        raise ValueError(f"mismatched depths: {a.depth} vs {b.depth}")
+        return self.base == 0.0 and not any(self.digits)
 
 
 def solenoid_mul(a: SolenoidPoint, b: SolenoidPoint) -> SolenoidPoint:
-    """Componentwise product; it suffices to add the deepest angles."""
-    _check_same_solenoid(a, b)
-    return SolenoidPoint(a.p, a.depth, a.deep_angle + b.deep_angle)
+    """Group product: add the base angles and the digits, then wrap and carry."""
+    _check_same(a, b)
+    return solenoid_from_lift(a.p, a.depth, a.base + b.base, map(operator.add, a.digits, b.digits))
 
 
 def solenoid_inverse(a: SolenoidPoint) -> SolenoidPoint:
-    return SolenoidPoint(a.p, a.depth, -a.deep_angle)
+    return solenoid_from_lift(a.p, a.depth, -a.base, map(operator.neg, a.digits))
 
 
 def solenoid_project(x: SolenoidPoint, d: int) -> TorusPoint:
@@ -472,14 +477,17 @@ def solenoid_coordinate(p: int, base, digits, j: int):
 def solenoid_from_lift(p: int, depth: int, y0: float, ints) -> SolenoidPoint:
     """The point with the single lift (y0, ints) under the covering map of
     solenoid_lift_matrix; entries of ints past the first depth are
-    ignored."""
+    ignored.  The turns of y0 are carried as Python ints: nothing wraps."""
     validate_prime(p)
-    ints = tuple(int(k) for k in ints)
-    if len(ints) < depth:
-        raise ValueError(f"need at least {depth} integer entries, got {len(ints)}")
-    row = np.array(ints[:depth], dtype=np.int64).reshape(1, depth)
-    base, digits = solenoid_lift_matrix(p, depth, [float(y0)], row)
-    return SolenoidPoint(p, depth, float(solenoid_coordinate(p, base, digits, depth)[0]))
+    ints = [int(k) for k in ints][:depth]
+    if not 0 <= depth == len(ints):
+        raise ValueError(f"need depth >= 0 and {depth} integer entries, got {len(ints)}")
+    base = canonical_angle(y0)
+    if depth:
+        ints[0] += round((y0 - base) / TWO_PI)
+    x = object.__new__(SolenoidPoint)
+    x.__dict__.update(p=p, base=base, digits=_carry(p, ints).digits if depth else ())
+    return x
 
 
 def solenoid_lift(x: SolenoidPoint):
@@ -488,7 +496,7 @@ def solenoid_lift(x: SolenoidPoint):
 
     Reconstructing through solenoid_from_lift returns x.  The increments
     are integers up to float rounding; a residual above 1e-6 means the
-    stored angles do not form a coherent tower.
+    angles do not form a coherent tower.  Only tests call it, as a reference.
     """
     angles = [x.coordinate_angle(j) for j in range(x.depth + 1)]
     ints = []
@@ -690,13 +698,12 @@ def check_angle_frequency(ell: int) -> int:
 class _Group:
     """What every group descriptor provides.
 
-    Each descriptor sets name, point_type, subgroup_type, character_type
-    and shift_key (the report's key for the shift, also the point field
-    it echoes), and implements quadratic_form(b, chi), pairing(x, chi)
+    Each descriptor sets name, point_type, subgroup_type and
+    character_type, and implements quadratic_form(b, chi), pairing(x, chi)
     (the centering pairing g), drift(eta) (the local-mean drift),
     _annihilates, point_mass(depth) (the trivial subgroup and the
-    identity), subgroup_is_trivial, default_characters, describe_subgroup
-    and the config parsers parse_point(raw, depth, subgroup),
+    identity), subgroup_is_trivial, default_characters, describe_subgroup,
+    describe_point and the config parsers parse_point(raw, depth, subgroup),
     parse_subgroup(kind, order) and parse_character(raw, depth).  The
     parsers raise ValueError and leave naming the config field to the
     caller; parse_subgroup returns None for a kind the group lacks and
@@ -726,16 +733,13 @@ class _Group:
     def _check_element(self, shift, x):
         """Raise ValueError unless x shares the group's p and the shift's depth."""
 
-    def describe_point(self, x):
-        return getattr(x, self.shift_key)
-
     def describe(self, q) -> dict:
-        """JSON-ready echo of a quadruplet on this group."""
+        """JSON-ready echo of a quadruplet; the shift echoes its fields but p."""
         return {
             "group": self.name,
             **dataclasses.asdict(self),
             "H": self.describe_subgroup(q.subgroup),
-            "a": {self.shift_key: self.describe_point(q.shift)},
+            "a": {k: v for k, v in dataclasses.asdict(q.shift).items() if k != "p"},
             "b": q.gauss_b,
             "eta": [{"point": self.describe_point(pt), "mass": m} for pt, m in q.levy.atoms],
         }
@@ -783,7 +787,6 @@ class Torus(_CircleTower):
     point_type = TorusPoint
     subgroup_type = TorusSubgroup
     character_type = TorusCharacter
-    shift_key = "angle"
 
     def scale(self, chi) -> int:
         return 1
@@ -802,6 +805,9 @@ class Torus(_CircleTower):
         if subgroup.order is None:
             return {"kind": "full"}
         return {"kind": "cyclic", "r": subgroup.order}
+
+    def describe_point(self, x) -> float:
+        return x.angle
 
     def parse_point(self, raw, depth, subgroup) -> TorusPoint:
         return TorusPoint(config_real(raw))
@@ -825,10 +831,20 @@ class _PrimeGroup(_Group):
         validate_prime(self.p)
 
     def _check_element(self, shift, x):
-        if shift.p != self.p or x.p != self.p:
+        if x.p != self.p:
             raise ValueError("element prime does not match the group")
-        if x.depth != shift.depth:
-            raise ValueError(self._depth_mismatch)
+        _check_same(shift, x)
+
+    def _parse_digits(self, raw, count) -> list:
+        """A list of at most count digits in 0..p-1, zero-padded to count."""
+        if not isinstance(raw, list):
+            raise ValueError("expected a list of digits")
+        digits = [config_int(d) for d in raw]
+        if len(digits) > count:
+            raise ValueError(f"more than {count} digits")
+        if any(not 0 <= d < self.p for d in digits):
+            raise ValueError(f"digits {raw} not all in 0..{self.p - 1}")
+        return digits + [0] * (count - len(digits))
 
     def parse_character(self, raw, depth):
         if not (isinstance(raw, list) and len(raw) == 2):
@@ -852,8 +868,6 @@ class PadicIntegers(_PrimeGroup):
     point_type = PadicInt
     subgroup_type = PadicSubgroup
     character_type = PadicCharacter
-    shift_key = "digits"
-    _depth_mismatch = "p-adic elements must share their digit length"
 
     def quadratic_form(self, b: float, chi) -> float:
         return 0.0
@@ -903,12 +917,7 @@ class PadicIntegers(_PrimeGroup):
 
     def parse_point(self, raw, depth, subgroup) -> PadicInt:
         """A digit list, zero-padded to depth+1 digits."""
-        if not isinstance(raw, list):
-            raise ValueError("expected a list of digits")
-        digits = [config_int(d) for d in raw]
-        if len(digits) > depth + 1:
-            raise ValueError(f"more than depth+1 = {depth + 1} digits")
-        return PadicInt(self.p, tuple(digits + [0] * (depth + 1 - len(digits))))
+        return PadicInt(self.p, tuple(self._parse_digits(raw, depth + 1)))
 
     def parse_subgroup(self, kind, order):
         return PadicSubgroup(order(0)) if kind == "lambda" else None
@@ -927,14 +936,16 @@ class Solenoid(_PrimeGroup, _CircleTower):
     point_type = SolenoidPoint
     subgroup_type = SolenoidSubgroup
     character_type = SolenoidCharacter
-    shift_key = "deep_angle"
-    _depth_mismatch = "solenoid elements must share their depth"
 
     def scale(self, chi) -> int:
+        """p**d, after checking p**(2d) < 2**1023: the Gauss form
+        b*ell**2 / p**(2d) divides by the float p**(2d)."""
+        if chi.d >= 512 or self.p ** (2 * chi.d) >= 2**1023:
+            raise ValueError(f"character depth {chi.d} at p={self.p}: needs p**(2d) below 2**1023")
         return self.p ** chi.d
 
     def base_angle(self, x) -> float:
-        return x.coordinate_angle(0)
+        return x.base
 
     def point_mass(self, depth: int):
         return SolenoidSubgroup.trivial(), SolenoidPoint.identity(self.p, depth)
@@ -947,29 +958,31 @@ class Solenoid(_PrimeGroup, _CircleTower):
     def describe_subgroup(self, subgroup) -> dict:
         return {"kind": "full" if subgroup.whole else "trivial"}
 
+    def describe_point(self, x) -> dict:
+        return {"base": x.base, "digits": list(x.digits)}
+
     def parse_point(self, raw, depth, subgroup) -> SolenoidPoint:
-        """A deepest angle.  Below the whole subgroup the sampler lifts the
-        point to R x Z^depth, so the lift is checked here."""
-        x = SolenoidPoint(self.p, depth, config_real(raw))
-        if not subgroup.whole:
-            try:
-                solenoid_lift(x)
-            except ValueError as exc:
-                raise ValueError(f"no exact lift at p={self.p}, depth={depth}: {exc}") from exc
+        """{"base": a finite real, "digits": at most depth digits}, or a
+        deep angle phi, the image of the real p**depth * phi.  Below the
+        whole subgroup the sampler reads that real, so phi is refused once
+        its rounding, half an ulp, can exceed 1e-6 turns."""
+        if isinstance(raw, dict):
+            if set(raw) != {"base", "digits"}:
+                raise ValueError("expected an object with the keys 'base' and 'digits' only")
+            digits = self._parse_digits(raw["digits"], depth)
+            return solenoid_from_lift(self.p, depth, config_real(raw["base"]), digits)
+        phi = canonical_angle(config_real(raw))
+        x = SolenoidPoint(self.p, depth, phi)
+        if not subgroup.whole and math.ulp(self.p**depth * phi) > 4e-6 * math.pi:
+            raise ValueError(f"ulp(p**depth * phi) > 4pi*1e-6 at depth {depth}; give base, digits")
         return x
 
     def parse_subgroup(self, kind, order):
         return {"trivial": SolenoidSubgroup.trivial(), "full": SolenoidSubgroup.full()}.get(kind)
 
     def parse_character(self, raw, depth) -> SolenoidCharacter:
-        """A [d, ell] pair.  The Gauss form b*ell**2 / p**(2d) divides by
-        the float p**(2d), so d with p**(2d) >= 2**1023 is refused; d <=
-        depth and the point form's p**depth < 2**1021 keep p**d finite."""
+        """A [d, ell] pair inside check_angle_frequency and scale."""
         chi = super().parse_character(raw, depth)
         check_angle_frequency(chi.ell)
-        if chi.d >= 512 or self.p ** (2 * chi.d) >= 2**1023:
-            raise ValueError(
-                f"character depth {chi.d} at p={self.p}: the Gauss form needs p**(2d) "
-                "below 2**1023"
-            )
+        self.scale(chi)
         return chi

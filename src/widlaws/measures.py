@@ -16,8 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .groups import solenoid_lift
-
 _IDENTITY_MESSAGE = "Levy measure must satisfy η({e})=0: atom at the identity"
 
 
@@ -213,40 +211,27 @@ def pushforward_torus(eta: LevyMeasure) -> LatticeMeasure:
     return LatticeMeasure(0, tuple((pt.angle, (), m) for pt, m in eta.atoms))
 
 
-def pushforward_padic(eta: LevyMeasure, n: int) -> LatticeMeasure:
-    """Image on Z^(n+1) under the digit-prefix map x -> (x_0, ..., x_n).
-
-    Atoms whose prefix is all zero map to the origin and are dropped;
-    the remaining mass is exactly the mass outside the depth-(n+1)
-    zero-prefix subgroup.
-    """
+def _prefixes(eta: LevyMeasure, n: int, width: int, real) -> LatticeMeasure:
+    """Image on R x Z^width under x -> (real(x), first width digits of x)
+    of atoms of depth n or more, less the atoms it maps to the origin."""
     if n < 0:
         raise ValueError("prefix depth must be >= 0")
     atoms = []
     for pt, m in eta.atoms:
         if n > pt.depth:
-            raise ValueError(
-                f"prefix depth {n} exceeds atom depth {pt.depth}"
-            )
-        prefix = pt.digits[: n + 1]
-        if any(d != 0 for d in prefix):
-            atoms.append((0.0, prefix, m))
-    return LatticeMeasure(n + 1, tuple(atoms))
+            raise ValueError(f"prefix depth {n} exceeds atom depth {pt.depth}")
+        x, prefix = real(pt), pt.digits[:width]
+        if x != 0.0 or any(prefix):
+            atoms.append((x, prefix, m))
+    return LatticeMeasure(width, tuple(atoms))
+
+
+def pushforward_padic(eta: LevyMeasure, n: int) -> LatticeMeasure:
+    """Image on Z^(n+1) under the digit-prefix map x -> (x_0, ..., x_n);
+    its mass is the mass outside the depth-(n+1) zero-prefix subgroup."""
+    return _prefixes(eta, n, n + 1, lambda pt: 0.0)
 
 
 def pushforward_solenoid(eta: LevyMeasure, n: int) -> LatticeMeasure:
-    """Image on R x Z^n under the canonical lift truncated at index n.
-
-    Atoms lifting to the origin of R x Z^n are dropped.
-    """
-    if n < 0:
-        raise ValueError("lift depth must be >= 0")
-    atoms = []
-    for pt, m in eta.atoms:
-        if n > pt.depth:
-            raise ValueError(f"lift depth {n} exceeds atom depth {pt.depth}")
-        y0, ints = solenoid_lift(pt)
-        ints = ints[:n]
-        if y0 != 0.0 or any(k != 0 for k in ints):
-            atoms.append((y0, ints, m))
-    return LatticeMeasure(n, tuple(atoms))
+    """Image on R x Z^n under x -> (base angle, first n digits of x)."""
+    return _prefixes(eta, n, n, lambda pt: pt.base)

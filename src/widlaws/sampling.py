@@ -68,7 +68,6 @@ from .groups import (
     check_padic_character,
     padic_digit_matrix,
     solenoid_coordinate,
-    solenoid_lift,
     solenoid_lift_matrix,
     solenoid_tower,
     validate_prime,
@@ -222,10 +221,10 @@ def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int):
     """Draw solenoid elements truncated at coordinate index depth, as the
     pair (base angles shape (size,), base-p digits shape (size, depth)).
 
-    With the trivial subgroup: lift the shift, add the Gauss layer to
-    the real coordinate and a centered compound-Poisson draw to the
-    whole lift, then wrap and carry.  With the full subgroup the Haar
-    layer absorbs everything and the draw is pure Haar.
+    With the trivial subgroup: broadcast the shift's (base, digits), add
+    the Gauss layer to the real coordinate and a centered compound-Poisson
+    draw to the whole lift, then wrap and carry.  With the full subgroup
+    the Haar layer absorbs everything and the draw is pure Haar.
     """
     if not isinstance(q.group, Solenoid):
         raise ValueError("quadruplet is not on the solenoid")
@@ -237,9 +236,8 @@ def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int):
         return _solenoid_haar(rng, p, depth, size)
     if q.shift.depth < depth:
         raise ValueError(f"shift carries coordinates 0..{q.shift.depth}, need 0..{depth}")
-    t0, a_ints = solenoid_lift(q.shift)
-    y0 = np.full(size, t0)
-    ints = np.broadcast_to(np.array(a_ints[:depth], dtype=np.int64), (size, depth))
+    y0 = np.full(size, q.shift.base)
+    ints = np.broadcast_to(np.array(q.shift.digits[:depth], dtype=np.int64), (size, depth))
     if q.gauss_b > 0:
         y0 = y0 + rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
     if not q.levy.is_empty():
@@ -399,6 +397,10 @@ class SolenoidSamples:
     base: np.ndarray
     digits: np.ndarray
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if np.ndim(self.base) != 1 or np.shape(self.digits) != (len(self.base), self.depth):
+            raise ValueError(f"need a 1-D base and digits of shape (len(base), {self.depth})")
 
     def __len__(self):
         return len(self.base)

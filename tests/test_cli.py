@@ -2,10 +2,15 @@
 
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
-from widlaws.cli import main
+import numpy as np
+
+from widlaws.cli import main, parse_config
+from widlaws.groups import canonical_angle
+from widlaws.sampling import make_rng, quadruplet_sampler
 
 TORUS_CFG = {
     "group": "torus",
@@ -61,7 +66,7 @@ def test_verify_passes_and_writes_versioned_report(tmp_path, capsys):
     code = main(["verify", "--config", cfg, "--out", str(out), "--csv", str(csv_path)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["overall_pass"] is True
     assert len(doc["rows"]) == 17
     assert doc["config"]["samples"] == 5000
@@ -172,7 +177,7 @@ def test_selftest_small_run(tmp_path):
     code = main(["selftest", "--samples", "4000", "--seed", "2", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["overall_pass"] is True
     assert [c["name"] for c in doc["selftest"]] == [
         "padic-arithmetic-oracle",
@@ -242,3 +247,51 @@ def test_machine_output_is_byte_identical_across_processes(tmp_path):
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout
     assert len(r1.stdout) > 0
+
+
+# A solenoid point in a config may be given exactly, as the batch row
+# (base angle, digits) it is stored as.
+def _exact_point_mass(p, depth, seed):
+    digits = np.random.default_rng(seed).integers(0, p, size=depth).tolist()
+    a = {"base": 2.5, "digits": digits}
+    return {"group": "solenoid", "p": p, "depth": depth, "quadruplet": {"H": {"kind": "trivial"}, "a": a}}
+
+
+def test_exact_point_mass_at_depth_45_is_drawn_and_read_bit_for_bit(tmp_path):
+    doc = _exact_point_mass(3, 45, 45)
+    doc["characters"] = [[0, 1], [1, -2], [20, 5], [44, -7], [45, 1], [45, 8]]
+    quad, depth, _, _, seed, _ = parse_config(doc)
+    assert list(quad.shift.digits) == doc["quadruplet"]["a"]["digits"]
+    batch = quadruplet_sampler(quad, depth)(make_rng(seed), 1000)
+    for j, column in enumerate(batch.columns(0, len(batch))[1:]):
+        assert np.all(column == quad.shift.coordinate_angle(j)), j
+    # every draw is the point, so a row's one-draw mean is chi(a) itself
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", write_cfg(tmp_path, doc), "--samples", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 6 and all(row["abs_err"] == 0.0 for row in rows)
+
+
+def test_exact_point_carries_the_whole_turns_of_its_base():
+    doc = _exact_point_mass(3, 1, 0)
+    doc["quadruplet"]["a"] = {"base": 7.0, "digits": [2]}
+    shift = parse_config(doc)[0].shift
+    assert shift.base == canonical_angle(7.0) and shift.digits == (0,)
+    doc = _exact_point_mass(5, 0, 0)
+    doc["quadruplet"]["a"] = {"base": 7.0, "digits": []}
+    shift = parse_config(doc)[0].shift
+    assert shift.base == canonical_angle(7.0) and shift.digits == ()
+
+
+def test_verify_echo_fed_back_as_a_config_reproduces_the_report(tmp_path):
+    golden = pathlib.Path(__file__).parent / "data" / "golden" / "config-solenoid.json"
+    deep = write_cfg(tmp_path, _exact_point_mass(3, 40, 40) | {"seed": 3}, "deep.json")
+    for config in (str(golden), deep):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["verify", "--config", config, "--samples", "2000", "--out", str(first)]) == 0
+        echo = json.loads(first.read_text())["config"]
+        assert set(echo["quadruplet"]["a"]) == {"base", "digits"}
+        quad = echo["quadruplet"]
+        cfg = write_cfg(tmp_path, echo | {"group": quad["group"], "p": quad["p"]}, "echo.json")
+        assert main(["verify", "--config", cfg, "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()

@@ -2,6 +2,7 @@
 named, before any sampling starts."""
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -415,3 +416,64 @@ def test_default_padic_set_over_10_to_5_is_refused_before_it_is_built(monkeypatc
 def test_default_padic_set_at_p_17_still_parses():
     # 17 + 17**2 + 17**3 + 17**4 = 88,740 characters, under 10**5
     assert len(parse_config(_padic_haar(17, 3))[2]) == 88740
+
+
+# A float deep angle phi names the real p**depth * phi, which the sampler
+# reads below the whole subgroup; phi is refused once ulp(p**depth * phi)
+# exceeds 4pi * 1e-6.  At p = 2, depth 40 the bound falls at |phi| = 2**-4.
+@pytest.mark.parametrize("field", ["quadruplet.a", "quadruplet.eta[0].point"])
+def test_deep_angle_bound_is_closed_form(field):
+    def doc(phi, kind="trivial"):
+        a, eta = (phi, []) if field == "quadruplet.a" else (0.0, [{"point": phi, "mass": 0.5}])
+        quadruplet = {"H": {"kind": kind}, "a": a, "eta": eta}
+        return {"group": "solenoid", "p": 2, "depth": 40, "samples": 10, "quadruplet": quadruplet}
+
+    below = math.nextafter(2**-4, 0.0)
+    for phi in (below, -below):
+        parse_config(doc(phi))
+    for phi in (2**-4, -(2**-4)):
+        with pytest.raises(ConfigError, match="4pi") as err:
+            parse_config(doc(phi))
+        assert err.value.field == field
+        parse_config(doc(phi, "full"))
+
+
+def _exact_solenoid(point, field):
+    a, eta = {"base": 0.4, "digits": [1, 2, 0]}, [{"point": {"base": 1.0, "digits": [2]}, "mass": 0.3}]
+    if field == "quadruplet.a":
+        a = point
+    else:
+        eta.append({"point": point, "mass": 0.2})
+    quadruplet = {"H": {"kind": "trivial"}, "a": a, "b": 0.1, "eta": eta}
+    return {"group": "solenoid", "p": 3, "depth": 3, "quadruplet": quadruplet}
+
+
+@pytest.mark.parametrize(
+    "point,message",
+    [
+        ({"base": 0.4, "digits": [0, 1, 0, 1]}, "more than 3 digits"),
+        ({"base": 0.4, "digits": [0, 3]}, "not all in 0..2"),
+        ({"base": 0.4, "digits": [-1]}, "not all in 0..2"),
+        ({"base": 0.4, "digits": 12}, "list of digits"),
+        ({"base": float("inf"), "digits": []}, "non-finite"),
+        ({"base": float("nan"), "digits": [1]}, "non-finite"),
+        ({"base": True, "digits": []}, "expected a number"),
+        ({"base": 0.4, "digits": [], "deep_angle": 0.1}, "'base' and 'digits' only"),
+        ({"digits": [1]}, "'base' and 'digits' only"),
+    ],
+)
+@pytest.mark.parametrize("field", ["quadruplet.a", "quadruplet.eta[1].point"])
+def test_malformed_exact_solenoid_point_names_its_field(point, message, field, tmp_path, capsys):
+    cfg = tmp_path / "exact.json"
+    cfg.write_text(json.dumps(_exact_solenoid(point, field)))
+    assert main(["verify", "--config", str(cfg), "--samples", "10"]) == 2
+    err = capsys.readouterr().err
+    assert f"field '{field}'" in err and message in err
+
+
+def test_exact_solenoid_point_at_depth_0_verifies(tmp_path):
+    doc = _exact_solenoid({"base": 0.4, "digits": []}, "quadruplet.a") | {"depth": 0}
+    doc["quadruplet"]["eta"] = [{"point": {"base": 1.0, "digits": []}, "mass": 0.3}]
+    cfg = tmp_path / "depth0.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--samples", "2000"]) == 0

@@ -23,6 +23,7 @@ from widlaws import (
     padic_neg,
     solenoid_coordinates,
     solenoid_from_lift,
+    solenoid_inverse,
     solenoid_lift,
     solenoid_mul,
     solenoid_project,
@@ -584,6 +585,79 @@ def test_solenoid_batch_reads_one_sweep_for_every_view():
     assert np.array_equal(batch.deep_angles, columns[0])
     for d in (0, 1, 17, depth):
         assert np.array_equal(solenoid_coordinate(p, base, digits, d), columns[d + 1])
+
+
+def test_solenoid_samples_refuse_mismatched_shapes():
+    # three digits at depth 5 used to read coordinate 3 as the deep angle
+    with pytest.raises(ValueError, match="shape"):
+        SolenoidSamples(2, 5, np.array([0.5]), np.array([[1, 0, 1]]))
+    with pytest.raises(ValueError, match="shape"):
+        SolenoidSamples(2, 1, np.zeros((2, 1)), np.zeros((2, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        SolenoidSamples(2, 1, np.zeros(3), np.zeros((2, 1), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# solenoid points: one batch row (base, digits)
+
+def _digit_value(x):
+    """The digits of x as the integer sum(x_i * p**i), without the carry."""
+    return sum(d * x.p**i for i, d in enumerate(x.digits))
+
+
+@pytest.mark.parametrize("p,depth", [(3, 25), (3, 40), (2, 60)])
+def test_solenoid_from_lift_keeps_coordinate_0_bit_for_bit(p, depth):
+    # a float deep angle in between read coordinate 0 as -0.93 at (3, 40)
+    rng = np.random.default_rng(depth)
+    for _ in range(20):
+        digits = rng.integers(0, p, size=depth).tolist()
+        x = solenoid_from_lift(p, depth, 0.4, digits)
+        assert x.coordinate_angle(0) == 0.4
+        assert x.digits == tuple(digits)
+
+
+def test_solenoid_point_reads_its_coordinates_as_a_batch_row_does():
+    rng = np.random.default_rng(4545)
+    p, depth, n = 3, 45, 40
+    base, digits = rng.uniform(-math.pi, math.pi, size=n), rng.integers(0, p, size=(n, depth))
+    columns = SolenoidSamples(p, depth, base, digits).columns(0, n)
+    for i in range(n):
+        x = solenoid_from_lift(p, depth, base[i], digits[i])
+        assert x.deep_angle == columns[0][i]
+        assert [x.coordinate_angle(j) for j in range(depth + 1)] == [c[i] for c in columns[1:]]
+
+
+def test_solenoid_from_lift_carries_whole_turns_as_python_ints():
+    # about 1.6e299 turns: an int64 holds none of them
+    x = solenoid_from_lift(3, 40, 1e300, [0] * 40)
+    assert x.base == canonical_angle(1e300)
+    assert _digit_value(x) == round((1e300 - x.base) / TWO_PI) % 3**40
+    x = solenoid_from_lift(3, 2, 0.5 - TWO_PI, [2**70, 0])
+    assert x.base == canonical_angle(0.5 - TWO_PI)
+    assert _digit_value(x) == (2**70 - 1) % 9
+    with pytest.raises(ValueError, match="integer entries"):
+        solenoid_from_lift(3, 2, 0.0, [1])
+    with pytest.raises(ValueError, match="depth >= 0"):
+        solenoid_from_lift(3, -1, 0.0, [])
+
+
+def test_solenoid_mul_and_inverse_are_exact_at_depth_60():
+    rng = np.random.default_rng(60)
+    p, depth = 3, 60
+
+    def point(base):
+        return solenoid_from_lift(p, depth, base, rng.integers(0, p, size=depth).tolist())
+
+    bases = [-math.pi, 0.0, *rng.uniform(-math.pi, math.pi, size=30)]
+    for b0, b1 in zip(bases, reversed(bases)):
+        x, y = point(b0), point(b1)
+        assert solenoid_mul(x, solenoid_inverse(x)).is_identity()
+        # the digit sum, plus the turn that wrapping base + base may carry
+        total = x.base + y.base
+        turns = round((total - canonical_angle(total)) / TWO_PI)
+        got = solenoid_mul(x, y)
+        assert got.base == canonical_angle(total)
+        assert _digit_value(got) == (_digit_value(x) + _digit_value(y) + turns) % p**depth
 
 
 def test_solenoid_point_refuses_a_depth_past_the_float_range():

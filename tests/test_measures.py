@@ -143,6 +143,15 @@ def test_ft_gauss_examples():
     assert got == pytest.approx(math.exp(-9 / 32), rel=1e-15)
 
 
+def test_solenoid_gauss_form_past_the_float_range_is_a_value_error():
+    # p**(2d) >= 2**1023 used to raise OverflowError from the float division
+    with pytest.raises(ValueError, match="2\\*\\*1023"):
+        ft_gauss(Solenoid(3), 0.1, SolenoidCharacter(400, 1))
+    with pytest.raises(ValueError, match="2\\*\\*1023"):
+        Solenoid(3).pairing(SolenoidPoint(3, 3, 0.5), SolenoidCharacter(700, 1))
+    assert Solenoid(2).scale(SolenoidCharacter(511, 1)) == 2**511
+
+
 def test_ft_compound_poisson_examples():
     assert ft_compound_poisson(EMPTY_LEVY, TorusCharacter(3)) == 1
     theta, lam = 0.8, 1.7
