@@ -116,13 +116,18 @@ def canonical_angle(x):
         out = (a + math.pi) % TWO_PI - math.pi
         return out - TWO_PI if out >= math.pi else out
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite angle")
-    out = np.mod(arr + np.pi, TWO_PI) - np.pi
-    out = np.where(out >= np.pi, out - TWO_PI, out)
-    # keep already-canonical inputs bitwise unchanged (makes the map
-    # idempotent instead of round-tripping through the mod)
-    out = np.where((arr >= -np.pi) & (arr < np.pi), arr, out)
+    # a non-finite entry is never inside, so an all-inside array is finite
+    inside = (arr >= -np.pi) & (arr < np.pi)
+    if inside.all():
+        out = arr.copy()
+    else:
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("non-finite angle")
+        out = np.mod(arr + np.pi, TWO_PI) - np.pi
+        out = np.where(out >= np.pi, out - TWO_PI, out)
+        # keep already-canonical inputs bitwise unchanged (makes the map
+        # idempotent instead of round-tripping through the mod)
+        out = np.where(inside, arr, out)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -236,8 +241,7 @@ class PadicInt:
         nonempty tuple of Python ints in 0..p-1, such as _carry.
         """
         x = object.__new__(cls)
-        object.__setattr__(x, "p", p)
-        object.__setattr__(x, "digits", digits)
+        x.__dict__.update(p=p, digits=digits)
         return x
 
     @property
@@ -338,14 +342,25 @@ def padic_digit_matrix(p: int, values: np.ndarray, carry=0, out=None) -> np.ndar
     a scalar or one int64 per row, is added to digit 0, so the caller
     need not copy values to add it (the solenoid lift's whole turns).
     The digits go to out when given, which may be values itself: column
-    j is read before digit j is written.
+    j is read before digit j is written.  Otherwise they go to a new
+    column-major matrix, so each digit column is contiguous for this
+    sweep and for every later reader of one digit (residues, towers).
+
+    Each column takes t = value + carry, carry = t // p and digit
+    t - p * carry, the floor quotient and remainder of divmod, in two
+    work vectors of n entries reused across the columns.
     """
     values = np.asarray(values, dtype=np.int64)
+    n, width = values.shape
     if out is None:
-        out = np.empty_like(values)
-    for j in range(values.shape[1]):
-        # floor quotient and remainder in one pass, the digit written in place
-        carry, _ = np.divmod(values[:, j] + carry, p, out=(None, out[:, j]))
+        out = np.empty((n, width), dtype=np.int64, order="F")
+    total, quotient = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for j in range(width):
+        np.add(values[:, j], carry, out=total)
+        carry = np.floor_divide(total, p, out=quotient)
+        digit = out[:, j]
+        np.multiply(carry, p, out=digit)
+        np.subtract(total, digit, out=digit)
     return out
 
 

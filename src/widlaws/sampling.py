@@ -36,9 +36,10 @@ ell * r mod p**(d+1) taken exactly in Python ints, at every depth and
 batch size.  A circle batch caches, and a solenoid batch caches per
 depth d (a column of one Horner sweep over the digits, solenoid_tower),
 its angle column theta with the list of the means of z**1 ...
-z**k taken so far, z = exp(i theta).  Asked with exact=False, a row
-with 1 <= |ell| <= MAX_POWER reads the mean of z**|ell| from that list
-(the conjugate for ell < 0, exactly 1 for ell = 0); an |ell| beyond the
+z**k taken so far, z = exp(i theta).  A row with ell = 0 is exactly
+1 + 0j on either path and touches nothing.  Asked with exact=False, a
+row with 1 <= |ell| <= MAX_POWER reads the mean of z**|ell| from that
+list (the conjugate for ell < 0); an |ell| beyond the
 list re-sweeps z, z*z, ... from z up to |ell|, so the mean depends only
 on (batch, d, |ell|), never on which rows asked first.  Rows asked with
 exact=True (the default, and the engine's choice for rows whose closed
@@ -131,14 +132,16 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int):
     Atom selection walks a precomputed cumulative mass table by binary
     search over uniforms.  Returns (real part, integer part): floats of
     shape (n,) and an int64 matrix of shape (n, k).  The empty measure
-    yields the origin and consumes nothing.  Raises ValueError, before
+    yields the origin and consumes nothing.  The integer part is
+    column-major, one contiguous column per coordinate, like the digit
+    matrices it is carried into.  Raises ValueError, before
     anything per jump is allocated, when the drawn jump total exceeds
     MAX_JUMPS.
     """
     n = int(size)
     k = measure.int_dim
     if len(measure.atoms) == 0:
-        return np.zeros(n), np.zeros((n, k), dtype=np.int64)
+        return np.zeros(n), np.zeros((n, k), dtype=np.int64, order="F")
     atom_real = np.array([x for x, _, _ in measure.atoms])
     atom_ints = np.array([ki for _, ki, _ in measure.atoms], dtype=np.int64).reshape(
         len(measure.atoms), k
@@ -152,13 +155,13 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int):
         raise ValueError(f"{jumps:.3g} Poisson jumps drawn, above the cap of {MAX_JUMPS}")
     jumps = int(jumps)
     if jumps == 0:
-        return np.zeros(n), np.zeros((n, k), dtype=np.int64)
+        return np.zeros(n), np.zeros((n, k), dtype=np.int64, order="F")
     cum = np.cumsum(masses) / total
     picks = np.searchsorted(cum, rng.random(jumps), side="right")
     picks = np.minimum(picks, len(masses) - 1)
     owner = np.repeat(np.arange(n), counts)
     reals = np.bincount(owner, weights=atom_real[picks], minlength=n)
-    ints = np.empty((n, k), dtype=np.int64)
+    ints = np.empty((n, k), dtype=np.int64, order="F")
     for j in range(k):
         ints[:, j] = np.bincount(owner, weights=atom_ints[picks, j], minlength=n)
     return reals, ints
@@ -206,7 +209,9 @@ def sample_padic_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray:
     width = depth + 1
     if q.shift.depth < depth:
         raise ValueError(f"shift carries digits 0..{q.shift.depth}, need 0..{depth}")
-    totals = np.zeros((size, width), dtype=np.int64)
+    # column-major for the carry; the draw keeps the C order that fixes
+    # which digit gets which random number, and is copied in
+    totals = np.zeros((size, width), dtype=np.int64, order="F")
     start = min(q.subgroup.zero_digits, width)
     if start < width:
         totals[:, start:] = rng.integers(0, p, size=(size, width - start), dtype=np.int64)
@@ -294,10 +299,11 @@ def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> 
     > k.  Only z and the current power are alive during a sweep.
     """
     k = abs(ell)
+    if k == 0:
+        # the mean of N exact ones is exactly 1, on either path
+        return 1 + 0j
     if exact or k > MAX_POWER:
         return complex(np.exp(1j * canonical_angle(ell * column)).mean())
-    if k == 0:
-        return 1 + 0j
     if k > len(means):
         z = np.exp(1j * column)
         power = z.copy()
@@ -357,7 +363,9 @@ class PadicSamples:
     def combine(self, other: "PadicSamples") -> "PadicSamples":
         if self.p != other.p or self.digits.shape != other.digits.shape:
             raise ValueError("mismatched p-adic batches")
-        return PadicSamples(self.p, padic_digit_matrix(self.p, self.digits + other.digits))
+        # carried in place: one new digit matrix beside the two batches
+        digits = self.digits + other.digits
+        return PadicSamples(self.p, padic_digit_matrix(self.p, digits, out=digits))
 
     def char_mean(self, chi, exact: bool = True) -> complex:
         """exact is accepted for the common signature: every p-adic mean

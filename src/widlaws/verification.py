@@ -290,20 +290,19 @@ def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int
             for values, want in ((xb + yb, sums), (-xb, negs), (kb[:, None] * xb, mults)):
                 if list(map(tuple, groups.padic_digit_matrix(p, values).tolist())) != want:
                     return False
-            rows = zip(xb.tolist(), yb.tolist(), kb.tolist())
-            for (xd, yd, k), s, n, m in zip(rows, sums, negs, mults):
-                # rng.integers(0, p) digits of a checked prime need no re-check
-                x = groups.PadicInt._normalized(p, tuple(xd))
-                y = groups.PadicInt._normalized(p, tuple(yd))
-                if groups.padic_add(x, y).digits != s:
-                    return False
-                neg = groups.padic_neg(x)
-                if neg.digits != n:
-                    return False
-                if not groups.padic_add(x, neg).is_identity():
-                    return False
-                if groups.padic_mul_nat(k, x).digits != m:
-                    return False
-                if groups.padic_mul_nat(p, x).digits[0] != 0:
-                    return False
+            # the scalar arithmetic, one whole block per check;
+            # rng.integers(0, p) digits of a checked prime need no re-check
+            x = [groups.PadicInt._normalized(p, tuple(d)) for d in xb.tolist()]
+            y = [groups.PadicInt._normalized(p, tuple(d)) for d in yb.tolist()]
+            neg = list(map(groups.padic_neg, x))
+            if [z.digits for z in map(groups.padic_add, x, y)] != sums:
+                return False
+            if [z.digits for z in neg] != negs:
+                return False
+            if not all(z.is_identity() for z in map(groups.padic_add, x, neg)):
+                return False
+            if [z.digits for z in map(groups.padic_mul_nat, kb.tolist(), x)] != mults:
+                return False
+            if any(groups.padic_mul_nat(p, z).digits[0] for z in x):
+                return False
     return True

@@ -1,6 +1,9 @@
 """Group arithmetic: angle reduction, p-adic carries, solenoid towers."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -10,17 +13,27 @@ from hypothesis import given, strategies as st
 
 import widlaws.groups
 from widlaws import (
+    EMPTY_LEVY,
+    LevyMeasure,
     PadicInt,
+    PadicIntegers,
+    PadicSubgroup,
+    Quadruplet,
+    Solenoid,
     SolenoidPoint,
+    SolenoidSubgroup,
     TorusPoint,
     canonical_angle,
     circular_distance,
     is_prime,
+    make_rng,
     padic_add,
     padic_from_ints,
     padic_in_subgroup,
     padic_mul_nat,
     padic_neg,
+    sample_padic_wid,
+    sample_solenoid_wid,
     solenoid_coordinates,
     solenoid_from_lift,
     solenoid_inverse,
@@ -30,6 +43,7 @@ from widlaws import (
     torus_from_angle,
     torus_inverse,
     torus_mul,
+    trivial_quadruplet,
 )
 from widlaws import SolenoidSamples
 from widlaws.groups import (
@@ -140,6 +154,29 @@ def test_canonical_angle_scalar_path_rejects_non_finite_like_the_array_path(x):
         canonical_angle(x)
     with pytest.raises(ValueError, match="non-finite angle"):
         _array_path(x)
+
+
+def test_canonical_angle_returns_an_in_range_array_as_a_new_equal_array():
+    xs = np.array([[-math.pi, -0.0, 0.0], [1.5, -3.0, math.nextafter(math.pi, 0.0)]])
+    out = canonical_angle(xs)
+    assert out is not xs and out.shape == xs.shape
+    assert np.array_equal(out.view(np.int64), xs.view(np.int64))
+    out[0, 0] = 1.0
+    assert xs[0, 0] == -math.pi
+    assert canonical_angle(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_canonical_angle_refuses_non_finite_entries_among_in_range_ones(bad):
+    for xs in ([bad], [0.5, bad, -1.0], [bad, 7.0]):
+        with pytest.raises(ValueError, match="non-finite angle"):
+            canonical_angle(np.array(xs))
+
+
+def test_canonical_angle_of_a_0d_array_is_a_python_float():
+    for x in (0.5, -math.pi, 5.5, 3 * math.pi):
+        out = canonical_angle(np.array(x))
+        assert type(out) is float and out == canonical_angle(x)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +397,20 @@ def test_padic_from_ints_equals_the_checked_constructor():
     assert x == PadicInt(3, (2, 2, 2)) and all(type(d) is int for d in x.digits)
 
 
+def test_normalized_padic_int_is_the_checked_element():
+    for p, digits in ((2, (1, 0, 1)), (3, (2, 2, 0, 1)), (4294967291, (4294967290, 7))):
+        x = PadicInt._normalized(p, digits)
+        checked = PadicInt(p, digits)
+        assert x == checked and hash(x) == hash(checked) and x.depth == checked.depth
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.digits = (0,) * len(digits)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.p = 5
+        assert x.digits == digits
+        for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert copied == checked and hash(copied) == hash(checked)
+
+
 def test_padic_from_ints_reads_any_iterable_like_a_list():
     rng = np.random.default_rng(103)
     for p in (2, 3, 7):
@@ -430,6 +481,72 @@ def test_padic_digit_matrix_matches_scalar():
         out = padic_digit_matrix(p, vals)
         for row_in, row_out in zip(vals, out):
             assert padic_from_ints(p, row_in).digits == tuple(int(v) for v in row_out)
+
+
+# the carry's primes: the smallest, two small odd ones, the largest below
+# 2**16 and the largest below 2**32 (validate_prime's bound)
+CARRY_PRIMES = (2, 3, 5, 65521, 4294967291)
+_ENTRIES = st.integers(min_value=-(2**40), max_value=2**40)
+
+
+def _carried_rows(p, values, carry):
+    """padic_from_ints row by row, each row's carry added to its entry 0."""
+    carries = np.broadcast_to(carry, len(values)).tolist()
+    rows = values.tolist()
+    return [padic_from_ints(p, [row[0] + c, *row[1:]]).digits for row, c in zip(rows, carries)]
+
+
+def _digit_rows(digits):
+    return [tuple(row) for row in digits.tolist()]
+
+
+@given(
+    st.sampled_from(CARRY_PRIMES),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_padic_digit_matrix_is_the_prefix_carry_in_every_layout(p, n, width, data):
+    rows = st.lists(_ENTRIES, min_size=width, max_size=width)
+    values = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.int64)
+    per_row = np.array(data.draw(st.lists(_ENTRIES, min_size=n, max_size=n)), dtype=np.int64)
+    for carry in (0, data.draw(_ENTRIES), per_row):
+        for v in (np.ascontiguousarray(values), np.asfortranarray(values)):
+            want = _carried_rows(p, v, carry)
+            got = padic_digit_matrix(p, v, carry)
+            assert got.flags.f_contiguous and _digit_rows(got) == want
+            inplace = v.copy(order="K")
+            assert padic_digit_matrix(p, inplace, carry, out=inplace) is inplace
+            assert _digit_rows(inplace) == want
+        view = np.broadcast_to(values[0], (n, width))
+        assert _digit_rows(padic_digit_matrix(p, view, carry)) == _carried_rows(p, view, carry)
+
+
+def test_padic_digit_matrix_of_no_digits_is_an_empty_matrix():
+    out = padic_digit_matrix(3, np.zeros((4, 0), dtype=np.int64), np.arange(4))
+    assert out.shape == (4, 0) and out.dtype == np.int64
+
+
+def test_sampled_digit_matrices_are_column_major():
+    # one contiguous column per digit is what the carry, the residues and
+    # the solenoid tower read
+    p, depth, n = 3, 4, 50
+    eta = LevyMeasure(((PadicInt(p, (1, 2, 0, 0, 1)), 0.7),))
+    zero = PadicInt.zero(p, depth)
+    for zero_digits, levy in ((0, EMPTY_LEVY), (2, eta), (depth + 1, EMPTY_LEVY)):
+        q = Quadruplet(PadicIntegers(p), PadicSubgroup(zero_digits), zero, 0.0, levy)
+        digits = sample_padic_wid(make_rng(5), q, depth, n)
+        assert digits.shape == (n, depth + 1) and digits.flags.f_contiguous
+    ints = np.arange(n * depth, dtype=np.int64).reshape(n, depth)  # C order in
+    _, digits = solenoid_lift_matrix(p, depth, np.linspace(-9.0, 9.0, n), ints)
+    assert digits.shape == (n, depth) and digits.flags.f_contiguous
+    sol_eta = LevyMeasure(((SolenoidPoint(p, depth, 0.9), 0.5),))
+    shift = SolenoidPoint(p, depth, 0.3)
+    jumps = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), shift, 0.2, sol_eta)
+    haar = Quadruplet(Solenoid(p), SolenoidSubgroup.full(), shift, 0.0, EMPTY_LEVY)
+    for q in (jumps, haar, trivial_quadruplet(Solenoid(p), depth=depth)):
+        _, digits = sample_solenoid_wid(make_rng(6), q, depth, n)
+        assert digits.shape == (n, depth) and digits.flags.f_contiguous
 
 
 def test_padic_in_subgroup():

@@ -505,6 +505,17 @@ def test_power_path_matches_the_direct_formula_up_to_max_power():
                 assert abs(got - _direct(column, ell)) <= 1e-13, (kind, d, ell)
 
 
+def test_zero_frequency_rows_are_exactly_one_and_leave_the_power_cache_empty():
+    for batch, kind, columns in _power_cases():
+        for d, _ in columns:
+            chi = _character(kind, d, 0)
+            for exact in (True, False):
+                got = char_mean(batch, chi, exact=exact)
+                assert got == 1 + 0j and math.copysign(1.0, got.imag) == 1.0
+        means = [batch._means] if kind is TorusCharacter else [m for _, m in batch._cache.values()]
+        assert means and all(m == [] for m in means)
+
+
 def test_exact_rows_and_large_frequencies_take_the_direct_path_bit_for_bit():
     for batch, kind, columns in _power_cases():
         for d, column in columns:
