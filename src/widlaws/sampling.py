@@ -14,9 +14,13 @@ fixed documented order (Haar layer, then Gauss, then jump count, then
 jump selection); degenerate layers (trivial subgroup, zero variance,
 empty jump measure) consume nothing.  A compound-Poisson layer picks
 every jump's atom at once and sums the jump vectors per draw on
-R x Z^k: the real coordinates by one weighted bincount over the jumps,
-in jump order; each integer coordinate by its own weighted bincount,
-cast to int64, exact while a sum stays below 2**53.  The samplers
+R x Z^k: each integer coordinate by its own weighted bincount, cast to
+int64 and added into the caller's matrix, exact while a sum stays below
+2**53; the real coordinates by one weighted bincount over the jumps, in
+jump order, or not at all when every atom's real part is 0, as on the
+p-adic integers.  A p-adic draw builds its batch in one column-major
+digit matrix: the uniform digits, the shift's digits, the jump sums,
+then the carry in place.  The samplers
 return the raw array form: angles on the circle, a digit matrix on the
 p-adic integers, and on the solenoid a pair of base angles in [-pi, pi)
 and base-p digits, wrapped and carried by solenoid_lift_matrix through
@@ -89,10 +93,12 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# The most Poisson jumps one batch may hold.  Every jump costs about
-# 40 bytes of working arrays (its uniform, its atom index, its owner and
-# its weights), so the cap keeps one batch's jump layer near 0.4 GB; the
-# stock fixtures draw about 1e5 jumps per batch.
+# The most Poisson jumps one batch may hold.  At most three 8-byte
+# arrays per jump are alive at once: its uniform and its atom index while
+# the atoms are picked, then its atom index, its owner and one column of
+# its weights at a time while the sums are taken, so the cap keeps one
+# batch's jump layer near 0.24 GB; the stock fixtures draw about 1e5
+# jumps per batch.
 MAX_JUMPS = 10**7
 
 
@@ -125,27 +131,34 @@ def check_jump_budget(levy, draws: int):
         )
 
 
-def sample_compound_poisson(rng, measure: LatticeMeasure, size: int):
+def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None):
     """Poisson(total mass) many jumps, each an atom picked with
     probability mass/total, summed coordinatewise on R x Z^k.
 
     Atom selection walks a precomputed cumulative mass table by binary
     search over uniforms.  Returns (real part, integer part): floats of
-    shape (n,) and an int64 matrix of shape (n, k).  The empty measure
-    yields the origin and consumes nothing.  The integer part is
-    column-major, one contiguous column per coordinate, like the digit
-    matrices it is carried into.  Raises ValueError, before
+    shape (n,) and an int64 matrix of shape (n, k).  Each draw's jump sum
+    is added into ints when given, in place, so a sampler can pass the
+    matrix it carries; otherwise into a new column-major zero matrix, one
+    contiguous column per coordinate, like the digit matrices it is
+    carried into.  A measure whose atoms all have real part 0 returns
+    zeros for the real part without summing it.  The empty measure
+    yields the origin and consumes nothing.  Raises ValueError, before
     anything per jump is allocated, when the drawn jump total exceeds
     MAX_JUMPS.
     """
     n = int(size)
     k = measure.int_dim
+    if ints is None:
+        ints = np.zeros((n, k), dtype=np.int64, order="F")
     if len(measure.atoms) == 0:
-        return np.zeros(n), np.zeros((n, k), dtype=np.int64, order="F")
+        return np.zeros(n), ints
     atom_real = np.array([x for x, _, _ in measure.atoms])
+    # float, the type bincount sums its weights in, so the gather of a
+    # column is its one per-jump copy
     atom_ints = np.array([ki for _, ki, _ in measure.atoms], dtype=np.int64).reshape(
         len(measure.atoms), k
-    )
+    ).astype(float)
     masses = np.array([m for _, _, m in measure.atoms])
     total = masses.sum()
     counts = rng.poisson(total, size=n)
@@ -155,16 +168,18 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int):
         raise ValueError(f"{jumps:.3g} Poisson jumps drawn, above the cap of {MAX_JUMPS}")
     jumps = int(jumps)
     if jumps == 0:
-        return np.zeros(n), np.zeros((n, k), dtype=np.int64, order="F")
+        return np.zeros(n), ints
     cum = np.cumsum(masses) / total
     picks = np.searchsorted(cum, rng.random(jumps), side="right")
-    picks = np.minimum(picks, len(masses) - 1)
+    np.minimum(picks, len(masses) - 1, out=picks)
     owner = np.repeat(np.arange(n), counts)
-    reals = np.bincount(owner, weights=atom_real[picks], minlength=n)
-    ints = np.empty((n, k), dtype=np.int64, order="F")
+    del counts
     for j in range(k):
-        ints[:, j] = np.bincount(owner, weights=atom_ints[picks, j], minlength=n)
-    return reals, ints
+        # the float sums cast first, so the add is the int64 loop
+        ints[:, j] += np.bincount(owner, weights=atom_ints[picks, j], minlength=n).astype(np.int64)
+    if not atom_real.any():
+        return np.zeros(n), ints
+    return np.bincount(owner, weights=atom_real[picks], minlength=n), ints
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +232,9 @@ def sample_padic_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray:
         totals[:, start:] = rng.integers(0, p, size=(size, width - start), dtype=np.int64)
     totals += np.array(q.shift.digits[:width], dtype=np.int64)
     if not q.levy.is_empty():
-        _, jumps = sample_compound_poisson(rng, pushforward_padic(q.levy, depth), size)
-        totals += jumps
-    return padic_digit_matrix(p, totals)
+        sample_compound_poisson(rng, pushforward_padic(q.levy, depth), size, totals)
+    # carried in place: the batch is the one matrix of the draw
+    return padic_digit_matrix(p, totals, out=totals)
 
 
 def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int):
@@ -241,13 +256,15 @@ def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int):
         return _solenoid_haar(rng, p, depth, size)
     if q.shift.depth < depth:
         raise ValueError(f"shift carries coordinates 0..{q.shift.depth}, need 0..{depth}")
+    # the Gauss and jump layers add into y0 in place, rounded as y0 + x is
     y0 = np.full(size, q.shift.base)
     ints = np.broadcast_to(np.array(q.shift.digits[:depth], dtype=np.int64), (size, depth))
     if q.gauss_b > 0:
-        y0 = y0 + rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
+        y0 += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
     if not q.levy.is_empty():
         jr, ji = sample_compound_poisson(rng, pushforward_solenoid(q.levy, depth), size)
-        y0 = y0 + jr - q.group.drift(q.levy)
+        y0 += jr
+        y0 -= q.group.drift(q.levy)
         ji += ints  # in place: one (size, depth) matrix alive into the lift
         ints = ji
     return solenoid_lift_matrix(p, depth, y0, ints)

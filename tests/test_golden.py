@@ -10,6 +10,18 @@ changes them too.
 Regenerate the files only when the output is meant to change:
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+The golden cases stop at 2,000 samples and 20 draws.  At scale, CI hashes
+verify (JSON and CSV) on each golden config at its default N and a
+100,000-draw csv sample dump of it against sha256-default-n.txt, beside
+the golden files.  Regenerate that file, from the root of the checkout,
+with:
+
+    d=$(mktemp -d) && for g in torus padic solenoid; do
+      c=tests/data/golden/config-$g.json
+      PYTHONPATH=src python3 -m widlaws verify --config $c --out $d/verify-$g.json --csv $d/verify-$g.csv
+      PYTHONPATH=src python3 -m widlaws sample --config $c --count 100000 --format csv --out $d/sample-$g.csv
+    done && (cd $d && sha256sum verify-* sample-*) > tests/data/golden/sha256-default-n.txt
 """
 
 import pathlib

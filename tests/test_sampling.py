@@ -3,6 +3,7 @@
 import bisect
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,29 @@ def test_compound_poisson_without_jumps_is_origin_with_the_full_shape():
     assert ints.dtype == np.int64 and ints.shape == (40, 3) and not ints.any()
 
 
+@pytest.mark.parametrize("name", _JUMP_MEASURES)
+def test_compound_poisson_adds_into_a_given_matrix_bit_for_bit(name):
+    measure = _JUMP_MEASURES[name]()
+    reals, ints = sample_compound_poisson(make_rng(23), measure, size=3000)
+    start = np.random.default_rng(5).integers(-9, 9, size=(3000, measure.int_dim))
+    given = start.copy(order="F")
+    got_reals, got = sample_compound_poisson(make_rng(23), measure, 3000, given)
+    assert got is given
+    assert got.tolist() == (start + ints).tolist()
+    assert got_reals.view(np.int64).tolist() == reals.view(np.int64).tolist()
+
+
+def test_compound_poisson_with_zero_real_parts_keeps_the_integer_sums():
+    # the real parts take no randomness, so zeroing them leaves the stream
+    measure = _JUMP_MEASURES["many-atoms"]()
+    flat = LatticeMeasure(measure.int_dim, tuple((0.0, ki, m) for _, ki, m in measure.atoms))
+    _, ints = sample_compound_poisson(make_rng(24), measure, size=3000)
+    flat_reals, flat_ints = sample_compound_poisson(make_rng(24), flat, size=3000)
+    assert flat_reals.dtype == np.float64 and flat_reals.shape == (3000,)
+    assert not flat_reals.any()
+    assert flat_ints.tolist() == ints.tolist()
+
+
 # ---------------------------------------------------------------------------
 # circle quadruplets
 
@@ -280,6 +304,24 @@ def test_padic_gen_poisson_block():
         chi = PadicCharacter(d, ell)
         emp = empirical_cf(sampler, chi, N, make_rng(22, stream))
         assert abs(emp - ft_quadruplet(q, chi)) <= mc_tol(N)
+
+
+def test_padic_draw_holds_one_digit_matrix_beside_the_random_draws():
+    # the jump sums go into the draw's totals and the carry runs in place,
+    # so the traced peak is about 2.15 batches; a separate jump matrix and
+    # carry output make it about 3.95
+    p, depth, n = 3, 3, 100_000
+    eta = LevyMeasure(((PadicInt(p, (2, 1, 0, 0)), 1.2),))
+    q = Quadruplet(PadicIntegers(p), PadicSubgroup(0), PadicInt(p, (1, 2, 0, 1)), 0.0, eta)
+    sample_padic_wid(make_rng(25), q, depth, size=100)
+    tracemalloc.start()
+    try:
+        out = sample_padic_wid(make_rng(25), q, depth, size=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, depth + 1)
+    assert peak < 3.0 * out.nbytes
 
 
 # ---------------------------------------------------------------------------

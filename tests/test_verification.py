@@ -477,13 +477,20 @@ def test_gate_catches_padic_haar_layer_one_digit_late(monkeypatch):
     assert not run_suite(q, chars, N, seed=67).overall_pass
 
 
-def _late_carry(p, values):
-    """Carry normalization whose carry out of digit j lands on j+2."""
+def _late_carry(p, values, carry=0, out=None):
+    """Carry normalization whose carry out of digit j lands on j+2; carry
+    is added to digit 0 and out, when given, receives the digits, as in
+    padic_digit_matrix."""
     values = np.array(values, dtype=np.int64)
-    out = np.mod(values, p)
+    if values.shape[1]:
+        values[:, 0] += carry
+    digits = np.mod(values, p)
     for j in range(values.shape[1] - 2):
         values[:, j + 2] += values[:, j] // p
-        out[:, j + 2] = np.mod(values[:, j + 2], p)
+        digits[:, j + 2] = np.mod(values[:, j + 2], p)
+    if out is None:
+        return digits
+    out[...] = digits
     return out
 
 
