@@ -372,15 +372,6 @@ def padic_in_subgroup(x: PadicInt, r: int) -> bool:
     return all(d == 0 for d in x.digits[:r])
 
 
-def solenoid_coordinates(p: int, depth: int, deep_angles, j: int):
-    """Canonical angle of coordinate j of the tower whose coordinate
-    `depth` has angle deep_angles: p**(depth-j) * deep_angles mod 2pi.
-
-    Scalar or ndarray input, like canonical_angle.
-    """
-    return canonical_angle(p ** (depth - j) * deep_angles)
-
-
 @dataclass(frozen=True, init=False)
 class SolenoidPoint:
     """A solenoid element truncated at coordinate index depth, stored as a
@@ -418,15 +409,11 @@ class SolenoidPoint:
         return SolenoidPoint(p, depth, 0.0)
 
     def coordinate_angle(self, j: int) -> float:
-        """(base + 2pi*(x mod p**j)) / p**j in solenoid_tower's float
-        operations, so a point and a batch row give the same bits."""
+        """(base + 2pi*(x mod p**j)) / p**j, a Python float: the point
+        sweeps as the batch row it is, through solenoid_tower."""
         if not 0 <= j <= self.depth:
             raise ValueError(f"coordinate index {j} outside 0..{self.depth}")
-        base, frac = self.base, 0.0
-        for digit in self.digits[:j]:
-            base /= self.p
-            frac = (frac + digit) / self.p
-        return canonical_angle(base + TWO_PI * frac) if j else self.base
+        return solenoid_coordinate(self.p, self.base, self.digits, j)
 
     def is_identity(self) -> bool:
         return self.base == 0.0 and not any(self.digits)
@@ -473,8 +460,11 @@ def solenoid_tower(p: int, base, digits):
     f <- (f + x_j) / p keeps f = (x mod p**j) / p**j in [0, 1), so
     coordinate j = theta0 / p**j + 2pi*f adds two terms of size O(2pi)
     and its error stays a few ulps at any depth.
+
+    A float base with a digit tuple, one SolenoidPoint, sweeps in the
+    same float operations as its batch row and yields Python floats.
     """
-    frac = np.zeros(len(base))
+    frac = np.zeros_like(base)
     yield base
     for column in np.asarray(digits).T:
         base = base / p
@@ -483,8 +473,9 @@ def solenoid_tower(p: int, base, digits):
 
 
 def solenoid_coordinate(p: int, base, digits, j: int):
-    """Coordinate j of the batch (base, digits), swept through digit j-1."""
-    for column in solenoid_tower(p, base, digits[:, :j]):
+    """Coordinate j of the batch or point (base, digits), swept through
+    digit j-1."""
+    for column in solenoid_tower(p, base, np.asarray(digits)[..., :j]):
         pass
     return column
 

@@ -214,6 +214,50 @@ def test_missing_nested_field_is_named_by_its_full_path(quadruplet, field, tmp_p
     assert f"field '{field}': missing" in capsys.readouterr().err
 
 
+def _torus(quadruplet, **extra):
+    return json.dumps({"group": "torus", "quadruplet": quadruplet, **extra})
+
+
+_FULL = {"H": {"kind": "full"}, "a": 0.0}
+
+
+@pytest.mark.parametrize(
+    "text,command,field",
+    [
+        (_torus({"H": "full", "a": 0.0}), "verify", "quadruplet.H"),
+        (_torus({"H": {"kind": "lambda"}, "a": 0.0}), "verify", "quadruplet.H.kind"),
+        (_torus(_FULL, characters=5), "verify", "characters"),
+        (_torus([_FULL]), "verify", "quadruplet"),
+        (_torus({**_FULL, "eta": {"point": 0.1, "mass": 1.0}}), "verify", "quadruplet.eta"),
+        (
+            _torus({**_FULL, "eta": [{"point": 0.1, "mass": 1.0}, {"point": 0.2}]}),
+            "verify",
+            "quadruplet.eta[1]",
+        ),
+        ('{"group": "torus",', "verify", "<config file>"),
+        (_torus(_FULL), "sample", "count"),
+    ],
+    ids=[
+        "H-not-object",
+        "H-kind-unknown",
+        "characters-not-list",
+        "quadruplet-not-object",
+        "eta-not-list",
+        "eta-atom-without-mass",
+        "invalid-json",
+        "sample-count-0",
+    ],
+)
+def test_each_config_error_exits_2_naming_its_field(text, command, field, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    extra = ["--count", "0"] if command == "sample" else ["--samples", "10"]
+    assert main([command, "--config", str(cfg), *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: field '{field}': " in err
+    assert "Traceback" not in err
+
+
 # A non-finite tolerance would pass (inf) or fail (nan) every row whatever
 # the sampler does.  JSON reads 1e400 as inf.
 @pytest.mark.parametrize(

@@ -251,6 +251,34 @@ def test_oracle_padic_arithmetic_catches_bug_in_the_shared_carry_routine(monkeyp
     assert not oracle_padic_arithmetic(300, seed=37)
 
 
+def test_oracle_padic_arithmetic_catches_add_that_misses_zero(monkeypatch):
+    # all digits p-1 is -1, not 0: only the x + (-x) = 0 check sees it,
+    # since no random pair x, y sums to 0
+    real_add = widlaws.groups.padic_add
+
+    def minus_one_for_zero(x, y):
+        out = real_add(x, y)
+        return PadicInt(x.p, (x.p - 1,) * len(out.digits)) if out.is_identity() else out
+
+    monkeypatch.setattr(widlaws.groups, "padic_add", minus_one_for_zero)
+    assert not oracle_padic_arithmetic(300, seed=37)
+
+
+def test_oracle_padic_arithmetic_catches_p_multiple_with_a_leading_digit(monkeypatch):
+    # the leading digit of p*x is 0; at seed 37 the check on p*x for
+    # every x sees this before any random k equals p
+    real_mul = widlaws.groups.padic_mul_nat
+
+    def leading_one(k, x):
+        out = real_mul(k, x)
+        if k == x.p and not x.is_identity():
+            return PadicInt(x.p, (1,) + out.digits[1:])
+        return out
+
+    monkeypatch.setattr(widlaws.groups, "padic_mul_nat", leading_one)
+    assert not oracle_padic_arithmetic(300, seed=37)
+
+
 # the oracle's expected digits come from int64 blocks while
 # 1000 * p**(depth+1) < 2**63 and from Python ints beyond (p=5, depth 30)
 _ORACLE_PATHS = {"int64": {}, "python-int": {"primes": (5,), "depth": 30}}
