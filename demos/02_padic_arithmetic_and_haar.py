@@ -13,14 +13,17 @@ carries.  Two small experiments:
 import math
 
 from widlaws import (
+    EMPTY_LEVY,
     PadicCharacter,
     PadicInt,
-    PadicSamples,
+    PadicIntegers,
+    PadicSubgroup,
+    Quadruplet,
     char_mean,
     make_rng,
     padic_add,
     padic_mul_nat,
-    sample_padic_haar,
+    quadruplet_sampler,
 )
 
 p, depth = 3, 3
@@ -44,8 +47,9 @@ print("its transform would need |root transform| = 1, forcing the root to be")
 print("a point mass, and no point mass multiplied by p gives leading digit 1.")
 
 print("\nuniform digits give Haar measure; empirical character means:")
-digits = sample_padic_haar(make_rng(7), p, depth, size=N)
-batch = PadicSamples(p, digits)
+# Haar is the law (whole group Λ(0), identity, b = 0, no jumps)
+haar = Quadruplet(PadicIntegers(p), PadicSubgroup(0), PadicInt.zero(p, depth), 0.0, EMPTY_LEVY)
+batch = quadruplet_sampler(haar)(make_rng(7), N)
 print(f"{'(d, l)':>8} {'|empirical|':>12}   (tolerance {TOL:.4f})")
 worst = 0.0
 for d in range(depth + 1):

@@ -34,7 +34,7 @@ from .groups import (
     config_int,
     config_real,
 )
-from .measures import LevyMeasure, Quadruplet, validate_quadruplet
+from .measures import LevyMeasure, Quadruplet
 from .sampling import check_digit_budget, check_jump_budget, make_rng, quadruplet_sampler
 from .verification import (
     check_compare_inequality,
@@ -146,8 +146,7 @@ def parse_config(doc):
         pt = _field(field + ".point", group.parse_point, atom["point"], depth, subgroup)
         atoms.append((pt, _as_real(field + ".mass", atom["mass"])))
     levy = _field("quadruplet", LevyMeasure, tuple(atoms))
-    quad = Quadruplet(group, subgroup, shift, b, levy)
-    _field("quadruplet", validate_quadruplet, quad)
+    quad = _field("quadruplet", Quadruplet, group, subgroup, shift, b, levy)
 
     _field("quadruplet.eta", check_jump_budget, levy, samples)
     seed = _as_int("seed", _get(doc, "seed", 0), 0)
@@ -293,18 +292,16 @@ def _sample_lines(batch, fmt):
 
 
 def cmd_sample(args) -> int:
-    doc = _override(load_config(args.config), args, "seed", "depth")
-    quad, depth, _, samples, seed, _ = parse_config(doc)
-    count = args.count if args.count is not None else samples
-    if count < 1:
+    """Dump the config's draws; --count replaces the config's samples, so
+    parse_config checks the budgets against the draws actually made."""
+    if args.samples is not None and args.samples < 1:
         raise ConfigError("count", "must be >= 1")
-    _field("quadruplet.eta", check_jump_budget, quad.levy, count)
-    if not isinstance(quad.group, Torus):
-        _field("depth", check_digit_budget, depth, count)
+    doc = _override(load_config(args.config), args, "samples", "seed", "depth")
+    quad, depth, _, samples, seed, _ = parse_config(doc)
     sampler = quadruplet_sampler(quad, depth=depth)
-    batch = sampler(make_rng(seed, stream=0), count)
+    batch = sampler(make_rng(seed, stream=0), samples)
     if _emit(_sample_lines(batch, args.format), args.out):
-        print(f"sample: wrote {count} draws ({args.format})", file=sys.stderr)
+        print(f"sample: wrote {samples} draws ({args.format})", file=sys.stderr)
     return 0
 
 
@@ -423,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = sub.add_parser("sample", help="dump raw draws from a config's law")
     sample.add_argument("--config", required=True)
-    sample.add_argument("--count", type=int, help="number of draws (default: config samples)")
+    sample.add_argument("--count", dest="samples", type=int, help="number of draws (default: config samples)")
     sample.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     sample.add_argument("--out", help="write draws here instead of stdout")
     sample.add_argument("--seed", type=int)

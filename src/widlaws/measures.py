@@ -4,8 +4,9 @@ Every weakly infinitely divisible law handled by this library is the
 convolution of four blocks: the Haar measure of a compact subgroup, a
 point mass, a symmetric Gauss measure, and a centered (generalized)
 Poisson measure driven by a finite atomic Levy measure.  This module
-owns the validated container for those four parameters, the finite
-lattice measures obtained by pushing a Levy measure forward to products
+owns the container for those four parameters (checked when it is
+built, so a Quadruplet that exists is a valid law), the finite lattice
+measures obtained by pushing a Levy measure forward to products
 of subgroups of the real line, and the exact Fourier transform of every
 block and of the full convolution.
 """
@@ -70,7 +71,10 @@ class Quadruplet:
 
     The law itself is Haar(subgroup) * point-mass(shift) *
     Gauss(gauss_b) * centered-Poisson(levy); see ft_quadruplet for its
-    transform and the sampling module for exact draws.
+    transform and the sampling module for exact draws.  Haar(H) is the
+    quadruplet (H, identity, 0, no atoms).  The law is checked when it is
+    built: a nonnegative finite gauss_b, then the group's own half
+    (component/group agreement, shared p and depth, gauss_b = 0 on Z_p).
     """
 
     group: object
@@ -79,24 +83,16 @@ class Quadruplet:
     gauss_b: float
     levy: LevyMeasure
 
+    def __post_init__(self):
+        b = self.gauss_b
+        if not (isinstance(b, (int, float)) and math.isfinite(b)) or b < 0:
+            raise ValueError(f"gauss_b must be a finite nonnegative real, got {b!r}")
+        self.group.validate_quadruplet(self)
+
 
 def trivial_quadruplet(group, depth: int = 0) -> Quadruplet:
     """The point mass at the identity, as a quadruplet."""
     return Quadruplet(group, *group.point_mass(depth), 0.0, EMPTY_LEVY)
-
-
-def validate_quadruplet(q: Quadruplet):
-    """Raise ValueError on any broken invariant; return None when valid.
-
-    Checks: a nonnegative finite Gauss scale, then the group's own half
-    (component/group type agreement, shared p and depth, and zero Gauss
-    scale on the p-adic integers, where no nontrivial Gauss measure
-    exists).
-    """
-    b = q.gauss_b
-    if not (isinstance(b, (int, float)) and math.isfinite(b)) or b < 0:
-        raise ValueError(f"gauss_b must be a finite nonnegative real, got {b!r}")
-    q.group.validate_quadruplet(q)
 
 
 # ---------------------------------------------------------------------------

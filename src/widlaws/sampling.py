@@ -75,7 +75,6 @@ from .groups import (
     solenoid_coordinate,
     solenoid_lift_matrix,
     solenoid_tower,
-    validate_prime,
 )
 from .measures import (
     LatticeMeasure,
@@ -83,7 +82,6 @@ from .measures import (
     pushforward_padic,
     pushforward_solenoid,
     pushforward_torus,
-    validate_quadruplet,
 )
 
 
@@ -191,7 +189,6 @@ def sample_torus_wid(rng, q: Quadruplet, size: int) -> np.ndarray:
     the centered compound-Poisson layer."""
     if not isinstance(q.group, Torus):
         raise ValueError("quadruplet is not on the circle")
-    validate_quadruplet(q)
     angles = np.zeros(size)
     order = q.subgroup.order
     if order is None:
@@ -219,7 +216,6 @@ def sample_padic_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray:
         raise ValueError("quadruplet is not on the p-adic integers")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    validate_quadruplet(q)
     p = q.group.p
     width = depth + 1
     if q.shift.depth < depth:
@@ -244,16 +240,19 @@ def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int):
     With the trivial subgroup: broadcast the shift's (base, digits), add
     the Gauss layer to the real coordinate and a centered compound-Poisson
     draw to the whole lift, then wrap and carry.  With the full subgroup
-    the Haar layer absorbs everything and the draw is pure Haar.
+    the Haar layer absorbs everything and the draw is pure Haar: a uniform
+    angle at the top of the tower refined by uniform base-p digits down
+    to the requested depth.
     """
     if not isinstance(q.group, Solenoid):
         raise ValueError("quadruplet is not on the solenoid")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    validate_quadruplet(q)
     p = q.group.p
     if q.subgroup.whole:
-        return _solenoid_haar(rng, p, depth, size)
+        u0 = rng.uniform(0.0, TWO_PI, size=size)
+        digits = rng.integers(0, p, size=(size, depth), dtype=np.int64)
+        return solenoid_lift_matrix(p, depth, u0, digits)
     if q.shift.depth < depth:
         raise ValueError(f"shift carries coordinates 0..{q.shift.depth}, need 0..{depth}")
     # the Gauss and jump layers add into y0 in place, rounded as y0 + x is
@@ -268,33 +267,6 @@ def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int):
         ji += ints  # in place: one (size, depth) matrix alive into the lift
         ints = ji
     return solenoid_lift_matrix(p, depth, y0, ints)
-
-
-def _solenoid_haar(rng, p: int, depth: int, size: int):
-    """A uniform angle at the top of the tower refined by uniform base-p
-    digits down to the requested depth, as (base angles, digits)."""
-    u0 = rng.uniform(0.0, TWO_PI, size=size)
-    digits = rng.integers(0, p, size=(size, depth), dtype=np.int64)
-    return solenoid_lift_matrix(p, depth, u0, digits)
-
-
-def sample_solenoid_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
-    """Haar draw on the solenoid.  Returns the deepest angles (coordinate
-    index = depth) of the exact draw, shape (size,)."""
-    validate_prime(p)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    base, digits = _solenoid_haar(rng, p, depth, size)
-    return solenoid_coordinate(p, base, digits, depth)
-
-
-def sample_padic_haar(rng, p: int, depth: int, size: int) -> np.ndarray:
-    """Haar draw on the p-adic integers: every digit independent uniform.
-    Returns digits, shape (size, depth+1)."""
-    validate_prime(p)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return rng.integers(0, p, size=(size, depth + 1), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +473,6 @@ def quadruplet_sampler(q: Quadruplet, depth: int | None = None):
     depth defaults to the depth of the quadruplet's shift element; it is
     ignored on the circle.
     """
-    validate_quadruplet(q)
     if depth is None:
         depth = q.shift.depth
     draw = _SAMPLERS[type(q.group)]

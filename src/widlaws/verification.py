@@ -31,7 +31,7 @@ import numpy as np
 
 from . import groups
 from .groups import PadicIntegers, Torus, canonical_angle
-from .measures import Quadruplet, ft_quadruplet, validate_quadruplet
+from .measures import Quadruplet, ft_quadruplet
 from .sampling import char_mean, combine_samples, make_rng, quadruplet_sampler
 
 
@@ -150,7 +150,6 @@ def check_compatibility(q: Quadruplet, n: int, samples: int, seed: int) -> Verif
         raise ValueError("compatibility check applies to the p-adic and solenoid samplers")
     if n < 1:
         raise ValueError("n must be >= 1")
-    validate_quadruplet(q)
     chars = sorted(default_characters(q.group, depth=n - 1), key=_char_key)
     rows = []
     for d in (n, n + 1):
@@ -176,7 +175,6 @@ def check_divisibility(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    validate_quadruplet(q)
     if depth is None:
         depth = q.shift.depth
     if not (q.group.subgroup_is_trivial(q.subgroup, depth) and q.shift.is_identity()):

@@ -46,7 +46,6 @@ from widlaws import (
     oracle_padic_arithmetic,
     padic_mul_nat,
     run_suite,
-    sample_solenoid_haar,
     solenoid_from_lift,
     solenoid_lift,
     torus_from_angle,
@@ -270,7 +269,10 @@ def test_criterion_09_structural_exactness():
             assert padic_mul_nat(p, x).digits[0] == 0
     # tower relation under sampler outputs
     for p in (2, 3):
-        deeps = sample_solenoid_haar(make_rng(1901 + p), p, 3, size=10_000)
+        haar = Quadruplet(
+            Solenoid(p), SolenoidSubgroup.full(), SolenoidPoint.identity(p, 3), 0.0, EMPTY_LEVY
+        )
+        deeps = quadruplet_sampler(haar, depth=3)(make_rng(1901 + p), 10_000).deep_angles
         coords = [canonical_angle(p ** (3 - j) * deeps) for j in range(4)]
         for j in range(3):
             assert np.max(circular_distance(p * coords[j + 1], coords[j])) <= 1e-12

@@ -219,6 +219,7 @@ def _torus(quadruplet, **extra):
 
 
 _FULL = {"H": {"kind": "full"}, "a": 0.0}
+_PADIC_HAAR = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
 
 
 @pytest.mark.parametrize(
@@ -236,6 +237,17 @@ _FULL = {"H": {"kind": "full"}, "a": 0.0}
         ),
         ('{"group": "torus",', "verify", "<config file>"),
         (_torus(_FULL), "sample", "count"),
+        # a Quadruplet and its Levy measure check themselves when built
+        (
+            json.dumps({"group": "padic", "p": 3, "quadruplet": {**_PADIC_HAAR, "b": 0.5}}),
+            "verify",
+            "quadruplet",
+        ),
+        (
+            _torus({"H": {"kind": "trivial"}, "a": 0.0, "eta": [{"point": 0.0, "mass": 1.0}]}),
+            "verify",
+            "quadruplet",
+        ),
     ],
     ids=[
         "H-not-object",
@@ -246,6 +258,8 @@ _FULL = {"H": {"kind": "full"}, "a": 0.0}
         "eta-atom-without-mass",
         "invalid-json",
         "sample-count-0",
+        "padic-gauss",
+        "eta-atom-at-identity",
     ],
 )
 def test_each_config_error_exits_2_naming_its_field(text, command, field, tmp_path, capsys):
@@ -328,6 +342,26 @@ def test_sample_count_over_the_jump_cap_names_eta(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 10
     assert main(["sample", "--config", str(cfg), "--count", "1000"]) == 2
     assert "field 'quadruplet.eta'" in capsys.readouterr().err
+
+
+# --count replaces the config's samples, so the digit and jump caps are
+# checked once, against the draws actually made: both configs are over a
+# cap at 100,000 draws and well under it at 5.
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"group": "padic", "p": 3, "depth": 120, "quadruplet": _PADIC_HAAR},
+        _jumpy(500, 100000),
+    ],
+    ids=["padic-haar-depth-120", "torus-mass-500"],
+)
+def test_sample_count_replaces_config_samples_in_the_caps(doc, tmp_path):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    out = tmp_path / "draws.csv"
+    assert main(["sample", "--config", str(cfg), "--count", "5", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5
 
 
 # exp(i * 1e20 * 0.5) is -0.9391 + 0.3435i, but the float product 1e20 * 0.5

@@ -1,6 +1,7 @@
 """Quadruplet validation, closed-form transforms, pushforwards."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -35,7 +36,6 @@ from widlaws import (
     pushforward_torus,
     solenoid_from_lift,
     trivial_quadruplet,
-    validate_quadruplet,
 )
 
 PI = math.pi
@@ -70,39 +70,38 @@ def test_levy_measure_merges_duplicates():
         eta.scaled(0.0)
 
 
-def test_validate_quadruplet_accepts_point_mass():
-    for q in (
-        trivial_quadruplet(Torus()),
-        trivial_quadruplet(PadicIntegers(3), depth=2),
-        trivial_quadruplet(Solenoid(2), depth=2),
-    ):
-        validate_quadruplet(q)  # must not raise
+def test_quadruplet_accepts_point_mass():
+    # a law is checked when it is built: these must not raise
+    trivial_quadruplet(Torus())
+    trivial_quadruplet(PadicIntegers(3), depth=2)
+    trivial_quadruplet(Solenoid(2), depth=2)
 
 
-def test_validate_quadruplet_rejects_padic_gauss():
-    q = Quadruplet(PadicIntegers(2), PadicSubgroup(0), PadicInt.zero(2, 3), 0.5, EMPTY_LEVY)
+def test_quadruplet_rejects_padic_gauss():
     with pytest.raises(ValueError, match="Gauss"):
-        validate_quadruplet(q)
+        Quadruplet(PadicIntegers(2), PadicSubgroup(0), PadicInt.zero(2, 3), 0.5, EMPTY_LEVY)
 
 
-def test_validate_quadruplet_rejects_mismatches():
-    q = Quadruplet(Torus(), PadicSubgroup(0), TorusPoint(0.0), 0.0, EMPTY_LEVY)
+def test_quadruplet_rejects_mismatches():
     with pytest.raises(ValueError, match="TorusSubgroup"):
-        validate_quadruplet(q)
-    q = Quadruplet(PadicIntegers(2), PadicSubgroup(0), PadicInt.zero(3, 2), 0.0, EMPTY_LEVY)
+        Quadruplet(Torus(), PadicSubgroup(0), TorusPoint(0.0), 0.0, EMPTY_LEVY)
     with pytest.raises(ValueError, match="prime"):
-        validate_quadruplet(q)
+        Quadruplet(PadicIntegers(2), PadicSubgroup(0), PadicInt.zero(3, 2), 0.0, EMPTY_LEVY)
     eta = LevyMeasure(((PadicInt(2, (1, 0)), 1.0),))
-    q = Quadruplet(PadicIntegers(2), PadicSubgroup(0), PadicInt.zero(2, 3), 0.0, eta)
     with pytest.raises(ValueError, match="digit length"):
-        validate_quadruplet(q)
+        Quadruplet(PadicIntegers(2), PadicSubgroup(0), PadicInt.zero(2, 3), 0.0, eta)
     eta = LevyMeasure(((SolenoidPoint(2, 1, 0.4), 1.0),))
-    q = Quadruplet(Solenoid(2), SolenoidSubgroup.trivial(), SolenoidPoint.identity(2, 3), 0.0, eta)
     with pytest.raises(ValueError, match="depth"):
-        validate_quadruplet(q)
-    q = Quadruplet(Torus(), TorusSubgroup.full(), TorusPoint(0.0), -0.5, EMPTY_LEVY)
+        Quadruplet(Solenoid(2), SolenoidSubgroup.trivial(), SolenoidPoint.identity(2, 3), 0.0, eta)
     with pytest.raises(ValueError, match="gauss_b"):
-        validate_quadruplet(q)
+        Quadruplet(Torus(), TorusSubgroup.full(), TorusPoint(0.0), -0.5, EMPTY_LEVY)
+
+
+def test_quadruplet_replaced_field_is_checked_again():
+    # dataclasses.replace builds a new law through the same checks
+    q = Quadruplet(Torus(), TorusSubgroup.full(), TorusPoint(0.0), 0.5, EMPTY_LEVY)
+    with pytest.raises(ValueError, match="gauss_b"):
+        dataclasses.replace(q, gauss_b=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from widlaws import (
     pushforward_torus,
     quadruplet_sampler,
     sample_compound_poisson,
-    sample_padic_haar,
     sample_padic_wid,
     sample_solenoid_wid,
     sample_torus_wid,
@@ -54,6 +53,13 @@ N = 100_000
 
 def mc_tol(n, c=4.0):
     return c / math.sqrt(n)
+
+
+def _padic_haar(rng, p, depth, size):
+    """Digits 0..depth of `size` Haar draws on Z_p: the law Haar(Λ(0)),
+    drawn by sample_padic_wid."""
+    q = Quadruplet(PadicIntegers(p), PadicSubgroup(0), PadicInt.zero(p, depth), 0.0, EMPTY_LEVY)
+    return sample_padic_wid(rng, q, depth, size)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +90,10 @@ def test_uniform_real_contract():
 
 
 def test_uniform_digit_frequencies():
-    ds = sample_padic_haar(make_rng(3), 2, 0, size=N)[:, 0]
+    ds = _padic_haar(make_rng(3), 2, 0, size=N)[:, 0]
     assert set(np.unique(ds)) <= {0, 1}
     assert abs(ds.mean() - 0.5) <= 4 * 0.5 / math.sqrt(N)
-    ds5 = sample_padic_haar(make_rng(4), 5, 0, size=N)[:, 0]
+    ds5 = _padic_haar(make_rng(4), 5, 0, size=N)[:, 0]
     assert ds5.min() >= 0 and ds5.max() <= 4
     counts = np.bincount(ds5, minlength=5)
     chi2_stat = float(((counts - N / 5) ** 2 / (N / 5)).sum())
@@ -285,7 +291,7 @@ def test_padic_haar_block():
     for stream, (d, ell) in enumerate(((0, 1), (1, 5), (3, 40))):
         emp = empirical_cf(sampler, PadicCharacter(d, ell), N, make_rng(19, stream))
         assert abs(emp) <= mc_tol(N)
-    digits = sample_padic_haar(make_rng(20), 3, 3, size=1000)
+    digits = _padic_haar(make_rng(20), 3, 3, size=1000)
     assert digits.shape == (1000, 4) and digits.min() >= 0 and digits.max() <= 2
 
 
@@ -435,7 +441,7 @@ def test_padic_char_mean_is_exact_at_large_depth():
     # ell * x passes int64 here; the mean must still match the exact
     # big-integer evaluation draw by draw
     for p, d in ((3, 30), (5, 25), (2, 60), (3, 37)):
-        digits = sample_padic_haar(make_rng(0), p, d, size=200)
+        digits = _padic_haar(make_rng(0), p, d, size=200)
         for ell in (12345678901234 % p ** (d + 1), p ** (d + 1) - 1):
             chi = PadicCharacter(d, ell)
             want = sum(chi(PadicInt(p, tuple(row))) for row in digits.tolist())
@@ -444,7 +450,7 @@ def test_padic_char_mean_is_exact_at_large_depth():
 
 def test_padic_char_mean_rejects_depth_beyond_int64_envelope():
     # exact while p**(d+2) < 2**63: d = 37 is the last such depth at p = 3
-    digits = sample_padic_haar(make_rng(0), 3, 38, size=10)
+    digits = _padic_haar(make_rng(0), 3, 38, size=10)
     char_mean(PadicSamples(3, digits), PadicCharacter(37, 5))
     with pytest.raises(ValueError, match="2\\*\\*63"):
         char_mean(PadicSamples(3, digits), PadicCharacter(38, 5))
@@ -462,7 +468,7 @@ def _direct_char_mean(p, digits, chi):
 def test_padic_char_mean_histogram_matches_direct_evaluation_on_one_batch(p):
     # every (d, ell) with p**(d+1) <= n reads the batch's residue histogram
     n = 700
-    batch = PadicSamples(p, sample_padic_haar(make_rng(41 + p), p, 8, size=n))
+    batch = PadicSamples(p, _padic_haar(make_rng(41 + p), p, 8, size=n))
     d = 0
     while p ** (d + 1) <= n:
         for ell in range(p ** (d + 1)):
@@ -476,7 +482,7 @@ def test_padic_char_mean_histogram_matches_direct_evaluation_on_one_batch(p):
 def test_padic_char_mean_above_batch_size_reads_at_most_n_residues(p, d):
     # p**(d+1) > n: the mean is the same, read off at most n distinct residues
     n = 300
-    batch = PadicSamples(p, sample_padic_haar(make_rng(43), p, d, size=n))
+    batch = PadicSamples(p, _padic_haar(make_rng(43), p, d, size=n))
     for ell in (1, p + 1, p ** (d + 1) - 2):
         chi = PadicCharacter(d, ell)
         assert abs(char_mean(batch, chi) - _direct_char_mean(p, batch.digits, chi)) <= 1e-12
@@ -489,7 +495,7 @@ def test_padic_char_mean_is_bit_equal_on_a_batch_stacked_twice(p, d):
     # n < p**(d+1) < 2n: the same draws, once and twice over, straddle the
     # batch size p**(d+1) and must still give the same bits
     n = p ** (d + 1) // 2 + 1
-    digits = sample_padic_haar(make_rng(59), p, d, size=n)
+    digits = _padic_haar(make_rng(59), p, d, size=n)
     once, twice = PadicSamples(p, digits), PadicSamples(p, np.vstack([digits, digits]))
     for ell in make_rng(61).integers(0, p ** (d + 1), size=8).tolist():
         chi = PadicCharacter(d, ell)
