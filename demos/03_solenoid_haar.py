@@ -24,13 +24,12 @@ from widlaws import (
     Solenoid,
     SolenoidCharacter,
     SolenoidPoint,
-    SolenoidSamples,
     SolenoidSubgroup,
     canonical_angle,
     char_mean,
     circular_distance,
     make_rng,
-    sample_solenoid_wid,
+    quadruplet_sampler,
 )
 
 p, depth = 2, 3
@@ -40,7 +39,7 @@ TOL = 4 / math.sqrt(N)
 haar = Quadruplet(
     Solenoid(p), SolenoidSubgroup.full(), SolenoidPoint.identity(p, depth), 0.0, EMPTY_LEVY
 )
-batch = SolenoidSamples(p, depth, *sample_solenoid_wid(make_rng(99), haar, depth, N))
+batch = quadruplet_sampler(haar, depth)(make_rng(99), N)
 deeps = batch.deep_angles
 
 # every retained coordinate pair satisfies the tower relation exactly

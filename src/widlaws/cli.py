@@ -34,7 +34,7 @@ from .groups import (
     config_int,
     config_real,
 )
-from .measures import LevyMeasure, Quadruplet
+from .measures import AtomError, LevyMeasure, Quadruplet
 from .sampling import check_digit_budget, check_jump_budget, make_rng, quadruplet_sampler
 from .verification import (
     check_compare_inequality,
@@ -70,9 +70,11 @@ def _get(doc, path, default=None, required=False):
 
 
 def _field(field, parse, *args):
-    """parse(*args), with a ValueError reported as a ConfigError naming field."""
+    """parse(*args); a ValueError becomes a ConfigError naming field, an AtomError its atom."""
     try:
         return parse(*args)
+    except AtomError as exc:
+        raise ConfigError(f"{field}[{exc.index}].{exc.part}", str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(field, str(exc)) from exc
 
@@ -145,7 +147,7 @@ def parse_config(doc):
             raise ConfigError(field, "expected an object with 'point' and 'mass'")
         pt = _field(field + ".point", group.parse_point, atom["point"], depth, subgroup)
         atoms.append((pt, _as_real(field + ".mass", atom["mass"])))
-    levy = _field("quadruplet", LevyMeasure, tuple(atoms))
+    levy = _field("quadruplet.eta", LevyMeasure, tuple(atoms))
     quad = _field("quadruplet", Quadruplet, group, subgroup, shift, b, levy)
 
     _field("quadruplet.eta", check_jump_budget, levy, samples)

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import pushforward_padic, pushforward_solenoid, pushforward_torus
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -186,6 +188,7 @@ class TorusPoint:
 
     angle: float
     depth = None  # a circle point has no tower of coordinates
+    digits = ()  # and lifts to R alone
 
     def __post_init__(self):
         object.__setattr__(self, "angle", canonical_angle(self.angle))
@@ -523,6 +526,7 @@ class TorusSubgroup:
     """order=None is the whole circle; order=k the k-th roots of unity."""
 
     order: int | None = None
+    first_digit = None  # the circle's lift has no digits
 
     def __post_init__(self):
         if self.order is not None and self.order < 1:
@@ -552,19 +556,28 @@ class PadicSubgroup:
         if self.zero_digits < 0:
             raise ValueError("zero_digits must be >= 0")
 
+    @property
+    def first_digit(self) -> int:
+        """The Haar layer's first uniform digit: digits 0..r-1 vanish."""
+        return self.zero_digits
+
 
 @dataclass(frozen=True)
 class SolenoidSubgroup:
     """whole=False is the trivial subgroup {e}; whole=True the full
-    solenoid (its only compact subgroups used here)."""
+    solenoid (its only compact subgroups used here).  As Haar layers,
+    in the circle's TorusSubgroup convention, {e} is cyclic of order 1
+    and the whole solenoid has order None and uniform digits from 0 on."""
 
     whole: bool = False
 
     @property
     def order(self):
-        """None for the whole solenoid; the trivial subgroup is cyclic of
-        order 1 (the circle's TorusSubgroup convention)."""
         return None if self.whole else 1
+
+    @property
+    def first_digit(self):
+        return 0 if self.whole else None
 
     @staticmethod
     def trivial() -> "SolenoidSubgroup":
@@ -714,6 +727,13 @@ class _Group:
     parsers raise ValueError and leave naming the config field to the
     caller; parse_subgroup returns None for a kind the group lacks and
     calls order(minimum) to read the kind's integer parameter.
+
+    The sampler's share (see the sampling module) presents the group as
+    the image of its lift R x Z^k: real_coordinate with base_angle(x),
+    lift_width(depth, shift) (k, once the shift reaches depth),
+    pushforward(eta, depth) and the covering map cover(real, digits),
+    which returns the fields of the group's batch.  The subgroup's order
+    and first_digit give the Haar layer.
     """
 
     def annihilates(self, subgroup, chi) -> bool:
@@ -760,6 +780,8 @@ class _CircleTower(_Group):
     the whole group (order None) or finite cyclic of the given order.
     """
 
+    real_coordinate = True
+
     def quadratic_form(self, b: float, chi) -> float:
         """b*ell**2 / p**(2d)."""
         return b * chi.ell ** 2 / self.scale(chi) ** 2
@@ -799,6 +821,16 @@ class Torus(_CircleTower):
 
     def base_angle(self, x) -> float:
         return x.angle
+
+    def lift_width(self, depth, shift) -> int:
+        """The circle lifts to R alone; depth is ignored."""
+        return 0
+
+    def pushforward(self, eta, depth):
+        return pushforward_torus(eta)
+
+    def cover(self, real, digits) -> tuple:
+        return (canonical_angle(real),)
 
     def point_mass(self, depth=None):
         return TorusSubgroup.trivial(), TorusPoint.identity()
@@ -841,6 +873,14 @@ class _PrimeGroup(_Group):
             raise ValueError("element prime does not match the group")
         _check_same(shift, x)
 
+    def lift_width(self, depth, shift) -> int:
+        """The shift's digits cut to depth, once 0 <= depth <= shift.depth."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        if shift.depth < depth:
+            raise ValueError(f"shift carries {self.retained} 0..{shift.depth}, need 0..{depth}")
+        return len(shift.digits) - shift.depth + depth
+
     def _parse_digits(self, raw, count) -> list:
         """A list of at most count digits in 0..p-1, zero-padded to count."""
         if not isinstance(raw, list):
@@ -875,6 +915,9 @@ class PadicIntegers(_PrimeGroup):
     subgroup_type = PadicSubgroup
     character_type = PadicCharacter
 
+    real_coordinate = False
+    retained = "digits"  # what a depth counts
+
     def quadratic_form(self, b: float, chi) -> float:
         return 0.0
 
@@ -883,6 +926,12 @@ class PadicIntegers(_PrimeGroup):
 
     def drift(self, eta) -> float:
         return 0.0
+
+    def pushforward(self, eta, depth):
+        return pushforward_padic(eta, depth)
+
+    def cover(self, real, digits) -> tuple:
+        return self.p, padic_digit_matrix(self.p, digits, out=digits)
 
     def _annihilates(self, subgroup, chi) -> bool:
         """chi.d < r or p**(d+1-r) | ell, for the depth-r zero-prefix subgroup."""
@@ -942,6 +991,7 @@ class Solenoid(_PrimeGroup, _CircleTower):
     point_type = SolenoidPoint
     subgroup_type = SolenoidSubgroup
     character_type = SolenoidCharacter
+    retained = "coordinates"  # what a depth counts
 
     def scale(self, chi) -> int:
         """p**d, after checking p**(2d) < 2**1023: the Gauss form
@@ -952,6 +1002,13 @@ class Solenoid(_PrimeGroup, _CircleTower):
 
     def base_angle(self, x) -> float:
         return x.base
+
+    def pushforward(self, eta, depth):
+        return pushforward_solenoid(eta, depth)
+
+    def cover(self, real, digits) -> tuple:
+        depth = digits.shape[1]
+        return self.p, depth, *solenoid_lift_matrix(self.p, depth, real, digits)
 
     def point_mass(self, depth: int):
         return SolenoidSubgroup.trivial(), SolenoidPoint.identity(self.p, depth)
@@ -969,8 +1026,8 @@ class Solenoid(_PrimeGroup, _CircleTower):
 
     def parse_point(self, raw, depth, subgroup) -> SolenoidPoint:
         """{"base": a finite real, "digits": at most depth digits}, or a
-        deep angle phi, the image of the real p**depth * phi.  Below the
-        whole subgroup the sampler reads that real, so phi is refused once
+        deep angle phi, the image of the real p**depth * phi.  Unless the
+        whole subgroup's Haar layer absorbs the point, phi is refused once
         its rounding, half an ulp, can exceed 1e-6 turns."""
         if isinstance(raw, dict):
             if set(raw) != {"base", "digits"}:

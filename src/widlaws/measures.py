@@ -20,14 +20,22 @@ from dataclasses import dataclass, field
 _IDENTITY_MESSAGE = "Levy measure must satisfy η({e})=0: atom at the identity"
 
 
+class AtomError(ValueError):
+    """A refused Levy atom: its index as given and its part, point or mass."""
+
+    def __init__(self, index: int, part: str, message: str):
+        super().__init__(message)
+        self.index, self.part = index, part
+
+
 @dataclass(frozen=True)
 class LevyMeasure:
     """Finite atomic Levy measure: a tuple of (point, mass) atoms.
 
     Duplicate points are merged by summing masses at construction; atoms
     at the identity are rejected (η({e})=0) and masses must be positive
-    and finite.  Finiteness of the atom list makes both Levy-measure
-    integrability conditions automatic.
+    and finite (an AtomError names a refused atom).  Finiteness of the
+    atom list makes both Levy-measure integrability conditions automatic.
     """
 
     atoms: tuple = field(default=())
@@ -35,12 +43,12 @@ class LevyMeasure:
     def __post_init__(self):
         merged = {}
         order = []
-        for point, mass in self.atoms:
+        for i, (point, mass) in enumerate(self.atoms):
             mass = float(mass)
             if not math.isfinite(mass) or mass <= 0:
-                raise ValueError(f"atom mass must be positive and finite, got {mass}")
+                raise AtomError(i, "mass", f"atom mass must be positive and finite, got {mass}")
             if point.is_identity():
-                raise ValueError(_IDENTITY_MESSAGE)
+                raise AtomError(i, "point", _IDENTITY_MESSAGE)
             if point in merged:
                 merged[point] += mass
             else:

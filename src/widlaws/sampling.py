@@ -9,27 +9,40 @@ independent streams.  Poisson counts use the generator's exact routine
 normal draws its exact ziggurat, so every sampler below realizes its
 target law exactly, never through a normal approximation.
 
-Each sampler draws `size` elements at once and consumes randomness in a
-fixed documented order (Haar layer, then Gauss, then jump count, then
-jump selection); degenerate layers (trivial subgroup, zero variance,
-empty jump measure) consume nothing.  A compound-Poisson layer picks
-every jump's atom at once and sums the jump vectors per draw on
-R x Z^k: each integer coordinate by its own weighted bincount, cast to
-int64 and added into the caller's matrix, exact while a sum stays below
-2**53; the real coordinates by one weighted bincount over the jumps, in
-jump order, or not at all when every atom's real part is 0, as on the
-p-adic integers.  A p-adic draw builds its batch in one column-major
-digit matrix: the uniform digits, the shift's digits, the jump sums,
-then the carry in place.  The samplers
-return the raw array form: angles on the circle, a digit matrix on the
-p-adic integers, and on the solenoid a pair of base angles in [-pi, pi)
-and base-p digits, wrapped and carried by solenoid_lift_matrix through
-the p-adic carry padic_digit_matrix.  quadruplet_sampler wraps the raw
-form in the group's batch type, which owns the
-batch's group product, its character means and its column reader for
-the sample dump: columns(lo, hi) returns the dump's fields for draws
-lo..hi-1 as numpy columns computed on that slice only, so the dump can
-be written in chunks without a per-draw form of the whole batch.
+One sampler, quadruplet_sampler, draws every law on every group as the
+image of a draw on its lift R x Z^k under the group's covering map: the
+circle lifts to R and covers by reducing the angle, the p-adic integers
+lift to Z^(depth+1) and cover by the carry, and S_p = (R x Delta_p)/Z
+lifts to R x Z^depth and covers by solenoid_lift_matrix.  Each group's
+share sits on its descriptor (groups._Group), so the draw has no branch
+on the group.  It fills one float column (none on the p-adic integers)
+and one column-major int64 digit matrix in six steps, consuming
+randomness in this order:
+
+1. the real column starts at the shift's base angle, so each layer adds
+   into it as y0 + x rounds; the digits start at 0;
+2. the Haar layer of H: a uniform, cyclic or no real coordinate, then
+   uniform digits from the subgroup's first digit on;
+3. the shift's digits;
+4. the Gauss layer, on the real coordinate;
+5. the jumps of eta's pushforward to the lift, summed straight into the
+   digits; their real parts are added, then the drift is subtracted;
+6. the covering map: in place on Delta_p, into a new matrix on S_p.
+
+Degenerate layers (trivial subgroup, zero variance, empty jump measure)
+consume nothing, and the whole solenoid is no special case:
+Haar(S_p) * mu = Haar(S_p) comes out of the same steps.  A
+compound-Poisson layer picks every jump's atom at once and sums the jump
+vectors per draw on R x Z^k: each integer coordinate by its own weighted
+bincount, cast to int64 and added into the caller's matrix, exact while
+a sum stays below 2**53; the real coordinates by one weighted bincount
+over the jumps, in jump order, or not at all when every atom's real part
+is 0, as on the p-adic integers.  quadruplet_sampler wraps the covered
+arrays in the group's batch type, which owns the batch's group product,
+its character means and its column reader for the sample dump:
+columns(lo, hi) returns the dump's fields for draws lo..hi-1 as numpy
+columns computed on that slice only, so the dump can be written in
+chunks without a per-draw form of the whole batch.
 
 A batch is read by many characters (one verification suite draws one
 batch), so every batch keeps the per-depth work of its character means
@@ -63,10 +76,7 @@ import numpy as np
 
 from .groups import (
     PadicCharacter,
-    PadicIntegers,
-    Solenoid,
     SolenoidCharacter,
-    Torus,
     TorusCharacter,
     TWO_PI,
     canonical_angle,
@@ -76,13 +86,7 @@ from .groups import (
     solenoid_lift_matrix,
     solenoid_tower,
 )
-from .measures import (
-    LatticeMeasure,
-    Quadruplet,
-    pushforward_padic,
-    pushforward_solenoid,
-    pushforward_torus,
-)
+from .measures import LatticeMeasure, Quadruplet
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -178,95 +182,6 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None):
     if not atom_real.any():
         return np.zeros(n), ints
     return np.bincount(owner, weights=atom_real[picks], minlength=n), ints
-
-
-# ---------------------------------------------------------------------------
-# full quadruplet samplers
-
-def sample_torus_wid(rng, q: Quadruplet, size: int) -> np.ndarray:
-    """Draw canonical angles from a circle quadruplet: exp(i(U + arg a +
-    X + Y)) with U the Haar layer of the subgroup, X the Gauss layer, Y
-    the centered compound-Poisson layer."""
-    if not isinstance(q.group, Torus):
-        raise ValueError("quadruplet is not on the circle")
-    angles = np.zeros(size)
-    order = q.subgroup.order
-    if order is None:
-        angles += rng.uniform(0.0, TWO_PI, size=size)
-    elif order > 1:
-        angles += rng.integers(0, order, size=size) * (TWO_PI / order)
-    angles += q.shift.angle
-    if q.gauss_b > 0:
-        angles += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
-    if not q.levy.is_empty():
-        jumps, _ = sample_compound_poisson(rng, pushforward_torus(q.levy), size)
-        angles += jumps - q.group.drift(q.levy)
-    return canonical_angle(angles)
-
-
-def sample_padic_wid(rng, q: Quadruplet, depth: int, size: int) -> np.ndarray:
-    """Draw digits 0..depth from a p-adic quadruplet, shape (size, depth+1).
-
-    Uniform digits above the subgroup's zero prefix, plus the shift's
-    digits, plus one compound-Poisson draw of digit-prefix jump vectors,
-    all pushed through the carry normalization; the law of the retained
-    digits is exact.
-    """
-    if not isinstance(q.group, PadicIntegers):
-        raise ValueError("quadruplet is not on the p-adic integers")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    p = q.group.p
-    width = depth + 1
-    if q.shift.depth < depth:
-        raise ValueError(f"shift carries digits 0..{q.shift.depth}, need 0..{depth}")
-    # column-major for the carry; the draw keeps the C order that fixes
-    # which digit gets which random number, and is copied in
-    totals = np.zeros((size, width), dtype=np.int64, order="F")
-    start = min(q.subgroup.zero_digits, width)
-    if start < width:
-        totals[:, start:] = rng.integers(0, p, size=(size, width - start), dtype=np.int64)
-    totals += np.array(q.shift.digits[:width], dtype=np.int64)
-    if not q.levy.is_empty():
-        sample_compound_poisson(rng, pushforward_padic(q.levy, depth), size, totals)
-    # carried in place: the batch is the one matrix of the draw
-    return padic_digit_matrix(p, totals, out=totals)
-
-
-def sample_solenoid_wid(rng, q: Quadruplet, depth: int, size: int):
-    """Draw solenoid elements truncated at coordinate index depth, as the
-    pair (base angles shape (size,), base-p digits shape (size, depth)).
-
-    With the trivial subgroup: broadcast the shift's (base, digits), add
-    the Gauss layer to the real coordinate and a centered compound-Poisson
-    draw to the whole lift, then wrap and carry.  With the full subgroup
-    the Haar layer absorbs everything and the draw is pure Haar: a uniform
-    angle at the top of the tower refined by uniform base-p digits down
-    to the requested depth.
-    """
-    if not isinstance(q.group, Solenoid):
-        raise ValueError("quadruplet is not on the solenoid")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    p = q.group.p
-    if q.subgroup.whole:
-        u0 = rng.uniform(0.0, TWO_PI, size=size)
-        digits = rng.integers(0, p, size=(size, depth), dtype=np.int64)
-        return solenoid_lift_matrix(p, depth, u0, digits)
-    if q.shift.depth < depth:
-        raise ValueError(f"shift carries coordinates 0..{q.shift.depth}, need 0..{depth}")
-    # the Gauss and jump layers add into y0 in place, rounded as y0 + x is
-    y0 = np.full(size, q.shift.base)
-    ints = np.broadcast_to(np.array(q.shift.digits[:depth], dtype=np.int64), (size, depth))
-    if q.gauss_b > 0:
-        y0 += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
-    if not q.levy.is_empty():
-        jr, ji = sample_compound_poisson(rng, pushforward_solenoid(q.levy, depth), size)
-        y0 += jr
-        y0 -= q.group.drift(q.levy)
-        ji += ints  # in place: one (size, depth) matrix alive into the lift
-        ints = ji
-    return solenoid_lift_matrix(p, depth, y0, ints)
 
 
 # ---------------------------------------------------------------------------
@@ -456,24 +371,44 @@ def char_mean(batch, chi, exact: bool = True) -> complex:
     return batch.char_mean(chi, exact)
 
 
-_SAMPLERS = {
-    Torus: lambda q, depth, rng, n: TorusSamples(sample_torus_wid(rng, q, n)),
-    PadicIntegers: lambda q, depth, rng, n: PadicSamples(
-        q.group.p, sample_padic_wid(rng, q, depth, n)
-    ),
-    Solenoid: lambda q, depth, rng, n: SolenoidSamples(
-        q.group.p, depth, *sample_solenoid_wid(rng, q, depth, n)
-    ),
-}
+_BATCHES = {"torus": TorusSamples, "padic": PadicSamples, "solenoid": SolenoidSamples}
 
 
 def quadruplet_sampler(q: Quadruplet, depth: int | None = None):
     """Batch sampler (rng, n) -> samples for the quadruplet's group.
 
     depth defaults to the depth of the quadruplet's shift element; it is
-    ignored on the circle.
+    ignored on the circle.  Raises ValueError when depth is negative or
+    deeper than the shift.
     """
     if depth is None:
         depth = q.shift.depth
-    draw = _SAMPLERS[type(q.group)]
-    return lambda rng, n: draw(q, depth, rng, n)
+    width = q.group.lift_width(depth, q.shift)
+    batch = _BATCHES[q.group.name]
+    return lambda rng, n: batch(*_draw(q, depth, width, rng, n))
+
+
+def _draw(q: Quadruplet, depth, width: int, rng, size: int) -> tuple:
+    """The six steps of the module docstring on `size` lifts of `width`
+    digits each; returns the covered batch's fields."""
+    group, subgroup = q.group, q.subgroup
+    real = np.full(size, group.base_angle(q.shift)) if group.real_coordinate else None
+    digits = np.zeros((size, width), dtype=np.int64, order="F")
+    if real is not None and subgroup.order is None:
+        real += rng.uniform(0.0, TWO_PI, size=size)
+    elif real is not None and subgroup.order > 1:
+        real += rng.integers(0, subgroup.order, size=size) * (TWO_PI / subgroup.order)
+    first = subgroup.first_digit
+    if first is not None and first < width:
+        # the draw keeps the C order that fixes which digit gets which
+        # random number, and is copied in
+        digits[:, first:] = rng.integers(0, group.p, size=(size, width - first), dtype=np.int64)
+    digits += np.array(q.shift.digits[:width], dtype=np.int64)
+    if q.gauss_b > 0:
+        real += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
+    if not q.levy.is_empty():
+        jumps, _ = sample_compound_poisson(rng, group.pushforward(q.levy, depth), size, digits)
+        if real is not None:
+            real += jumps
+            real -= group.drift(q.levy)
+    return group.cover(real, digits)

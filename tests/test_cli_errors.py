@@ -237,7 +237,8 @@ _PADIC_HAAR = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
         ),
         ('{"group": "torus",', "verify", "<config file>"),
         (_torus(_FULL), "sample", "count"),
-        # a Quadruplet and its Levy measure check themselves when built
+        # a Quadruplet and its Levy measure check themselves when built;
+        # a refused atom is named by its place and its refused half
         (
             json.dumps({"group": "padic", "p": 3, "quadruplet": {**_PADIC_HAAR, "b": 0.5}}),
             "verify",
@@ -246,7 +247,23 @@ _PADIC_HAAR = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
         (
             _torus({"H": {"kind": "trivial"}, "a": 0.0, "eta": [{"point": 0.0, "mass": 1.0}]}),
             "verify",
-            "quadruplet",
+            "quadruplet.eta[0].point",
+        ),
+        (
+            _torus({**_FULL, "eta": [{"point": 0.5, "mass": 1.0}, {"point": 1.5, "mass": 0}]}),
+            "verify",
+            "quadruplet.eta[1].mass",
+        ),
+        (
+            _torus({**_FULL, "eta": [{"point": 0.5, "mass": -1}]}),
+            "verify",
+            "quadruplet.eta[0].mass",
+        ),
+        (
+            '{"group": "torus", "quadruplet": {"H": {"kind": "full"}, "a": 0.0, '
+            '"eta": [{"point": 0.5, "mass": 1e999}]}}',
+            "verify",
+            "quadruplet.eta[0].mass",
         ),
     ],
     ids=[
@@ -260,6 +277,9 @@ _PADIC_HAAR = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
         "sample-count-0",
         "padic-gauss",
         "eta-atom-at-identity",
+        "eta-mass-zero",
+        "eta-mass-negative",
+        "eta-mass-infinite",
     ],
 )
 def test_each_config_error_exits_2_naming_its_field(text, command, field, tmp_path, capsys):

@@ -12,16 +12,19 @@ Regenerate the files only when the output is meant to change:
     PYTHONPATH=src python3 tests/test_golden.py
 
 The golden cases stop at 2,000 samples and 20 draws.  At scale, CI hashes
-verify (JSON and CSV) on each golden config at its default N and a
-100,000-draw csv sample dump of it against sha256-default-n.txt, beside
-the golden files.  Regenerate that file, from the root of the checkout,
-with:
+verify (JSON and CSV) on each golden config at its default N, a
+100,000-draw csv sample dump of it, and the JSON of haar-demo at p = 3
+on the p-adic integers and the solenoid at their defaults, against
+sha256-default-n.txt, beside the golden files.  Regenerate that file,
+from the root of the checkout, with:
 
     d=$(mktemp -d) && for g in torus padic solenoid; do
       c=tests/data/golden/config-$g.json
       PYTHONPATH=src python3 -m widlaws verify --config $c --out $d/verify-$g.json --csv $d/verify-$g.csv
       PYTHONPATH=src python3 -m widlaws sample --config $c --count 100000 --format csv --out $d/sample-$g.csv
-    done && (cd $d && sha256sum verify-* sample-*) > tests/data/golden/sha256-default-n.txt
+    done && for g in padic solenoid; do
+      PYTHONPATH=src python3 -m widlaws haar-demo --group $g --p 3 --out $d/haar-demo-$g-p3.json
+    done && (cd $d && sha256sum verify-* sample-* haar-demo-*) > tests/data/golden/sha256-default-n.txt
 """
 
 import pathlib

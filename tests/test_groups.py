@@ -32,8 +32,7 @@ from widlaws import (
     padic_in_subgroup,
     padic_mul_nat,
     padic_neg,
-    sample_padic_wid,
-    sample_solenoid_wid,
+    quadruplet_sampler,
     solenoid_from_lift,
     solenoid_inverse,
     solenoid_lift,
@@ -534,7 +533,7 @@ def test_sampled_digit_matrices_are_column_major():
     zero = PadicInt.zero(p, depth)
     for zero_digits, levy in ((0, EMPTY_LEVY), (2, eta), (depth + 1, EMPTY_LEVY)):
         q = Quadruplet(PadicIntegers(p), PadicSubgroup(zero_digits), zero, 0.0, levy)
-        digits = sample_padic_wid(make_rng(5), q, depth, n)
+        digits = quadruplet_sampler(q, depth)(make_rng(5), n).digits
         assert digits.shape == (n, depth + 1) and digits.flags.f_contiguous
     ints = np.arange(n * depth, dtype=np.int64).reshape(n, depth)  # C order in
     _, digits = solenoid_lift_matrix(p, depth, np.linspace(-9.0, 9.0, n), ints)
@@ -544,7 +543,7 @@ def test_sampled_digit_matrices_are_column_major():
     jumps = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), shift, 0.2, sol_eta)
     haar = Quadruplet(Solenoid(p), SolenoidSubgroup.full(), shift, 0.0, EMPTY_LEVY)
     for q in (jumps, haar, trivial_quadruplet(Solenoid(p), depth=depth)):
-        _, digits = sample_solenoid_wid(make_rng(6), q, depth, n)
+        digits = quadruplet_sampler(q, depth)(make_rng(6), n).digits
         assert digits.shape == (n, depth) and digits.flags.f_contiguous
 
 

@@ -28,7 +28,6 @@ from widlaws import (
     Torus,
     TorusCharacter,
     TorusPoint,
-    TorusSamples,
     TorusSubgroup,
     canonical_angle,
     char_mean,
@@ -41,9 +40,6 @@ from widlaws import (
     pushforward_torus,
     quadruplet_sampler,
     sample_compound_poisson,
-    sample_padic_wid,
-    sample_solenoid_wid,
-    sample_torus_wid,
     trivial_quadruplet,
 )
 from widlaws.groups import solenoid_coordinate
@@ -56,10 +52,9 @@ def mc_tol(n, c=4.0):
 
 
 def _padic_haar(rng, p, depth, size):
-    """Digits 0..depth of `size` Haar draws on Z_p: the law Haar(Λ(0)),
-    drawn by sample_padic_wid."""
+    """Digits 0..depth of `size` Haar draws on Z_p: the law Haar(Λ(0))."""
     q = Quadruplet(PadicIntegers(p), PadicSubgroup(0), PadicInt.zero(p, depth), 0.0, EMPTY_LEVY)
-    return sample_padic_wid(rng, q, depth, size)
+    return quadruplet_sampler(q, depth)(rng, size).digits
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +76,11 @@ def test_streams_are_reproducible_and_distinct():
 def test_uniform_real_contract():
     # the circle's Haar layer: uniform angles, reported in [-pi, pi)
     q = Quadruplet(Torus(), TorusSubgroup.full(), TorusPoint.identity(), 0.0, EMPTY_LEVY)
-    xs = sample_torus_wid(make_rng(1), q, size=N)
+    xs = quadruplet_sampler(q)(make_rng(1), N).angles
     assert np.all((xs >= -math.pi) & (xs < math.pi))
     # CLT: uniform std dev is (hi-lo)/sqrt(12)
     assert abs(xs.mean()) <= 4 * (2 * math.pi / math.sqrt(12)) / math.sqrt(N)
-    again = sample_torus_wid(make_rng(1), q, size=N)
+    again = quadruplet_sampler(q)(make_rng(1), N).angles
     assert np.array_equal(xs, again)
 
 
@@ -105,13 +100,13 @@ def test_normal_moments():
     def gauss(b):
         return Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint.identity(), b, EMPTY_LEVY)
 
-    assert np.all(sample_torus_wid(make_rng(5), gauss(0.0), size=10) == 0.0)
-    xs = sample_torus_wid(make_rng(6), gauss(0.04), size=N)
+    assert np.all(quadruplet_sampler(gauss(0.0))(make_rng(5), 10).angles == 0.0)
+    xs = quadruplet_sampler(gauss(0.04))(make_rng(6), N).angles
     assert abs(xs.mean()) <= 4 * 0.2 / math.sqrt(N)
     # var of the sample variance of N(0, s2) is ~ 2 s2^2 / n
     assert abs(xs.var(ddof=1) - 0.04) <= 4 * 0.04 * math.sqrt(2) / math.sqrt(N)
     with pytest.raises(ValueError):
-        sample_torus_wid(make_rng(8), gauss(-0.1), size=1)
+        quadruplet_sampler(gauss(-0.1))(make_rng(8), 1)
 
 
 def test_poisson_counts():
@@ -265,7 +260,7 @@ def test_compound_poisson_with_zero_real_parts_keeps_the_integer_sums():
 
 def test_torus_trivial_quadruplet_is_identity():
     q = trivial_quadruplet(Torus())
-    assert np.all(sample_torus_wid(make_rng(16), q, size=100) == 0.0)
+    assert np.all(quadruplet_sampler(q)(make_rng(16), 100).angles == 0.0)
 
 
 def test_torus_haar_kills_nontrivial_characters():
@@ -298,7 +293,7 @@ def test_padic_haar_block():
 def test_padic_deterministic_when_subgroup_below_depth():
     a = PadicInt(2, (1, 0, 1, 1))
     q = Quadruplet(PadicIntegers(2), PadicSubgroup(4), a, 0.0, EMPTY_LEVY)
-    out = sample_padic_wid(make_rng(21), q, 3, size=200)
+    out = quadruplet_sampler(q, 3)(make_rng(21), 200).digits
     assert out.shape == (200, 4) and np.all(out == np.array(a.digits))
 
 
@@ -319,10 +314,11 @@ def test_padic_draw_holds_one_digit_matrix_beside_the_random_draws():
     p, depth, n = 3, 3, 100_000
     eta = LevyMeasure(((PadicInt(p, (2, 1, 0, 0)), 1.2),))
     q = Quadruplet(PadicIntegers(p), PadicSubgroup(0), PadicInt(p, (1, 2, 0, 1)), 0.0, eta)
-    sample_padic_wid(make_rng(25), q, depth, size=100)
+    sampler = quadruplet_sampler(q, depth)
+    sampler(make_rng(25), 100)
     tracemalloc.start()
     try:
-        out = sample_padic_wid(make_rng(25), q, depth, size=n)
+        out = sampler(make_rng(25), n).digits
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -335,7 +331,8 @@ def test_padic_draw_holds_one_digit_matrix_beside_the_random_draws():
 
 def test_solenoid_trivial_quadruplet_is_identity():
     q = trivial_quadruplet(Solenoid(2), depth=3)
-    base, digits = sample_solenoid_wid(make_rng(23), q, 3, size=100)
+    batch = quadruplet_sampler(q, 3)(make_rng(23), 100)
+    base, digits = batch.base, batch.digits
     assert np.all(base == 0.0) and digits.shape == (100, 3) and np.all(digits == 0)
 
 
@@ -354,7 +351,7 @@ def test_solenoid_shift_only_reproduces_the_point():
     p = 2
     a = SolenoidPoint(p, 3, 1.234)
     q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), a, 0.0, EMPTY_LEVY)
-    batch = SolenoidSamples(p, 3, *sample_solenoid_wid(make_rng(25), q, 3, size=50))
+    batch = quadruplet_sampler(q, 3)(make_rng(25), 50)
     assert np.all(circular_distance(batch.deep_angles, a.deep_angle) <= 1e-12)
     for j in range(4):
         coords = solenoid_coordinate(p, batch.base, batch.digits, j)
@@ -362,11 +359,11 @@ def test_solenoid_shift_only_reproduces_the_point():
 
 
 def _solenoid_haar_batch(rng, p, depth, n):
-    """n Haar draws on the solenoid, through the full-subgroup sampler."""
+    """n Haar draws on the solenoid: the law Haar(S_p)."""
     q = Quadruplet(
         Solenoid(p), SolenoidSubgroup.full(), SolenoidPoint.identity(p, depth), 0.0, EMPTY_LEVY
     )
-    return SolenoidSamples(p, depth, *sample_solenoid_wid(rng, q, depth, n))
+    return quadruplet_sampler(q, depth)(rng, n)
 
 
 def test_solenoid_haar_block():
@@ -382,6 +379,7 @@ def test_solenoid_haar_block():
 
 
 def test_solenoid_full_subgroup_dispatches_to_haar():
+    # the whole subgroup's Haar layer absorbs the shift, Gauss and jump layers
     p = 2
     eta = LevyMeasure(((SolenoidPoint(p, 3, 0.9), 0.7),))
     q = Quadruplet(Solenoid(p), SolenoidSubgroup.full(), SolenoidPoint(p, 3, 0.5), 0.3, eta)
@@ -414,24 +412,13 @@ def test_convolution_property():
         assert abs(char_mean(both, chi) - want) <= mc_tol(N)
 
 
-def test_sampler_requires_matching_group():
-    q = trivial_quadruplet(Torus())
-    with pytest.raises(ValueError):
-        sample_padic_wid(make_rng(0), q, 2, size=1)
-    with pytest.raises(ValueError):
-        sample_solenoid_wid(make_rng(0), q, 2, size=1)
-    qp = trivial_quadruplet(PadicIntegers(2), depth=2)
-    with pytest.raises(ValueError):
-        sample_torus_wid(make_rng(0), qp, size=1)
-
-
 def test_shift_depth_must_cover_requested_depth():
     qp = trivial_quadruplet(PadicIntegers(2), depth=2)
     with pytest.raises(ValueError, match="digits"):
-        sample_padic_wid(make_rng(0), qp, 5, size=1)
+        quadruplet_sampler(qp, 5)(make_rng(0), 1)
     qs = trivial_quadruplet(Solenoid(2), depth=2)
     with pytest.raises(ValueError, match="coordinates"):
-        sample_solenoid_wid(make_rng(0), qs, 5, size=1)
+        quadruplet_sampler(qs, 5)(make_rng(0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +509,7 @@ def _power_cases():
     freshly drawn torus batch and p=3, depth-3 solenoid batch."""
     eta = LevyMeasure(((TorusPoint(2.1), 0.7),))
     q = Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint(0.5), 0.3, eta)
-    torus = TorusSamples(sample_torus_wid(make_rng(71), q, size=5000))
+    torus = quadruplet_sampler(q)(make_rng(71), 5000)
     p, depth = 3, 3
     solenoid = _solenoid_haar_batch(make_rng(73), p, depth, 5000)
     columns = [

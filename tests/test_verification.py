@@ -1,6 +1,7 @@
 """Verification engine: suites, compatibility, divisibility, oracles."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -451,15 +452,28 @@ def test_gate_catches_solenoid_sampler_without_drift_centering(monkeypatch):
     assert defect > 10 * 4 / math.sqrt(N)
     assert run_suite(q, chars, N, seed=61).overall_pass
 
-    real = widlaws.sampling.sample_solenoid_wid
+    real = widlaws.verification.quadruplet_sampler
 
-    def uncentered(rng, q, depth, size):
-        with monkeypatch.context() as m:
-            m.setattr(Solenoid, "drift", lambda self, eta: 0.0)
-            return real(rng, q, depth, size)
+    def uncentered(q, depth=None):
+        sampler = real(q, depth)
 
-    monkeypatch.setattr(widlaws.sampling, "sample_solenoid_wid", uncentered)
+        def draw(rng, n):
+            with monkeypatch.context() as m:
+                m.setattr(Solenoid, "drift", lambda self, eta: 0.0)
+                return sampler(rng, n)
+
+        return draw
+
+    monkeypatch.setattr(widlaws.verification, "quadruplet_sampler", uncentered)
     assert not run_suite(q, chars, N, seed=61).overall_pass
+
+
+def _sample_instead(monkeypatch, mutate):
+    """Make the engine's sampler draw the law mutate(q) in place of q."""
+    real = widlaws.verification.quadruplet_sampler
+    monkeypatch.setattr(
+        widlaws.verification, "quadruplet_sampler", lambda q, depth=None: real(mutate(q), depth)
+    )
 
 
 def test_gate_catches_torus_gauss_layer_with_std_b(monkeypatch):
@@ -474,12 +488,7 @@ def test_gate_catches_torus_gauss_layer_with_std_b(monkeypatch):
     assert defect > 10 * 4 / math.sqrt(N)
     assert run_suite(q, chars, N, seed=83).overall_pass
 
-    real = widlaws.sampling.sample_torus_wid
-
-    def std_b(rng, q, size):
-        return real(rng, Quadruplet(q.group, q.subgroup, q.shift, q.gauss_b**2, q.levy), size)
-
-    monkeypatch.setattr(widlaws.sampling, "sample_torus_wid", std_b)
+    _sample_instead(monkeypatch, lambda q: dataclasses.replace(q, gauss_b=q.gauss_b**2))
     assert not run_suite(q, chars, N, seed=83).overall_pass
 
 
@@ -495,14 +504,50 @@ def test_gate_catches_padic_haar_layer_one_digit_late(monkeypatch):
     assert defect > 10 * 4 / math.sqrt(N)
     assert run_suite(q, chars, N, seed=67).overall_pass
 
-    real = widlaws.sampling.sample_padic_wid
+    def late(q):
+        return dataclasses.replace(q, subgroup=PadicSubgroup(q.subgroup.zero_digits + 1))
 
-    def late(rng, q, depth, size):
-        shifted = PadicSubgroup(q.subgroup.zero_digits + 1)
-        return real(rng, Quadruplet(q.group, shifted, q.shift, q.gauss_b, q.levy), depth, size)
-
-    monkeypatch.setattr(widlaws.sampling, "sample_padic_wid", late)
+    _sample_instead(monkeypatch, late)
     assert not run_suite(q, chars, N, seed=67).overall_pass
+
+
+_WHOLE_WITH_EVERY_LAYER = {
+    "torus": Quadruplet(
+        Torus(),
+        TorusSubgroup.full(),
+        TorusPoint(0.7),
+        0.4,
+        LevyMeasure(((TorusPoint(2.1), 0.6), (TorusPoint(-0.9), 0.5))),
+    ),
+    "padic": Quadruplet(
+        PadicIntegers(3),
+        PadicSubgroup(0),
+        PadicInt(3, (1, 2, 0, 1)),
+        0.0,
+        LevyMeasure(((PadicInt(3, (2, 1, 0, 0)), 0.8), (PadicInt(3, (0, 1, 2, 0)), 0.5))),
+    ),
+    "solenoid": Quadruplet(
+        Solenoid(3),
+        SolenoidSubgroup.full(),
+        SolenoidPoint(3, 3, 0.4),
+        0.3,
+        LevyMeasure(((SolenoidPoint(3, 3, 0.9), 0.7), (SolenoidPoint(3, 3, -2.2), 0.5))),
+    ),
+}
+
+
+@pytest.mark.parametrize("q", _WHOLE_WITH_EVERY_LAYER.values(), ids=_WHOLE_WITH_EVERY_LAYER.keys())
+def test_whole_group_with_every_layer_is_still_haar(q, monkeypatch):
+    # Haar(G) * mu = Haar(G): a shift, a Gauss layer where the group has
+    # one and two jump atoms leave the law of the whole group unchanged
+    depth = q.shift.depth
+    chars = default_characters(q.group, depth=depth)
+    assert all(ft_quadruplet(q, chi) == (chi.ell == 0) for chi in chars)
+    assert run_suite(q, chars, N, seed=89).overall_pass
+
+    trivial, _ = q.group.point_mass(depth)
+    _sample_instead(monkeypatch, lambda q: dataclasses.replace(q, subgroup=trivial))
+    assert not run_suite(q, chars, N, seed=89).overall_pass
 
 
 def _late_carry(p, values, carry=0, out=None):
@@ -546,7 +591,7 @@ def test_gate_catches_padic_carry_one_digit_late(monkeypatch):
     assert defect > 10 * 4 / math.sqrt(N)
     assert run_suite(q, chars, N, seed=73).overall_pass
 
-    monkeypatch.setattr(widlaws.sampling, "padic_digit_matrix", _late_carry)
+    monkeypatch.setattr(widlaws.groups, "padic_digit_matrix", _late_carry)
     assert not run_suite(q, chars, N, seed=73).overall_pass
 
 
