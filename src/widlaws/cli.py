@@ -105,6 +105,8 @@ def _parse_characters(group, depth, raw):
         return _field("characters", default_characters, group, depth)
     if not isinstance(raw, list):
         raise ConfigError("characters", "expected 'default' or a list")
+    if not raw:
+        raise ConfigError("characters", "empty list: a verdict over no rows passes vacuously")
     return [
         _field(f"characters[{i}]", group.parse_character, item, depth)
         for i, item in enumerate(raw)

@@ -731,9 +731,11 @@ class _Group:
     The sampler's share (see the sampling module) presents the group as
     the image of its lift R x Z^k: real_coordinate with base_angle(x),
     lift_width(depth, shift) (k, once the shift reaches depth),
-    pushforward(eta, depth) and the covering map cover(real, digits),
-    which returns the fields of the group's batch.  The subgroup's order
-    and first_digit give the Haar layer.
+    pushforward(eta, depth), digit_dtype (the dtype its batches store
+    digits in), the covering map cover(real, digits), in place on one
+    block of lifts, and batch_fields(real, digits), the fields of the
+    group's batch once every block is covered.  The subgroup's order and
+    first_digit give the Haar layer.
     """
 
     def annihilates(self, subgroup, chi) -> bool:
@@ -815,6 +817,7 @@ class Torus(_CircleTower):
     point_type = TorusPoint
     subgroup_type = TorusSubgroup
     character_type = TorusCharacter
+    digit_dtype = np.dtype(np.uint8)  # the circle's lift has no digits
 
     def scale(self, chi) -> int:
         return 1
@@ -829,8 +832,11 @@ class Torus(_CircleTower):
     def pushforward(self, eta, depth):
         return pushforward_torus(eta)
 
-    def cover(self, real, digits) -> tuple:
-        return (canonical_angle(real),)
+    def cover(self, real, digits):
+        real[...] = canonical_angle(real)
+
+    def batch_fields(self, real, digits) -> tuple:
+        return (real,)
 
     def point_mass(self, depth=None):
         return TorusSubgroup.trivial(), TorusPoint.identity()
@@ -867,6 +873,13 @@ class _PrimeGroup(_Group):
 
     def __post_init__(self):
         validate_prime(self.p)
+
+    @property
+    def digit_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds every digit 0..p-1
+        (uint8 for p <= 256), the dtype batches store digits in.  It
+        holds the digits alone: cast before any arithmetic on them."""
+        return np.min_scalar_type(self.p - 1)
 
     def _check_element(self, shift, x):
         if x.p != self.p:
@@ -930,8 +943,11 @@ class PadicIntegers(_PrimeGroup):
     def pushforward(self, eta, depth):
         return pushforward_padic(eta, depth)
 
-    def cover(self, real, digits) -> tuple:
-        return self.p, padic_digit_matrix(self.p, digits, out=digits)
+    def cover(self, real, digits):
+        padic_digit_matrix(self.p, digits, out=digits)
+
+    def batch_fields(self, real, digits) -> tuple:
+        return self.p, digits
 
     def _annihilates(self, subgroup, chi) -> bool:
         """chi.d < r or p**(d+1-r) | ell, for the depth-r zero-prefix subgroup."""
@@ -1006,9 +1022,11 @@ class Solenoid(_PrimeGroup, _CircleTower):
     def pushforward(self, eta, depth):
         return pushforward_solenoid(eta, depth)
 
-    def cover(self, real, digits) -> tuple:
-        depth = digits.shape[1]
-        return self.p, depth, *solenoid_lift_matrix(self.p, depth, real, digits)
+    def cover(self, real, digits):
+        real[...], _ = solenoid_lift_matrix(self.p, digits.shape[1], real, digits, digits)
+
+    def batch_fields(self, real, digits) -> tuple:
+        return self.p, digits.shape[1], real, digits
 
     def point_mass(self, depth: int):
         return SolenoidSubgroup.trivial(), SolenoidPoint.identity(self.p, depth)

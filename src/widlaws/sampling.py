@@ -16,33 +16,45 @@ lift to Z^(depth+1) and cover by the carry, and S_p = (R x Delta_p)/Z
 lifts to R x Z^depth and covers by solenoid_lift_matrix.  Each group's
 share sits on its descriptor (groups._Group), so the draw has no branch
 on the group.  It fills one float column (none on the p-adic integers)
-and one column-major int64 digit matrix in six steps, consuming
+and one column-major digit matrix in the narrowest unsigned dtype that
+holds p - 1 (the descriptor's digit_dtype: uint8 for p <= 256), consuming
 randomness in this order:
 
-1. the real column starts at the shift's base angle, so each layer adds
-   into it as y0 + x rounds; the digits start at 0;
-2. the Haar layer of H: a uniform, cyclic or no real coordinate, then
-   uniform digits from the subgroup's first digit on;
-3. the shift's digits;
-4. the Gauss layer, on the real coordinate;
-5. the jumps of eta's pushforward to the lift, summed straight into the
-   digits; their real parts are added, then the drift is subtracted;
-6. the covering map: in place on Delta_p, into a new matrix on S_p.
+- the real column starts at the shift's base angle, so each layer adds
+  into it as y0 + x rounds; the digits start at 0;
+- the Haar layer of H: a uniform, cyclic or no real coordinate, then
+  uniform digits from the subgroup's first digit on, drawn BLOCK draws
+  at a time in C order straight into the narrow matrix;
+- the Gauss layer, on the real coordinate;
+- the Poisson counts of every draw, in one call of
+  sample_compound_poisson.
+
+Then each row block of BLOCK draws runs the six steps in one int64 work
+block: (1) it takes the block's Haar digits, (2) adds the shift's digits,
+(3) draws the block's jumps of eta's pushforward to the lift, one
+uniform per jump in row order, and adds their sums into it, (4) adds
+their real parts to the block's real column, (5) subtracts the drift,
+and (6) covers the block in place, writing its digits back narrow.  The
+blocks draw their uniforms in row order, so the stream, and every bit
+of the batch, is that of one whole-batch draw, while the draw's scratch
+is O(BLOCK) rows beside the batch and the counts.
 
 Degenerate layers (trivial subgroup, zero variance, empty jump measure)
 consume nothing, and the whole solenoid is no special case:
 Haar(S_p) * mu = Haar(S_p) comes out of the same steps.  A
-compound-Poisson layer picks every jump's atom at once and sums the jump
+compound-Poisson layer picks its jumps' atoms at once and sums the jump
 vectors per draw on R x Z^k: each integer coordinate by its own weighted
 bincount, cast to int64 and added into the caller's matrix, exact while
 a sum stays below 2**53; the real coordinates by one weighted bincount
 over the jumps, in jump order, or not at all when every atom's real part
 is 0, as on the p-adic integers.  quadruplet_sampler wraps the covered
-arrays in the group's batch type, which owns the batch's group product,
-its character means and its column reader for the sample dump:
-columns(lo, hi) returns the dump's fields for draws lo..hi-1 as numpy
-columns computed on that slice only, so the dump can be written in
-chunks without a per-draw form of the whole batch.
+arrays in the group's batch type, which owns the batch's group product
+(carried block by block in the same way), its character means and its
+column reader for the sample dump: columns(lo, hi) returns the dump's
+fields for draws lo..hi-1 as numpy columns computed on that slice only,
+so the dump can be written in chunks without a per-draw form of the
+whole batch.  Batch digits are stored narrow: cast them before any
+arithmetic, as the product, the residues and the tower sweep do.
 
 A batch is read by many characters (one verification suite draws one
 batch), so every batch keeps the per-depth work of its character means
@@ -76,14 +88,14 @@ import numpy as np
 
 from .groups import (
     PadicCharacter,
+    PadicIntegers,
+    Solenoid,
     SolenoidCharacter,
     TorusCharacter,
     TWO_PI,
     canonical_angle,
     check_padic_character,
-    padic_digit_matrix,
     solenoid_coordinate,
-    solenoid_lift_matrix,
     solenoid_tower,
 )
 from .measures import LatticeMeasure, Quadruplet
@@ -96,18 +108,23 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 # The most Poisson jumps one batch may hold.  At most three 8-byte
-# arrays per jump are alive at once: its uniform and its atom index while
-# the atoms are picked, then its atom index, its owner and one column of
-# its weights at a time while the sums are taken, so the cap keeps one
-# batch's jump layer near 0.24 GB; the stock fixtures draw about 1e5
+# arrays per jump of one row block are alive at once: its uniform and its
+# atom index while the atoms are picked, then its atom index, its owner
+# and one column of its weights at a time while the sums are taken.  A
+# block holds its share of the jumps, so 10**7 jumps over 100,000 draws
+# peak at 56 MB RSS for a whole verify; the cap bounds the worst case,
+# a few draws holding every jump in one block, near 0.24 GB (264 MB RSS
+# for a 100-draw verify at the cap).  The stock fixtures draw about 1e5
 # jumps per batch.
 MAX_JUMPS = 10**7
 
 
 # The most base-p digits one p-adic or solenoid batch may hold, counted
-# as draws * (depth + 1).  A digit costs 8 bytes in the batch and as much
-# again in each working array of the draw and the carry, so the cap keeps
-# one batch near 0.3 GB; the stock configs and demos hold under 6e6.
+# as draws * (depth + 1).  A digit costs 1 byte in the batch at p <= 256
+# (at most 4, _PrimeGroup.digit_dtype), and 8 in each int64 work array of the draw
+# and the carry, which hold one row block, so the cap keeps one batch at
+# 10 MB to 40 MB: a verify at the cap (p = 2, depth 99, 100,000 draws)
+# peaks at 53 MB RSS.  The stock configs and demos hold under 6e6.
 MAX_DIGITS = 10**7
 
 
@@ -133,27 +150,59 @@ def check_jump_budget(levy, draws: int):
         )
 
 
-def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None):
+def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None, block=None):
     """Poisson(total mass) many jumps, each an atom picked with
     probability mass/total, summed coordinatewise on R x Z^k.
 
     Atom selection walks a precomputed cumulative mass table by binary
-    search over uniforms.  Returns (real part, integer part): floats of
-    shape (n,) and an int64 matrix of shape (n, k).  Each draw's jump sum
-    is added into ints when given, in place, so a sampler can pass the
-    matrix it carries; otherwise into a new column-major zero matrix, one
-    contiguous column per coordinate, like the digit matrices it is
-    carried into.  A measure whose atoms all have real part 0 returns
-    zeros for the real part without summing it.  The empty measure
-    yields the origin and consumes nothing.  Raises ValueError, before
-    anything per jump is allocated, when the drawn jump total exceeds
-    MAX_JUMPS.
+    search over uniforms, one per jump, in draw order.  Returns (real
+    part, integer part): floats of shape (n,) and an int64 matrix of
+    shape (n, k).  Each draw's jump sum is added into ints when given, in
+    place; otherwise into a new column-major zero matrix, one contiguous
+    column per coordinate, like the digit matrices it is carried into.
+
+    With block given, the call draws the n Poisson counts and returns an
+    iterator over consecutive blocks of `block` draws (the last one
+    shorter).  Each step draws that block's uniforms, adds its sums into
+    the first rows of ints, which must then be a work matrix of `block`
+    rows, and yields the block's (real part, those rows).  Taken in
+    order, with nothing else drawn from rng in between, the blocks hold
+    the bits of the whole-batch call, and the per-jump arrays stay
+    O(block).
+
+    A measure whose atoms all have real part 0 returns zeros for the real
+    part without summing it.  The empty measure yields the origin and
+    consumes nothing.  Raises ValueError, before anything per jump is
+    allocated, when the drawn jump total exceeds MAX_JUMPS.
     """
     n = int(size)
-    k = measure.int_dim
+    masses = np.array([m for _, _, m in measure.atoms])
+    total = masses.sum()
+    # the empty measure draws no counts
+    counts = rng.poisson(total, size=n) if len(masses) else np.zeros(n, dtype=np.int64)
+    # summed in float: huge per-draw counts must not wrap int64
+    jumps = counts.sum(dtype=float)
+    if jumps > MAX_JUMPS:
+        raise ValueError(f"{jumps:.3g} Poisson jumps drawn, above the cap of {MAX_JUMPS}")
+    cum = np.cumsum(masses) / total
+    if block is None:
+        return _jump_sums(rng, measure, cum, counts, ints)
+    return (
+        _jump_sums(rng, measure, cum, counts[rows], ints[: rows.stop - rows.start])
+        for rows in _row_blocks(n, block)
+    )
+
+
+def _jump_sums(rng, measure: LatticeMeasure, cum, counts, ints=None):
+    """The jump sums of draws with the given Poisson counts: one uniform
+    per jump, in draw order, picks its atom off the cumulative mass table
+    cum.  Returns (real part, integer part) as sample_compound_poisson
+    does, adding into ints when given."""
+    n, k = len(counts), measure.int_dim
     if ints is None:
         ints = np.zeros((n, k), dtype=np.int64, order="F")
-    if len(measure.atoms) == 0:
+    jumps = int(counts.sum())
+    if jumps == 0:
         return np.zeros(n), ints
     atom_real = np.array([x for x, _, _ in measure.atoms])
     # float, the type bincount sums its weights in, so the gather of a
@@ -161,27 +210,47 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None):
     atom_ints = np.array([ki for _, ki, _ in measure.atoms], dtype=np.int64).reshape(
         len(measure.atoms), k
     ).astype(float)
-    masses = np.array([m for _, _, m in measure.atoms])
-    total = masses.sum()
-    counts = rng.poisson(total, size=n)
-    # summed in float: huge per-draw counts must not wrap int64
-    jumps = counts.sum(dtype=float)
-    if jumps > MAX_JUMPS:
-        raise ValueError(f"{jumps:.3g} Poisson jumps drawn, above the cap of {MAX_JUMPS}")
-    jumps = int(jumps)
-    if jumps == 0:
-        return np.zeros(n), ints
-    cum = np.cumsum(masses) / total
     picks = np.searchsorted(cum, rng.random(jumps), side="right")
-    np.minimum(picks, len(masses) - 1, out=picks)
+    np.minimum(picks, len(cum) - 1, out=picks)
     owner = np.repeat(np.arange(n), counts)
-    del counts
     for j in range(k):
         # the float sums cast first, so the add is the int64 loop
         ints[:, j] += np.bincount(owner, weights=atom_ints[picks, j], minlength=n).astype(np.int64)
     if not atom_real.any():
         return np.zeros(n), ints
     return np.bincount(owner, weights=atom_real[picks], minlength=n), ints
+
+
+# The draws in one row block of a draw or of a product of batches: each
+# block is lifted, covered and written back narrow in one int64 work
+# block, so the scratch is O(BLOCK) rows whatever the batch size.
+BLOCK = 8192
+
+
+def _row_blocks(n: int, block: int = BLOCK) -> list:
+    """Consecutive row slices of at most `block` rows covering 0..n-1."""
+    return [slice(lo, min(lo + block, n)) for lo in range(0, n, block)]
+
+
+def _work_matrix(n: int, width: int) -> np.ndarray:
+    """The int64 column-major work block that a draw or a product of n
+    rows reuses for each row block; a block of m rows is work[:m]."""
+    return np.empty((min(n, BLOCK), width), dtype=np.int64, order="F")
+
+
+def _covered_sum(group, x, y, real=None) -> np.ndarray:
+    """The narrow digits of the group product of two digit matrices: each
+    row block of x + y is summed in one int64 work block and covered in
+    place by group.cover, with the block's rows of real, the summed real
+    column, when the group has one."""
+    digits = np.empty(x.shape, dtype=group.digit_dtype, order="F")
+    work = _work_matrix(*x.shape)
+    for rows in _row_blocks(len(x)):
+        lift = work[: rows.stop - rows.start]
+        np.add(x[rows], y[rows], out=lift, dtype=np.int64)
+        group.cover(None if real is None else real[rows], lift)
+        digits[rows] = lift
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +336,7 @@ class PadicSamples:
     def combine(self, other: "PadicSamples") -> "PadicSamples":
         if self.p != other.p or self.digits.shape != other.digits.shape:
             raise ValueError("mismatched p-adic batches")
-        # carried in place: one new digit matrix beside the two batches
-        digits = self.digits + other.digits
-        return PadicSamples(self.p, padic_digit_matrix(self.p, digits, out=digits))
+        return PadicSamples(self.p, _covered_sum(PadicIntegers(self.p), self.digits, other.digits))
 
     def char_mean(self, chi, exact: bool = True) -> complex:
         """exact is accepted for the common signature: every p-adic mean
@@ -287,12 +354,15 @@ class PadicSamples:
     def _residues(self, d: int):
         """The distinct residues r = x mod p**(d+1) of the batch, as a
         list of ints in increasing order, and their counts.  Horner's rule
-        in int64 is exact inside check_padic_character's envelope."""
+        runs in the narrowest unsigned dtype that holds p**(d+1) - 1,
+        exact inside check_padic_character's envelope."""
         if d not in self._cache:
-            residues = self.digits[:, d].astype(np.int64)
+            p = int(self.p)
+            dtype = np.min_scalar_type(p ** (d + 1) - 1)
+            residues = self.digits[:, d].astype(dtype)
             for j in range(d - 1, -1, -1):
-                residues *= self.p
-                residues += self.digits[:, j]
+                residues *= p
+                residues += self.digits[:, j].astype(dtype, copy=False)
             distinct, counts = np.unique(residues, return_counts=True)
             self._cache[d] = (distinct.tolist(), counts)
         return self._cache[d]
@@ -341,10 +411,9 @@ class SolenoidSamples:
     def combine(self, other: "SolenoidSamples") -> "SolenoidSamples":
         if self.p != other.p or self.depth != other.depth:
             raise ValueError("mismatched solenoid batches")
-        # carried in place: one new digit matrix beside the two batches
-        digits = self.digits + other.digits
-        pair = solenoid_lift_matrix(self.p, self.depth, self.base + other.base, digits, digits)
-        return SolenoidSamples(self.p, self.depth, *pair)
+        base = self.base + other.base
+        digits = _covered_sum(Solenoid(self.p), self.digits, other.digits, base)
+        return SolenoidSamples(self.p, self.depth, base, digits)
 
     def char_mean(self, chi, exact: bool = True) -> complex:
         if not isinstance(chi, SolenoidCharacter):
@@ -393,22 +462,37 @@ def _draw(q: Quadruplet, depth, width: int, rng, size: int) -> tuple:
     digits each; returns the covered batch's fields."""
     group, subgroup = q.group, q.subgroup
     real = np.full(size, group.base_angle(q.shift)) if group.real_coordinate else None
-    digits = np.zeros((size, width), dtype=np.int64, order="F")
+    digits = np.zeros((size, width), dtype=group.digit_dtype, order="F")
     if real is not None and subgroup.order is None:
         real += rng.uniform(0.0, TWO_PI, size=size)
     elif real is not None and subgroup.order > 1:
         real += rng.integers(0, subgroup.order, size=size) * (TWO_PI / subgroup.order)
     first = subgroup.first_digit
     if first is not None and first < width:
-        # the draw keeps the C order that fixes which digit gets which
-        # random number, and is copied in
-        digits[:, first:] = rng.integers(0, group.p, size=(size, width - first), dtype=np.int64)
-    digits += np.array(q.shift.digits[:width], dtype=np.int64)
+        for rows in _row_blocks(size):
+            # each block keeps the C order that fixes which digit gets
+            # which random number
+            shape = (rows.stop - rows.start, width - first)
+            digits[rows, first:] = rng.integers(0, group.p, size=shape, dtype=np.int64)
     if q.gauss_b > 0:
         real += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
+    work = _work_matrix(size, width)
+    jumps = None
     if not q.levy.is_empty():
-        jumps, _ = sample_compound_poisson(rng, group.pushforward(q.levy, depth), size, digits)
-        if real is not None:
-            real += jumps
-            real -= group.drift(q.levy)
-    return group.cover(real, digits)
+        measure = group.pushforward(q.levy, depth)
+        jumps = sample_compound_poisson(rng, measure, size, work, BLOCK)
+        drift = group.drift(q.levy)
+    shift = np.array(q.shift.digits[:width], dtype=np.int64)
+    for rows in _row_blocks(size):
+        lift = work[: rows.stop - rows.start]
+        np.add(digits[rows], shift, out=lift)
+        part = None if real is None else real[rows]
+        if jumps is not None:
+            # the block's jump sums are added into lift
+            jump_real, _ = next(jumps)
+            if part is not None:
+                part += jump_real
+                part -= drift
+        group.cover(part, lift)
+        digits[rows] = lift
+    return group.batch_fields(real, digits)

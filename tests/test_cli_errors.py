@@ -220,6 +220,9 @@ def _torus(quadruplet, **extra):
 
 _FULL = {"H": {"kind": "full"}, "a": 0.0}
 _PADIC_HAAR = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
+_PADIC_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "golden" / "config-padic.json").read_text()
+)
 
 
 @pytest.mark.parametrize(
@@ -228,6 +231,7 @@ _PADIC_HAAR = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
         (_torus({"H": "full", "a": 0.0}), "verify", "quadruplet.H"),
         (_torus({"H": {"kind": "lambda"}, "a": 0.0}), "verify", "quadruplet.H.kind"),
         (_torus(_FULL, characters=5), "verify", "characters"),
+        (json.dumps({**_PADIC_GOLDEN, "characters": []}), "verify", "characters"),
         (_torus([_FULL]), "verify", "quadruplet"),
         (_torus({**_FULL, "eta": {"point": 0.1, "mass": 1.0}}), "verify", "quadruplet.eta"),
         (
@@ -270,6 +274,7 @@ _PADIC_HAAR = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
         "H-not-object",
         "H-kind-unknown",
         "characters-not-list",
+        "characters-empty",
         "quadruplet-not-object",
         "eta-not-list",
         "eta-atom-without-mass",

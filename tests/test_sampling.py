@@ -42,7 +42,8 @@ from widlaws import (
     sample_compound_poisson,
     trivial_quadruplet,
 )
-from widlaws.groups import solenoid_coordinate
+from widlaws.groups import padic_add, solenoid_coordinate, solenoid_from_lift, solenoid_mul
+from widlaws.sampling import BLOCK
 
 N = 100_000
 
@@ -244,6 +245,25 @@ def test_compound_poisson_adds_into_a_given_matrix_bit_for_bit(name):
     assert got_reals.view(np.int64).tolist() == reals.view(np.int64).tolist()
 
 
+@pytest.mark.parametrize("name", _JUMP_MEASURES)
+def test_compound_poisson_blocks_hold_the_whole_batch_bit_for_bit(name):
+    # 3000 draws in blocks of 700: four full blocks and a short one, each
+    # added into the first rows of one work matrix
+    measure = _JUMP_MEASURES[name]()
+    reals, ints = sample_compound_poisson(make_rng(26), measure, size=3000)
+    work = np.ones((700, measure.int_dim), dtype=np.int64, order="F")
+    blocks = sample_compound_poisson(make_rng(26), measure, 3000, work, block=700)
+    got_reals, got_ints = [], []
+    for block_reals, block_ints in blocks:
+        assert block_ints.base is work
+        got_reals.append(block_reals)
+        got_ints.append(block_ints - 1)
+        work[...] = 1
+    assert [len(r) for r in got_reals] == [700, 700, 700, 700, 200]
+    assert np.concatenate(got_reals).view(np.int64).tolist() == reals.view(np.int64).tolist()
+    assert np.concatenate(got_ints).tolist() == ints.tolist()
+
+
 def test_compound_poisson_with_zero_real_parts_keeps_the_integer_sums():
     # the real parts take no randomness, so zeroing them leaves the stream
     measure = _JUMP_MEASURES["many-atoms"]()
@@ -307,23 +327,52 @@ def test_padic_gen_poisson_block():
         assert abs(emp - ft_quadruplet(q, chi)) <= mc_tol(N)
 
 
-def test_padic_draw_holds_one_digit_matrix_beside_the_random_draws():
-    # the jump sums go into the draw's totals and the carry runs in place,
-    # so the traced peak is about 2.15 batches; a separate jump matrix and
-    # carry output make it about 3.95
-    p, depth, n = 3, 3, 100_000
-    eta = LevyMeasure(((PadicInt(p, (2, 1, 0, 0)), 1.2),))
-    q = Quadruplet(PadicIntegers(p), PadicSubgroup(0), PadicInt(p, (1, 2, 0, 1)), 0.0, eta)
-    sampler = quadruplet_sampler(q, depth)
+def _traced_draw(sampler, n):
+    """The batch of n draws and the traced peak of drawing it."""
     sampler(make_rng(25), 100)
     tracemalloc.start()
     try:
-        out = sampler(make_rng(25), n).digits
+        batch = sampler(make_rng(25), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.shape == (n, depth + 1)
-    assert peak < 3.0 * out.nbytes
+    return batch, peak
+
+
+def test_padic_draw_holds_one_digit_matrix_beside_the_random_draws():
+    # in units of one (n, depth+1) int64 matrix: the narrow batch, the n
+    # Poisson counts and one row block of scratch make the traced peak
+    # about 0.58; full-size int64 digits, jump sums and a C-order Haar
+    # copy made it about 2.16
+    p, depth, n = 3, 3, 100_000
+    eta = LevyMeasure(((PadicInt(p, (2, 1, 0, 0)), 1.2),))
+    q = Quadruplet(PadicIntegers(p), PadicSubgroup(0), PadicInt(p, (1, 2, 0, 1)), 0.0, eta)
+    batch, peak = _traced_draw(quadruplet_sampler(q, depth), n)
+    assert batch.digits.shape == (n, depth + 1) and batch.digits.dtype == np.uint8
+    assert peak < 0.75 * n * (depth + 1) * 8
+
+
+def test_solenoid_draw_holds_one_narrow_digit_matrix_beside_the_random_draws():
+    # the same units: the base column, the narrow digits, the counts and
+    # one row block make about 0.76; a jump matrix beside the lift's new
+    # output made about 3.00
+    p, depth, n = 3, 3, 100_000
+    q = Quadruplet(
+        Solenoid(p), SolenoidSubgroup.trivial(), SolenoidPoint(p, depth, 1.1), 0.2,
+        _solenoid_eta(p, depth),
+    )
+    batch, peak = _traced_draw(quadruplet_sampler(q, depth), n)
+    assert batch.digits.shape == (n, depth) and batch.digits.dtype == np.uint8
+    assert peak < 1.0 * n * (depth + 1) * 8
+
+
+@pytest.mark.parametrize("p,dtype", [(2, np.uint8), (251, np.uint8), (257, np.uint16)])
+def test_batches_store_digits_in_the_narrowest_unsigned_dtype(p, dtype):
+    padic = _padic_haar(make_rng(30), p, 2, size=10)
+    solenoid = _solenoid_haar_batch(make_rng(31), p, 2, 10).digits
+    for digits in (padic, solenoid):
+        assert digits.dtype == dtype and digits.flags.f_contiguous
+        assert 0 <= digits.min() and digits.max() <= p - 1
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +461,32 @@ def test_convolution_property():
         assert abs(char_mean(both, chi) - want) <= mc_tol(N)
 
 
+def test_combine_at_p_251_carries_digit_sums_past_the_narrow_dtype():
+    # uint8 holds the digit 250, and a digit sum reaches 500; the batches
+    # span two row blocks
+    p, depth, n = 251, 3, BLOCK + 5
+    a, b = (_padic_haar(make_rng(seed), p, depth, size=n) for seed in (32, 33))
+    both = PadicSamples(p, a).combine(PadicSamples(p, b))
+    assert both.digits.dtype == np.uint8 and (a.astype(int) + b).max() > 255
+    pairs = zip(a.tolist(), b.tolist())
+    want = [padic_add(PadicInt(p, x), PadicInt(p, y)).digits for x, y in pairs]
+    assert list(map(tuple, both.digits.tolist())) == want
+
+
+def test_solenoid_combine_at_p_251_is_the_group_product_row_by_row():
+    p, depth, n = 251, 2, BLOCK + 5
+    x, y = (_solenoid_haar_batch(make_rng(seed), p, depth, n) for seed in (34, 35))
+    both = x.combine(y)
+    assert both.digits.dtype == np.uint8 and (x.digits.astype(int) + y.digits).max() > 255
+
+    def point(batch, i):
+        return solenoid_from_lift(p, depth, batch.base[i], batch.digits[i].tolist())
+
+    for i in (0, 1, BLOCK - 1, BLOCK, n - 1):
+        want = solenoid_mul(point(x, i), point(y, i))
+        assert (both.base[i], tuple(both.digits[i].tolist())) == (want.base, want.digits), i
+
+
 def test_shift_depth_must_cover_requested_depth():
     qp = trivial_quadruplet(PadicIntegers(2), depth=2)
     with pytest.raises(ValueError, match="digits"):
@@ -433,6 +508,16 @@ def test_padic_char_mean_is_exact_at_large_depth():
             chi = PadicCharacter(d, ell)
             want = sum(chi(PadicInt(p, tuple(row))) for row in digits.tolist())
             assert abs(char_mean(PadicSamples(p, digits), chi) - want / 200) <= 1e-12
+
+
+def test_padic_char_mean_on_narrow_digits_equals_the_int64_batch_bit_for_bit():
+    # p**38 - 1 needs uint64 residues: the last depth inside the envelope
+    digits = _padic_haar(make_rng(2), 3, 37, size=500)
+    narrow, wide = PadicSamples(3, digits), PadicSamples(3, digits.astype(np.int64))
+    assert narrow.digits.dtype == np.uint8
+    for ell in (1, 3**37 + 5, 3**38 - 1):
+        chi = PadicCharacter(37, ell)
+        assert char_mean(narrow, chi) == char_mean(wide, chi), ell
 
 
 def test_padic_char_mean_rejects_depth_beyond_int64_envelope():
