@@ -48,7 +48,7 @@ from .verification import (
 SCHEMA_VERSION = 2
 # The most draws one chunk of the sample dump holds: the dump is written
 # chunk by chunk, so its text never outgrows one chunk.
-CHUNK = 4096
+CHUNK = 1024
 CSV_COLUMNS = ["character", "re_theory", "im_theory", "re_emp", "im_emp", "abs_err", "tol", "pass"]
 
 

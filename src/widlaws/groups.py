@@ -125,11 +125,15 @@ def canonical_angle(x):
     else:
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite angle")
-        out = np.mod(arr + np.pi, TWO_PI) - np.pi
-        out = np.where(out >= np.pi, out - TWO_PI, out)
+        # ((x + pi) mod 2pi) - pi and the fold of pi, in one buffer
+        out = np.empty_like(arr)
+        np.add(arr, np.pi, out=out)
+        np.mod(out, TWO_PI, out=out)
+        np.subtract(out, np.pi, out=out)
+        np.subtract(out, TWO_PI, out=out, where=out >= np.pi)
         # keep already-canonical inputs bitwise unchanged (makes the map
         # idempotent instead of round-tripping through the mod)
-        out = np.where(inside, arr, out)
+        np.copyto(out, arr, where=inside)
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -37,24 +37,31 @@ their real parts to the block's real column, (5) subtracts the drift,
 and (6) covers the block in place, writing its digits back narrow.  The
 blocks draw their uniforms in row order, so the stream, and every bit
 of the batch, is that of one whole-batch draw, while the draw's scratch
-is O(BLOCK) rows beside the batch and the counts.
+is O(BLOCK) rows and O(JUMP_BLOCK) jumps beside the batch and the
+counts.
 
 Degenerate layers (trivial subgroup, zero variance, empty jump measure)
 consume nothing, and the whole solenoid is no special case:
 Haar(S_p) * mu = Haar(S_p) comes out of the same steps.  A
-compound-Poisson layer picks its jumps' atoms at once and sums the jump
+compound-Poisson layer takes a row block's jumps in chunks of at most
+JUMP_BLOCK jumps, however few draws carry them.  Each chunk draws its
+uniforms in row order, picks their atoms at once and sums the jump
 vectors per draw on R x Z^k: each integer coordinate by its own weighted
 bincount, cast to int64 and added into the caller's matrix, exact while
-a sum stays below 2**53; the real coordinates by one weighted bincount
-over the jumps, in jump order, or not at all when every atom's real part
-is 0, as on the p-adic integers.  quadruplet_sampler wraps the covered
-arrays in the group's batch type, which owns the batch's group product
-(carried block by block in the same way), its character means and its
-column reader for the sample dump: columns(lo, hi) returns the dump's
-fields for draws lo..hi-1 as numpy columns computed on that slice only,
-so the dump can be written in chunks without a per-draw form of the
-whole batch.  Batch digits are stored narrow: cast them before any
-arithmetic, as the product, the residues and the tower sweep do.
+a sum stays below 2**53; the real coordinate by one weighted bincount in
+jump order, or not at all when every atom's real part is 0, as on the
+p-adic integers.  A draw whose jumps straddle chunks enters the next
+chunk's real bincount with its partial sum as the first weight, so its
+sum rounds as one bincount over all its jumps does.
+
+quadruplet_sampler wraps the covered arrays in the group's batch type,
+which owns the batch's group product (carried block by block in the
+same way), its character means and its column reader for the sample
+dump: columns(lo, hi) returns the dump's fields for draws lo..hi-1 as
+numpy columns computed on that slice only, so the dump can be written
+in chunks without a per-draw form of the whole batch.  Batch digits are
+stored narrow: cast them before any arithmetic, as the product, the
+residues and the tower sweep do.
 
 A batch is read by many characters (one verification suite draws one
 batch), so every batch keeps the per-depth work of its character means
@@ -62,15 +69,16 @@ in a private cache.  A p-adic batch caches the distinct residues of
 x mod p**(d+1) with their counts; a mean sums
 counts * exp(2 pi i ell r / p**(d+1)) over them, with each phase
 ell * r mod p**(d+1) taken exactly in Python ints, at every depth and
-batch size.  A circle batch caches, and a solenoid batch caches per
-depth d (a column of one Horner sweep over the digits, solenoid_tower),
-its angle column theta with the list of the means of z**1 ...
-z**k taken so far, z = exp(i theta).  A row with ell = 0 is exactly
-1 + 0j on either path and touches nothing.  Asked with exact=False, a
-row with 1 <= |ell| <= MAX_POWER reads the mean of z**|ell| from that
-list (the conjugate for ell < 0); an |ell| beyond the
-list re-sweeps z, z*z, ... from z up to |ell|, so the mean depends only
-on (batch, d, |ell|), never on which rows asked first.  Rows asked with
+batch size.  A circle batch caches its angle column theta, and a
+solenoid batch the column of the depth d it last read (one Horner sweep
+over the digits, solenoid_tower; the engine reads rows sorted by depth,
+so each column is swept once), with the list of the means of z**1 ...
+z**k taken so far, z = exp(i theta), built in one complex buffer.  A
+row with ell = 0 is exactly 1 + 0j on either path and touches nothing.
+Asked with exact=False, a row with 1 <= |ell| <= MAX_POWER reads the
+mean of z**|ell| from that list (the conjugate for ell < 0); an |ell|
+beyond the list re-sweeps z, z*z, ... from z up to |ell|, so the mean
+depends only on (batch, d, |ell|), never on which rows asked first.  Rows asked with
 exact=True (the default, and the engine's choice for rows whose closed
 form has modulus one) and rows with |ell| > MAX_POWER take the direct
 exp(1j * canonical_angle(ell * theta)), so a point-mass row stays
@@ -107,16 +115,16 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# The most Poisson jumps one batch may hold.  At most three 8-byte
-# arrays per jump of one row block are alive at once: its uniform and its
-# atom index while the atoms are picked, then its atom index, its owner
-# and one column of its weights at a time while the sums are taken.  A
-# block holds its share of the jumps, so 10**7 jumps over 100,000 draws
-# peak at 56 MB RSS for a whole verify; the cap bounds the worst case,
-# a few draws holding every jump in one block, near 0.24 GB (264 MB RSS
-# for a 100-draw verify at the cap).  The stock fixtures draw about 1e5
-# jumps per batch.
+# The most Poisson jumps one batch may hold.  The jump layer holds at
+# most three 8-byte arrays per jump of one chunk of JUMP_BLOCK jumps
+# (its uniforms and atom picks, then its picks, owners and one column of
+# weights), so its scratch stays near 6 MB however the jumps fall on the
+# draws: a verify at the cap peaks at about 43 MB RSS with 10**7 jumps
+# over 100,000 draws and at about 42 MB with every jump on 100 draws.
+# The stock fixtures draw about 1e5 jumps per batch.
 MAX_JUMPS = 10**7
+# The most jumps one chunk of the jump layer draws and sums at once.
+JUMP_BLOCK = 2**18
 
 
 # The most base-p digits one p-adic or solenoid batch may hold, counted
@@ -167,8 +175,8 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None, 
     the first rows of ints, which must then be a work matrix of `block`
     rows, and yields the block's (real part, those rows).  Taken in
     order, with nothing else drawn from rng in between, the blocks hold
-    the bits of the whole-batch call, and the per-jump arrays stay
-    O(block).
+    the bits of the whole-batch call.  Either way the per-jump arrays
+    hold one chunk of at most JUMP_BLOCK jumps at a time.
 
     A measure whose atoms all have real part 0 returns zeros for the real
     part without summing it.  The empty measure yields the origin and
@@ -197,28 +205,62 @@ def _jump_sums(rng, measure: LatticeMeasure, cum, counts, ints=None):
     """The jump sums of draws with the given Poisson counts: one uniform
     per jump, in draw order, picks its atom off the cumulative mass table
     cum.  Returns (real part, integer part) as sample_compound_poisson
-    does, adding into ints when given."""
+    does, adding into ints when given.
+
+    The jumps are taken in chunks of at most JUMP_BLOCK, each drawing its
+    uniforms in draw order.  A chunk's integer sums are exact and added
+    into ints; its real sums overwrite the rows it reaches, and a draw
+    whose jumps straddle chunks enters the next chunk's bincount with its
+    partial sum as the first weight, so it sums in jump order from 0.0 as
+    one bincount over all its jumps does.
+    """
     n, k = len(counts), measure.int_dim
     if ints is None:
         ints = np.zeros((n, k), dtype=np.int64, order="F")
-    jumps = int(counts.sum())
-    if jumps == 0:
-        return np.zeros(n), ints
     atom_real = np.array([x for x, _, _ in measure.atoms])
-    # float, the type bincount sums its weights in, so the gather of a
-    # column is its one per-jump copy
+    real = np.zeros(n) if atom_real.any() else None
+    # one row per coordinate, in float, the type bincount sums its
+    # weights in, so a gather into the weight buffer is the one copy
     atom_ints = np.array([ki for _, ki, _ in measure.atoms], dtype=np.int64).reshape(
         len(measure.atoms), k
-    ).astype(float)
-    picks = np.searchsorted(cum, rng.random(jumps), side="right")
-    np.minimum(picks, len(cum) - 1, out=picks)
-    owner = np.repeat(np.arange(n), counts)
-    for j in range(k):
-        # the float sums cast first, so the add is the int64 loop
-        ints[:, j] += np.bincount(owner, weights=atom_ints[picks, j], minlength=n).astype(np.int64)
-    if not atom_real.any():
-        return np.zeros(n), ints
-    return np.bincount(owner, weights=atom_real[picks], minlength=n), ints
+    ).T.astype(float)
+    jumps = int(counts.sum())
+    # the chunk's first row, and its jumps that earlier chunks took
+    first, taken = 0, 0
+    for lo in range(0, jumps, JUMP_BLOCK):
+        size = min(JUMP_BLOCK, jumps - lo)
+        # a uniform at or past cum[-1] picks index len(cum): the gathers
+        # below clip it to the last atom
+        picks = np.searchsorted(cum, rng.random(size), side="right")
+        # reach[i]: the chunk's jumps through row first + i; rows
+        # first..last own the chunk, and row last may own jumps past it
+        reach = np.cumsum(counts[first:])
+        reach -= taken
+        last = first + int(np.searchsorted(reach, size))
+        rows = slice(first, last + 1)
+        held = counts[rows].copy()
+        past = int(reach[last - first]) - size
+        del reach
+        held[-1] -= past
+        # weight 0 goes to row first: its partial real sum, 0.0 for the
+        # integer sums and a fresh row
+        held[0] += 1 - taken
+        owner = np.repeat(np.arange(len(held)), held)
+        del held
+        weights = np.empty(len(owner))
+        for j, column in enumerate(atom_ints):
+            weights[0] = 0.0
+            np.take(column, picks, out=weights[1:], mode="clip")
+            # the float sums cast first, so the add is the int64 loop
+            ints[rows, j] += np.bincount(owner, weights=weights).astype(np.int64)
+        if real is not None:
+            weights[0] = real[first]
+            np.take(atom_real, picks, out=weights[1:], mode="clip")
+            real[rows] = np.bincount(owner, weights=weights)
+        # the next chunk's uniforms are drawn without these beside them
+        del picks, owner, weights
+        first, taken = last, int(counts[last]) - past
+    return np.zeros(n) if real is None else real, ints
 
 
 # The draws in one row block of a draw or of a product of batches: each
@@ -263,6 +305,13 @@ def _covered_sum(group, x, y, real=None) -> np.ndarray:
 MAX_POWER = 64
 
 
+def _unit_phases(theta: np.ndarray) -> np.ndarray:
+    """exp(1j * theta), built in one complex buffer: the product, then
+    the exponential in place, bit for bit np.exp(1j * theta)."""
+    z = np.multiply(theta, 1j)
+    return np.exp(z, out=z)
+
+
 def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> complex:
     """Mean of exp(i ell theta) over the canonical angles theta in column.
 
@@ -276,9 +325,9 @@ def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> 
         # the mean of N exact ones is exactly 1, on either path
         return 1 + 0j
     if exact or k > MAX_POWER:
-        return complex(np.exp(1j * canonical_angle(ell * column)).mean())
+        return complex(_unit_phases(canonical_angle(ell * column)).mean())
     if k > len(means):
-        z = np.exp(1j * column)
+        z = _unit_phases(column)
         power = z.copy()
         for j in range(1, k + 1):
             if j > 1:
@@ -393,8 +442,11 @@ class SolenoidSamples:
         return self._column(self.depth)[0]
 
     def _column(self, d: int):
-        """Coordinate d's angle column with its list of power means."""
+        """Coordinate d's angle column with its list of power means.  Only
+        the column last read is kept: the engine reads its rows sorted by
+        depth, so no column is swept twice."""
         if d not in self._cache:
+            self._cache.clear()
             self._cache[d] = (solenoid_coordinate(self.p, self.base, self.digits, d), [])
         return self._cache[d]
 

@@ -112,6 +112,8 @@ def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, *
             empirical = char_mean(batch, chi, exact)
             err = abs(theory - empirical)
             report.rows.append(ComparisonRow(label, theory, empirical, err, tol, err <= tol))
+        # the next run's batch is drawn without this one beside it
+        del batch
     report.overall_pass = all(r.passed for r in report.rows)
     report.wall_time = time.perf_counter() - start
     return report
@@ -226,10 +228,11 @@ def check_compare_inequality(group, characters, grid_size: int = 1000):
 
 
 # k in the oracle's k*x trials is drawn from 0.._ORACLE_K_BOUND-1; trials
-# are checked in blocks of _ORACLE_BLOCK so the expected-digit matrices
-# stay a few hundred kB whatever the trial count.
+# are checked in blocks of _ORACLE_BLOCK, so the expected digits and the
+# scalar-law elements, about 1.2 kB of Python objects per trial, take
+# about 0.15 MB whatever the trial count.
 _ORACLE_K_BOUND = 1000
-_ORACLE_BLOCK = 512
+_ORACLE_BLOCK = 128
 
 
 def _expected_digits(p: int, depth: int, xs, ys, ks):
@@ -282,25 +285,32 @@ def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int
         ks = rng.integers(0, _ORACLE_K_BOUND, size=trials)
         for lo in range(0, trials, _ORACLE_BLOCK):
             block = slice(lo, lo + _ORACLE_BLOCK)
-            xb, yb, kb = xs[block], ys[block], ks[block]
-            sums, negs, mults = _expected_digits(p, depth, xb, yb, kb)
-            # the batched carry the samplers use, on the entrywise x+y, -x, k*x
-            for values, want in ((xb + yb, sums), (-xb, negs), (kb[:, None] * xb, mults)):
-                if list(map(tuple, groups.padic_digit_matrix(p, values).tolist())) != want:
-                    return False
-            # the scalar arithmetic, one whole block per check;
-            # rng.integers(0, p) digits of a checked prime need no re-check
-            x = [groups.PadicInt._normalized(p, tuple(d)) for d in xb.tolist()]
-            y = [groups.PadicInt._normalized(p, tuple(d)) for d in yb.tolist()]
-            neg = list(map(groups.padic_neg, x))
-            if [z.digits for z in map(groups.padic_add, x, y)] != sums:
+            if not _oracle_block(p, depth, xs[block], ys[block], ks[block]):
                 return False
-            if [z.digits for z in neg] != negs:
-                return False
-            if not all(z.is_identity() for z in map(groups.padic_add, x, neg)):
-                return False
-            if [z.digits for z in map(groups.padic_mul_nat, kb.tolist(), x)] != mults:
-                return False
-            if any(groups.padic_mul_nat(p, z).digits[0] for z in x):
-                return False
+        # the next prime's trials are drawn without these beside them
+        del xs, ys, ks
     return True
+
+
+def _oracle_block(p: int, depth: int, xb, yb, kb) -> bool:
+    """The oracle's checks on one block of trials; what the block builds
+    is freed on return, before the next block is built."""
+    sums, negs, mults = _expected_digits(p, depth, xb, yb, kb)
+    # the batched carry the samplers use, on the entrywise x+y, -x, k*x
+    values = np.concatenate([xb + yb, -xb, kb[:, None] * xb])
+    if list(map(tuple, groups.padic_digit_matrix(p, values).tolist())) != sums + negs + mults:
+        return False
+    # the scalar arithmetic, one whole block per check;
+    # rng.integers(0, p) digits of a checked prime need no re-check
+    x = [groups.PadicInt._normalized(p, tuple(d)) for d in xb.tolist()]
+    y = [groups.PadicInt._normalized(p, tuple(d)) for d in yb.tolist()]
+    neg = list(map(groups.padic_neg, x))
+    if [z.digits for z in map(groups.padic_add, x, y)] != sums:
+        return False
+    if [z.digits for z in neg] != negs:
+        return False
+    if not all(z.is_identity() for z in map(groups.padic_add, x, neg)):
+        return False
+    if [z.digits for z in map(groups.padic_mul_nat, kb.tolist(), x)] != mults:
+        return False
+    return not any(groups.padic_mul_nat(p, z).digits[0] for z in x)

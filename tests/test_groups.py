@@ -146,6 +146,34 @@ def test_canonical_angle_scalar_path_is_bit_identical_to_the_array_path():
     assert canonical_angle(True) == 1.0
 
 
+def _where_formula(arr):
+    """The array path as three np.where temporaries: the reference the
+    in-place reduction must match bit for bit."""
+    inside = (arr >= -np.pi) & (arr < np.pi)
+    out = np.mod(arr + np.pi, TWO_PI) - np.pi
+    out = np.where(out >= np.pi, out - TWO_PI, out)
+    return np.where(inside, arr, out)
+
+
+def test_canonical_angle_array_path_matches_the_where_formula_bit_for_bit():
+    specials = [math.pi, -math.pi, math.nextafter(math.pi, 0.0), -0.0, 0.0, 1e300, -1e300]
+    specials += [k * TWO_PI for k in range(-4, 5)] + [3 * math.pi, -3 * math.pi, 5.5]
+    # just below an odd multiple of pi the mod lands on 2pi and folds
+    specials += [math.nextafter(k * math.pi, -math.inf) for k in (-5, -3, -1, 3)]
+    rng = np.random.default_rng(2025)
+    xs = np.concatenate([specials, rng.uniform(-1e6, 1e6, 300), rng.normal(0, 1e15, 100)])
+    matrix = np.stack([xs, -xs, 2 * xs])
+    # a whole array, a strided view of it, and 0-d arrays
+    cases = [xs, matrix[:, ::3], matrix.T[::2]] + [np.array(x) for x in specials]
+    for arr in cases:
+        before = arr.copy()
+        out = canonical_angle(arr)
+        assert np.array_equal(arr.view(np.int64), before.view(np.int64))
+        want = _where_formula(before)
+        assert np.shape(out) == want.shape
+        assert np.array_equal(np.asarray(out).view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
 def test_canonical_angle_scalar_path_rejects_non_finite_like_the_array_path(x):
     with pytest.raises(ValueError, match="non-finite angle"):

@@ -43,7 +43,7 @@ from widlaws import (
     trivial_quadruplet,
 )
 from widlaws.groups import padic_add, solenoid_coordinate, solenoid_from_lift, solenoid_mul
-from widlaws.sampling import BLOCK
+from widlaws.sampling import BLOCK, _angle_char_mean
 
 N = 100_000
 
@@ -171,22 +171,29 @@ def test_compound_poisson_two_atoms_product_form():
         assert abs(emp - want) <= mc_tol(N)
 
 
-def _compound_poisson_reference(seed, measure, size):
+def _compound_poisson_reference(seed, measure, size, restart_every=None):
     """Per-jump pure-Python sums over the same random stream: the draws'
-    Poisson counts, then one uniform per jump picking an atom."""
+    Poisson counts, then one uniform per jump picking an atom.
+
+    With restart_every, a draw's real sum restarts from 0.0 at each jump
+    whose index in the batch is a multiple of it, and its pieces are then
+    added: the rounding of chunked sums that carry nothing across."""
     rng = make_rng(seed)
     masses = np.array([m for _, _, m in measure.atoms])
     counts = rng.poisson(masses.sum(), size=size).tolist()
     uniforms = iter(rng.random(sum(counts)).tolist())
     cum = (np.cumsum(masses) / masses.sum()).tolist()
-    reals, ints = [], []
+    reals, ints, index = [], [], 0
     for count in counts:
-        real, vec = 0.0, [0] * measure.int_dim
+        done, real, vec = 0.0, 0.0, [0] * measure.int_dim
         for _ in range(count):
+            if restart_every and index % restart_every == 0:
+                done, real = done + real, 0.0
             x, ki, _ = measure.atoms[min(bisect.bisect_right(cum, next(uniforms)), len(cum) - 1)]
             real += x
             vec = [a + b for a, b in zip(vec, ki)]
-        reals.append(real)
+            index += 1
+        reals.append(done + real)
         ints.append(vec)
     return reals, ints
 
@@ -262,6 +269,89 @@ def test_compound_poisson_blocks_hold_the_whole_batch_bit_for_bit(name):
     assert [len(r) for r in got_reals] == [700, 700, 700, 700, 200]
     assert np.concatenate(got_reals).view(np.int64).tolist() == reals.view(np.int64).tolist()
     assert np.concatenate(got_ints).tolist() == ints.tolist()
+
+
+def _straddling_draws(seed, measure, size, chunk):
+    """The draws whose jumps fall in two or more chunks of `chunk` jumps,
+    read off the Poisson counts the sampler draws first."""
+    total = sum(m for _, _, m in measure.atoms)
+    counts = make_rng(seed).poisson(total, size=size)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return np.flatnonzero((counts > 0) & (starts // chunk != (ends - 1) // chunk))
+
+
+@pytest.mark.parametrize("name", _JUMP_MEASURES)
+def test_compound_poisson_in_jump_chunks_matches_one_chunk_bit_for_bit(name, monkeypatch):
+    # chunks of 5 jumps: many draws straddle two or more chunks, and each
+    # continues its real sum in jump order
+    measure = _JUMP_MEASURES[name]()
+    whole_reals, whole_ints = sample_compound_poisson(make_rng(27), measure, size=300)
+    monkeypatch.setattr(widlaws.sampling, "JUMP_BLOCK", 5)
+    reals, ints = sample_compound_poisson(make_rng(27), measure, size=300)
+    assert reals.view(np.int64).tolist() == whole_reals.view(np.int64).tolist()
+    assert ints.tolist() == whole_ints.tolist()
+    want_reals, _ = _compound_poisson_reference(27, measure, 300)
+    assert reals.view(np.int64).tolist() == np.array(want_reals).view(np.int64).tolist()
+    assert len(_straddling_draws(27, measure, 300, 5)) > 20
+
+
+@pytest.mark.parametrize("name", ["torus", "many-atoms"])
+def test_jump_chunks_carry_the_real_sum_across_a_chunk_boundary(name, monkeypatch):
+    # summing each chunk's share from 0.0 and adding the pieces would
+    # round differently on some straddling draw; the chunked sampler
+    # keeps the one-chunk bits there
+    measure = _JUMP_MEASURES[name]()
+    whole_reals, _ = sample_compound_poisson(make_rng(27), measure, size=300)
+    monkeypatch.setattr(widlaws.sampling, "JUMP_BLOCK", 5)
+    reals, _ = sample_compound_poisson(make_rng(27), measure, size=300)
+    pieces, _ = _compound_poisson_reference(27, measure, 300, restart_every=5)
+    moved = [i for i in _straddling_draws(27, measure, 300, 5) if pieces[i] != whole_reals[i]]
+    assert moved
+    for i in moved:
+        assert reals[i] == whole_reals[i] and reals[i] != 0.0
+
+
+_CHUNKED_LAWS = {
+    "torus": Quadruplet(
+        Torus(), TorusSubgroup.trivial(), TorusPoint(0.4), 0.3,
+        LevyMeasure(((TorusPoint(2.1), 2.6), (TorusPoint(-0.6), 1.9))),
+    ),
+    "padic": Quadruplet(
+        PadicIntegers(3), PadicSubgroup(1), PadicInt(3, (1, 2, 0, 1)), 0.0,
+        LevyMeasure(((PadicInt(3, (2, 1, 0, 0)), 2.5), (PadicInt(3, (0, 1, 2, 2)), 2.0))),
+    ),
+    "solenoid": Quadruplet(
+        Solenoid(3), SolenoidSubgroup.trivial(), SolenoidPoint(3, 3, 1.1), 0.2,
+        LevyMeasure(((SolenoidPoint(3, 3, 2.5), 2.6), (SolenoidPoint(3, 3, -2.9), 1.9))),
+    ),
+}
+
+
+@pytest.mark.parametrize("q", _CHUNKED_LAWS.values(), ids=_CHUNKED_LAWS.keys())
+def test_draws_in_jump_chunks_equal_the_unsplit_draws_bit_for_bit(q, monkeypatch):
+    # 500 draws of about 4.5 jumps each in chunks of 7: most draws straddle
+    sampler = quadruplet_sampler(q, 3)
+    whole = sampler(make_rng(29), 500)
+    monkeypatch.setattr(widlaws.sampling, "JUMP_BLOCK", 7)
+    chunked = sampler(make_rng(29), 500)
+    for name in ("angles", "base", "digits"):
+        if hasattr(whole, name):
+            a, b = getattr(whole, name), getattr(chunked, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            if a.dtype == np.float64:
+                assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), name
+
+
+def test_few_draws_with_many_jumps_hold_one_jump_chunk():
+    # 100 draws of Delta_3 with 10**6 jumps between them: three 8-byte
+    # arrays per jump of the whole block took about 24 MB; one chunk's
+    # take 3 * 8 * JUMP_BLOCK bytes, about 6.3 MB
+    eta = LevyMeasure(((PadicInt(3, (2, 1, 0, 0)), 6000.0), (PadicInt(3, (0, 1, 2, 0)), 4000.0)))
+    q = Quadruplet(PadicIntegers(3), PadicSubgroup(0), PadicInt(3, (1, 2, 0, 1)), 0.0, eta)
+    batch, peak = _traced_draw(quadruplet_sampler(q, 3), 100)
+    assert batch.digits.shape == (100, 4)
+    assert peak < 4 * 8 * widlaws.sampling.JUMP_BLOCK
 
 
 def test_compound_poisson_with_zero_real_parts_keeps_the_integer_sums():
@@ -575,7 +665,8 @@ def test_padic_char_mean_is_bit_equal_on_a_batch_stacked_twice(p, d):
 
 
 def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():
-    # the cached coordinate column gives the bits a fresh batch gives
+    # the cached coordinate column gives the bits a fresh batch gives, and
+    # the batch keeps only the column of the depth it last read
     p, depth = 3, 3
     shared = _solenoid_haar_batch(make_rng(47), p, depth, 1000)
     for d in range(depth + 1):
@@ -583,7 +674,14 @@ def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():
             chi = SolenoidCharacter(d, ell)
             fresh = SolenoidSamples(p, depth, shared.base, shared.digits)
             assert char_mean(shared, chi) == char_mean(fresh, chi)
-    assert sorted(shared._cache) == list(range(depth + 1))
+            assert list(shared._cache) == [d]
+    # a depth read again is swept again, to the same bits
+    for d in (1, 0):
+        chi = SolenoidCharacter(d, 5)
+        for exact in (True, False):
+            fresh = SolenoidSamples(p, depth, shared.base, shared.digits)
+            assert char_mean(shared, chi, exact) == char_mean(fresh, chi, exact)
+        assert list(shared._cache) == [d]
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +710,34 @@ def _direct(column, ell):
 
 def _character(kind, d, ell):
     return kind(ell) if kind is TorusCharacter else kind(d, ell)
+
+
+def _reference_power_means(column, k):
+    """The means of z**1 ... z**k with z = np.exp(1j * column): the sweep
+    the single-buffer kernel must match bit for bit."""
+    z = np.exp(1j * column)
+    power, means = z.copy(), []
+    for j in range(1, k + 1):
+        if j > 1:
+            power *= z
+        means.append(complex(power.mean()))
+    return means
+
+
+def test_angle_char_mean_matches_np_exp_bit_for_bit_on_both_paths():
+    for _, _, columns in _power_cases():
+        for _, column in columns:
+            before = column.copy()
+            for ell in (1, -2, 7, 64, 65, -300, 2**31 - 1):
+                got = _angle_char_mean(column, [], ell, exact=True)
+                assert got == complex(np.exp(1j * canonical_angle(ell * column)).mean())
+            means = []
+            for ell in (3, -1, 12):
+                got = _angle_char_mean(column, means, ell, exact=False)
+                want = _reference_power_means(column, abs(ell))[-1]
+                assert got == (want if ell > 0 else want.conjugate())
+            assert means == _reference_power_means(column, 12)
+            assert np.array_equal(column, before)
 
 
 def test_power_path_matches_the_direct_formula_up_to_max_power():

@@ -3,6 +3,8 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -280,6 +282,31 @@ def test_oracle_padic_arithmetic_catches_p_multiple_with_a_leading_digit(monkeyp
     assert not oracle_padic_arithmetic(300, seed=37)
 
 
+@pytest.mark.parametrize("block", [128, 1, 10_000])
+def test_oracle_checks_every_trial_in_blocks_of_any_size(block, monkeypatch):
+    # a padic_add wrong on the last of the selftest's 10,000 trials of p = 2
+    # only; every block size reaches it, so no trial goes unchecked
+    rng = widlaws.verification.make_rng(0, stream=0)
+    xs = rng.integers(0, 2, size=(10_000, 16))
+    ys = rng.integers(0, 2, size=(10_000, 16))
+    pairs = list(zip(map(tuple, xs.tolist()), map(tuple, ys.tolist())))
+    target = pairs[-1]
+    assert pairs.count(target) == 1
+    real_add, wrong = widlaws.groups.padic_add, []
+
+    def wrong_on_one_trial(x, y):
+        out = real_add(x, y)
+        if (x.digits, y.digits) == target:
+            wrong.append(x)
+            return PadicInt(x.p, ((out.digits[0] + 1) % x.p,) + out.digits[1:])
+        return out
+
+    monkeypatch.setattr(widlaws.groups, "padic_add", wrong_on_one_trial)
+    monkeypatch.setattr(widlaws.verification, "_ORACLE_BLOCK", block)
+    assert not oracle_padic_arithmetic(10_000, 0)
+    assert len(wrong) == 1
+
+
 # the oracle's expected digits come from int64 blocks while
 # 1000 * p**(depth+1) < 2**63 and from Python ints beyond (p=5, depth 30)
 _ORACLE_PATHS = {"int64": {}, "python-int": {"primes": (5,), "depth": 30}}
@@ -397,6 +424,26 @@ def test_each_check_draws_once_per_sampler(draw_log):
     assert draw_log == {"draws": [300, 300, 300], "streams": [0]}
 
 
+def test_selftest_solenoid_divisibility_fixture_holds_one_column_at_a_time():
+    # selftest's solenoid fixture at its default 100,000 draws: four
+    # batches multiplied, then 68 rows read one depth column at a time.
+    # The traced peak was 8.73 MB with every depth's column cached, every
+    # run's batch alive into the next draw and np.where temporaries in
+    # the angle kernels; it is 5.53 MB with one block of each at a time
+    p = 2
+    eta = LevyMeasure(((SolenoidPoint(p, 5, 0.7), 0.6), (SolenoidPoint(p, 5, -1.2), 0.4)))
+    q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), SolenoidPoint.identity(p, 5), 0.5, eta)
+    check_divisibility(q, 4, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        report = check_divisibility(q, 4, 100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall_pass and len(report.rows) == 68
+    assert peak < 6.1e6
+
+
 _ALONE_CASES = {
     "torus": Quadruplet(
         Torus(),
@@ -431,6 +478,28 @@ def test_row_value_does_not_depend_on_the_other_characters(q):
     for chi in chars[:: max(1, len(chars) // 9)]:
         (row,) = run_suite(q, [chi], 3000, seed=59).rows
         assert row.empirical == full[row.label], row.label
+
+
+@pytest.mark.parametrize("group", ["padic", "solenoid"])
+def test_compatibility_drops_the_first_batch_before_the_second_draw(group, monkeypatch):
+    # the depth-n batch is gone when the depth-(n+1) sampler starts drawing
+    refs, alive_at_draw = [], []
+    real_factory = widlaws.verification.quadruplet_sampler
+
+    def factory(*args, **kwargs):
+        sampler = real_factory(*args, **kwargs)
+
+        def draw(rng, n):
+            alive_at_draw.append([ref() is not None for ref in refs])
+            batch = sampler(rng, n)
+            refs.append(weakref.ref(batch))
+            return batch
+
+        return draw
+
+    monkeypatch.setattr(widlaws.verification, "quadruplet_sampler", factory)
+    check_compatibility(_ALONE_CASES[group], 2, 300, seed=1)
+    assert alive_at_draw == [[], [False]]
 
 
 # ---------------------------------------------------------------------------
