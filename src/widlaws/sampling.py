@@ -44,15 +44,15 @@ Degenerate layers (trivial subgroup, zero variance, empty jump measure)
 consume nothing, and the whole solenoid is no special case:
 Haar(S_p) * mu = Haar(S_p) comes out of the same steps.  A
 compound-Poisson layer takes a row block's jumps in chunks of at most
-JUMP_BLOCK jumps, however few draws carry them.  Each chunk draws its
-uniforms in row order, picks their atoms at once and sums the jump
-vectors per draw on R x Z^k: each integer coordinate by its own weighted
-bincount, cast to int64 and added into the caller's matrix, exact while
-a sum stays below 2**53; the real coordinate by one weighted bincount in
-jump order, or not at all when every atom's real part is 0, as on the
-p-adic integers.  A draw whose jumps straddle chunks enters the next
-chunk's real bincount with its partial sum as the first weight, so its
-sum rounds as one bincount over all its jumps does.
+JUMP_BLOCK jumps, however few draws carry them.  Each chunk stands
+alone: it draws its uniforms in row order, picks their atoms at once,
+finds the rows that own its jumps off the running jump count, and
+np.add.at adds every jump, in jump order, into its row on R x Z^k.  The
+integer coordinates go straight into the caller's int64 matrix, exact;
+the real coordinate goes into a column zeroed once per row block, or
+nowhere when every atom's real part is 0, as on the p-adic integers.
+So a draw's real sum runs from 0.0 in jump order wherever the chunk
+boundaries fall, and only then is added into the block's real column.
 
 quadruplet_sampler wraps the covered arrays in the group's batch type,
 which owns the batch's group product (carried block by block in the
@@ -117,10 +117,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 # The most Poisson jumps one batch may hold.  The jump layer holds at
 # most three 8-byte arrays per jump of one chunk of JUMP_BLOCK jumps
-# (its uniforms and atom picks, then its picks, owners and one column of
-# weights), so its scratch stays near 6 MB however the jumps fall on the
-# draws: a verify at the cap peaks at about 43 MB RSS with 10**7 jumps
-# over 100,000 draws and at about 42 MB with every jump on 100 draws.
+# (its uniforms and atom picks, then its picks, owners and the one
+# coordinate of the picked atoms that np.add.at is adding), so its
+# scratch stays near 6 MB however the jumps fall on the draws: a verify
+# at the cap peaks at about 43 MB RSS with 10**7 jumps over 100,000
+# draws and at about 42 MB with every jump on 100 draws.
 # The stock fixtures draw about 1e5 jumps per batch.
 MAX_JUMPS = 10**7
 # The most jumps one chunk of the jump layer draws and sums at once.
@@ -168,6 +169,7 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None, 
     shape (n, k).  Each draw's jump sum is added into ints when given, in
     place; otherwise into a new column-major zero matrix, one contiguous
     column per coordinate, like the digit matrices it is carried into.
+    The integer sums are exact int64 sums.
 
     With block given, the call draws the n Poisson counts and returns an
     iterator over consecutive blocks of `block` draws (the last one
@@ -180,8 +182,9 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None, 
 
     A measure whose atoms all have real part 0 returns zeros for the real
     part without summing it.  The empty measure yields the origin and
-    consumes nothing.  Raises ValueError, before anything per jump is
-    allocated, when the drawn jump total exceeds MAX_JUMPS.
+    consumes nothing.  Raises ValueError, before anything per jump is allocated, when the drawn
+    jump total exceeds MAX_JUMPS or, times the largest |integer entry|
+    of an atom, reaches 2**63, where an int64 jump sum could wrap.
     """
     n = int(size)
     masses = np.array([m for _, _, m in measure.atoms])
@@ -192,7 +195,15 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None, 
     jumps = counts.sum(dtype=float)
     if jumps > MAX_JUMPS:
         raise ValueError(f"{jumps:.3g} Poisson jumps drawn, above the cap of {MAX_JUMPS}")
-    cum = np.cumsum(masses) / total
+    entry = max((abs(c) for _, ki, _ in measure.atoms for c in ki), default=0)
+    if entry * int(jumps) >= 2**63:
+        raise ValueError(
+            f"{int(jumps)} Poisson jumps of integer entries up to {entry} may sum "
+            "past the int64 range"
+        )
+    # every bound but the last, which rounds near 1.0: a uniform past
+    # every bound kept picks the last atom
+    cum = np.cumsum(masses)[:-1] / total
     if block is None:
         return _jump_sums(rng, measure, cum, counts, ints)
     return (
@@ -203,63 +214,44 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None, 
 
 def _jump_sums(rng, measure: LatticeMeasure, cum, counts, ints=None):
     """The jump sums of draws with the given Poisson counts: one uniform
-    per jump, in draw order, picks its atom off the cumulative mass table
-    cum.  Returns (real part, integer part) as sample_compound_poisson
+    per jump, in draw order, picks its atom off cum, the cumulative mass
+    table without its last bound.  Returns (real part, integer part) as sample_compound_poisson
     does, adding into ints when given.
 
     The jumps are taken in chunks of at most JUMP_BLOCK, each drawing its
-    uniforms in draw order.  A chunk's integer sums are exact and added
-    into ints; its real sums overwrite the rows it reaches, and a draw
-    whose jumps straddle chunks enters the next chunk's bincount with its
-    partial sum as the first weight, so it sums in jump order from 0.0 as
-    one bincount over all its jumps does.
+    uniforms in draw order and standing alone: it finds the rows that own
+    its jumps and np.add.at adds each jump, in jump order, into its row
+    of ints and of a real column zeroed once per call.  So each draw's
+    real sum runs from 0.0 in jump order wherever the chunks split it.
     """
     n, k = len(counts), measure.int_dim
     if ints is None:
         ints = np.zeros((n, k), dtype=np.int64, order="F")
     atom_real = np.array([x for x, _, _ in measure.atoms])
-    real = np.zeros(n) if atom_real.any() else None
-    # one row per coordinate, in float, the type bincount sums its
-    # weights in, so a gather into the weight buffer is the one copy
+    # one row per coordinate
     atom_ints = np.array([ki for _, ki, _ in measure.atoms], dtype=np.int64).reshape(
         len(measure.atoms), k
-    ).T.astype(float)
-    jumps = int(counts.sum())
-    # the chunk's first row, and its jumps that earlier chunks took
-    first, taken = 0, 0
+    ).T
+    # row i owns jumps ends[i] - counts[i] .. ends[i] - 1
+    ends = np.cumsum(counts)
+    real = np.zeros(n) if atom_real.any() else None
+    jumps = int(ends[-1]) if n else 0
     for lo in range(0, jumps, JUMP_BLOCK):
-        size = min(JUMP_BLOCK, jumps - lo)
-        # a uniform at or past cum[-1] picks index len(cum): the gathers
-        # below clip it to the last atom
-        picks = np.searchsorted(cum, rng.random(size), side="right")
-        # reach[i]: the chunk's jumps through row first + i; rows
-        # first..last own the chunk, and row last may own jumps past it
-        reach = np.cumsum(counts[first:])
-        reach -= taken
-        last = first + int(np.searchsorted(reach, size))
-        rows = slice(first, last + 1)
-        held = counts[rows].copy()
-        past = int(reach[last - first]) - size
-        del reach
-        held[-1] -= past
-        # weight 0 goes to row first: its partial real sum, 0.0 for the
-        # integer sums and a fresh row
-        held[0] += 1 - taken
-        owner = np.repeat(np.arange(len(held)), held)
-        del held
-        weights = np.empty(len(owner))
+        hi = min(lo + JUMP_BLOCK, jumps)
+        picks = np.searchsorted(cum, rng.random(hi - lo), side="right")
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        end = ends[first : last + 1]
+        share = np.minimum(end, hi) - np.maximum(end - counts[first : last + 1], lo)
+        owner = np.repeat(np.arange(first, last + 1), share)
         for j, column in enumerate(atom_ints):
-            weights[0] = 0.0
-            np.take(column, picks, out=weights[1:], mode="clip")
-            # the float sums cast first, so the add is the int64 loop
-            ints[rows, j] += np.bincount(owner, weights=weights).astype(np.int64)
+            np.add.at(ints[:, j], owner, column[picks])
         if real is not None:
-            weights[0] = real[first]
-            np.take(atom_real, picks, out=weights[1:], mode="clip")
-            real[rows] = np.bincount(owner, weights=weights)
+            np.add.at(real, owner, atom_real[picks])
         # the next chunk's uniforms are drawn without these beside them
-        del picks, owner, weights
-        first, taken = last, int(counts[last]) - past
+        del picks, owner
+    # the zero column of the p-adic integers is made after the chunks:
+    # made before them, a verify of 10**7 jumps over 100,000 draws
+    # peaked 2 MB higher in RSS
     return np.zeros(n) if real is None else real, ints
 
 

@@ -16,8 +16,10 @@ row block of a draw (sampling.BLOCK); the row-block case below dumps
 16,387 draws of each config, across two block boundaries, and checks
 fixed sha256 values.  At scale, CI hashes verify (JSON and CSV) on each
 golden config at its default N, 100,000-draw csv and jsonl sample dumps
-of it, and the JSON of haar-demo at p = 3 on the p-adic integers and the
-solenoid at their defaults, against sha256-default-n.txt, beside the
+of it, the JSON of haar-demo at p = 3 on the p-adic integers and the
+solenoid at their defaults, and the verify JSON of config-jump-cap.json
+(10**7 Poisson jumps on 100 draws, split into chunks of
+sampling.JUMP_BLOCK jumps), against sha256-default-n.txt, beside the
 golden files.  Regenerate that file, from the root of the checkout, with:
 
     d=$(mktemp -d) && for g in torus padic solenoid; do
@@ -28,7 +30,8 @@ golden files.  Regenerate that file, from the root of the checkout, with:
       done
     done && for g in padic solenoid; do
       PYTHONPATH=src python3 -m widlaws haar-demo --group $g --p 3 --out $d/haar-demo-$g-p3.json
-    done && (cd $d && sha256sum verify-* sample-* haar-demo-*) > tests/data/golden/sha256-default-n.txt
+    done && PYTHONPATH=src python3 -m widlaws verify --config tests/data/golden/config-jump-cap.json \
+      --out $d/verify-jump-cap.json && (cd $d && sha256sum verify-* sample-* haar-demo-*) > tests/data/golden/sha256-default-n.txt
 """
 
 import hashlib

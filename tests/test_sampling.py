@@ -140,6 +140,27 @@ def test_compound_poisson_refuses_a_jump_total_over_the_cap(monkeypatch):
         sample_compound_poisson(make_rng(17), unit, size=50)
 
 
+def test_compound_poisson_integer_sums_are_exact_past_2_53():
+    # about 2.2e16 per draw: a float sum would round off the low bits
+    atom = 2**40 + 1
+    measure = LatticeMeasure(1, ((0.0, (atom,), 20000.0),))
+    _, ints = sample_compound_poisson(make_rng(0), measure, size=2)
+    counts = make_rng(0).poisson(20000.0, size=2).tolist()
+    assert ints[:, 0].tolist() == [c * atom for c in counts]
+    assert max(counts) * atom > 2**53
+
+
+def test_compound_poisson_refuses_jump_sums_that_could_wrap_int64():
+    # make_rng(1) draws 4 jumps: 4 * 2**62 reaches 2**63, 4 * (2**61 - 1)
+    # does not
+    wide = LatticeMeasure(1, ((0.0, (2**62,), 3.0),))
+    with pytest.raises(ValueError, match="int64"):
+        sample_compound_poisson(make_rng(1), wide, size=1)
+    below = LatticeMeasure(1, ((0.0, (2**61 - 1,), 3.0),))
+    _, ints = sample_compound_poisson(make_rng(1), below, size=1)
+    assert ints.tolist() == [[4 * (2**61 - 1)]]
+
+
 def test_compound_poisson_empty_measure_is_origin():
     empty = LatticeMeasure(2, ())
     reals, ints = sample_compound_poisson(make_rng(13), empty, size=50)
@@ -219,6 +240,11 @@ _JUMP_MEASURES = {
     "many-atoms": lambda: LatticeMeasure(
         2, tuple((0.1 * i, (i % 3, -i), 0.2) for i in range(1, 8))
     ),
+    # about 15 jumps a draw: in chunks of 5 a draw spans three chunks or
+    # more, and a chunk can lie wholly inside one draw
+    "heavy": lambda: LatticeMeasure(
+        2, ((0.7, (1, -2), 8.0), (-1.3, (2, 1), 5.0), (0.05, (0, 3), 2.0))
+    ),
 }
 
 
@@ -271,14 +297,20 @@ def test_compound_poisson_blocks_hold_the_whole_batch_bit_for_bit(name):
     assert np.concatenate(got_ints).tolist() == ints.tolist()
 
 
-def _straddling_draws(seed, measure, size, chunk):
-    """The draws whose jumps fall in two or more chunks of `chunk` jumps,
-    read off the Poisson counts the sampler draws first."""
+def _chunks_touched(seed, measure, size, chunk):
+    """How many chunks of `chunk` jumps hold some jump of each draw (0
+    for a draw without jumps), read off the Poisson counts the sampler
+    draws first."""
     total = sum(m for _, _, m in measure.atoms)
     counts = make_rng(seed).poisson(total, size=size)
     ends = np.cumsum(counts)
     starts = ends - counts
-    return np.flatnonzero((counts > 0) & (starts // chunk != (ends - 1) // chunk))
+    return np.where(counts > 0, (ends - 1) // chunk - starts // chunk + 1, 0)
+
+
+def _straddling_draws(seed, measure, size, chunk):
+    """The draws whose jumps fall in two or more chunks of `chunk` jumps."""
+    return np.flatnonzero(_chunks_touched(seed, measure, size, chunk) > 1)
 
 
 @pytest.mark.parametrize("name", _JUMP_MEASURES)
@@ -296,7 +328,14 @@ def test_compound_poisson_in_jump_chunks_matches_one_chunk_bit_for_bit(name, mon
     assert len(_straddling_draws(27, measure, 300, 5)) > 20
 
 
-@pytest.mark.parametrize("name", ["torus", "many-atoms"])
+def test_heavy_draws_in_chunks_of_five_span_three_chunks():
+    # the chunked tests on seed 27 see draws over three chunks or more:
+    # each holds a whole chunk, whose jumps one row owns alone
+    touched = _chunks_touched(27, _JUMP_MEASURES["heavy"](), 300, 5)
+    assert (touched >= 3).sum() > 100
+
+
+@pytest.mark.parametrize("name", ["torus", "many-atoms", "heavy"])
 def test_jump_chunks_carry_the_real_sum_across_a_chunk_boundary(name, monkeypatch):
     # summing each chunk's share from 0.0 and adding the pieces would
     # round differently on some straddling draw; the chunked sampler
