@@ -40,7 +40,7 @@ haar = Quadruplet(
     Solenoid(p), SolenoidSubgroup.full(), SolenoidPoint.identity(p, depth), 0.0, EMPTY_LEVY
 )
 batch = quadruplet_sampler(haar, depth)(make_rng(99), N)
-deeps = batch.deep_angles
+deeps = haar.group.coordinate(batch.real, batch.digits, depth)
 
 # every retained coordinate pair satisfies the tower relation exactly
 coords = [canonical_angle(p ** (depth - j) * deeps) for j in range(depth + 1)]

@@ -292,7 +292,7 @@ def _sample_lines(batch, fmt):
             yield "\n".join(map(",".join, zip(*fields))) + "\n"
         else:
             rows = zip(*_each_once(columns, lambda col: col.tolist()))
-            yield "".join(json.dumps(batch.record(row)) + "\n" for row in rows)
+            yield "".join(json.dumps(batch.group.record(row)) + "\n" for row in rows)
 
 
 def cmd_sample(args) -> int:
@@ -334,18 +334,10 @@ def cmd_haar_demo(args) -> int:
 
 
 def _selftest_fixtures(samples, seed):
-    """The four built-in checks; returns a list of (name, pass) pairs."""
-    results = []
-    results.append(("padic-arithmetic-oracle", oracle_padic_arithmetic(10000, seed)))
-
-    grids = []
-    grids += check_compare_inequality(Torus(), default_characters(Torus()), 1000)
-    for p in (2, 3):
-        grids += check_compare_inequality(
-            Solenoid(p), default_characters(Solenoid(p), depth=3), 1000
-        )
-    results.append(("centering-bound-grid", all(ok for _, ok in grids)))
-
+    """The four built-in checks; returns a list of (name, pass) pairs.
+    Before any check runs, every fixture law is held to the digit and
+    jump caps at `samples` draws, as parse_config holds a config's law;
+    a law over a cap raises ConfigError naming samples."""
     p = 2
     padic_eta = LevyMeasure(
         (
@@ -365,12 +357,6 @@ def _selftest_fixtures(samples, seed):
     sol_q = Quadruplet(
         Solenoid(p), SolenoidSubgroup.trivial(), SolenoidPoint(p, 5, 0.3), 0.2, sol_eta
     )
-    compat_ok = True
-    for q in (padic_q, sol_q):
-        for n in (1, 2, 3):
-            compat_ok = compat_ok and check_compatibility(q, n, samples, seed).overall_pass
-    results.append(("depth-compatibility", compat_ok))
-
     torus_q = Quadruplet(
         Torus(),
         TorusSubgroup.trivial(),
@@ -382,8 +368,31 @@ def _selftest_fixtures(samples, seed):
     sol_div = Quadruplet(
         Solenoid(p), SolenoidSubgroup.trivial(), SolenoidPoint.identity(p, 5), 0.5, sol_eta
     )
+    compat, div = (padic_q, sol_q), (torus_q, padic_div, sol_div)
+    for q in compat + div:
+        if not isinstance(q.group, Torus):
+            _field("samples", check_digit_budget, q.shift.depth, samples)
+        _field("samples", check_jump_budget, q.levy, samples)
+
+    results = []
+    results.append(("padic-arithmetic-oracle", oracle_padic_arithmetic(10000, seed)))
+
+    grids = []
+    grids += check_compare_inequality(Torus(), default_characters(Torus()), 1000)
+    for p in (2, 3):
+        grids += check_compare_inequality(
+            Solenoid(p), default_characters(Solenoid(p), depth=3), 1000
+        )
+    results.append(("centering-bound-grid", all(ok for _, ok in grids)))
+
+    compat_ok = True
+    for q in compat:
+        for n in (1, 2, 3):
+            compat_ok = compat_ok and check_compatibility(q, n, samples, seed).overall_pass
+    results.append(("depth-compatibility", compat_ok))
+
     div_ok = True
-    for q in (torus_q, padic_div, sol_div):
+    for q in div:
         div_ok = div_ok and check_divisibility(q, 4, samples, seed).overall_pass
     results.append(("convolution-divisibility", div_ok))
     return results

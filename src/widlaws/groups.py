@@ -527,14 +527,20 @@ def solenoid_lift(x: SolenoidPoint):
 
 @dataclass(frozen=True)
 class TorusSubgroup:
-    """order=None is the whole circle; order=k the k-th roots of unity."""
+    """order=None is the whole circle; order=k the k-th roots of unity,
+    for an integer k in 1..2**63 (the Haar layer draws one of k int64
+    indices)."""
 
     order: int | None = None
     first_digit = None  # the circle's lift has no digits
 
     def __post_init__(self):
-        if self.order is not None and self.order < 1:
-            raise ValueError("cyclic subgroup order must be >= 1")
+        if self.order is not None:
+            # operator.index refuses a float instead of truncating it
+            order = operator.index(self.order)
+            if not 1 <= order <= 2**63:
+                raise ValueError(f"cyclic subgroup order must be in 1..2**63, got {order}")
+            object.__setattr__(self, "order", order)
 
     @staticmethod
     def full() -> "TorusSubgroup":
@@ -600,6 +606,7 @@ class TorusCharacter:
     """y -> y**ell on the circle."""
 
     ell: int
+    d = 0  # the circle is its own coordinate 0
 
     @property
     def label(self) -> str:
@@ -736,10 +743,13 @@ class _Group:
     the image of its lift R x Z^k: real_coordinate with base_angle(x),
     lift_width(depth, shift) (k, once the shift reaches depth),
     pushforward(eta, depth), digit_dtype (the dtype its batches store
-    digits in), the covering map cover(real, digits), in place on one
-    block of lifts, and batch_fields(real, digits), the fields of the
-    group's batch once every block is covered.  The subgroup's order and
-    first_digit give the Haar layer.
+    digits in) and the covering map cover(real, digits), in place on one
+    block of lifts.  The subgroup's order and first_digit give the Haar
+    layer.  A batch, sampling.Samples, is the covered (real, digits),
+    and the descriptor reads it: coordinate(real, digits, d), the angle
+    column of coordinate d (circle and solenoid), dump_columns(real,
+    digits), the sample dump's columns, and record(row), one dumped
+    draw's JSON object.
     """
 
     def annihilates(self, subgroup, chi) -> bool:
@@ -839,8 +849,15 @@ class Torus(_CircleTower):
     def cover(self, real, digits):
         real[...] = canonical_angle(real)
 
-    def batch_fields(self, real, digits) -> tuple:
-        return (real,)
+    def coordinate(self, real, digits, d):
+        return real
+
+    def dump_columns(self, real, digits) -> list:
+        return [real]
+
+    @staticmethod
+    def record(row) -> dict:
+        return {"angle": row[0]}
 
     def point_mass(self, depth=None):
         return TorusSubgroup.trivial(), TorusPoint.identity()
@@ -950,8 +967,13 @@ class PadicIntegers(_PrimeGroup):
     def cover(self, real, digits):
         padic_digit_matrix(self.p, digits, out=digits)
 
-    def batch_fields(self, real, digits) -> tuple:
-        return self.p, digits
+    def dump_columns(self, real, digits) -> list:
+        """Digits 0..depth, one column per digit."""
+        return list(digits.T)
+
+    @staticmethod
+    def record(row) -> dict:
+        return {"digits": list(row)}
 
     def _annihilates(self, subgroup, chi) -> bool:
         """chi.d < r or p**(d+1-r) | ell, for the depth-r zero-prefix subgroup."""
@@ -1029,8 +1051,18 @@ class Solenoid(_PrimeGroup, _CircleTower):
     def cover(self, real, digits):
         real[...], _ = solenoid_lift_matrix(self.p, digits.shape[1], real, digits, digits)
 
-    def batch_fields(self, real, digits) -> tuple:
-        return self.p, digits.shape[1], real, digits
+    def coordinate(self, real, digits, d):
+        return solenoid_coordinate(self.p, real, digits, d)
+
+    def dump_columns(self, real, digits) -> list:
+        """The deepest angle, then coordinates 0..depth; the first column
+        is the object of the last."""
+        coords = list(solenoid_tower(self.p, real, digits))
+        return [coords[-1], *coords]
+
+    @staticmethod
+    def record(row) -> dict:
+        return {"deep_angle": row[0], "coordinates": list(row[1:])}
 
     def point_mass(self, depth: int):
         return SolenoidSubgroup.trivial(), SolenoidPoint.identity(self.p, depth)

@@ -54,37 +54,39 @@ nowhere when every atom's real part is 0, as on the p-adic integers.
 So a draw's real sum runs from 0.0 in jump order wherever the chunk
 boundaries fall, and only then is added into the block's real column.
 
-quadruplet_sampler wraps the covered arrays in the group's batch type,
-which owns the batch's group product (carried block by block in the
-same way), its character means and its column reader for the sample
-dump: columns(lo, hi) returns the dump's fields for draws lo..hi-1 as
-numpy columns computed on that slice only, so the dump can be written
-in chunks without a per-draw form of the whole batch.  Batch digits are
-stored narrow: cast them before any arithmetic, as the product, the
-residues and the tower sweep do.
+quadruplet_sampler returns the covered arrays as one batch type for
+every group, Samples(group, real, digits): the real column (None on
+the p-adic integers) and the narrow digit matrix (no columns on the
+circle).  Its combine adds the real columns and carries the digit sum
+block by block in the same way, and columns(lo, hi) hands the group's
+dump columns of draws lo..hi-1, computed on that slice only, so the
+dump can be written in chunks without a per-draw form of the whole
+batch.  Batch digits are stored narrow: cast them before any
+arithmetic, as the product, the residues and the tower sweep do.
 
 A batch is read by many characters (one verification suite draws one
-batch), so every batch keeps the per-depth work of its character means
-in a private cache.  A p-adic batch caches the distinct residues of
-x mod p**(d+1) with their counts; a mean sums
-counts * exp(2 pi i ell r / p**(d+1)) over them, with each phase
-ell * r mod p**(d+1) taken exactly in Python ints, at every depth and
-batch size.  A circle batch caches its angle column theta, and a
-solenoid batch the column of the depth d it last read (one Horner sweep
-over the digits, solenoid_tower; the engine reads rows sorted by depth,
-so each column is swept once), with the list of the means of z**1 ...
-z**k taken so far, z = exp(i theta), built in one complex buffer.  A
-row with ell = 0 is exactly 1 + 0j on either path and touches nothing.
-Asked with exact=False, a row with 1 <= |ell| <= MAX_POWER reads the
-mean of z**|ell| from that list (the conjugate for ell < 0); an |ell|
-beyond the list re-sweeps z, z*z, ... from z up to |ell|, so the mean
-depends only on (batch, d, |ell|), never on which rows asked first.  Rows asked with
-exact=True (the default, and the engine's choice for rows whose closed
-form has modulus one) and rows with |ell| > MAX_POWER take the direct
-exp(1j * canonical_angle(ell * theta)), so a point-mass row stays
-exactly 1 + 0j.  The cache is filled on first use and never changes a
-result, so batches behave as immutable values; their arrays must not be
-written to after the first mean.
+batch), so it keeps the per-depth work of its character means in a
+private cache, under one rule: only the work of the depth read last is
+kept (the engine reads rows sorted by depth, so no depth's work is done
+twice; a depth read again is worked again, to the same bits).  On the
+p-adic integers that work is the distinct residues of x mod p**(d+1)
+with their counts; a mean sums counts * exp(2 pi i ell r / p**(d+1))
+over them, with each phase ell * r mod p**(d+1) taken exactly in Python
+ints, at every depth and batch size.  On the circle and the solenoid it
+is the angle column theta of coordinate d (the circle's own angles; one
+Horner sweep over the digits on the solenoid, solenoid_tower) with the
+list of the means of z**1 ... z**k taken so far, z = exp(i theta),
+built in one complex buffer.  A row with ell = 0 is exactly 1 + 0j on
+either path.  Asked with exact=False, a row with 1 <= |ell| <=
+MAX_POWER reads the mean of z**|ell| from that list (the conjugate for
+ell < 0); an |ell| beyond the list re-sweeps z, z*z, ... from z up to
+|ell|, so the mean depends only on (batch, d, |ell|), never on which
+rows asked first.  Rows asked with exact=True (the default, and the
+engine's choice for rows whose closed form has modulus one) and rows
+with |ell| > MAX_POWER take the direct exp(1j * canonical_angle(ell *
+theta)), so a point-mass row stays exactly 1 + 0j.  The cache never
+changes a result, so batches behave as immutable values; their arrays
+must not be written to after the first mean.
 """
 
 from __future__ import annotations
@@ -94,18 +96,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (
-    PadicCharacter,
-    PadicIntegers,
-    Solenoid,
-    SolenoidCharacter,
-    TorusCharacter,
-    TWO_PI,
-    canonical_angle,
-    check_padic_character,
-    solenoid_coordinate,
-    solenoid_tower,
-)
+from .groups import TWO_PI, canonical_angle, check_padic_character
 from .measures import LatticeMeasure, Quadruplet
 
 
@@ -266,20 +257,23 @@ def _row_blocks(n: int, block: int = BLOCK) -> list:
     return [slice(lo, min(lo + block, n)) for lo in range(0, n, block)]
 
 
-def _work_matrix(n: int, width: int) -> np.ndarray:
+def _work_matrix(n: int, width: int, block: int = BLOCK) -> np.ndarray:
     """The int64 column-major work block that a draw or a product of n
     rows reuses for each row block; a block of m rows is work[:m]."""
-    return np.empty((min(n, BLOCK), width), dtype=np.int64, order="F")
+    return np.empty((min(n, block), width), dtype=np.int64, order="F")
 
 
 def _covered_sum(group, x, y, real=None) -> np.ndarray:
     """The narrow digits of the group product of two digit matrices: each
     row block of x + y is summed in one int64 work block and covered in
     place by group.cover, with the block's rows of real, the summed real
-    column, when the group has one."""
+    column, when the group has one.  Without digits (the circle) there is
+    no work block to bound, and the whole batch is one block."""
+    n, width = x.shape
+    block = BLOCK if width else max(n, 1)
     digits = np.empty(x.shape, dtype=group.digit_dtype, order="F")
-    work = _work_matrix(*x.shape)
-    for rows in _row_blocks(len(x)):
+    work = _work_matrix(n, width, block)
+    for rows in _row_blocks(n, block):
         lift = work[: rows.stop - rows.start]
         np.add(x[rows], y[rows], out=lift, dtype=np.int64)
         group.cover(None if real is None else real[rows], lift)
@@ -288,9 +282,7 @@ def _covered_sum(group, x, y, real=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sample batches: combine, char_mean, and the sample dump's columns(lo, hi)
-# (the CSV fields of draws lo..hi-1, one column each) and record(row) (one
-# draw's JSON object)
+# the batch: combine, char_mean, and the sample dump's columns(lo, hi)
 
 # The largest |ell| read off cached powers; a larger one goes direct, so
 # the cost and the rounding of a row stay within MAX_POWER products.
@@ -330,147 +322,85 @@ def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> 
 
 
 @dataclass(frozen=True)
-class TorusSamples:
-    """Circle draws, stored as canonical angles."""
+class Samples:
+    """n draws on a group as its covered lift: real, the (n,) column of
+    base angles in [-pi, pi) (None on the p-adic integers), and digits,
+    the (n, width) narrow digit matrix (width 0 on the circle).  group
+    is the descriptor that reads them (groups._Group)."""
 
-    angles: np.ndarray
-    _means: list = field(default_factory=list, init=False, repr=False, compare=False)
-
-    def __len__(self):
-        return len(self.angles)
-
-    def columns(self, lo: int, hi: int) -> list:
-        return [self.angles[lo:hi]]
-
-    @staticmethod
-    def record(row) -> dict:
-        return {"angle": row[0]}
-
-    def combine(self, other: "TorusSamples") -> "TorusSamples":
-        return TorusSamples(canonical_angle(self.angles + other.angles))
-
-    def char_mean(self, chi, exact: bool = True) -> complex:
-        if not isinstance(chi, TorusCharacter):
-            raise TypeError("character/batch mismatch")
-        return _angle_char_mean(self.angles, self._means, chi.ell, exact)
-
-
-@dataclass(frozen=True)
-class PadicSamples:
-    """p-adic draws, stored as base-p digit rows, shape (n, depth+1)."""
-
-    p: int
+    group: object
+    real: np.ndarray | None
     digits: np.ndarray
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        want = (len(self.digits),) if self.group.real_coordinate else None
+        real = None if self.real is None else np.shape(self.real)
+        if np.ndim(self.digits) != 2 or real != want:
+            raise ValueError(
+                "need digits of shape (n, width) and a real column of shape (n,) "
+                "exactly when the group has a real coordinate"
+            )
 
     def __len__(self):
         return len(self.digits)
 
     def columns(self, lo: int, hi: int) -> list:
-        """Digits 0..depth of draws lo..hi-1, one column per digit."""
-        return list(self.digits[lo:hi].T)
+        """The group's dump columns of draws lo..hi-1."""
+        real = None if self.real is None else self.real[lo:hi]
+        return self.group.dump_columns(real, self.digits[lo:hi])
 
-    @staticmethod
-    def record(row) -> dict:
-        return {"digits": list(row)}
-
-    def combine(self, other: "PadicSamples") -> "PadicSamples":
-        if self.p != other.p or self.digits.shape != other.digits.shape:
-            raise ValueError("mismatched p-adic batches")
-        return PadicSamples(self.p, _covered_sum(PadicIntegers(self.p), self.digits, other.digits))
+    def combine(self, other: "Samples") -> "Samples":
+        if self.group != other.group or self.digits.shape != other.digits.shape:
+            raise ValueError("mismatched batches: need one group and one shape")
+        real = None if self.real is None else self.real + other.real
+        return Samples(self.group, real, _covered_sum(self.group, self.digits, other.digits, real))
 
     def char_mean(self, chi, exact: bool = True) -> complex:
-        """exact is accepted for the common signature: every p-adic mean
-        is taken one exact way."""
-        if not isinstance(chi, PadicCharacter):
+        """exact is ignored on the p-adic integers: every residue mean is
+        taken one exact way."""
+        if not isinstance(chi, self.group.character_type):
             raise TypeError("character/batch mismatch")
-        if chi.d > self.digits.shape[1] - 1:
+        # the residues read digits 0..d, an angle column digits 0..d-1
+        if chi.d + (self.real is None) > self.digits.shape[1]:
             raise ValueError("character depth exceeds sample depth")
-        modulus = check_padic_character(self.p, chi)
-        residues, counts = self._residues(chi.d)
+        if self.real is not None:
+            return _angle_char_mean(*self._work(chi.d), chi.ell, exact)
+        modulus = check_padic_character(self.group.p, chi)
+        residues, counts = self._work(chi.d)
         # ell * r in Python ints: exact at any depth inside the envelope
         phase = np.array([chi.ell * r % modulus for r in residues], dtype=np.int64)
         return complex(counts @ np.exp(2j * np.pi * phase / modulus) / len(self.digits))
+
+    def _work(self, d: int):
+        """Depth d's work, kept until another depth is read: the angle
+        column of coordinate d with its list of power means, or the
+        residues of a p-adic batch."""
+        if d not in self._cache:
+            self._cache.clear()
+            if self.real is None:
+                self._cache[d] = self._residues(d)
+            else:
+                self._cache[d] = (self.group.coordinate(self.real, self.digits, d), [])
+        return self._cache[d]
 
     def _residues(self, d: int):
         """The distinct residues r = x mod p**(d+1) of the batch, as a
         list of ints in increasing order, and their counts.  Horner's rule
         runs in the narrowest unsigned dtype that holds p**(d+1) - 1,
         exact inside check_padic_character's envelope."""
-        if d not in self._cache:
-            p = int(self.p)
-            dtype = np.min_scalar_type(p ** (d + 1) - 1)
-            residues = self.digits[:, d].astype(dtype)
-            for j in range(d - 1, -1, -1):
-                residues *= p
-                residues += self.digits[:, j].astype(dtype, copy=False)
-            distinct, counts = np.unique(residues, return_counts=True)
-            self._cache[d] = (distinct.tolist(), counts)
-        return self._cache[d]
-
-
-@dataclass(frozen=True)
-class SolenoidSamples:
-    """Solenoid draws as (R x Delta_p)/Z stores them: base angles theta0
-    in [-pi, pi), shape (n,), and base-p digits x, shape (n, depth).
-    Coordinate j is (theta0 + 2pi*(x mod p**j)) / p**j."""
-
-    p: int
-    depth: int
-    base: np.ndarray
-    digits: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if np.ndim(self.base) != 1 or np.shape(self.digits) != (len(self.base), self.depth):
-            raise ValueError(f"need a 1-D base and digits of shape (len(base), {self.depth})")
-
-    def __len__(self):
-        return len(self.base)
-
-    @property
-    def deep_angles(self) -> np.ndarray:
-        """Coordinate depth of every draw, shape (n,)."""
-        return self._column(self.depth)[0]
-
-    def _column(self, d: int):
-        """Coordinate d's angle column with its list of power means.  Only
-        the column last read is kept: the engine reads its rows sorted by
-        depth, so no column is swept twice."""
-        if d not in self._cache:
-            self._cache.clear()
-            self._cache[d] = (solenoid_coordinate(self.p, self.base, self.digits, d), [])
-        return self._cache[d]
-
-    def columns(self, lo: int, hi: int) -> list:
-        """Deepest angle, then coordinates 0..depth, of draws lo..hi-1;
-        the first column is the object of the last."""
-        coords = list(solenoid_tower(self.p, self.base[lo:hi], self.digits[lo:hi]))
-        return [coords[-1], *coords]
-
-    @staticmethod
-    def record(row) -> dict:
-        return {"deep_angle": row[0], "coordinates": list(row[1:])}
-
-    def combine(self, other: "SolenoidSamples") -> "SolenoidSamples":
-        if self.p != other.p or self.depth != other.depth:
-            raise ValueError("mismatched solenoid batches")
-        base = self.base + other.base
-        digits = _covered_sum(Solenoid(self.p), self.digits, other.digits, base)
-        return SolenoidSamples(self.p, self.depth, base, digits)
-
-    def char_mean(self, chi, exact: bool = True) -> complex:
-        if not isinstance(chi, SolenoidCharacter):
-            raise TypeError("character/batch mismatch")
-        if chi.d > self.depth:
-            raise ValueError("character depth exceeds sample depth")
-        return _angle_char_mean(*self._column(chi.d), chi.ell, exact)
+        p = int(self.group.p)
+        dtype = np.min_scalar_type(p ** (d + 1) - 1)
+        residues = self.digits[:, d].astype(dtype)
+        for j in range(d - 1, -1, -1):
+            residues *= p
+            residues += self.digits[:, j].astype(dtype, copy=False)
+        distinct, counts = np.unique(residues, return_counts=True)
+        return distinct.tolist(), counts
 
 
 def combine_samples(a, b):
-    """Group product of two equally sized batches, elementwise."""
-    if type(a) is not type(b):
-        raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
+    """Group product of two equally shaped batches of one group, elementwise."""
     return a.combine(b)
 
 
@@ -484,11 +414,8 @@ def char_mean(batch, chi, exact: bool = True) -> complex:
     return batch.char_mean(chi, exact)
 
 
-_BATCHES = {"torus": TorusSamples, "padic": PadicSamples, "solenoid": SolenoidSamples}
-
-
 def quadruplet_sampler(q: Quadruplet, depth: int | None = None):
-    """Batch sampler (rng, n) -> samples for the quadruplet's group.
+    """Batch sampler (rng, n) -> Samples for the quadruplet's group.
 
     depth defaults to the depth of the quadruplet's shift element; it is
     ignored on the circle.  Raises ValueError when depth is negative or
@@ -497,13 +424,12 @@ def quadruplet_sampler(q: Quadruplet, depth: int | None = None):
     if depth is None:
         depth = q.shift.depth
     width = q.group.lift_width(depth, q.shift)
-    batch = _BATCHES[q.group.name]
-    return lambda rng, n: batch(*_draw(q, depth, width, rng, n))
+    return lambda rng, n: _draw(q, depth, width, rng, n)
 
 
-def _draw(q: Quadruplet, depth, width: int, rng, size: int) -> tuple:
+def _draw(q: Quadruplet, depth, width: int, rng, size: int) -> Samples:
     """The six steps of the module docstring on `size` lifts of `width`
-    digits each; returns the covered batch's fields."""
+    digits each; returns the covered batch."""
     group, subgroup = q.group, q.subgroup
     real = np.full(size, group.base_angle(q.shift)) if group.real_coordinate else None
     digits = np.zeros((size, width), dtype=group.digit_dtype, order="F")
@@ -539,4 +465,4 @@ def _draw(q: Quadruplet, depth, width: int, rng, size: int) -> tuple:
                 part -= drift
         group.cover(part, lift)
         digits[rows] = lift
-    return group.batch_fields(real, digits)
+    return Samples(group, real, digits)

@@ -59,7 +59,7 @@ def default_characters(group, depth: int = 3):
 
 
 def _char_key(chi):
-    return (getattr(chi, "d", 0), chi.ell)
+    return (chi.d, chi.ell)
 
 
 @dataclass(frozen=True)

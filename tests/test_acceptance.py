@@ -272,12 +272,14 @@ def test_criterion_09_structural_exactness():
         haar = Quadruplet(
             Solenoid(p), SolenoidSubgroup.full(), SolenoidPoint.identity(p, 3), 0.0, EMPTY_LEVY
         )
-        deeps = quadruplet_sampler(haar, depth=3)(make_rng(1901 + p), 10_000).deep_angles
+        batch = quadruplet_sampler(haar, depth=3)(make_rng(1901 + p), 10_000)
+        deeps = batch.group.coordinate(batch.real, batch.digits, 3)
         coords = [canonical_angle(p ** (3 - j) * deeps) for j in range(4)]
         for j in range(3):
             assert np.max(circular_distance(p * coords[j + 1], coords[j])) <= 1e-12
     q = Quadruplet(Solenoid(2), SolenoidSubgroup.trivial(), SolenoidPoint(2, 4, 0.5), 0.3, SOL_ETA)
-    deeps = quadruplet_sampler(q, depth=4)(make_rng(1910), 10_000).deep_angles
+    batch = quadruplet_sampler(q, depth=4)(make_rng(1910), 10_000)
+    deeps = batch.group.coordinate(batch.real, batch.digits, 4)
     coords = [canonical_angle(2 ** (4 - j) * deeps) for j in range(5)]
     for j in range(4):
         assert np.max(circular_distance(2 * coords[j + 1], coords[j])) <= 1e-12

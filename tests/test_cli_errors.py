@@ -4,13 +4,17 @@ named, before any sampling starts."""
 import json
 import math
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import widlaws.cli
 import widlaws.groups
 import widlaws.sampling
 from widlaws.cli import ConfigError, main, parse_config
+from widlaws.groups import TorusSubgroup
 
 
 def test_haar_demo_names_depth_field(capsys):
@@ -33,6 +37,49 @@ def test_selftest_rejects_zero_samples_before_running(monkeypatch, capsys):
     monkeypatch.setattr(widlaws.cli, "oracle_padic_arithmetic", oracle)
     assert main(["selftest", "--samples", "0"]) == 2
     assert "field 'samples'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [1_666_667, 8_000_000])
+def test_selftest_samples_over_a_cap_are_refused_before_running(samples, monkeypatch, capsys):
+    # 1,666,667 draws of the depth-5 Delta_2 fixture hold more than
+    # MAX_DIGITS digits; 8,000,000 also draw more than MAX_JUMPS jumps
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the caps were checked")
+
+    monkeypatch.setattr(widlaws.cli, "oracle_padic_arithmetic", oracle)
+    assert main(["selftest", "--samples", str(samples)]) == 2
+    assert "field 'samples'" in capsys.readouterr().err
+
+
+def test_circle_cyclic_order_of_2_to_63_verifies(tmp_path):
+    doc = {"group": "torus", "quadruplet": {"H": {"kind": "cyclic", "r": 2**63}, "a": 0.0}}
+    cfg = tmp_path / "cyclic.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--samples", "2000", "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("order", [2**63 + 1, 2**70])
+def test_circle_cyclic_order_past_2_to_63_names_its_field(order, tmp_path):
+    # 2**70 passed parse_config and failed in rng.integers, naming no field
+    doc = {"group": "torus", "quadruplet": {"H": {"kind": "cyclic", "r": order}, "a": 0.0}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.field == "quadruplet.H"
+    cfg = tmp_path / "cyclic.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [sys.executable, "-m", "widlaws", "verify", "--config", str(cfg), "--samples", "100"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "field 'quadruplet.H'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_circle_cyclic_order_is_read_as_an_exact_integer():
+    assert TorusSubgroup(np.int64(6)).order == 6 and type(TorusSubgroup(np.int64(6)).order) is int
+    with pytest.raises(TypeError):
+        TorusSubgroup(3.0)
+    for order in (0, -2, 2**63 + 1):
+        with pytest.raises(ValueError, match="1..2\\*\\*63"):
+            TorusSubgroup(order)
 
 
 def test_config_rejects_padic_character_beyond_exact_envelope(tmp_path, capsys):

@@ -17,10 +17,12 @@ row block of a draw (sampling.BLOCK); the row-block case below dumps
 fixed sha256 values.  At scale, CI hashes verify (JSON and CSV) on each
 golden config at its default N, 100,000-draw csv and jsonl sample dumps
 of it, the JSON of haar-demo at p = 3 on the p-adic integers and the
-solenoid at their defaults, and the verify JSON of config-jump-cap.json
+solenoid at their defaults, the verify JSON of config-jump-cap.json
 (10**7 Poisson jumps on 100 draws, split into chunks of
-sampling.JUMP_BLOCK jumps), against sha256-default-n.txt, beside the
-golden files.  Regenerate that file, from the root of the checkout, with:
+sampling.JUMP_BLOCK jumps) and the verify JSON of config-deep-padic.json
+(100,000 Haar draws on Delta_3 at depth 29, read at 11 character
+depths), against sha256-default-n.txt, beside the golden files.
+Regenerate that file, from the root of the checkout, with:
 
     d=$(mktemp -d) && for g in torus padic solenoid; do
       c=tests/data/golden/config-$g.json
@@ -30,8 +32,9 @@ golden files.  Regenerate that file, from the root of the checkout, with:
       done
     done && for g in padic solenoid; do
       PYTHONPATH=src python3 -m widlaws haar-demo --group $g --p 3 --out $d/haar-demo-$g-p3.json
-    done && PYTHONPATH=src python3 -m widlaws verify --config tests/data/golden/config-jump-cap.json \
-      --out $d/verify-jump-cap.json && (cd $d && sha256sum verify-* sample-* haar-demo-*) > tests/data/golden/sha256-default-n.txt
+    done && for c in jump-cap deep-padic; do
+      PYTHONPATH=src python3 -m widlaws verify --config tests/data/golden/config-$c.json --out $d/verify-$c.json
+    done && (cd $d && sha256sum verify-* sample-* haar-demo-*) > tests/data/golden/sha256-default-n.txt
 """
 
 import hashlib

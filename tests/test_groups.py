@@ -43,7 +43,7 @@ from widlaws import (
     torus_mul,
     trivial_quadruplet,
 )
-from widlaws import SolenoidSamples
+from widlaws import Samples
 from widlaws.groups import (
     padic_digit_matrix,
     solenoid_coordinate,
@@ -695,7 +695,7 @@ def test_deep_solenoid_batch_coordinates_match_exact_rationals(p, depth, data):
     base, digits = solenoid_lift_matrix(p, depth, y0, ints)
     assert np.all((base >= -math.pi) & (base < math.pi))
     assert digits.shape == (rows, depth) and np.all((digits >= 0) & (digits < p))
-    batch = SolenoidSamples(p, depth, base, digits)
+    batch = Samples(Solenoid(p), base, digits)
     deep, *coords = batch.columns(0, rows)
     assert deep is coords[-1]
     for i in range(rows):
@@ -705,27 +705,32 @@ def test_deep_solenoid_batch_coordinates_match_exact_rationals(p, depth, data):
 
 
 def test_solenoid_batch_reads_one_sweep_for_every_view():
-    # deep_angles, the char_mean column and the dump columns agree bit for bit
+    # the deep coordinate, the char_mean column and the dump columns agree
+    # bit for bit
     rng = np.random.default_rng(1414)
     p, depth = 3, 45
     base, digits = solenoid_lift_matrix(
         p, depth, rng.uniform(-9.0, 9.0, size=200), rng.integers(-5, 5, size=(200, depth))
     )
-    batch = SolenoidSamples(p, depth, base, digits)
+    batch = Samples(Solenoid(p), base, digits)
     columns = batch.columns(0, 200)
-    assert np.array_equal(batch.deep_angles, columns[0])
+    assert np.array_equal(batch.group.coordinate(base, digits, depth), columns[0])
     for d in (0, 1, 17, depth):
         assert np.array_equal(solenoid_coordinate(p, base, digits, d), columns[d + 1])
 
 
 def test_solenoid_samples_refuse_mismatched_shapes():
-    # three digits at depth 5 used to read coordinate 3 as the deep angle
+    # a batch's depth is its digit count, so a digit row stands for one
+    # draw: a flat digit vector, a base that is not one column, a base of
+    # another length, and a solenoid batch without a base are refused
     with pytest.raises(ValueError, match="shape"):
-        SolenoidSamples(2, 5, np.array([0.5]), np.array([[1, 0, 1]]))
+        Samples(Solenoid(2), np.array([0.5]), np.array([1, 0, 1]))
     with pytest.raises(ValueError, match="shape"):
-        SolenoidSamples(2, 1, np.zeros((2, 1)), np.zeros((2, 1), dtype=np.int64))
+        Samples(Solenoid(2), np.zeros((2, 1)), np.zeros((2, 1), dtype=np.int64))
     with pytest.raises(ValueError, match="shape"):
-        SolenoidSamples(2, 1, np.zeros(3), np.zeros((2, 1), dtype=np.int64))
+        Samples(Solenoid(2), np.zeros(3), np.zeros((2, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        Samples(Solenoid(2), None, np.zeros((2, 1), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +756,7 @@ def test_solenoid_point_reads_its_coordinates_as_a_batch_row_does():
     rng = np.random.default_rng(4545)
     p, depth, n = 3, 45, 40
     base, digits = rng.uniform(-math.pi, math.pi, size=n), rng.integers(0, p, size=(n, depth))
-    columns = SolenoidSamples(p, depth, base, digits).columns(0, n)
+    columns = Samples(Solenoid(p), base, digits).columns(0, n)
     for i in range(n):
         x = solenoid_from_lift(p, depth, base[i], digits[i])
         assert x.deep_angle == columns[0][i]

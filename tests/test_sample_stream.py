@@ -17,8 +17,8 @@ import pytest
 
 from widlaws import cli
 from widlaws.cli import CHUNK, load_config, main, parse_config
-from widlaws.groups import SolenoidCharacter, solenoid_tower
-from widlaws.sampling import PadicSamples, SolenoidSamples, make_rng, quadruplet_sampler
+from widlaws.groups import PadicIntegers, Solenoid, SolenoidCharacter, solenoid_tower
+from widlaws.sampling import make_rng, quadruplet_sampler
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 COUNT = 2 * CHUNK + 3
@@ -32,17 +32,19 @@ def _batch(config, count):
 
 def _reference_records(batch):
     """(CSV values, JSON object) per draw, one draw at a time."""
-    if isinstance(batch, PadicSamples):
+    if isinstance(batch.group, PadicIntegers):
         for row in batch.digits:
             yield row.tolist(), {"digits": row.tolist()}
-    elif isinstance(batch, SolenoidSamples):
+    elif isinstance(batch.group, Solenoid):
         # one sweep over the whole batch, not chunk by chunk
-        coords = list(solenoid_tower(batch.p, batch.base, batch.digits))
+        p, depth = batch.group.p, batch.digits.shape[1]
+        coords = list(solenoid_tower(p, batch.real, batch.digits))
+        deep = batch.group.coordinate(batch.real, batch.digits, depth)
         for i in range(len(batch)):
-            row = [float(batch.deep_angles[i])] + [float(col[i]) for col in coords]
+            row = [float(deep[i])] + [float(col[i]) for col in coords]
             yield row, {"deep_angle": row[0], "coordinates": row[1:]}
     else:
-        for a in batch.angles:
+        for a in batch.real:
             yield [float(a)], {"angle": float(a)}
 
 

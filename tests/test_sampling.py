@@ -17,13 +17,12 @@ from widlaws import (
     PadicCharacter,
     PadicInt,
     PadicIntegers,
-    PadicSamples,
     PadicSubgroup,
     Quadruplet,
+    Samples,
     Solenoid,
     SolenoidCharacter,
     SolenoidPoint,
-    SolenoidSamples,
     SolenoidSubgroup,
     Torus,
     TorusCharacter,
@@ -32,6 +31,7 @@ from widlaws import (
     canonical_angle,
     char_mean,
     circular_distance,
+    combine_samples,
     empirical_cf,
     ft_quadruplet,
     make_rng,
@@ -58,6 +58,11 @@ def _padic_haar(rng, p, depth, size):
     return quadruplet_sampler(q, depth)(rng, size).digits
 
 
+def _padic_batch(p, digits):
+    """The batch of Delta_p draws with these digit rows."""
+    return Samples(PadicIntegers(p), None, digits)
+
+
 # ---------------------------------------------------------------------------
 # rng streams
 
@@ -77,11 +82,11 @@ def test_streams_are_reproducible_and_distinct():
 def test_uniform_real_contract():
     # the circle's Haar layer: uniform angles, reported in [-pi, pi)
     q = Quadruplet(Torus(), TorusSubgroup.full(), TorusPoint.identity(), 0.0, EMPTY_LEVY)
-    xs = quadruplet_sampler(q)(make_rng(1), N).angles
+    xs = quadruplet_sampler(q)(make_rng(1), N).real
     assert np.all((xs >= -math.pi) & (xs < math.pi))
     # CLT: uniform std dev is (hi-lo)/sqrt(12)
     assert abs(xs.mean()) <= 4 * (2 * math.pi / math.sqrt(12)) / math.sqrt(N)
-    again = quadruplet_sampler(q)(make_rng(1), N).angles
+    again = quadruplet_sampler(q)(make_rng(1), N).real
     assert np.array_equal(xs, again)
 
 
@@ -101,8 +106,8 @@ def test_normal_moments():
     def gauss(b):
         return Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint.identity(), b, EMPTY_LEVY)
 
-    assert np.all(quadruplet_sampler(gauss(0.0))(make_rng(5), 10).angles == 0.0)
-    xs = quadruplet_sampler(gauss(0.04))(make_rng(6), N).angles
+    assert np.all(quadruplet_sampler(gauss(0.0))(make_rng(5), 10).real == 0.0)
+    xs = quadruplet_sampler(gauss(0.04))(make_rng(6), N).real
     assert abs(xs.mean()) <= 4 * 0.2 / math.sqrt(N)
     # var of the sample variance of N(0, s2) is ~ 2 s2^2 / n
     assert abs(xs.var(ddof=1) - 0.04) <= 4 * 0.04 * math.sqrt(2) / math.sqrt(N)
@@ -374,12 +379,14 @@ def test_draws_in_jump_chunks_equal_the_unsplit_draws_bit_for_bit(q, monkeypatch
     whole = sampler(make_rng(29), 500)
     monkeypatch.setattr(widlaws.sampling, "JUMP_BLOCK", 7)
     chunked = sampler(make_rng(29), 500)
-    for name in ("angles", "base", "digits"):
-        if hasattr(whole, name):
-            a, b = getattr(whole, name), getattr(chunked, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-            if a.dtype == np.float64:
-                assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), name
+    for name in ("real", "digits"):
+        a, b = getattr(whole, name), getattr(chunked, name)
+        if a is None:
+            assert b is None, name
+            continue
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        if a.dtype == np.float64:
+            assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), name
 
 
 def test_few_draws_with_many_jumps_hold_one_jump_chunk():
@@ -409,7 +416,7 @@ def test_compound_poisson_with_zero_real_parts_keeps_the_integer_sums():
 
 def test_torus_trivial_quadruplet_is_identity():
     q = trivial_quadruplet(Torus())
-    assert np.all(quadruplet_sampler(q)(make_rng(16), 100).angles == 0.0)
+    assert np.all(quadruplet_sampler(q)(make_rng(16), 100).real == 0.0)
 
 
 def test_torus_haar_kills_nontrivial_characters():
@@ -510,7 +517,7 @@ def test_batches_store_digits_in_the_narrowest_unsigned_dtype(p, dtype):
 def test_solenoid_trivial_quadruplet_is_identity():
     q = trivial_quadruplet(Solenoid(2), depth=3)
     batch = quadruplet_sampler(q, 3)(make_rng(23), 100)
-    base, digits = batch.base, batch.digits
+    base, digits = batch.real, batch.digits
     assert np.all(base == 0.0) and digits.shape == (100, 3) and np.all(digits == 0)
 
 
@@ -530,9 +537,10 @@ def test_solenoid_shift_only_reproduces_the_point():
     a = SolenoidPoint(p, 3, 1.234)
     q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), a, 0.0, EMPTY_LEVY)
     batch = quadruplet_sampler(q, 3)(make_rng(25), 50)
-    assert np.all(circular_distance(batch.deep_angles, a.deep_angle) <= 1e-12)
+    deep = batch.group.coordinate(batch.real, batch.digits, 3)
+    assert np.all(circular_distance(deep, a.deep_angle) <= 1e-12)
     for j in range(4):
-        coords = solenoid_coordinate(p, batch.base, batch.digits, j)
+        coords = solenoid_coordinate(p, batch.real, batch.digits, j)
         assert np.all(circular_distance(coords, a.coordinate_angle(j)) <= 1e-12)
 
 
@@ -595,7 +603,7 @@ def test_combine_at_p_251_carries_digit_sums_past_the_narrow_dtype():
     # span two row blocks
     p, depth, n = 251, 3, BLOCK + 5
     a, b = (_padic_haar(make_rng(seed), p, depth, size=n) for seed in (32, 33))
-    both = PadicSamples(p, a).combine(PadicSamples(p, b))
+    both = _padic_batch(p, a).combine(_padic_batch(p, b))
     assert both.digits.dtype == np.uint8 and (a.astype(int) + b).max() > 255
     pairs = zip(a.tolist(), b.tolist())
     want = [padic_add(PadicInt(p, x), PadicInt(p, y)).digits for x, y in pairs]
@@ -609,11 +617,46 @@ def test_solenoid_combine_at_p_251_is_the_group_product_row_by_row():
     assert both.digits.dtype == np.uint8 and (x.digits.astype(int) + y.digits).max() > 255
 
     def point(batch, i):
-        return solenoid_from_lift(p, depth, batch.base[i], batch.digits[i].tolist())
+        return solenoid_from_lift(p, depth, batch.real[i], batch.digits[i].tolist())
 
     for i in (0, 1, BLOCK - 1, BLOCK, n - 1):
         want = solenoid_mul(point(x, i), point(y, i))
-        assert (both.base[i], tuple(both.digits[i].tolist())) == (want.base, want.digits), i
+        assert (both.real[i], tuple(both.digits[i].tolist())) == (want.base, want.digits), i
+
+
+_COMBINE_GROUPS = {"torus": Torus(), "padic": PadicIntegers(3), "solenoid": Solenoid(3)}
+
+
+def _haar_batch(group, n=5, depth=2):
+    """n Haar draws on the whole group, at depth on Delta_p and S_p."""
+    subgroup = {
+        "torus": TorusSubgroup.full(), "padic": PadicSubgroup(0), "solenoid": SolenoidSubgroup.full()
+    }[group.name]
+    shift = group.point_mass(depth)[1]
+    return quadruplet_sampler(Quadruplet(group, subgroup, shift, 0.0, EMPTY_LEVY), depth)(make_rng(0), n)
+
+
+@pytest.mark.parametrize("group", _COMBINE_GROUPS.values(), ids=_COMBINE_GROUPS.keys())
+def test_combine_samples_refuses_another_size_group_p_or_depth(group):
+    # a circle batch of one draw used to broadcast against one of five
+    batch = _haar_batch(group)
+    others = [_haar_batch(group, n=4), _haar_batch(group, n=1)]
+    others += [_haar_batch(g) for g in _COMBINE_GROUPS.values() if g != group]
+    if group.name != "torus":
+        others += [_haar_batch(type(group)(5)), _haar_batch(group, depth=3)]
+    for other in others:
+        for a, b in ((batch, other), (other, batch)):
+            with pytest.raises(ValueError, match="mismatched"):
+                combine_samples(a, b)
+    assert len(combine_samples(batch, _haar_batch(group))) == 5
+
+
+def test_circle_combine_across_row_blocks_is_the_wrapped_sum_bit_for_bit():
+    n = BLOCK + 5
+    a, b = _haar_batch(Torus(), n), _haar_batch(Torus(), n)
+    both = a.combine(b)
+    assert both.digits.shape == (n, 0)
+    assert both.real.view(np.int64).tolist() == canonical_angle(a.real + b.real).view(np.int64).tolist()
 
 
 def test_shift_depth_must_cover_requested_depth():
@@ -636,13 +679,13 @@ def test_padic_char_mean_is_exact_at_large_depth():
         for ell in (12345678901234 % p ** (d + 1), p ** (d + 1) - 1):
             chi = PadicCharacter(d, ell)
             want = sum(chi(PadicInt(p, tuple(row))) for row in digits.tolist())
-            assert abs(char_mean(PadicSamples(p, digits), chi) - want / 200) <= 1e-12
+            assert abs(char_mean(_padic_batch(p, digits), chi) - want / 200) <= 1e-12
 
 
 def test_padic_char_mean_on_narrow_digits_equals_the_int64_batch_bit_for_bit():
     # p**38 - 1 needs uint64 residues: the last depth inside the envelope
     digits = _padic_haar(make_rng(2), 3, 37, size=500)
-    narrow, wide = PadicSamples(3, digits), PadicSamples(3, digits.astype(np.int64))
+    narrow, wide = _padic_batch(3, digits), _padic_batch(3, digits.astype(np.int64))
     assert narrow.digits.dtype == np.uint8
     for ell in (1, 3**37 + 5, 3**38 - 1):
         chi = PadicCharacter(37, ell)
@@ -652,9 +695,9 @@ def test_padic_char_mean_on_narrow_digits_equals_the_int64_batch_bit_for_bit():
 def test_padic_char_mean_rejects_depth_beyond_int64_envelope():
     # exact while p**(d+2) < 2**63: d = 37 is the last such depth at p = 3
     digits = _padic_haar(make_rng(0), 3, 38, size=10)
-    char_mean(PadicSamples(3, digits), PadicCharacter(37, 5))
+    char_mean(_padic_batch(3, digits), PadicCharacter(37, 5))
     with pytest.raises(ValueError, match="2\\*\\*63"):
-        char_mean(PadicSamples(3, digits), PadicCharacter(38, 5))
+        char_mean(_padic_batch(3, digits), PadicCharacter(38, 5))
 
 
 def _direct_char_mean(p, digits, chi):
@@ -669,7 +712,7 @@ def _direct_char_mean(p, digits, chi):
 def test_padic_char_mean_histogram_matches_direct_evaluation_on_one_batch(p):
     # every (d, ell) with p**(d+1) <= n reads the batch's residue histogram
     n = 700
-    batch = PadicSamples(p, _padic_haar(make_rng(41 + p), p, 8, size=n))
+    batch = _padic_batch(p, _padic_haar(make_rng(41 + p), p, 8, size=n))
     d = 0
     while p ** (d + 1) <= n:
         for ell in range(p ** (d + 1)):
@@ -683,7 +726,7 @@ def test_padic_char_mean_histogram_matches_direct_evaluation_on_one_batch(p):
 def test_padic_char_mean_above_batch_size_reads_at_most_n_residues(p, d):
     # p**(d+1) > n: the mean is the same, read off at most n distinct residues
     n = 300
-    batch = PadicSamples(p, _padic_haar(make_rng(43), p, d, size=n))
+    batch = _padic_batch(p, _padic_haar(make_rng(43), p, d, size=n))
     for ell in (1, p + 1, p ** (d + 1) - 2):
         chi = PadicCharacter(d, ell)
         assert abs(char_mean(batch, chi) - _direct_char_mean(p, batch.digits, chi)) <= 1e-12
@@ -697,10 +740,22 @@ def test_padic_char_mean_is_bit_equal_on_a_batch_stacked_twice(p, d):
     # batch size p**(d+1) and must still give the same bits
     n = p ** (d + 1) // 2 + 1
     digits = _padic_haar(make_rng(59), p, d, size=n)
-    once, twice = PadicSamples(p, digits), PadicSamples(p, np.vstack([digits, digits]))
+    once, twice = _padic_batch(p, digits), _padic_batch(p, np.vstack([digits, digits]))
     for ell in make_rng(61).integers(0, p ** (d + 1), size=8).tolist():
         chi = PadicCharacter(d, ell)
         assert char_mean(once, chi) == char_mean(twice, chi), ell
+
+
+def test_padic_char_mean_keeps_only_the_residues_of_the_depth_read_last():
+    # depths 1, 2 and 1 again: each read gives the bits of a fresh batch
+    p = 3
+    digits = _padic_haar(make_rng(48), p, 4, size=1000)
+    shared = _padic_batch(p, digits)
+    for d in (1, 2, 1):
+        for ell in (1, 5, p ** (d + 1) - 1):
+            chi = PadicCharacter(d, ell)
+            assert char_mean(shared, chi) == char_mean(_padic_batch(p, digits), chi), (d, ell)
+            assert list(shared._cache) == [d]
 
 
 def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():
@@ -711,14 +766,14 @@ def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():
     for d in range(depth + 1):
         for ell in (-4, 1, 5):
             chi = SolenoidCharacter(d, ell)
-            fresh = SolenoidSamples(p, depth, shared.base, shared.digits)
+            fresh = Samples(shared.group, shared.real, shared.digits)
             assert char_mean(shared, chi) == char_mean(fresh, chi)
             assert list(shared._cache) == [d]
     # a depth read again is swept again, to the same bits
     for d in (1, 0):
         chi = SolenoidCharacter(d, 5)
         for exact in (True, False):
-            fresh = SolenoidSamples(p, depth, shared.base, shared.digits)
+            fresh = Samples(shared.group, shared.real, shared.digits)
             assert char_mean(shared, chi, exact) == char_mean(fresh, chi, exact)
         assert list(shared._cache) == [d]
 
@@ -735,10 +790,10 @@ def _power_cases():
     p, depth = 3, 3
     solenoid = _solenoid_haar_batch(make_rng(73), p, depth, 5000)
     columns = [
-        (d, solenoid_coordinate(p, solenoid.base, solenoid.digits, d)) for d in range(depth + 1)
+        (d, solenoid_coordinate(p, solenoid.real, solenoid.digits, d)) for d in range(depth + 1)
     ]
     return [
-        (torus, TorusCharacter, [(0, torus.angles)]),
+        (torus, TorusCharacter, [(0, torus.real)]),
         (solenoid, SolenoidCharacter, columns),
     ]
 
@@ -797,7 +852,7 @@ def test_zero_frequency_rows_are_exactly_one_and_leave_the_power_cache_empty():
             for exact in (True, False):
                 got = char_mean(batch, chi, exact=exact)
                 assert got == 1 + 0j and math.copysign(1.0, got.imag) == 1.0
-        means = [batch._means] if kind is TorusCharacter else [m for _, m in batch._cache.values()]
+        means = [m for _, m in batch._cache.values()]
         assert means and all(m == [] for m in means)
 
 
