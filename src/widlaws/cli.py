@@ -21,19 +21,7 @@ import math
 import os
 import sys
 
-from .groups import (
-    PadicInt,
-    PadicIntegers,
-    PadicSubgroup,
-    Solenoid,
-    SolenoidPoint,
-    SolenoidSubgroup,
-    Torus,
-    TorusPoint,
-    TorusSubgroup,
-    config_int,
-    config_real,
-)
+from .groups import PadicIntegers, Solenoid, Torus, config_int, config_real
 from .measures import AtomError, LevyMeasure, Quadruplet
 from .sampling import check_digit_budget, check_jump_budget, make_rng, quadruplet_sampler
 from .verification import (
@@ -54,7 +42,7 @@ CSV_COLUMNS = ["character", "re_theory", "im_theory", "re_emp", "im_emp", "abs_e
 
 class ConfigError(Exception):
     def __init__(self, field, message):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"field '{field}': {message}")
 
 
@@ -129,7 +117,7 @@ def parse_config(doc):
         raise ConfigError("group", f"unknown group {group_name!r}")
     depth = _as_int("depth", _get(doc, "depth", 3), 0)
     samples = _as_int("samples", _get(doc, "samples", 100000), 1)
-    if not isinstance(group, Torus):
+    if group.retained is not None:
         _field("depth", check_digit_budget, depth, samples)
 
     qraw = _get(doc, "quadruplet", required=True)
@@ -315,7 +303,7 @@ def cmd_haar_demo(args) -> int:
     if args.group == "padic":
         haar = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
     else:
-        haar = {"H": {"kind": "full"}, "a": 0.0}
+        haar = {"H": {"kind": "full"}, "a": {"base": 0.0, "digits": []}}
     doc = {"group": args.group, "quadruplet": haar}
     doc = _override(doc, args, "p", "depth", "samples", "seed", "tolerance_c")
     quad, depth, characters, samples, seed, tolerance_c = parse_config(doc)
@@ -333,46 +321,43 @@ def cmd_haar_demo(args) -> int:
     return 0 if report.overall_pass else 1
 
 
+# selftest's fixture laws as configs: two for the compatibility check,
+# three centered ones for the divisibility check
+_PADIC_ETA = [{"point": [1, 0, 1], "mass": 0.8}, {"point": [0, 1, 1], "mass": 0.5}]
+_SOLENOID_ETA = [{"point": 0.7, "mass": 0.6}, {"point": -1.2, "mass": 0.4}]
+_COMPATIBILITY_LAWS = [
+    {"group": "padic", "p": 2, "depth": 5,
+     "quadruplet": {"H": {"kind": "lambda", "r": 6}, "a": [1, 1], "eta": _PADIC_ETA}},
+    {"group": "solenoid", "p": 2, "depth": 5,
+     "quadruplet": {"H": {"kind": "trivial"}, "a": 0.3, "b": 0.2, "eta": _SOLENOID_ETA}},
+]
+_DIVISIBILITY_LAWS = [
+    {"group": "torus",
+     "quadruplet": {"H": {"kind": "trivial"}, "a": 0.0, "b": 0.8,
+                    "eta": [{"point": 2.1, "mass": 1.1}, {"point": -0.6, "mass": 0.5}]}},
+    {"group": "padic", "p": 2, "depth": 5,
+     "quadruplet": {"H": {"kind": "lambda", "r": 6}, "a": [], "eta": _PADIC_ETA}},
+    {"group": "solenoid", "p": 2, "depth": 5,
+     "quadruplet": {"H": {"kind": "trivial"}, "a": 0.0, "b": 0.5, "eta": _SOLENOID_ETA}},
+]
+
+
+def _selftest_law(doc, samples):
+    """The quadruplet of a fixture config, parsed at `samples` draws, so
+    that the digit and jump caps hold it as they hold a config's law; a
+    law over a cap raises ConfigError naming samples."""
+    try:
+        return parse_config({**doc, "samples": samples})[0]
+    except ConfigError as exc:
+        raise ConfigError("samples", exc.message) from exc
+
+
 def _selftest_fixtures(samples, seed):
     """The four built-in checks; returns a list of (name, pass) pairs.
-    Before any check runs, every fixture law is held to the digit and
-    jump caps at `samples` draws, as parse_config holds a config's law;
-    a law over a cap raises ConfigError naming samples."""
-    p = 2
-    padic_eta = LevyMeasure(
-        (
-            (PadicInt(p, (1, 0, 1, 0, 0, 0)), 0.8),
-            (PadicInt(p, (0, 1, 1, 0, 0, 0)), 0.5),
-        )
-    )
-    padic_q = Quadruplet(
-        PadicIntegers(p), PadicSubgroup(6), PadicInt(p, (1, 1, 0, 0, 0, 0)), 0.0, padic_eta
-    )
-    sol_eta = LevyMeasure(
-        (
-            (SolenoidPoint(p, 5, 0.7), 0.6),
-            (SolenoidPoint(p, 5, -1.2), 0.4),
-        )
-    )
-    sol_q = Quadruplet(
-        Solenoid(p), SolenoidSubgroup.trivial(), SolenoidPoint(p, 5, 0.3), 0.2, sol_eta
-    )
-    torus_q = Quadruplet(
-        Torus(),
-        TorusSubgroup.trivial(),
-        TorusPoint.identity(),
-        0.8,
-        LevyMeasure(((TorusPoint(2.1), 1.1), (TorusPoint(-0.6), 0.5))),
-    )
-    padic_div = Quadruplet(PadicIntegers(p), PadicSubgroup(6), PadicInt.zero(p, 5), 0.0, padic_eta)
-    sol_div = Quadruplet(
-        Solenoid(p), SolenoidSubgroup.trivial(), SolenoidPoint.identity(p, 5), 0.5, sol_eta
-    )
-    compat, div = (padic_q, sol_q), (torus_q, padic_div, sol_div)
-    for q in compat + div:
-        if not isinstance(q.group, Torus):
-            _field("samples", check_digit_budget, q.shift.depth, samples)
-        _field("samples", check_jump_budget, q.levy, samples)
+    Every fixture law is parsed, and so held to the caps, before any
+    check runs."""
+    compat = [_selftest_law(doc, samples) for doc in _COMPATIBILITY_LAWS]
+    div = [_selftest_law(doc, samples) for doc in _DIVISIBILITY_LAWS]
 
     results = []
     results.append(("padic-arithmetic-oracle", oracle_padic_arithmetic(10000, seed)))

@@ -722,14 +722,52 @@ def check_angle_frequency(ell: int) -> int:
     return ell
 
 
+# The largest |ell| read off cached powers; a larger one goes direct, so
+# the cost and the rounding of a row stay within MAX_POWER products.
+MAX_POWER = 64
+
+
+def _unit_phases(theta: np.ndarray) -> np.ndarray:
+    """exp(1j * theta), built in one complex buffer: the product, then
+    the exponential in place, bit for bit np.exp(1j * theta)."""
+    z = np.multiply(theta, 1j)
+    return np.exp(z, out=z)
+
+
+def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> complex:
+    """Mean of exp(i ell theta) over the canonical angles theta in column.
+
+    means holds the means of z**1 ... z**k, z = exp(i theta), taken so
+    far; a row with exact=False and 1 <= |ell| <= MAX_POWER reads entry
+    |ell| of it, extending it by one sweep of products from z when |ell|
+    > k.  Only z and the current power are alive during a sweep.
+    """
+    k = abs(ell)
+    if k == 0:
+        # the mean of N exact ones is exactly 1, on either path
+        return 1 + 0j
+    if exact or k > MAX_POWER:
+        return complex(_unit_phases(canonical_angle(ell * column)).mean())
+    if k > len(means):
+        z = _unit_phases(column)
+        power = z.copy()
+        for j in range(1, k + 1):
+            if j > 1:
+                power *= z
+            if j > len(means):
+                means.append(complex(power.mean()))
+    return means[k - 1] if ell > 0 else means[k - 1].conjugate()
+
+
 # ---------------------------------------------------------------------------
 # group descriptors: the per-group backends
 
 class _Group:
     """What every group descriptor provides.
 
-    Each descriptor sets name, point_type, subgroup_type and
-    character_type, and implements quadratic_form(b, chi), pairing(x, chi)
+    Each descriptor sets name, point_type, subgroup_type, character_type
+    and retained (what a depth counts: None on the circle, which ignores
+    depth), and implements quadratic_form(b, chi), pairing(x, chi)
     (the centering pairing g), drift(eta) (the local-mean drift),
     _annihilates, point_mass(depth) (the trivial subgroup and the
     identity), subgroup_is_trivial, default_characters, describe_subgroup,
@@ -749,7 +787,10 @@ class _Group:
     and the descriptor reads it: coordinate(real, digits, d), the angle
     column of coordinate d (circle and solenoid), dump_columns(real,
     digits), the sample dump's columns, and record(row), one dumped
-    draw's JSON object.
+    draw's JSON object.  Its character means take two hooks:
+    mean_work(real, digits, d), the work every mean of depth d shares,
+    which the batch keeps for the depth it read last, and read_mean(work,
+    chi, exact), one character's mean off that work.
     """
 
     def annihilates(self, subgroup, chi) -> bool:
@@ -822,6 +863,24 @@ class _CircleTower(_Group):
     def subgroup_is_trivial(self, subgroup, depth) -> bool:
         return subgroup.order == 1
 
+    def mean_work(self, real, digits, d):
+        """The angle column of coordinate d, swept through digit d-1, with
+        the list of its power means taken so far (see _angle_char_mean)."""
+        if d > digits.shape[1]:
+            raise ValueError("character depth exceeds sample depth")
+        return self.coordinate(real, digits, d), []
+
+    def read_mean(self, work, chi, exact: bool) -> complex:
+        """The mean of exp(i ell theta) over the column; ell = 0 gives
+        exactly 1 + 0j.  With exact=False, 1 <= |ell| <= MAX_POWER reads
+        the mean of z**|ell| off the power list (the conjugate for ell <
+        0), so it depends only on (batch, d, |ell|), never on which rows
+        asked first.  exact=True (the engine's choice for rows whose
+        closed form has modulus one) and |ell| > MAX_POWER take the direct
+        exp(1j * canonical_angle(ell * theta)), so a point-mass row stays
+        exactly 1 + 0j."""
+        return _angle_char_mean(*work, chi.ell, exact)
+
 
 @dataclass(frozen=True)
 class Torus(_CircleTower):
@@ -831,6 +890,7 @@ class Torus(_CircleTower):
     point_type = TorusPoint
     subgroup_type = TorusSubgroup
     character_type = TorusCharacter
+    retained = None  # a circle depth retains nothing
     digit_dtype = np.dtype(np.uint8)  # the circle's lift has no digits
 
     def scale(self, chi) -> int:
@@ -974,6 +1034,33 @@ class PadicIntegers(_PrimeGroup):
     @staticmethod
     def record(row) -> dict:
         return {"digits": list(row)}
+
+    def mean_work(self, real, digits, d):
+        """The distinct residues r = x mod p**(d+1) of the batch, as a
+        list of ints in increasing order, and their counts.  Horner's rule
+        runs in the narrowest unsigned dtype that holds p**(d+1) - 1,
+        exact inside check_padic_character's envelope, which is checked
+        first, so no residue is built for a depth outside it."""
+        if d >= digits.shape[1]:
+            raise ValueError("character depth exceeds sample depth")
+        check_padic_character(self.p, PadicCharacter(d, 0))
+        p = int(self.p)
+        dtype = np.min_scalar_type(p ** (d + 1) - 1)
+        residues = digits[:, d].astype(dtype)
+        for j in range(d - 1, -1, -1):
+            residues *= p
+            residues += digits[:, j].astype(dtype, copy=False)
+        distinct, counts = np.unique(residues, return_counts=True)
+        return distinct.tolist(), counts
+
+    def read_mean(self, work, chi, exact: bool) -> complex:
+        """The sum of counts * exp(2 pi i ell r / p**(d+1)) over the
+        residues r, each phase ell * r mod p**(d+1) taken exactly in
+        Python ints.  exact is ignored: every mean is taken this one way."""
+        modulus = check_padic_character(self.p, chi)
+        residues, counts = work
+        phase = np.array([chi.ell * r % modulus for r in residues], dtype=np.int64)
+        return complex(counts @ np.exp(2j * np.pi * phase / modulus) / counts.sum())
 
     def _annihilates(self, subgroup, chi) -> bool:
         """chi.d < r or p**(d+1-r) | ell, for the depth-r zero-prefix subgroup."""

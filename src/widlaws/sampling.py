@@ -68,23 +68,11 @@ A batch is read by many characters (one verification suite draws one
 batch), so it keeps the per-depth work of its character means in a
 private cache, under one rule: only the work of the depth read last is
 kept (the engine reads rows sorted by depth, so no depth's work is done
-twice; a depth read again is worked again, to the same bits).  On the
-p-adic integers that work is the distinct residues of x mod p**(d+1)
-with their counts; a mean sums counts * exp(2 pi i ell r / p**(d+1))
-over them, with each phase ell * r mod p**(d+1) taken exactly in Python
-ints, at every depth and batch size.  On the circle and the solenoid it
-is the angle column theta of coordinate d (the circle's own angles; one
-Horner sweep over the digits on the solenoid, solenoid_tower) with the
-list of the means of z**1 ... z**k taken so far, z = exp(i theta),
-built in one complex buffer.  A row with ell = 0 is exactly 1 + 0j on
-either path.  Asked with exact=False, a row with 1 <= |ell| <=
-MAX_POWER reads the mean of z**|ell| from that list (the conjugate for
-ell < 0); an |ell| beyond the list re-sweeps z, z*z, ... from z up to
-|ell|, so the mean depends only on (batch, d, |ell|), never on which
-rows asked first.  Rows asked with exact=True (the default, and the
-engine's choice for rows whose closed form has modulus one) and rows
-with |ell| > MAX_POWER take the direct exp(1j * canonical_angle(ell *
-theta)), so a point-mass row stays exactly 1 + 0j.  The cache never
+twice; a depth read again is worked again, to the same bits).  The
+group builds that work and reads each mean off it (groups._Group's
+mean_work and read_mean): the residues of x mod p**(d+1) with their
+counts on the p-adic integers, the angle column of coordinate d with
+its cached power means on the circle and the solenoid.  The cache never
 changes a result, so batches behave as immutable values; their arrays
 must not be written to after the first mean.
 """
@@ -96,7 +84,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import TWO_PI, canonical_angle, check_padic_character
+from .groups import TWO_PI
 from .measures import LatticeMeasure, Quadruplet
 
 
@@ -284,54 +272,19 @@ def _covered_sum(group, x, y, real=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the batch: combine, char_mean, and the sample dump's columns(lo, hi)
 
-# The largest |ell| read off cached powers; a larger one goes direct, so
-# the cost and the rounding of a row stay within MAX_POWER products.
-MAX_POWER = 64
-
-
-def _unit_phases(theta: np.ndarray) -> np.ndarray:
-    """exp(1j * theta), built in one complex buffer: the product, then
-    the exponential in place, bit for bit np.exp(1j * theta)."""
-    z = np.multiply(theta, 1j)
-    return np.exp(z, out=z)
-
-
-def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> complex:
-    """Mean of exp(i ell theta) over the canonical angles theta in column.
-
-    means holds the means of z**1 ... z**k, z = exp(i theta), taken so
-    far; a row with exact=False and 1 <= |ell| <= MAX_POWER reads entry
-    |ell| of it, extending it by one sweep of products from z when |ell|
-    > k.  Only z and the current power are alive during a sweep.
-    """
-    k = abs(ell)
-    if k == 0:
-        # the mean of N exact ones is exactly 1, on either path
-        return 1 + 0j
-    if exact or k > MAX_POWER:
-        return complex(_unit_phases(canonical_angle(ell * column)).mean())
-    if k > len(means):
-        z = _unit_phases(column)
-        power = z.copy()
-        for j in range(1, k + 1):
-            if j > 1:
-                power *= z
-            if j > len(means):
-                means.append(complex(power.mean()))
-    return means[k - 1] if ell > 0 else means[k - 1].conjugate()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Samples:
     """n draws on a group as its covered lift: real, the (n,) column of
     base angles in [-pi, pi) (None on the p-adic integers), and digits,
     the (n, width) narrow digit matrix (width 0 on the circle).  group
-    is the descriptor that reads them (groups._Group)."""
+    is the descriptor that reads them (groups._Group).  Two batches are
+    equal only when they are the same object, as their arrays are not
+    compared."""
 
     group: object
     real: np.ndarray | None
     digits: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         want = (len(self.digits),) if self.group.real_coordinate else None
@@ -357,46 +310,16 @@ class Samples:
         return Samples(self.group, real, _covered_sum(self.group, self.digits, other.digits, real))
 
     def char_mean(self, chi, exact: bool = True) -> complex:
-        """exact is ignored on the p-adic integers: every residue mean is
-        taken one exact way."""
+        """The mean of chi over the batch, read by the group off the work
+        of chi's depth, which the batch keeps until another depth is read
+        (see the module docstring)."""
         if not isinstance(chi, self.group.character_type):
             raise TypeError("character/batch mismatch")
-        # the residues read digits 0..d, an angle column digits 0..d-1
-        if chi.d + (self.real is None) > self.digits.shape[1]:
-            raise ValueError("character depth exceeds sample depth")
-        if self.real is not None:
-            return _angle_char_mean(*self._work(chi.d), chi.ell, exact)
-        modulus = check_padic_character(self.group.p, chi)
-        residues, counts = self._work(chi.d)
-        # ell * r in Python ints: exact at any depth inside the envelope
-        phase = np.array([chi.ell * r % modulus for r in residues], dtype=np.int64)
-        return complex(counts @ np.exp(2j * np.pi * phase / modulus) / len(self.digits))
-
-    def _work(self, d: int):
-        """Depth d's work, kept until another depth is read: the angle
-        column of coordinate d with its list of power means, or the
-        residues of a p-adic batch."""
-        if d not in self._cache:
+        if chi.d not in self._cache:
+            # the old depth's work is freed before the new one is built
             self._cache.clear()
-            if self.real is None:
-                self._cache[d] = self._residues(d)
-            else:
-                self._cache[d] = (self.group.coordinate(self.real, self.digits, d), [])
-        return self._cache[d]
-
-    def _residues(self, d: int):
-        """The distinct residues r = x mod p**(d+1) of the batch, as a
-        list of ints in increasing order, and their counts.  Horner's rule
-        runs in the narrowest unsigned dtype that holds p**(d+1) - 1,
-        exact inside check_padic_character's envelope."""
-        p = int(self.group.p)
-        dtype = np.min_scalar_type(p ** (d + 1) - 1)
-        residues = self.digits[:, d].astype(dtype)
-        for j in range(d - 1, -1, -1):
-            residues *= p
-            residues += self.digits[:, j].astype(dtype, copy=False)
-        distinct, counts = np.unique(residues, return_counts=True)
-        return distinct.tolist(), counts
+            self._cache[chi.d] = self.group.mean_work(self.real, self.digits, chi.d)
+        return self.group.read_mean(self._cache[chi.d], chi, exact)
 
 
 def combine_samples(a, b):
@@ -408,8 +331,8 @@ def char_mean(batch, chi, exact: bool = True) -> complex:
     """Mean of the character over the batch — the empirical CF.
 
     exact=False lets a circle or solenoid batch read the mean off its
-    cached powers (see the module docstring); the default keeps the
-    direct evaluation.
+    cached powers (see the descriptor's read_mean); the default keeps
+    the direct evaluation.
     """
     return batch.char_mean(chi, exact)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups
-from .groups import PadicIntegers, Torus, canonical_angle
+from .groups import canonical_angle
 from .measures import Quadruplet, ft_quadruplet
 from .sampling import char_mean, combine_samples, make_rng, quadruplet_sampler
 
@@ -88,9 +88,12 @@ def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, *
     with the same draw reads one batch; the k-th run draws it from RNG
     stream k of the seed.  A row passes when its empirical character
     mean lies within tolerance_c / sqrt(samples) of the closed form of
-    q.  config holds the caller's extra report keys.
+    q.  config holds the caller's extra report keys.  An empty rows list
+    raises ValueError: a verdict over no rows would pass vacuously.
     """
     start = time.perf_counter()
+    if not rows:
+        raise ValueError("no rows: a verdict over no rows would pass vacuously")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not (math.isfinite(tolerance_c) and tolerance_c > 0):
@@ -148,7 +151,7 @@ def check_compatibility(q: Quadruplet, n: int, samples: int, seed: int) -> Verif
     deeper batch must reproduce the shallower marginals, with
     tolerance_c = 4.
     """
-    if isinstance(q.group, Torus):
+    if q.group.retained is None:
         raise ValueError("compatibility check applies to the p-adic and solenoid samplers")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -210,7 +213,7 @@ def check_compare_inequality(group, characters, grid_size: int = 1000):
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    if isinstance(group, PadicIntegers):
+    if not group.real_coordinate:
         raise ValueError("the centering bound is checked on the circle and the solenoid only")
     results = []
     for chi in sorted(characters, key=_char_key):

@@ -163,11 +163,13 @@ def test_depth_override_without_an_exact_lift_names_the_shift(command, capsys):
 
 
 # A deep angle's coordinate 0 is the float p**depth * deep_angle, which
-# needs p**depth < 2**1021; past it the point itself is refused.
+# needs p**depth < 2**1021; past it the point itself is refused.  The
+# Haar demo writes its identity shift as (base, digits), which has no
+# such limit, so it runs at that depth.
 def test_solenoid_point_past_the_float_range_names_its_field(capsys):
     argv = ["haar-demo", "--group", "solenoid", "--p", "3", "--depth", "700", "--samples", "1000"]
-    assert main(argv) == 2
-    assert "field 'quadruplet.a'" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert "config error" not in capsys.readouterr().err
     doc = _deep_solenoid("full", 0.0, []) | {"depth": 700, "samples": 1000}
     with pytest.raises(ConfigError) as err:
         parse_config(doc)

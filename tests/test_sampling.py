@@ -32,6 +32,7 @@ from widlaws import (
     char_mean,
     circular_distance,
     combine_samples,
+    default_characters,
     empirical_cf,
     ft_quadruplet,
     make_rng,
@@ -42,8 +43,14 @@ from widlaws import (
     sample_compound_poisson,
     trivial_quadruplet,
 )
-from widlaws.groups import padic_add, solenoid_coordinate, solenoid_from_lift, solenoid_mul
-from widlaws.sampling import BLOCK, _angle_char_mean
+from widlaws.groups import (
+    _angle_char_mean,
+    padic_add,
+    solenoid_coordinate,
+    solenoid_from_lift,
+    solenoid_mul,
+)
+from widlaws.sampling import BLOCK
 
 N = 100_000
 
@@ -776,6 +783,65 @@ def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():
             fresh = Samples(shared.group, shared.real, shared.digits)
             assert char_mean(shared, chi, exact) == char_mean(fresh, chi, exact)
         assert list(shared._cache) == [d]
+
+
+# One law per group with every layer it has: a Haar layer of a nontrivial
+# subgroup, a shift, a Gauss layer (none on the p-adic integers) and jumps.
+_EVERY_LAYER = {
+    "torus": Quadruplet(
+        Torus(),
+        TorusSubgroup.cyclic(3),
+        TorusPoint(0.4),
+        0.3,
+        LevyMeasure(((TorusPoint(2.1), 0.7), (TorusPoint(-1.3), 0.5))),
+    ),
+    "padic": Quadruplet(
+        PadicIntegers(3),
+        PadicSubgroup(2),
+        PadicInt(3, (1, 2, 0, 0)),
+        0.0,
+        LevyMeasure(((PadicInt(3, (2, 1, 0, 0)), 0.9), (PadicInt(3, (0, 2, 2, 1)), 0.4))),
+    ),
+    "solenoid": Quadruplet(
+        Solenoid(3),
+        SolenoidSubgroup.full(),
+        SolenoidPoint(3, 3, 0.2),
+        0.4,
+        LevyMeasure(((SolenoidPoint(3, 3, -0.5), 0.6), (SolenoidPoint(3, 3, 2.9), 0.3))),
+    ),
+}
+
+
+def _rows_as_points(batch) -> list:
+    """Each row of the batch as the scalar point it stores."""
+    group, real, digits = batch.group, batch.real, batch.digits.tolist()
+    if group.name == "torus":
+        return [TorusPoint(angle) for angle in real.tolist()]
+    if group.name == "padic":
+        return [PadicInt(group.p, tuple(row)) for row in digits]
+    return [solenoid_from_lift(group.p, len(row), base, row) for base, row in zip(real.tolist(), digits)]
+
+
+@pytest.mark.parametrize("q", _EVERY_LAYER.values(), ids=_EVERY_LAYER.keys())
+def test_batched_char_mean_is_the_mean_of_the_scalar_characters(q):
+    batch = quadruplet_sampler(q)(make_rng(83), 50)
+    points = _rows_as_points(batch)
+    for chi in default_characters(q.group, depth=3):
+        want = sum(chi(x) for x in points) / 50
+        for exact in (True, False):
+            assert abs(char_mean(batch, chi, exact) - want) <= 1e-12, (chi, exact)
+
+
+@pytest.mark.parametrize("q", _EVERY_LAYER.values(), ids=_EVERY_LAYER.keys())
+def test_batches_compare_and_hash_as_distinct_objects(q):
+    # the generated __eq__ compared the arrays and raised ValueError, and
+    # the generated __hash__ raised TypeError on them
+    sampler = quadruplet_sampler(q)
+    a, b = sampler(make_rng(89), 5), sampler(make_rng(89), 5)
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a)
+    assert {a, b, a} == {a, b} and len({a, b}) == 2
+    assert a in {a} and a not in {b}
 
 
 # ---------------------------------------------------------------------------

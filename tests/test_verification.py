@@ -199,6 +199,19 @@ def test_every_check_rejects_zero_samples():
         check_divisibility(trivial_quadruplet(Torus()), 2, 0, seed=0)
 
 
+_NO_ROWS = {
+    "run_suite": lambda q: run_suite(q, [], 100, seed=0),
+    "check_divisibility": lambda q: check_divisibility(q, 2, 100, seed=0, characters=[]),
+}
+
+
+@pytest.mark.parametrize("check", _NO_ROWS.values(), ids=_NO_ROWS.keys())
+def test_a_verdict_over_no_characters_is_refused(check):
+    # each passed with no rows: a vacuous verdict
+    with pytest.raises(ValueError, match="no rows"):
+        check(trivial_quadruplet(Torus()))
+
+
 def test_compare_inequality_worked_example():
     # circle, frequency 1, angle 0.1: g = 0.1 and 1 - cos(0.1) ~ 0.0049958
     g = 0.1
