@@ -19,7 +19,7 @@ from widlaws import (
     TorusCharacter,
     TorusPoint,
     TorusSubgroup,
-    empirical_cf,
+    char_mean,
     ft_quadruplet,
     make_rng,
     quadruplet_sampler,
@@ -36,7 +36,7 @@ def show(title, quad, frequencies=range(-4, 5)):
     for stream, ell in enumerate(frequencies):
         chi = TorusCharacter(ell)
         theory = ft_quadruplet(quad, chi)
-        emp = empirical_cf(sampler, chi, N, make_rng(2024, stream))
+        emp = char_mean(sampler(make_rng(2024, stream), N), chi)
         err = abs(theory - emp)
         flag = "" if err <= TOL else "  <-- outside 4/sqrt(N)!"
         print(f"{ell:>5} {theory:>22.4f} {emp:>22.4f} {err:>9.5f}{flag}")

@@ -21,19 +21,17 @@ from widlaws import (
     TorusCharacter,
     TorusPoint,
     TorusSubgroup,
-    empirical_cf,
+    char_mean,
     ft_compound_poisson,
     ft_gen_poisson,
-    local_mean_drift,
     make_rng,
     quadruplet_sampler,
-    torus_from_angle,
 )
 
 N = 50_000
 T = Torus()
 eta = LevyMeasure(((TorusPoint(2.1), 0.7), (TorusPoint(-0.6), 0.5), (TorusPoint(1.3), 0.3)))
-s = local_mean_drift(T, eta)
+s = T.drift(eta)
 print(f"jump measure with 3 atoms, total mass {eta.total_mass:.2f}; local mean drift s = {s:.6f}\n")
 
 print("transform-level identity  gen(chi_l) * exp(i*l*s) = compound(chi_l):")
@@ -45,12 +43,12 @@ for ell in (-3, -1, 1, 2, 5):
 
 print("\nsampling: the centered law shifted by s IS the compound law;")
 print("empirical transforms of the shifted sampler vs the compound closed form:")
-shifted = Quadruplet(T, TorusSubgroup.trivial(), torus_from_angle(s), 0.0, eta)
+shifted = Quadruplet(T, TorusSubgroup.trivial(), TorusPoint(s), 0.0, eta)
 sampler = quadruplet_sampler(shifted)
 tol = 4 / math.sqrt(N)
 for stream, ell in enumerate((-3, 1, 2, 5)):
     chi = TorusCharacter(ell)
-    emp = empirical_cf(sampler, chi, N, make_rng(512, stream))
+    emp = char_mean(sampler(make_rng(512, stream), N), chi)
     err = abs(emp - ft_compound_poisson(eta, chi))
     print(f"  l={ell:>3}: error {err:.5f}   (tolerance {tol:.5f})")
 

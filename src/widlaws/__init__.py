@@ -25,7 +25,6 @@ from .groups import (
     solenoid_lift,
     solenoid_mul,
     solenoid_project,
-    torus_from_angle,
     torus_inverse,
     torus_mul,
 )
@@ -46,7 +45,6 @@ from .measures import (
     ft_gen_poisson,
     ft_haar,
     ft_quadruplet,
-    local_mean_drift,
     pushforward_padic,
     pushforward_solenoid,
     pushforward_torus,
@@ -66,8 +64,6 @@ from .verification import (
     check_compare_inequality,
     check_compatibility,
     check_divisibility,
-    default_characters,
-    empirical_cf,
     oracle_padic_arithmetic,
     run_suite,
 )

@@ -28,7 +28,6 @@ from .verification import (
     check_compare_inequality,
     check_compatibility,
     check_divisibility,
-    default_characters,
     oracle_padic_arithmetic,
     run_suite,
 )
@@ -90,7 +89,7 @@ def _parse_subgroup(group, raw):
 
 def _parse_characters(group, depth, raw):
     if raw == "default" or raw is None:
-        return _field("characters", default_characters, group, depth)
+        return _field("characters", group.default_characters, depth)
     if not isinstance(raw, list):
         raise ConfigError("characters", "expected 'default' or a list")
     if not raw:
@@ -363,11 +362,8 @@ def _selftest_fixtures(samples, seed):
     results.append(("padic-arithmetic-oracle", oracle_padic_arithmetic(10000, seed)))
 
     grids = []
-    grids += check_compare_inequality(Torus(), default_characters(Torus()), 1000)
-    for p in (2, 3):
-        grids += check_compare_inequality(
-            Solenoid(p), default_characters(Solenoid(p), depth=3), 1000
-        )
+    for group in (Torus(), Solenoid(2), Solenoid(3)):
+        grids += check_compare_inequality(group, group.default_characters())
     results.append(("centering-bound-grid", all(ok for _, ok in grids)))
 
     compat_ok = True

@@ -205,11 +205,6 @@ class TorusPoint:
         return self.angle == 0.0
 
 
-def torus_from_angle(x) -> TorusPoint:
-    """Canonical circle point of the real angle x (radians)."""
-    return TorusPoint(float(x))
-
-
 def torus_mul(a: TorusPoint, b: TorusPoint) -> TorusPoint:
     return TorusPoint(a.angle + b.angle)
 
@@ -441,7 +436,7 @@ def solenoid_project(x: SolenoidPoint, d: int) -> TorusPoint:
     return TorusPoint(x.coordinate_angle(d))
 
 
-def solenoid_lift_matrix(p, depth, y0, ints, out=None):
+def solenoid_lift_matrix(p, y0, ints, out=None):
     """Batch form of the rows (y0, k0, k1, ...) of R x Z^depth under the
     covering map: y0 shape (n,), ints shape (n, depth).  The digits go
     to out when given, as in padic_digit_matrix.
@@ -762,6 +757,13 @@ def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> 
 # ---------------------------------------------------------------------------
 # group descriptors: the per-group backends
 
+# The depth of the stock character set: every descriptor's default depth,
+# and the cap min(STOCK_DEPTH, depth) on the character depth of the p-adic
+# and solenoid stock sets, which keeps each stock character readable on
+# draws of any depth.
+STOCK_DEPTH = 3
+
+
 class _Group:
     """What every group descriptor provides.
 
@@ -770,7 +772,9 @@ class _Group:
     depth), and implements quadratic_form(b, chi), pairing(x, chi)
     (the centering pairing g), drift(eta) (the local-mean drift),
     _annihilates, point_mass(depth) (the trivial subgroup and the
-    identity), subgroup_is_trivial, default_characters, describe_subgroup,
+    identity), subgroup_is_trivial, default_characters(depth=STOCK_DEPTH)
+    (the stock verification character set, which covers every
+    annihilator regime at desk-scale cost), describe_subgroup,
     describe_point and the config parsers parse_point(raw, depth, subgroup),
     parse_subgroup(kind, order) and parse_character(raw, depth).  The
     parsers raise ValueError and leave naming the config field to the
@@ -852,7 +856,15 @@ class _CircleTower(_Group):
         return self.centering(self.base_angle(x), chi)
 
     def drift(self, eta) -> float:
-        """sum of mass * cutoff(base angle) over the atoms of eta."""
+        """The scalar drift s realizing the local mean of eta: the sum of
+        mass * cutoff(base angle) over its atoms.
+
+        Subtracting s from the real coordinate of a compound-Poisson draw
+        turns it into the centered (generalized) Poisson draw: at
+        transform level the drift enters as exp(i*ell*s) on the circle and
+        exp(i*ell*s / p**d) on the solenoid.  It vanishes identically on
+        the p-adic integers (PadicIntegers.drift).
+        """
         return sum(m * angle_cutoff(self.base_angle(pt)) for pt, m in eta.atoms)
 
     def _annihilates(self, subgroup, chi) -> bool:
@@ -922,7 +934,7 @@ class Torus(_CircleTower):
     def point_mass(self, depth=None):
         return TorusSubgroup.trivial(), TorusPoint.identity()
 
-    def default_characters(self, depth) -> list:
+    def default_characters(self, depth=STOCK_DEPTH) -> list:
         """Frequencies -8..8; depth is ignored."""
         return [TorusCharacter(ell) for ell in range(-8, 9)]
 
@@ -1037,10 +1049,14 @@ class PadicIntegers(_PrimeGroup):
 
     def mean_work(self, real, digits, d):
         """The distinct residues r = x mod p**(d+1) of the batch, as a
-        list of ints in increasing order, and their counts.  Horner's rule
-        runs in the narrowest unsigned dtype that holds p**(d+1) - 1,
-        exact inside check_padic_character's envelope, which is checked
-        first, so no residue is built for a depth outside it."""
+        list of ints in increasing order, and their counts, bit for bit
+        np.unique's.  Horner's rule runs in the narrowest unsigned dtype
+        that holds p**(d+1) - 1, exact inside check_padic_character's
+        envelope, which is checked first, so no residue is built for a
+        depth outside it.  The fresh residue column is sorted in place,
+        stably at 8 and 16 bits, where numpy radix-sorts (its default sort
+        of 8-bit values is off its fast path), and counted by the runs of
+        equal values."""
         if d >= digits.shape[1]:
             raise ValueError("character depth exceeds sample depth")
         check_padic_character(self.p, PadicCharacter(d, 0))
@@ -1050,8 +1066,9 @@ class PadicIntegers(_PrimeGroup):
         for j in range(d - 1, -1, -1):
             residues *= p
             residues += digits[:, j].astype(dtype, copy=False)
-        distinct, counts = np.unique(residues, return_counts=True)
-        return distinct.tolist(), counts
+        residues.sort(kind="stable" if residues.itemsize <= 2 else None)
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(residues)) + 1, [len(residues)]))
+        return residues[bounds[:-1]].tolist(), np.diff(bounds)
 
     def read_mean(self, work, chi, exact: bool) -> complex:
         """The sum of counts * exp(2 pi i ell r / p**(d+1)) over the
@@ -1081,10 +1098,10 @@ class PadicIntegers(_PrimeGroup):
     def subgroup_is_trivial(self, subgroup, depth) -> bool:
         return subgroup.zero_digits >= depth + 1
 
-    def default_characters(self, depth: int) -> list:
-        """Every (d, ell) with d <= min(3, depth).  The set grows as p**4,
-        so it is counted first and refused above 10**5 characters."""
-        depths = range(min(3, depth) + 1)
+    def default_characters(self, depth: int = STOCK_DEPTH) -> list:
+        """Every (d, ell) with d <= min(STOCK_DEPTH, depth).  The set grows
+        as p**4, so it is counted first and refused above 10**5 characters."""
+        depths = range(min(STOCK_DEPTH, depth) + 1)
         count = sum(self.p ** (d + 1) for d in depths)
         if count > 10**5:
             raise ValueError(
@@ -1136,7 +1153,7 @@ class Solenoid(_PrimeGroup, _CircleTower):
         return pushforward_solenoid(eta, depth)
 
     def cover(self, real, digits):
-        real[...], _ = solenoid_lift_matrix(self.p, digits.shape[1], real, digits, digits)
+        real[...], _ = solenoid_lift_matrix(self.p, real, digits, digits)
 
     def coordinate(self, real, digits, d):
         return solenoid_coordinate(self.p, real, digits, d)
@@ -1154,9 +1171,9 @@ class Solenoid(_PrimeGroup, _CircleTower):
     def point_mass(self, depth: int):
         return SolenoidSubgroup.trivial(), SolenoidPoint.identity(self.p, depth)
 
-    def default_characters(self, depth: int) -> list:
-        """d <= min(3, depth) and |ell| <= 8."""
-        depths = range(min(3, depth) + 1)
+    def default_characters(self, depth: int = STOCK_DEPTH) -> list:
+        """d <= min(STOCK_DEPTH, depth) and |ell| <= 8."""
+        depths = range(min(STOCK_DEPTH, depth) + 1)
         return [SolenoidCharacter(d, ell) for d in depths for ell in range(-8, 9)]
 
     def describe_subgroup(self, subgroup) -> dict:

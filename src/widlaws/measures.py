@@ -154,18 +154,6 @@ def ft_quadruplet(q: Quadruplet, chi) -> complex:
     )
 
 
-def local_mean_drift(group, eta: LevyMeasure) -> float:
-    """Scalar drift s realizing the local mean of eta.
-
-    Subtracting s from the real coordinate of a compound-Poisson draw
-    turns it into the centered (generalized) Poisson draw: at transform
-    level the drift enters as exp(i*ell*s) on the circle and
-    exp(i*ell*s / p**d) on the solenoid, and vanishes identically on the
-    p-adic integers.
-    """
-    return group.drift(eta)
-
-
 # ---------------------------------------------------------------------------
 # pushforwards to lattice measures on R x Z^n
 

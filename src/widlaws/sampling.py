@@ -312,9 +312,12 @@ class Samples:
     def char_mean(self, chi, exact: bool = True) -> complex:
         """The mean of chi over the batch, read by the group off the work
         of chi's depth, which the batch keeps until another depth is read
-        (see the module docstring)."""
+        (see the module docstring).  An empty batch has no mean and
+        raises ValueError."""
         if not isinstance(chi, self.group.character_type):
             raise TypeError("character/batch mismatch")
+        if not len(self):
+            raise ValueError("an empty batch has no character mean")
         if chi.d not in self._cache:
             # the old depth's work is freed before the new one is built
             self._cache.clear()

@@ -35,28 +35,8 @@ from .measures import Quadruplet, ft_quadruplet
 from .sampling import char_mean, combine_samples, make_rng, quadruplet_sampler
 
 
-def empirical_cf(sampler, chi, n: int, rng) -> complex:
-    """(1/n) * sum of chi over n fresh draws from the sampler."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    return char_mean(sampler(rng, n), chi)
-
-
 # ---------------------------------------------------------------------------
-# character sets and reports
-
-def default_characters(group, depth: int = 3):
-    """The stock verification character set.
-
-    Circle: frequencies -8..8.  p-adic integers: every (d, ell) with
-    d <= min(3, depth), refused above 10**5 characters.  Solenoid:
-    d <= min(3, depth) and |ell| <= 8.  The depth cap keeps every
-    character evaluable on depth-limited samples; the stock set covers
-    every annihilator regime (divisible and indivisible frequencies) at
-    desk-scale cost.
-    """
-    return group.default_characters(depth)
-
+# reports
 
 def _char_key(chi):
     return (chi.d, chi.ell)
@@ -155,7 +135,7 @@ def check_compatibility(q: Quadruplet, n: int, samples: int, seed: int) -> Verif
         raise ValueError("compatibility check applies to the p-adic and solenoid samplers")
     if n < 1:
         raise ValueError("n must be >= 1")
-    chars = sorted(default_characters(q.group, depth=n - 1), key=_char_key)
+    chars = sorted(q.group.default_characters(n - 1), key=_char_key)
     rows = []
     for d in (n, n + 1):
         sampler = quadruplet_sampler(q, depth=d)
@@ -194,12 +174,16 @@ def check_divisibility(
         return batch
 
     if characters is None:
-        characters = default_characters(q.group, depth=depth)
+        characters = q.group.default_characters(depth)
     rows = [(chi.label, chi, draw) for chi in sorted(characters, key=_char_key)]
     return _compare(q, rows, samples, seed, 4.0, check="divisibility", n=n)
 
 
-def check_compare_inequality(group, characters, grid_size: int = 1000):
+# The points of check_compare_inequality's grid, per character.
+CENTERING_GRID = 1000
+
+
+def check_compare_inequality(group, characters):
     """Pointwise grid check of the two-sided centering bound
     (1/4)g^2 <= 1 - Re(chi) <= (1/2)g^2 near the identity.
 
@@ -211,8 +195,6 @@ def check_compare_inequality(group, characters, grid_size: int = 1000):
     is tested with an absolute 1e-12 slack.  Returns a list of
     (character label, passed) pairs.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     if not group.real_coordinate:
         raise ValueError("the centering bound is checked on the circle and the solenoid only")
     results = []
@@ -221,7 +203,7 @@ def check_compare_inequality(group, characters, grid_size: int = 1000):
             raise TypeError("character/group mismatch")
         ell, pd = chi.ell, group.scale(chi)
         theta_max = min(math.pi / (4 * (abs(ell) + 1)), math.pi / (2 * pd))
-        theta = np.linspace(-theta_max, theta_max, grid_size)
+        theta = np.linspace(-theta_max, theta_max, CENTERING_GRID)
         g = group.centering(canonical_angle(pd * theta), chi)
         one_minus_re = 2.0 * np.sin(canonical_angle(ell * theta) / 2.0) ** 2
         lower_ok = np.all(0.25 * g**2 <= one_minus_re + 1e-12)

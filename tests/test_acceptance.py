@@ -35,20 +35,17 @@ from widlaws import (
     check_compatibility,
     check_divisibility,
     circular_distance,
-    default_characters,
     ft_compound_poisson,
     ft_dirac,
     ft_gauss,
     ft_gen_poisson,
     ft_haar,
-    local_mean_drift,
     make_rng,
     oracle_padic_arithmetic,
     padic_mul_nat,
     run_suite,
     solenoid_from_lift,
     solenoid_lift,
-    torus_from_angle,
     quadruplet_sampler,
 )
 
@@ -94,7 +91,7 @@ def test_criterion_02_haar_constructions():
     start = time.perf_counter()
     for p in (2, 3):
         qp = Quadruplet(PadicIntegers(p), PadicSubgroup(0), PadicInt.zero(p, 3), 0.0, EMPTY_LEVY)
-        rep = run_suite(qp, default_characters(PadicIntegers(p), depth=3), N, seed=1100 + p, depth=3)
+        rep = run_suite(qp, PadicIntegers(p).default_characters(3), N, seed=1100 + p, depth=3)
         assert rep.overall_pass
         for row in rep.rows:
             if row.label.endswith("l=0"):
@@ -105,7 +102,7 @@ def test_criterion_02_haar_constructions():
         qs = Quadruplet(
             Solenoid(p), SolenoidSubgroup.full(), SolenoidPoint.identity(p, 3), 0.0, EMPTY_LEVY
         )
-        rep = run_suite(qs, default_characters(Solenoid(p), depth=3), N, seed=1200 + p, depth=3)
+        rep = run_suite(qs, Solenoid(p).default_characters(3), N, seed=1200 + p, depth=3)
         assert rep.overall_pass
         for row in rep.rows:
             if row.label.endswith("l=0"):
@@ -120,7 +117,7 @@ def test_criterion_02_haar_constructions():
 def test_criterion_03_gauss_block():
     for b in (0.5, 2.0):
         q = Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint.identity(), b, EMPTY_LEVY)
-        rep = run_suite(q, default_characters(Torus()), N, seed=1300 + int(2 * b))
+        rep = run_suite(q, Torus().default_characters(), N, seed=1300 + int(2 * b))
         assert rep.overall_pass
         for row, ell in zip(rep.rows, range(-8, 9)):
             want = math.exp(-b * ell**2 / 2)
@@ -128,7 +125,7 @@ def test_criterion_03_gauss_block():
             assert abs(row.empirical - want) <= TOL
     for p in (2, 3):
         q = centered(Solenoid(p), EMPTY_LEVY, b=1.0, depth=3)
-        rep = run_suite(q, default_characters(Solenoid(p), depth=3), N, seed=1310 + p, depth=3)
+        rep = run_suite(q, Solenoid(p).default_characters(3), N, seed=1310 + p, depth=3)
         assert rep.overall_pass
         for row in rep.rows:
             d, ell = (int(v.split("=")[1]) for v in row.label.split(","))
@@ -141,9 +138,9 @@ def test_criterion_03_gauss_block():
 def test_criterion_04_compound_and_generalized_poisson():
     # (a) centered laws against the generalized-Poisson closed form
     cases = [
-        (Torus(), TORUS_ETA, default_characters(Torus()), None),
-        (PadicIntegers(2), PADIC_ETA, default_characters(PadicIntegers(2), depth=3), 4),
-        (Solenoid(2), SOL_ETA, default_characters(Solenoid(2), depth=3), 4),
+        (Torus(), TORUS_ETA, Torus().default_characters(), None),
+        (PadicIntegers(2), PADIC_ETA, PadicIntegers(2).default_characters(3), 4),
+        (Solenoid(2), SOL_ETA, Solenoid(2).default_characters(3), 4),
     ]
     for seed_off, (group, eta, chars, depth) in enumerate(cases):
         q = centered(group, eta, depth=depth or 4)
@@ -153,18 +150,18 @@ def test_criterion_04_compound_and_generalized_poisson():
             assert row.theory == ft_gen_poisson(group, eta, chi)
 
     # (b) shifting by the local mean realizes the plain compound law
-    s_t = local_mean_drift(Torus(), TORUS_ETA)
-    q = Quadruplet(Torus(), TorusSubgroup.trivial(), torus_from_angle(s_t), 0.0, TORUS_ETA)
-    rep = run_suite(q, default_characters(Torus()), N, seed=1410)
+    s_t = Torus().drift(TORUS_ETA)
+    q = Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint(s_t), 0.0, TORUS_ETA)
+    rep = run_suite(q, Torus().default_characters(), N, seed=1410)
     assert rep.overall_pass
     for row, ell in zip(rep.rows, range(-8, 9)):
         assert abs(row.theory - ft_compound_poisson(TORUS_ETA, TorusCharacter(ell))) <= 1e-12
 
-    s_s = local_mean_drift(Solenoid(2), SOL_ETA)
+    s_s = Solenoid(2).drift(SOL_ETA)
     assert abs(s_s) < math.pi
     m = solenoid_from_lift(2, 4, s_s, (0, 0, 0, 0))
     q = Quadruplet(Solenoid(2), SolenoidSubgroup.trivial(), m, 0.0, SOL_ETA)
-    chars = default_characters(Solenoid(2), depth=3)
+    chars = Solenoid(2).default_characters(3)
     rep = run_suite(q, chars, N, seed=1411, depth=4)
     assert rep.overall_pass
     for row, chi in zip(rep.rows, sorted(chars, key=lambda c: (c.d, c.ell))):
@@ -200,10 +197,10 @@ def test_criterion_05_full_quadruplets():
     qs = Quadruplet(Solenoid(2), SolenoidSubgroup.trivial(), SolenoidPoint(2, 4, 0.5), 0.3, SOL_ETA)
     qs_full = Quadruplet(Solenoid(2), SolenoidSubgroup.full(), SolenoidPoint(2, 4, 0.5), 0.3, SOL_ETA)
     suites = [
-        (qt, default_characters(Torus()), None, 1500),
-        (qp, default_characters(PadicIntegers(2), depth=3), 4, 1501),
-        (qs, default_characters(Solenoid(2), depth=3), 4, 1502),
-        (qs_full, default_characters(Solenoid(2), depth=3), 4, 1503),
+        (qt, Torus().default_characters(), None, 1500),
+        (qp, PadicIntegers(2).default_characters(3), 4, 1501),
+        (qs, Solenoid(2).default_characters(3), 4, 1502),
+        (qs_full, Solenoid(2).default_characters(3), 4, 1503),
     ]
     for q, chars, depth, seed in suites:
         rep = run_suite(q, chars, N, seed=seed, depth=depth)
@@ -243,10 +240,10 @@ def test_criterion_07_compatibility():
 
 
 def test_criterion_08_centering_bound_grids():
-    res = check_compare_inequality(Torus(), default_characters(Torus()), 1000)
+    res = check_compare_inequality(Torus(), Torus().default_characters())
     assert len(res) == 17 and all(ok for _, ok in res)
     for p in (2, 3):
-        res = check_compare_inequality(Solenoid(p), default_characters(Solenoid(p), depth=3), 1000)
+        res = check_compare_inequality(Solenoid(p), Solenoid(p).default_characters(3))
         assert len(res) == 4 * 17 and all(ok for _, ok in res)
     passed(8, "two-sided centering bound holds pointwise on all grids")
 

@@ -24,7 +24,6 @@ from widlaws import (
     TorusSubgroup,
     angle_cutoff,
     ft_gauss,
-    local_mean_drift,
     padic_add,
     solenoid_mul,
     torus_mul,
@@ -212,8 +211,8 @@ def test_circle_is_the_solenoid_at_depth_zero(p, b, ell, angle):
     x, y = TorusPoint(angle), SolenoidPoint(p, 0, angle)
     assert bits(T.quadratic_form(b, tchi)) == bits(S.quadratic_form(b, schi))
     assert bits(T.pairing(x, tchi)) == bits(S.pairing(y, schi))
-    t_drift = local_mean_drift(T, LevyMeasure(((x, b),)))
-    assert bits(t_drift) == bits(local_mean_drift(S, LevyMeasure(((y, b),))))
+    t_drift = T.drift(LevyMeasure(((x, b),)))
+    assert bits(t_drift) == bits(S.drift(LevyMeasure(((y, b),))))
     assert T.annihilates(TorusSubgroup.full(), tchi) == S.annihilates(SolenoidSubgroup.full(), schi)
 
 

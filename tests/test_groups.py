@@ -38,7 +38,6 @@ from widlaws import (
     solenoid_lift,
     solenoid_mul,
     solenoid_project,
-    torus_from_angle,
     torus_inverse,
     torus_mul,
     trivial_quadruplet,
@@ -68,26 +67,26 @@ def reduce_oracle(x):
 # ---------------------------------------------------------------------------
 # circle
 
-def test_torus_from_angle_examples():
-    assert torus_from_angle(0.0).angle == 0.0
-    assert torus_from_angle(3 * math.pi).angle == -math.pi
+def test_torus_point_angle_examples():
+    assert TorusPoint(0.0).angle == 0.0
+    assert TorusPoint(3 * math.pi).angle == -math.pi
     assert reduce_oracle(5.5) == 5.5 - TWO_PI
-    assert torus_from_angle(5.5).angle == pytest.approx(-0.7831853071795862, abs=1e-15)
-    assert torus_from_angle(5.5).angle == pytest.approx(reduce_oracle(5.5), abs=1e-15)
+    assert TorusPoint(5.5).angle == pytest.approx(-0.7831853071795862, abs=1e-15)
+    assert TorusPoint(5.5).angle == pytest.approx(reduce_oracle(5.5), abs=1e-15)
 
 
-def test_torus_from_angle_rejects_non_finite():
+def test_torus_point_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite angle"):
-        torus_from_angle(float("nan"))
+        TorusPoint(float("nan"))
     with pytest.raises(ValueError, match="non-finite angle"):
-        torus_from_angle(float("inf"))
+        TorusPoint(float("inf"))
 
 
 def test_torus_mul_examples():
-    theta = torus_from_angle(1.234)
-    assert torus_mul(torus_from_angle(0.0), theta) == theta
-    assert torus_mul(torus_from_angle(math.pi / 2), torus_from_angle(math.pi / 2)).angle == -math.pi
-    got = torus_mul(torus_from_angle(2.0), torus_from_angle(2.5)).angle
+    theta = TorusPoint(1.234)
+    assert torus_mul(TorusPoint(0.0), theta) == theta
+    assert torus_mul(TorusPoint(math.pi / 2), TorusPoint(math.pi / 2)).angle == -math.pi
+    got = torus_mul(TorusPoint(2.0), TorusPoint(2.5)).angle
     assert got == pytest.approx(-1.7831853071795862, abs=1e-15)
     assert got == pytest.approx(reduce_oracle(4.5), abs=1e-15)
 
@@ -95,7 +94,7 @@ def test_torus_mul_examples():
 def test_torus_group_laws():
     rng = np.random.default_rng(20240101)
     for x in rng.uniform(-50, 50, size=200):
-        a = torus_from_angle(x)
+        a = TorusPoint(x)
         assert -math.pi <= a.angle < math.pi
         assert torus_mul(a, torus_inverse(a)).angle == 0.0
         assert torus_mul(a, TorusPoint.identity()) == a
@@ -564,7 +563,7 @@ def test_sampled_digit_matrices_are_column_major():
         digits = quadruplet_sampler(q, depth)(make_rng(5), n).digits
         assert digits.shape == (n, depth + 1) and digits.flags.f_contiguous
     ints = np.arange(n * depth, dtype=np.int64).reshape(n, depth)  # C order in
-    _, digits = solenoid_lift_matrix(p, depth, np.linspace(-9.0, 9.0, n), ints)
+    _, digits = solenoid_lift_matrix(p, np.linspace(-9.0, 9.0, n), ints)
     assert digits.shape == (n, depth) and digits.flags.f_contiguous
     sol_eta = LevyMeasure(((SolenoidPoint(p, depth, 0.9), 0.5),))
     shift = SolenoidPoint(p, depth, 0.3)
@@ -692,7 +691,7 @@ def test_deep_solenoid_batch_coordinates_match_exact_rationals(p, depth, data):
     ints = data.draw(
         st.lists(st.lists(entry, min_size=depth, max_size=depth), min_size=rows, max_size=rows)
     )
-    base, digits = solenoid_lift_matrix(p, depth, y0, ints)
+    base, digits = solenoid_lift_matrix(p, y0, ints)
     assert np.all((base >= -math.pi) & (base < math.pi))
     assert digits.shape == (rows, depth) and np.all((digits >= 0) & (digits < p))
     batch = Samples(Solenoid(p), base, digits)
@@ -710,7 +709,7 @@ def test_solenoid_batch_reads_one_sweep_for_every_view():
     rng = np.random.default_rng(1414)
     p, depth = 3, 45
     base, digits = solenoid_lift_matrix(
-        p, depth, rng.uniform(-9.0, 9.0, size=200), rng.integers(-5, 5, size=(200, depth))
+        p, rng.uniform(-9.0, 9.0, size=200), rng.integers(-5, 5, size=(200, depth))
     )
     batch = Samples(Solenoid(p), base, digits)
     columns = batch.columns(0, 200)

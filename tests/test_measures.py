@@ -30,7 +30,6 @@ from widlaws import (
     ft_gen_poisson,
     ft_haar,
     ft_quadruplet,
-    local_mean_drift,
     pushforward_padic,
     pushforward_solenoid,
     pushforward_torus,
@@ -202,18 +201,18 @@ def test_ft_quadruplet_is_product_of_factors():
             assert ft_quadruplet(full, TorusCharacter(ell)) == 0
 
 
-def test_local_mean_drift_examples():
-    assert local_mean_drift(Torus(), EMPTY_LEVY) == 0.0
-    assert local_mean_drift(Torus(), LevyMeasure(((TorusPoint(0.3), 1.0),))) == pytest.approx(0.3)
+def test_drift_examples():
+    assert Torus().drift(EMPTY_LEVY) == 0.0
+    assert Torus().drift(LevyMeasure(((TorusPoint(0.3), 1.0),))) == pytest.approx(0.3)
     eta_p = LevyMeasure(((PadicInt(2, (1, 0)), 2.0),))
-    assert local_mean_drift(PadicIntegers(2), eta_p) == 0.0
+    assert PadicIntegers(2).drift(eta_p) == 0.0
 
 
 def test_drift_identity_at_transform_level():
     # compound = centered * point mass at the local mean, as transforms
     T = Torus()
     eta = LevyMeasure(((TorusPoint(2.1), 1.1), (TorusPoint(-0.6), 0.5)))
-    s = local_mean_drift(T, eta)
+    s = T.drift(eta)
     for ell in range(-8, 9):
         chi = TorusCharacter(ell)
         lhs = ft_gen_poisson(T, eta, chi) * cmath.exp(1j * ell * s)
@@ -221,7 +220,7 @@ def test_drift_identity_at_transform_level():
 
     S = Solenoid(3)
     eta_s = LevyMeasure(((SolenoidPoint(3, 3, 0.9), 0.7), (SolenoidPoint(3, 3, -1.3), 0.4)))
-    ss = local_mean_drift(S, eta_s)
+    ss = S.drift(eta_s)
     for d in range(4):
         for ell in range(-8, 9):
             chi = SolenoidCharacter(d, ell)
@@ -325,3 +324,52 @@ def test_lattice_measure_validation():
         LatticeMeasure(2, ((0.5, (1,), 1.0),))
     m = LatticeMeasure(0, ((0.5, (), 1.0), (0.5, (), 0.25)))
     assert m.atoms == ((0.5, (), 1.25),)
+
+
+# ---------------------------------------------------------------------------
+# the p-adic closed forms against the group algebra of Z/p**(d+1)
+
+def _group_algebra_law(q, modulus):
+    """The law of x mod modulus under q, as a probability vector built in
+    the group algebra of Z/modulus with no transform: the point mass at
+    a, the uniform law on p**r Z/modulus, and exp(-|eta|) * sum of
+    eta**(*k) / k! over k < 80, each convolution taken directly."""
+    p, r = q.group.p, q.subgroup.zero_digits
+    law = np.zeros(modulus)
+    law[q.shift.to_int() % modulus] = 1.0
+    if p**r < modulus:
+        # each coset of p**r Z/modulus spreads evenly over itself
+        law = np.tile(law.reshape(-1, p**r).mean(axis=0), modulus // p**r)
+    atoms = [(x.to_int() % modulus, m) for x, m in q.levy.atoms]
+    term, series = law, law.copy()
+    for k in range(1, 80):
+        term = sum(m * np.roll(term, x) for x, m in atoms) / k
+        series += term
+    return math.exp(-q.levy.total_mass) * series
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_padic_closed_form_is_the_transform_of_the_group_algebra_law(p):
+    # two random laws at every depth d with p**(d+1) <= 2500: the
+    # transform of the law on Z/p**(d+1) at every depth-d character is
+    # ft_quadruplet, with no sampler involved
+    rng = np.random.default_rng(7000 + p)
+    for d in range(int(math.log(2500, p))):
+        for _ in range(2):
+            _check_group_algebra_law(p, d, rng)
+
+
+def _check_group_algebra_law(p, d, rng):
+    """One random law on Delta_p at depth d against its group algebra law."""
+    modulus = p ** (d + 1)
+    atoms = tuple(
+        (PadicInt.from_int(p, int(rng.integers(1, modulus)), d), float(rng.uniform(0.1, 1.5)))
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    a = PadicInt.from_int(p, int(rng.integers(0, modulus)), d)
+    r = int(rng.integers(0, d + 2))
+    q = Quadruplet(PadicIntegers(p), PadicSubgroup(r), a, 0.0, LevyMeasure(atoms))
+    # the transform at character (d, ell) is sum_x law[x] exp(2 pi i ell x / modulus)
+    want = np.fft.ifft(_group_algebra_law(q, modulus)) * modulus
+    got = np.array([ft_quadruplet(q, PadicCharacter(d, ell)) for ell in range(modulus)])
+    assert np.max(np.abs(got - want)) <= 1e-12, (p, d)

@@ -32,8 +32,6 @@ from widlaws import (
     char_mean,
     circular_distance,
     combine_samples,
-    default_characters,
-    empirical_cf,
     ft_quadruplet,
     make_rng,
     pushforward_padic,
@@ -430,13 +428,13 @@ def test_torus_haar_kills_nontrivial_characters():
     q = Quadruplet(Torus(), TorusSubgroup.full(), TorusPoint.identity(), 0.0, EMPTY_LEVY)
     sampler = quadruplet_sampler(q)
     for stream, ell in enumerate((1, -3, 8)):
-        emp = empirical_cf(sampler, TorusCharacter(ell), N, make_rng(17, stream))
+        emp = char_mean(sampler(make_rng(17, stream), N), TorusCharacter(ell))
         assert abs(emp) <= mc_tol(N)
 
 
 def test_torus_gauss_block():
     q = Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint.identity(), 1.0, EMPTY_LEVY)
-    emp = empirical_cf(quadruplet_sampler(q), TorusCharacter(1), N, make_rng(18))
+    emp = char_mean(quadruplet_sampler(q)(make_rng(18), N), TorusCharacter(1))
     assert abs(emp - math.exp(-0.5)) <= mc_tol(N)
 
 
@@ -447,7 +445,7 @@ def test_padic_haar_block():
     q = Quadruplet(PadicIntegers(3), PadicSubgroup(0), PadicInt.zero(3, 3), 0.0, EMPTY_LEVY)
     sampler = quadruplet_sampler(q, depth=3)
     for stream, (d, ell) in enumerate(((0, 1), (1, 5), (3, 40))):
-        emp = empirical_cf(sampler, PadicCharacter(d, ell), N, make_rng(19, stream))
+        emp = char_mean(sampler(make_rng(19, stream), N), PadicCharacter(d, ell))
         assert abs(emp) <= mc_tol(N)
     digits = _padic_haar(make_rng(20), 3, 3, size=1000)
     assert digits.shape == (1000, 4) and digits.min() >= 0 and digits.max() <= 2
@@ -466,7 +464,7 @@ def test_padic_gen_poisson_block():
     sampler = quadruplet_sampler(q, depth=3)
     for stream, (d, ell) in enumerate(((0, 1), (2, 3), (3, 5))):
         chi = PadicCharacter(d, ell)
-        emp = empirical_cf(sampler, chi, N, make_rng(22, stream))
+        emp = char_mean(sampler(make_rng(22, stream), N), chi)
         assert abs(emp - ft_quadruplet(q, chi)) <= mc_tol(N)
 
 
@@ -534,7 +532,7 @@ def test_solenoid_gauss_block():
     sampler = quadruplet_sampler(q, depth=3)
     for stream, (d, ell) in enumerate(((0, 1), (2, 3), (3, -5))):
         chi = SolenoidCharacter(d, ell)
-        emp = empirical_cf(sampler, chi, N, make_rng(24, stream))
+        emp = char_mean(sampler(make_rng(24, stream), N), chi)
         want = math.exp(-(ell**2) / (2 * p ** (2 * d)))
         assert abs(emp - want) <= mc_tol(N)
 
@@ -563,7 +561,7 @@ def test_solenoid_haar_block():
     p, depth = 2, 3
     sampler = lambda rng, n: _solenoid_haar_batch(rng, p, depth, n)
     for stream, (d, ell) in enumerate(((0, 1), (1, 2), (3, 3), (0, 2), (0, 3))):
-        emp = empirical_cf(sampler, SolenoidCharacter(d, ell), N, make_rng(26, stream))
+        emp = char_mean(sampler(make_rng(26, stream), N), SolenoidCharacter(d, ell))
         assert abs(emp) <= mc_tol(N)
     # trivial characters are exactly 1 for every sample
     batch = sampler(make_rng(27), 5000)
@@ -579,7 +577,7 @@ def test_solenoid_full_subgroup_dispatches_to_haar():
     sampler = quadruplet_sampler(q, depth=3)
     for stream, (d, ell) in enumerate(((0, 1), (2, 4))):
         chi = SolenoidCharacter(d, ell)
-        emp = empirical_cf(sampler, chi, N, make_rng(28, stream))
+        emp = char_mean(sampler(make_rng(28, stream), N), chi)
         assert ft_quadruplet(q, chi) == 0
         assert abs(emp) <= mc_tol(N)
 
@@ -765,6 +763,29 @@ def test_padic_char_mean_keeps_only_the_residues_of_the_depth_read_last():
             assert list(shared._cache) == [d]
 
 
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_padic_residue_counts_equal_np_unique_bit_for_bit(p):
+    # mean_work sorts the residues in place and counts the runs of equal
+    # values; on both sides of the uint8, uint16 and uint32 residue dtypes
+    # its (distinct, counts) must be np.unique's, repeats and all
+    rng = make_rng(67)
+    group = PadicIntegers(p)
+    for bits in (8, 16, 32):
+        last = max(d for d in range(64) if p ** (d + 1) <= 2**bits)
+        for d in (last, last + 1):
+            width = np.min_scalar_type(p ** (d + 1) - 1).itemsize * 8
+            assert (width == bits) == (d == last)
+            pool = rng.integers(0, p, size=(40, d + 1))
+            fresh = rng.integers(0, p, size=(2000, d + 1))
+            rows = np.vstack([pool[rng.integers(0, 40, size=2000)], fresh])
+            digits = np.asfortranarray(rows.astype(group.digit_dtype))
+            values = [sum(x * p**j for j, x in enumerate(row)) for row in rows.tolist()]
+            want, want_counts = np.unique(np.array(values, dtype=np.uint64), return_counts=True)
+            distinct, counts = group.mean_work(None, digits, d)
+            assert distinct == want.tolist(), (p, d)
+            assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+
+
 def test_solenoid_char_mean_on_a_shared_batch_matches_a_fresh_batch():
     # the cached coordinate column gives the bits a fresh batch gives, and
     # the batch keeps only the column of the depth it last read
@@ -826,7 +847,7 @@ def _rows_as_points(batch) -> list:
 def test_batched_char_mean_is_the_mean_of_the_scalar_characters(q):
     batch = quadruplet_sampler(q)(make_rng(83), 50)
     points = _rows_as_points(batch)
-    for chi in default_characters(q.group, depth=3):
+    for chi in q.group.default_characters(3):
         want = sum(chi(x) for x in points) / 50
         for exact in (True, False):
             assert abs(char_mean(batch, chi, exact) - want) <= 1e-12, (chi, exact)
@@ -842,6 +863,18 @@ def test_batches_compare_and_hash_as_distinct_objects(q):
     assert hash(a) == hash(a)
     assert {a, b, a} == {a, b} and len({a, b}) == 2
     assert a in {a} and a not in {b}
+
+
+@pytest.mark.parametrize("q", _EVERY_LAYER.values(), ids=_EVERY_LAYER.keys())
+def test_an_empty_batch_has_no_character_mean(q):
+    # a draw of 0 is a batch, but no character has a mean over it: numpy
+    # gave nan after a "Mean of empty slice" or a divide warning
+    batch = quadruplet_sampler(q)(make_rng(97), 0)
+    assert len(batch) == 0
+    for chi in q.group.default_characters():
+        for exact in (True, False):
+            with pytest.raises(ValueError, match="empty batch"):
+                char_mean(batch, chi, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,10 @@ from widlaws import (
     TorusCharacter,
     TorusPoint,
     TorusSubgroup,
+    char_mean,
     check_compare_inequality,
     check_compatibility,
     check_divisibility,
-    default_characters,
-    empirical_cf,
     ft_compound_poisson,
     ft_quadruplet,
     make_rng,
@@ -45,26 +44,26 @@ N = 100_000
 PI = math.pi
 
 
-def test_empirical_cf_dirac_and_trivial_character():
+def test_char_mean_dirac_and_trivial_character():
     a = TorusPoint(0.8)
     q = Quadruplet(Torus(), TorusSubgroup.trivial(), a, 0.0, EMPTY_LEVY)
     sampler = quadruplet_sampler(q)
     # trivial character: every summand is exactly 1
-    assert empirical_cf(sampler, TorusCharacter(0), 1234, make_rng(1)) == 1 + 0j
+    assert char_mean(sampler(make_rng(1), 1234), TorusCharacter(0)) == 1 + 0j
     # deterministic draw: zero statistical error, only mean rounding
     for n in (1, 7, 1000):
-        emp = empirical_cf(sampler, TorusCharacter(3), n, make_rng(2))
+        emp = char_mean(sampler(make_rng(2), n), TorusCharacter(3))
         assert abs(emp - TorusCharacter(3)(a)) <= 5e-16
 
 
-def test_empirical_cf_haar_bound():
+def test_char_mean_haar_bound():
     q = Quadruplet(Torus(), TorusSubgroup.full(), TorusPoint.identity(), 0.0, EMPTY_LEVY)
-    emp = empirical_cf(quadruplet_sampler(q), TorusCharacter(1), N, make_rng(3))
+    emp = char_mean(quadruplet_sampler(q)(make_rng(3), N), TorusCharacter(1))
     assert abs(emp) <= 4 / math.sqrt(N)
 
 
 def test_run_suite_trivial_quadruplet_rows_exact():
-    rep = run_suite(trivial_quadruplet(Torus()), default_characters(Torus()), 2000, seed=5)
+    rep = run_suite(trivial_quadruplet(Torus()), Torus().default_characters(), 2000, seed=5)
     assert rep.overall_pass
     for row in rep.rows:
         assert row.theory == 1 + 0j
@@ -94,8 +93,8 @@ def test_run_suite_cyclic_non_power_of_two_near_exact():
 def test_run_suite_reports_are_reproducible():
     eta = LevyMeasure(((TorusPoint(2.1), 1.1),))
     q = Quadruplet(Torus(), TorusSubgroup.cyclic(2), TorusPoint(0.3), 0.5, eta)
-    rep1 = run_suite(q, default_characters(Torus()), 20000, seed=11)
-    rep2 = run_suite(q, default_characters(Torus()), 20000, seed=11)
+    rep1 = run_suite(q, Torus().default_characters(), 20000, seed=11)
+    rep2 = run_suite(q, Torus().default_characters(), 20000, seed=11)
     assert [r.label for r in rep1.rows] == [r.label for r in rep2.rows]
     for a, b in zip(rep1.rows, rep2.rows):
         assert a.empirical == b.empirical and a.theory == b.theory
@@ -107,7 +106,7 @@ def test_run_suite_reports_are_reproducible():
 def test_run_suite_rejects_shallow_depth():
     q = trivial_quadruplet(PadicIntegers(2), depth=1)
     with pytest.raises(ValueError, match="shift carries digits"):
-        run_suite(q, default_characters(PadicIntegers(2), depth=3), 100, seed=1, depth=3)
+        run_suite(q, PadicIntegers(2).default_characters(3), 100, seed=1, depth=3)
 
 
 def test_check_compatibility_padic_and_solenoid():
@@ -221,18 +220,16 @@ def test_compare_inequality_worked_example():
 
 
 def test_compare_inequality_grids():
-    res = check_compare_inequality(Torus(), default_characters(Torus()), 1000)
+    res = check_compare_inequality(Torus(), Torus().default_characters())
     assert len(res) == 17 and all(ok for _, ok in res)
     # spec'd example: frequency 2 over |theta| < pi/12
-    res = check_compare_inequality(Torus(), [TorusCharacter(2)], 1000)
+    res = check_compare_inequality(Torus(), [TorusCharacter(2)])
     assert res == [("l=2", True)]
     for p in (2, 3):
-        res = check_compare_inequality(
-            Solenoid(p), default_characters(Solenoid(p), depth=3), 1000
-        )
+        res = check_compare_inequality(Solenoid(p), Solenoid(p).default_characters(3))
         assert all(ok for _, ok in res)
     with pytest.raises(ValueError):
-        check_compare_inequality(PadicIntegers(2), [PadicCharacter(0, 1)], 100)
+        check_compare_inequality(PadicIntegers(2), [PadicCharacter(0, 1)])
 
 
 def test_oracle_padic_arithmetic_passes():
@@ -387,7 +384,7 @@ def test_annihilated_padic_rows_are_exact_at_every_depth():
     # fewer residues than it could, and its rows must still be exact
     p = 3
     q = Quadruplet(PadicIntegers(p), PadicSubgroup(2), PadicInt.zero(p, 3), 0.0, EMPTY_LEVY)
-    rep = run_suite(q, default_characters(q.group, depth=3), 50, seed=53)
+    rep = run_suite(q, q.group.default_characters(3), 50, seed=53)
     exact = [r for r in rep.rows if r.theory == 1 + 0j]
     assert {r.label.split(",")[0] for r in exact} == {"d=0", "d=1", "d=2", "d=3"}
     for row in exact:
@@ -423,7 +420,7 @@ def test_each_check_draws_once_per_sampler(draw_log):
     p = 2
     eta = LevyMeasure(((PadicInt(p, (1, 0, 1, 0)), 0.8),))
     q = Quadruplet(PadicIntegers(p), PadicSubgroup(4), PadicInt.zero(p, 3), 0.0, eta)
-    assert len(run_suite(q, default_characters(q.group, depth=3), 300, seed=1).rows) == 30
+    assert len(run_suite(q, q.group.default_characters(3), 300, seed=1).rows) == 30
     assert draw_log == {"draws": [300], "streams": [0]}
 
     for entries in draw_log.values():
@@ -486,7 +483,7 @@ _ALONE_CASES = {
 def test_row_value_does_not_depend_on_the_other_characters(q):
     # every row of a suite reads the stream-0 batch, so a character
     # verified alone gets the bits it gets inside the default set
-    chars = default_characters(q.group, depth=3)
+    chars = q.group.default_characters(3)
     full = {r.label: r.empirical for r in run_suite(q, chars, 3000, seed=59).rows}
     for chi in chars[:: max(1, len(chars) // 9)]:
         (row,) = run_suite(q, [chi], 3000, seed=59).rows
@@ -525,7 +522,7 @@ def test_gate_catches_solenoid_sampler_without_drift_centering(monkeypatch):
     eta = LevyMeasure(((SolenoidPoint(p, depth, 0.25), 0.5),))
     origin = SolenoidPoint.identity(p, depth)
     q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), origin, 0.0, eta)
-    chars = default_characters(q.group, depth=depth)
+    chars = q.group.default_characters(depth)
     drift = q.group.drift(eta)
     defect = max(
         abs(ft_quadruplet(q, chi)) * abs(1 - cmath.exp(1j * chi.ell * drift / p**chi.d))
@@ -564,7 +561,7 @@ def test_gate_catches_torus_gauss_layer_with_std_b(monkeypatch):
     b = 0.3
     eta = LevyMeasure(((TorusPoint(2.1), 0.4),))
     q = Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint(0.5), b, eta)
-    chars = default_characters(q.group)
+    chars = q.group.default_characters()
     broken_q = Quadruplet(q.group, q.subgroup, q.shift, b**2, q.levy)
     defect = max(abs(ft_quadruplet(broken_q, chi) - ft_quadruplet(q, chi)) for chi in chars)
     assert defect > 10 * 4 / math.sqrt(N)
@@ -578,7 +575,7 @@ def test_gate_catches_padic_haar_layer_one_digit_late(monkeypatch):
     p, r = 3, 1
     eta = LevyMeasure(((PadicInt(p, (1, 2, 0, 0)), 0.5),))
     q = Quadruplet(PadicIntegers(p), PadicSubgroup(r), PadicInt.zero(p, 3), 0.0, eta)
-    chars = default_characters(q.group, depth=3)
+    chars = q.group.default_characters(3)
     # theory: Haar of 3Z_3 kills (1, ell) for 3 not dividing ell; the late
     # sampler fixes digit 1, so those rows keep the Poisson factor's modulus
     late_q = Quadruplet(q.group, PadicSubgroup(r + 1), q.shift, q.gauss_b, q.levy)
@@ -623,7 +620,7 @@ def test_whole_group_with_every_layer_is_still_haar(q, monkeypatch):
     # Haar(G) * mu = Haar(G): a shift, a Gauss layer where the group has
     # one and two jump atoms leave the law of the whole group unchanged
     depth = q.shift.depth
-    chars = default_characters(q.group, depth=depth)
+    chars = q.group.default_characters(depth)
     assert all(ft_quadruplet(q, chi) == (chi.ell == 0) for chi in chars)
     assert run_suite(q, chars, N, seed=89).overall_pass
 
@@ -656,7 +653,7 @@ def test_gate_catches_padic_carry_one_digit_late(monkeypatch):
     a, atom = (1, 2, 0, 0), (2, 1, 0, 0)
     eta = LevyMeasure(((PadicInt(p, atom), lam),))
     q = Quadruplet(PadicIntegers(p), PadicSubgroup(depth + 1), PadicInt(p, a), 0.0, eta)
-    chars = default_characters(q.group, depth=depth)
+    chars = q.group.default_characters(depth)
 
     counts = np.arange(60)
     weights = [math.exp(-lam) * lam**n / math.factorial(n) for n in counts.tolist()]
@@ -682,7 +679,7 @@ def test_gate_catches_solenoid_gauss_scale_p_to_the_d(monkeypatch):
     eta = LevyMeasure(((SolenoidPoint(p, depth, 0.9), 0.4),))
     origin = SolenoidPoint.identity(p, depth)
     q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), origin, 0.5, eta)
-    chars = default_characters(q.group, depth=depth)
+    chars = q.group.default_characters(depth)
     theory = [ft_quadruplet(q, chi) for chi in chars]
     assert run_suite(q, chars, N, seed=79).overall_pass
 
