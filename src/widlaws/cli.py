@@ -100,10 +100,11 @@ def _parse_characters(group, depth, raw):
     ]
 
 
-def parse_config(doc):
+def parse_config(doc, characters=True):
     """Parse a JSON experiment config into (quadruplet, depth, characters,
     samples, seed, tolerance_c).  Raises ConfigError naming the offending
-    field."""
+    field.  With characters=False the characters field is neither read
+    nor built, and None stands in its place."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     group_name = _get(doc, "group", required=True)
@@ -144,8 +145,10 @@ def parse_config(doc):
     tolerance_c = _as_real("tolerance_c", _get(doc, "tolerance_c", 4.0))
     if not (math.isfinite(tolerance_c) and tolerance_c > 0):
         raise ConfigError("tolerance_c", f"must be finite and positive, got {tolerance_c!r}")
-    characters = _parse_characters(group, depth, _get(doc, "characters", "default"))
-    return quad, depth, characters, samples, seed, tolerance_c
+    chars = None
+    if characters:
+        chars = _parse_characters(group, depth, _get(doc, "characters", "default"))
+    return quad, depth, chars, samples, seed, tolerance_c
 
 
 def load_config(path):
@@ -284,11 +287,12 @@ def _sample_lines(batch, fmt):
 
 def cmd_sample(args) -> int:
     """Dump the config's draws; --count replaces the config's samples, so
-    parse_config checks the budgets against the draws actually made."""
+    parse_config checks the budgets against the draws actually made.  The
+    characters field is not read."""
     if args.samples is not None and args.samples < 1:
         raise ConfigError("count", "must be >= 1")
     doc = _override(load_config(args.config), args, "samples", "seed", "depth")
-    quad, depth, _, samples, seed, _ = parse_config(doc)
+    quad, depth, _, samples, seed, _ = parse_config(doc, characters=False)
     sampler = quadruplet_sampler(quad, depth=depth)
     batch = sampler(make_rng(seed, stream=0), samples)
     if _emit(_sample_lines(batch, args.format), args.out):
@@ -346,7 +350,7 @@ def _selftest_law(doc, samples):
     that the digit and jump caps hold it as they hold a config's law; a
     law over a cap raises ConfigError naming samples."""
     try:
-        return parse_config({**doc, "samples": samples})[0]
+        return parse_config({**doc, "samples": samples}, characters=False)[0]
     except ConfigError as exc:
         raise ConfigError("samples", exc.message) from exc
 

@@ -598,10 +598,14 @@ class SolenoidSubgroup:
 
 @dataclass(frozen=True)
 class TorusCharacter:
-    """y -> y**ell on the circle."""
+    """y -> y**ell on the circle, for |ell| <= 2**31
+    (check_angle_frequency)."""
 
     ell: int
     d = 0  # the circle is its own coordinate 0
+
+    def __post_init__(self):
+        check_angle_frequency(self.ell)
 
     @property
     def label(self) -> str:
@@ -665,7 +669,12 @@ class PadicCharacter(_DepthCharacter):
 
 @dataclass(frozen=True)
 class SolenoidCharacter(_DepthCharacter):
-    """y -> (coordinate d of y)**ell on the solenoid."""
+    """y -> (coordinate d of y)**ell on the solenoid, for |ell| <= 2**31
+    (check_angle_frequency)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_angle_frequency(self.ell)
 
     def __call__(self, y: SolenoidPoint) -> complex:
         self._check_depth(y.depth)
@@ -691,12 +700,12 @@ def check_padic_character(p: int, chi: PadicCharacter) -> int:
     return modulus
 
 
-# The largest |ell| a circle or solenoid character may have in a config.
+# The largest |ell| a circle or solenoid character may have.
 MAX_ANGLE_FREQUENCY = 2**31
 
 
-def check_angle_frequency(ell: int) -> int:
-    """ell, after checking |ell| <= MAX_ANGLE_FREQUENCY = 2**31.
+def check_angle_frequency(ell: int):
+    """Raise ValueError unless |ell| <= MAX_ANGLE_FREQUENCY = 2**31.
 
     A circle or solenoid character is evaluated, in its closed form and
     in its empirical mean alike, as exp(i * canonical_angle(ell * theta))
@@ -707,14 +716,13 @@ def check_angle_frequency(ell: int) -> int:
     2pi's error over at most 2**30 turns adds 2.6e-7.  Beyond it the
     rounding error grows with |ell| (at |ell| = 1e20 it spans whole
     turns); both sides share it, so the gate would pass a wrong value
-    unseen, and parse_config refuses the character instead.
+    unseen, and the character refuses to be built instead.
     """
     if abs(ell) > MAX_ANGLE_FREQUENCY:
         raise ValueError(
             f"character frequency {ell} outside -2**31..2**31: its float phase "
             "ell * theta would be inexact"
         )
-    return ell
 
 
 # The largest |ell| read off cached powers; a larger one goes direct, so
@@ -955,7 +963,7 @@ class Torus(_CircleTower):
         return {"full": TorusSubgroup.full(), "trivial": TorusSubgroup.trivial()}.get(kind)
 
     def parse_character(self, raw, depth) -> TorusCharacter:
-        return TorusCharacter(check_angle_frequency(config_int(raw)))
+        return TorusCharacter(config_int(raw))
 
 
 @dataclass(frozen=True)
@@ -1204,6 +1212,5 @@ class Solenoid(_PrimeGroup, _CircleTower):
     def parse_character(self, raw, depth) -> SolenoidCharacter:
         """A [d, ell] pair inside check_angle_frequency and scale."""
         chi = super().parse_character(raw, depth)
-        check_angle_frequency(chi.ell)
         self.scale(chi)
         return chi

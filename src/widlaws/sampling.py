@@ -26,33 +26,32 @@ randomness in this order:
   uniform digits from the subgroup's first digit on, drawn BLOCK draws
   at a time in C order straight into the narrow matrix;
 - the Gauss layer, on the real coordinate;
-- the Poisson counts of every draw, in one call of
-  sample_compound_poisson.
+- the Poisson counts of every draw, in one call of poisson_counts.
 
 Then each row block of BLOCK draws runs the six steps in one int64 work
 block: (1) it takes the block's Haar digits, (2) adds the shift's digits,
-(3) draws the block's jumps of eta's pushforward to the lift, one
-uniform per jump in row order, and adds their sums into it, (4) adds
-their real parts to the block's real column, (5) subtracts the drift,
-and (6) covers the block in place, writing its digits back narrow.  The
-blocks draw their uniforms in row order, so the stream, and every bit
-of the batch, is that of one whole-batch draw, while the draw's scratch
-is O(BLOCK) rows and O(JUMP_BLOCK) jumps beside the batch and the
-counts.
+(3) adds the sums of the block's jumps of eta's pushforward to the lift
+into it, in one call of sample_compound_poisson on the block's counts,
+which draws one uniform per jump in row order, (4) adds their real parts
+to the block's real column, (5) subtracts the drift, and (6) covers the
+block in place, writing its digits back narrow.  The blocks draw their
+uniforms in row order, so the stream, and every bit of the batch, is
+that of one whole-batch draw, while the draw's scratch is O(BLOCK) rows
+and O(JUMP_BLOCK) jumps beside the batch and the counts.
 
 Degenerate layers (trivial subgroup, zero variance, empty jump measure)
 consume nothing, and the whole solenoid is no special case:
-Haar(S_p) * mu = Haar(S_p) comes out of the same steps.  A
-compound-Poisson layer takes a row block's jumps in chunks of at most
-JUMP_BLOCK jumps, however few draws carry them.  Each chunk stands
-alone: it draws its uniforms in row order, picks their atoms at once,
-finds the rows that own its jumps off the running jump count, and
-np.add.at adds every jump, in jump order, into its row on R x Z^k.  The
-integer coordinates go straight into the caller's int64 matrix, exact;
-the real coordinate goes into a column zeroed once per row block, or
-nowhere when every atom's real part is 0, as on the p-adic integers.
-So a draw's real sum runs from 0.0 in jump order wherever the chunk
-boundaries fall, and only then is added into the block's real column.
+Haar(S_p) * mu = Haar(S_p) comes out of the same steps.  A row block's
+jumps are taken in chunks of at most JUMP_BLOCK jumps, however few draws
+carry them.  Each chunk stands alone: it draws its uniforms in row
+order, picks their atoms at once, finds the rows that own its jumps off
+the running jump count, and np.add.at adds every jump, in jump order,
+into its row on R x Z^k.  The integer coordinates go straight into the
+work block, exact; the real coordinate goes into a column zeroed once
+per row block, or nowhere when every atom's real part is 0, as on the
+p-adic integers.  So a draw's real sum runs from 0.0 in jump order
+wherever the chunk boundaries fall, and only then is added into the
+block's real column.
 
 quadruplet_sampler returns the covered arrays as one batch type for
 every group, Samples(group, real, digits): the real column (None on
@@ -138,38 +137,16 @@ def check_jump_budget(levy, draws: int):
         )
 
 
-def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None, block=None):
-    """Poisson(total mass) many jumps, each an atom picked with
-    probability mass/total, summed coordinatewise on R x Z^k.
+def poisson_counts(rng, measure: LatticeMeasure, n: int) -> np.ndarray:
+    """The Poisson(total mass) jump counts of n draws, in one call; the
+    empty measure draws no counts and consumes nothing.
 
-    Atom selection walks a precomputed cumulative mass table by binary
-    search over uniforms, one per jump, in draw order.  Returns (real
-    part, integer part): floats of shape (n,) and an int64 matrix of
-    shape (n, k).  Each draw's jump sum is added into ints when given, in
-    place; otherwise into a new column-major zero matrix, one contiguous
-    column per coordinate, like the digit matrices it is carried into.
-    The integer sums are exact int64 sums.
-
-    With block given, the call draws the n Poisson counts and returns an
-    iterator over consecutive blocks of `block` draws (the last one
-    shorter).  Each step draws that block's uniforms, adds its sums into
-    the first rows of ints, which must then be a work matrix of `block`
-    rows, and yields the block's (real part, those rows).  Taken in
-    order, with nothing else drawn from rng in between, the blocks hold
-    the bits of the whole-batch call.  Either way the per-jump arrays
-    hold one chunk of at most JUMP_BLOCK jumps at a time.
-
-    A measure whose atoms all have real part 0 returns zeros for the real
-    part without summing it.  The empty measure yields the origin and
-    consumes nothing.  Raises ValueError, before anything per jump is allocated, when the drawn
-    jump total exceeds MAX_JUMPS or, times the largest |integer entry|
-    of an atom, reaches 2**63, where an int64 jump sum could wrap.
+    Raises ValueError, before anything per jump is allocated, when the
+    drawn jump total exceeds MAX_JUMPS or, times the largest |integer
+    entry| of an atom, reaches 2**63, where an int64 jump sum could wrap.
     """
-    n = int(size)
-    masses = np.array([m for _, _, m in measure.atoms])
-    total = masses.sum()
-    # the empty measure draws no counts
-    counts = rng.poisson(total, size=n) if len(masses) else np.zeros(n, dtype=np.int64)
+    masses = [m for _, _, m in measure.atoms]
+    counts = rng.poisson(np.array(masses).sum(), size=n) if masses else np.zeros(n, dtype=np.int64)
     # summed in float: huge per-draw counts must not wrap int64
     jumps = counts.sum(dtype=float)
     if jumps > MAX_JUMPS:
@@ -180,32 +157,32 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, size: int, ints=None, 
             f"{int(jumps)} Poisson jumps of integer entries up to {entry} may sum "
             "past the int64 range"
         )
-    # every bound but the last, which rounds near 1.0: a uniform past
-    # every bound kept picks the last atom
-    cum = np.cumsum(masses)[:-1] / total
-    if block is None:
-        return _jump_sums(rng, measure, cum, counts, ints)
-    return (
-        _jump_sums(rng, measure, cum, counts[rows], ints[: rows.stop - rows.start])
-        for rows in _row_blocks(n, block)
-    )
+    return counts
 
 
-def _jump_sums(rng, measure: LatticeMeasure, cum, counts, ints=None):
-    """The jump sums of draws with the given Poisson counts: one uniform
-    per jump, in draw order, picks its atom off cum, the cumulative mass
-    table without its last bound.  Returns (real part, integer part) as sample_compound_poisson
-    does, adding into ints when given.
+def sample_compound_poisson(rng, measure: LatticeMeasure, counts, ints) -> np.ndarray:
+    """Adds the jump sums of draws with the given Poisson counts into the
+    int64 matrix ints, one row per draw and one column per integer
+    coordinate of R x Z^k, in place and exactly; returns their real
+    parts, floats of shape (len(counts),).
 
-    The jumps are taken in chunks of at most JUMP_BLOCK, each drawing its
-    uniforms in draw order and standing alone: it finds the rows that own
-    its jumps and np.add.at adds each jump, in jump order, into its row
-    of ints and of a real column zeroed once per call.  So each draw's
-    real sum runs from 0.0 in jump order wherever the chunks split it.
+    Each jump is an atom picked with probability mass/total by one
+    uniform, in draw order, binary-searched in the cumulative mass
+    table.  The jumps are taken in chunks of at most JUMP_BLOCK, each
+    drawing its uniforms in draw order and standing alone: it finds the
+    rows that own its jumps and np.add.at adds each jump, in jump order,
+    into its row of ints and of a real column zeroed once per call.  So
+    each draw's real sum runs from 0.0 in jump order wherever the chunks
+    split it, and consecutive row blocks of counts, called in order with
+    nothing else drawn from rng in between, give the bits of one call.
+    A measure whose atoms all have real part 0 returns zeros for the
+    real part without summing it; draws without jumps consume nothing.
     """
     n, k = len(counts), measure.int_dim
-    if ints is None:
-        ints = np.zeros((n, k), dtype=np.int64, order="F")
+    masses = np.array([m for _, _, m in measure.atoms])
+    # every bound but the last, which rounds near 1.0: a uniform past
+    # every bound kept picks the last atom
+    cum = np.cumsum(masses)[:-1] / masses.sum()
     atom_real = np.array([x for x, _, _ in measure.atoms])
     # one row per coordinate
     atom_ints = np.array([ki for _, ki, _ in measure.atoms], dtype=np.int64).reshape(
@@ -231,7 +208,7 @@ def _jump_sums(rng, measure: LatticeMeasure, cum, counts, ints=None):
     # the zero column of the p-adic integers is made after the chunks:
     # made before them, a verify of 10**7 jumps over 100,000 draws
     # peaked 2 MB higher in RSS
-    return np.zeros(n) if real is None else real, ints
+    return np.zeros(n) if real is None else real
 
 
 # The draws in one row block of a draw or of a product of batches: each
@@ -240,28 +217,25 @@ def _jump_sums(rng, measure: LatticeMeasure, cum, counts, ints=None):
 BLOCK = 8192
 
 
-def _row_blocks(n: int, block: int = BLOCK) -> list:
-    """Consecutive row slices of at most `block` rows covering 0..n-1."""
-    return [slice(lo, min(lo + block, n)) for lo in range(0, n, block)]
+def _row_blocks(n: int) -> list:
+    """Consecutive row slices of at most BLOCK rows covering 0..n-1."""
+    return [slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
 
 
-def _work_matrix(n: int, width: int, block: int = BLOCK) -> np.ndarray:
+def _work_matrix(n: int, width: int) -> np.ndarray:
     """The int64 column-major work block that a draw or a product of n
     rows reuses for each row block; a block of m rows is work[:m]."""
-    return np.empty((min(n, block), width), dtype=np.int64, order="F")
+    return np.empty((min(n, BLOCK), width), dtype=np.int64, order="F")
 
 
-def _covered_sum(group, x, y, real=None) -> np.ndarray:
+def _covered_sum(group, x, y, real) -> np.ndarray:
     """The narrow digits of the group product of two digit matrices: each
     row block of x + y is summed in one int64 work block and covered in
     place by group.cover, with the block's rows of real, the summed real
-    column, when the group has one.  Without digits (the circle) there is
-    no work block to bound, and the whole batch is one block."""
-    n, width = x.shape
-    block = BLOCK if width else max(n, 1)
+    column, when the group has one."""
     digits = np.empty(x.shape, dtype=group.digit_dtype, order="F")
-    work = _work_matrix(n, width, block)
-    for rows in _row_blocks(n, block):
+    work = _work_matrix(*x.shape)
+    for rows in _row_blocks(len(x)):
         lift = work[: rows.stop - rows.start]
         np.add(x[rows], y[rows], out=lift, dtype=np.int64)
         group.cover(None if real is None else real[rows], lift)
@@ -373,19 +347,18 @@ def _draw(q: Quadruplet, depth, width: int, rng, size: int) -> Samples:
     if q.gauss_b > 0:
         real += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
     work = _work_matrix(size, width)
-    jumps = None
+    counts = None
     if not q.levy.is_empty():
         measure = group.pushforward(q.levy, depth)
-        jumps = sample_compound_poisson(rng, measure, size, work, BLOCK)
+        counts = poisson_counts(rng, measure, size)
         drift = group.drift(q.levy)
     shift = np.array(q.shift.digits[:width], dtype=np.int64)
     for rows in _row_blocks(size):
         lift = work[: rows.stop - rows.start]
         np.add(digits[rows], shift, out=lift)
         part = None if real is None else real[rows]
-        if jumps is not None:
-            # the block's jump sums are added into lift
-            jump_real, _ = next(jumps)
+        if counts is not None:
+            jump_real = sample_compound_poisson(rng, measure, counts[rows], lift)
             if part is not None:
                 part += jump_real
                 part -= drift

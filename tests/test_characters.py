@@ -86,6 +86,19 @@ def test_eval_solenoid_char_examples():
         SolenoidCharacter(3, 1)(SolenoidPoint(2, 1, 0.1))
 
 
+def test_angle_characters_refuse_a_frequency_past_2_to_31_when_built():
+    # past 2**31 the float phase ell * theta is inexact on both sides of
+    # a verdict alike; the refusal used to sit in the config parser only
+    for ell in (2**31 + 1, -(2**31 + 1), 10**20 + 7):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            TorusCharacter(ell)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            SolenoidCharacter(1, ell)
+    for ell in (2**31, -(2**31)):
+        assert TorusCharacter(ell).ell == ell
+        assert SolenoidCharacter(1, ell).ell == ell
+
+
 def test_characters_have_unit_modulus():
     rng = np.random.default_rng(321)
     for _ in range(300):

@@ -570,6 +570,32 @@ def test_default_padic_set_at_p_17_still_parses():
     assert len(parse_config(_padic_haar(17, 3))[2]) == 88740
 
 
+def test_sample_does_not_read_the_characters_field(tmp_path, capsys):
+    # at p = 19 the default set holds 137,560 characters: verify refuses
+    # it, while sample dumps draws and never reads the field
+    cfg = tmp_path / "p19.json"
+    cfg.write_text(json.dumps(_padic_haar(19, 3)))
+    assert main(["verify", "--config", str(cfg), "--samples", "10"]) == 2
+    assert "field 'characters'" in capsys.readouterr().err
+    for doc in (_padic_haar(19, 3), _padic_haar(19, 3, characters="bogus")):
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "draws.csv"
+        assert main(["sample", "--config", str(cfg), "--count", "20", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 20
+
+
+def test_sample_at_p_17_builds_no_character(monkeypatch, tmp_path):
+    def build(d, ell):
+        raise AssertionError("a default character was built")
+
+    monkeypatch.setattr(widlaws.groups, "PadicCharacter", build)
+    cfg = tmp_path / "p17.json"
+    cfg.write_text(json.dumps(_padic_haar(17, 3)))
+    out = tmp_path / "draws.csv"
+    assert main(["sample", "--config", str(cfg), "--count", "20", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 20
+
+
 # A float deep angle phi names the real p**depth * phi, which the sampler
 # reads below the whole subgroup; phi is refused once ulp(p**depth * phi)
 # exceeds 4pi * 1e-6.  At p = 2, depth 40 the bound falls at |phi| = 2**-4.

@@ -48,7 +48,7 @@ from widlaws.groups import (
     solenoid_from_lift,
     solenoid_mul,
 )
-from widlaws.sampling import BLOCK
+from widlaws.sampling import BLOCK, poisson_counts
 
 N = 100_000
 
@@ -120,11 +120,21 @@ def test_normal_moments():
         quadruplet_sampler(gauss(-0.1))(make_rng(8), 1)
 
 
+def _whole_batch_jumps(seed, measure, size):
+    """The whole-batch jump sums (real part, integer part) of `size`
+    draws: poisson_counts, then one sample_compound_poisson call adding
+    into a column-major zero matrix."""
+    rng = make_rng(seed)
+    counts = poisson_counts(rng, measure, size)
+    ints = np.zeros((size, measure.int_dim), dtype=np.int64, order="F")
+    return sample_compound_poisson(rng, measure, counts, ints), ints
+
+
 def test_poisson_counts():
     # one unit atom of mass lam: the real coordinate is the Poisson count
     def counts(seed, lam):
         unit = LatticeMeasure(0, ((1.0, (), lam),))
-        return sample_compound_poisson(make_rng(seed), unit, size=N)[0]
+        return _whole_batch_jumps(seed, unit, N)[0]
 
     ks = counts(10, 3.0)
     assert abs(ks.mean() - 3.0) <= 4 * math.sqrt(3) / math.sqrt(N)
@@ -139,22 +149,22 @@ def test_compound_poisson_refuses_a_jump_total_over_the_cap(monkeypatch):
     # 1e13 expected jumps would need about 0.4 PB of working arrays
     huge = LatticeMeasure(3, ((0.0, (1, 0, 0), 1e12),))
     with pytest.raises(ValueError, match="cap"):
-        sample_compound_poisson(make_rng(16), huge, size=10)
+        _whole_batch_jumps(16, huge, 10)
     # the cap applies to the drawn total, not the expectation
     unit = LatticeMeasure(0, ((1.0, (), 1.0),))
-    total = int(sample_compound_poisson(make_rng(17), unit, size=50)[0].sum())
+    total = int(_whole_batch_jumps(17, unit, 50)[0].sum())
     monkeypatch.setattr(widlaws.sampling, "MAX_JUMPS", total)
-    assert sample_compound_poisson(make_rng(17), unit, size=50)[0].sum() == total
+    assert _whole_batch_jumps(17, unit, 50)[0].sum() == total
     monkeypatch.setattr(widlaws.sampling, "MAX_JUMPS", total - 1)
     with pytest.raises(ValueError, match="cap"):
-        sample_compound_poisson(make_rng(17), unit, size=50)
+        _whole_batch_jumps(17, unit, 50)
 
 
 def test_compound_poisson_integer_sums_are_exact_past_2_53():
     # about 2.2e16 per draw: a float sum would round off the low bits
     atom = 2**40 + 1
     measure = LatticeMeasure(1, ((0.0, (atom,), 20000.0),))
-    _, ints = sample_compound_poisson(make_rng(0), measure, size=2)
+    _, ints = _whole_batch_jumps(0, measure, 2)
     counts = make_rng(0).poisson(20000.0, size=2).tolist()
     assert ints[:, 0].tolist() == [c * atom for c in counts]
     assert max(counts) * atom > 2**53
@@ -165,15 +175,15 @@ def test_compound_poisson_refuses_jump_sums_that_could_wrap_int64():
     # does not
     wide = LatticeMeasure(1, ((0.0, (2**62,), 3.0),))
     with pytest.raises(ValueError, match="int64"):
-        sample_compound_poisson(make_rng(1), wide, size=1)
+        _whole_batch_jumps(1, wide, 1)
     below = LatticeMeasure(1, ((0.0, (2**61 - 1,), 3.0),))
-    _, ints = sample_compound_poisson(make_rng(1), below, size=1)
+    _, ints = _whole_batch_jumps(1, below, 1)
     assert ints.tolist() == [[4 * (2**61 - 1)]]
 
 
 def test_compound_poisson_empty_measure_is_origin():
     empty = LatticeMeasure(2, ())
-    reals, ints = sample_compound_poisson(make_rng(13), empty, size=50)
+    reals, ints = _whole_batch_jumps(13, empty, 50)
     assert np.all(reals == 0.0) and np.all(ints == 0)
     assert reals.shape == (50,) and ints.shape == (50, 2)
 
@@ -181,7 +191,7 @@ def test_compound_poisson_empty_measure_is_origin():
 def test_compound_poisson_single_atom_matches_closed_form():
     lam = 1.3
     m = LatticeMeasure(0, ((1.0, (), lam),))
-    reals, _ = sample_compound_poisson(make_rng(14), m, size=N)
+    reals, _ = _whole_batch_jumps(14, m, N)
     # single unit jump: the real coordinate is the Poisson count itself
     assert np.allclose(reals, np.round(reals))
     for t in (0.7, 2.0):
@@ -192,7 +202,7 @@ def test_compound_poisson_single_atom_matches_closed_form():
 
 def test_compound_poisson_two_atoms_product_form():
     m = LatticeMeasure(1, ((0.5, (2,), 0.8), (-1.0, (1,), 0.4)))
-    reals, ints = sample_compound_poisson(make_rng(15), m, size=N)
+    reals, ints = _whole_batch_jumps(15, m, N)
     for t, w in ((0.9, 1.1), (-0.3, 2.0)):
         emp = np.exp(1j * (t * reals + w * ints[:, 0])).mean()
         want = cmath.exp(
@@ -261,7 +271,7 @@ _JUMP_MEASURES = {
 @pytest.mark.parametrize("name", _JUMP_MEASURES)
 def test_compound_poisson_matches_a_per_jump_reference_bit_for_bit(name):
     measure = _JUMP_MEASURES[name]()
-    reals, ints = sample_compound_poisson(make_rng(21), measure, size=3000)
+    reals, ints = _whole_batch_jumps(21, measure, 3000)
     want_reals, want_ints = _compound_poisson_reference(21, measure, 3000)
     assert reals.dtype == np.float64 and reals.shape == (3000,)
     assert ints.dtype == np.int64 and ints.shape == (3000, measure.int_dim)
@@ -271,7 +281,7 @@ def test_compound_poisson_matches_a_per_jump_reference_bit_for_bit(name):
 
 def test_compound_poisson_without_jumps_is_origin_with_the_full_shape():
     tiny = LatticeMeasure(3, ((0.5, (1, 0, 2), 1e-12),))
-    reals, ints = sample_compound_poisson(make_rng(22), tiny, size=40)
+    reals, ints = _whole_batch_jumps(22, tiny, 40)
     assert reals.dtype == np.float64 and reals.shape == (40,) and not reals.any()
     assert ints.dtype == np.int64 and ints.shape == (40, 3) and not ints.any()
 
@@ -279,28 +289,30 @@ def test_compound_poisson_without_jumps_is_origin_with_the_full_shape():
 @pytest.mark.parametrize("name", _JUMP_MEASURES)
 def test_compound_poisson_adds_into_a_given_matrix_bit_for_bit(name):
     measure = _JUMP_MEASURES[name]()
-    reals, ints = sample_compound_poisson(make_rng(23), measure, size=3000)
+    reals, ints = _whole_batch_jumps(23, measure, 3000)
     start = np.random.default_rng(5).integers(-9, 9, size=(3000, measure.int_dim))
     given = start.copy(order="F")
-    got_reals, got = sample_compound_poisson(make_rng(23), measure, 3000, given)
-    assert got is given
-    assert got.tolist() == (start + ints).tolist()
+    rng = make_rng(23)
+    got_reals = sample_compound_poisson(rng, measure, poisson_counts(rng, measure, 3000), given)
+    assert given.tolist() == (start + ints).tolist()
     assert got_reals.view(np.int64).tolist() == reals.view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("name", _JUMP_MEASURES)
 def test_compound_poisson_blocks_hold_the_whole_batch_bit_for_bit(name):
-    # 3000 draws in blocks of 700: four full blocks and a short one, each
+    # consecutive row blocks of counts give the bits of one call: 3000
+    # draws in blocks of 700, four full blocks and a short one, each
     # added into the first rows of one work matrix
     measure = _JUMP_MEASURES[name]()
-    reals, ints = sample_compound_poisson(make_rng(26), measure, size=3000)
+    reals, ints = _whole_batch_jumps(26, measure, 3000)
     work = np.ones((700, measure.int_dim), dtype=np.int64, order="F")
-    blocks = sample_compound_poisson(make_rng(26), measure, 3000, work, block=700)
+    rng = make_rng(26)
+    counts = poisson_counts(rng, measure, 3000)
     got_reals, got_ints = [], []
-    for block_reals, block_ints in blocks:
-        assert block_ints.base is work
-        got_reals.append(block_reals)
-        got_ints.append(block_ints - 1)
+    for lo in range(0, 3000, 700):
+        block = work[: len(counts[lo : lo + 700])]
+        got_reals.append(sample_compound_poisson(rng, measure, counts[lo : lo + 700], block))
+        got_ints.append(block - 1)
         work[...] = 1
     assert [len(r) for r in got_reals] == [700, 700, 700, 700, 200]
     assert np.concatenate(got_reals).view(np.int64).tolist() == reals.view(np.int64).tolist()
@@ -328,9 +340,9 @@ def test_compound_poisson_in_jump_chunks_matches_one_chunk_bit_for_bit(name, mon
     # chunks of 5 jumps: many draws straddle two or more chunks, and each
     # continues its real sum in jump order
     measure = _JUMP_MEASURES[name]()
-    whole_reals, whole_ints = sample_compound_poisson(make_rng(27), measure, size=300)
+    whole_reals, whole_ints = _whole_batch_jumps(27, measure, 300)
     monkeypatch.setattr(widlaws.sampling, "JUMP_BLOCK", 5)
-    reals, ints = sample_compound_poisson(make_rng(27), measure, size=300)
+    reals, ints = _whole_batch_jumps(27, measure, 300)
     assert reals.view(np.int64).tolist() == whole_reals.view(np.int64).tolist()
     assert ints.tolist() == whole_ints.tolist()
     want_reals, _ = _compound_poisson_reference(27, measure, 300)
@@ -351,9 +363,9 @@ def test_jump_chunks_carry_the_real_sum_across_a_chunk_boundary(name, monkeypatc
     # round differently on some straddling draw; the chunked sampler
     # keeps the one-chunk bits there
     measure = _JUMP_MEASURES[name]()
-    whole_reals, _ = sample_compound_poisson(make_rng(27), measure, size=300)
+    whole_reals, _ = _whole_batch_jumps(27, measure, 300)
     monkeypatch.setattr(widlaws.sampling, "JUMP_BLOCK", 5)
-    reals, _ = sample_compound_poisson(make_rng(27), measure, size=300)
+    reals, _ = _whole_batch_jumps(27, measure, 300)
     pieces, _ = _compound_poisson_reference(27, measure, 300, restart_every=5)
     moved = [i for i in _straddling_draws(27, measure, 300, 5) if pieces[i] != whole_reals[i]]
     assert moved
@@ -394,6 +406,31 @@ def test_draws_in_jump_chunks_equal_the_unsplit_draws_bit_for_bit(q, monkeypatch
             assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), name
 
 
+def test_a_draw_sums_each_row_block_of_jumps_in_one_call(monkeypatch):
+    # one atom, so a draw's integer jump sum is its count times the atom:
+    # each call must have added exactly that into its rows when it returns
+    p, depth, n = 3, 3, 2 * BLOCK + 100
+    eta = LevyMeasure(((PadicInt(p, (2, 1, 0, 1)), 3.0),))
+    q = Quadruplet(PadicIntegers(p), PadicSubgroup(0), PadicInt(p, (1, 2, 0, 1)), 0.0, eta)
+    atom = np.array(pushforward_padic(eta, depth).atoms[0][1])
+    original, calls = widlaws.sampling.sample_compound_poisson, []
+
+    def traced(rng, measure, counts, ints):
+        before = ints.copy()
+        real = original(rng, measure, counts, ints)
+        calls.append(len(counts))
+        assert counts.sum() > 0
+        assert (ints - before).tolist() == (counts[:, None] * atom).tolist()
+        return real
+
+    monkeypatch.setattr(widlaws.sampling, "sample_compound_poisson", traced)
+    batch = quadruplet_sampler(q, depth)(make_rng(31), n)
+    assert calls == [BLOCK, BLOCK, 100]
+    monkeypatch.undo()
+    want = quadruplet_sampler(q, depth)(make_rng(31), n)
+    assert np.array_equal(batch.digits, want.digits)
+
+
 def test_few_draws_with_many_jumps_hold_one_jump_chunk():
     # 100 draws of Delta_3 with 10**6 jumps between them: three 8-byte
     # arrays per jump of the whole block took about 24 MB; one chunk's
@@ -409,8 +446,8 @@ def test_compound_poisson_with_zero_real_parts_keeps_the_integer_sums():
     # the real parts take no randomness, so zeroing them leaves the stream
     measure = _JUMP_MEASURES["many-atoms"]()
     flat = LatticeMeasure(measure.int_dim, tuple((0.0, ki, m) for _, ki, m in measure.atoms))
-    _, ints = sample_compound_poisson(make_rng(24), measure, size=3000)
-    flat_reals, flat_ints = sample_compound_poisson(make_rng(24), flat, size=3000)
+    _, ints = _whole_batch_jumps(24, measure, 3000)
+    flat_reals, flat_ints = _whole_batch_jumps(24, flat, 3000)
     assert flat_reals.dtype == np.float64 and flat_reals.shape == (3000,)
     assert not flat_reals.any()
     assert flat_ints.tolist() == ints.tolist()
