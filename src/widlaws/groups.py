@@ -605,6 +605,8 @@ class TorusCharacter:
     d = 0  # the circle is its own coordinate 0
 
     def __post_init__(self):
+        # operator.index refuses a float instead of truncating it
+        object.__setattr__(self, "ell", operator.index(self.ell))
         check_angle_frequency(self.ell)
 
     @property
@@ -623,6 +625,8 @@ class _DepthCharacter:
     ell: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", operator.index(self.d))
+        object.__setattr__(self, "ell", operator.index(self.ell))
         if self.d < 0:
             raise ValueError("character depth must be >= 0")
 

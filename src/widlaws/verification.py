@@ -212,10 +212,10 @@ def check_compare_inequality(group, characters):
     return results
 
 
-# k in the oracle's k*x trials is drawn from 0.._ORACLE_K_BOUND-1; trials
-# are checked in blocks of _ORACLE_BLOCK, so the expected digits and the
-# scalar-law elements, about 1.2 kB of Python objects per trial, take
-# about 0.15 MB whatever the trial count.
+# k in the oracle's k*x trials is drawn from 0.._ORACLE_K_BOUND-1, so its
+# expected digits are exact in int64 while _ORACLE_K_BOUND * p**(depth+1) < 2**63.
+# Trials are checked in blocks of _ORACLE_BLOCK: about 1.4 kB of Python
+# objects per trial, so about 0.18 MB whatever the trial count.
 _ORACLE_K_BOUND = 1000
 _ORACLE_BLOCK = 128
 
@@ -223,70 +223,61 @@ _ORACLE_BLOCK = 128
 def _expected_digits(p: int, depth: int, xs, ys, ks):
     """Base-p digits of x+y, -x and k*x modulo p**(depth+1), one tuple per
     trial in each of three lists; xs and ys hold digit rows, ks the k.
-
-    Each value v gives digits ((v mod p**(depth+1)) // p**j) mod p, from
-    int64 numpy while k*x stays inside int64 and from Python ints beyond,
-    never through the carry normalization under test.
-    """
+    Each value v gives ((v mod p**(depth+1)) // p**j) mod p in int64
+    numpy, never through the carries under test."""
     modulus = p ** (depth + 1)
-    if _ORACLE_K_BOUND * modulus < 2**63:
-        powers = p ** np.arange(depth + 1, dtype=np.int64)
-        xv, yv = xs @ powers, ys @ powers
-        values = np.mod(np.stack([xv + yv, -xv, ks * xv]), modulus)
-        digits = values[..., None] // powers % p
-        return [list(map(tuple, block)) for block in digits.tolist()]
-    powers = [p**j for j in range(depth + 1)]
-
-    def expected(v):
-        v %= modulus
-        return tuple(v // pj % p for pj in powers)
-
-    xv = [sum(d * pj for d, pj in zip(row, powers)) for row in xs.tolist()]
-    yv = [sum(d * pj for d, pj in zip(row, powers)) for row in ys.tolist()]
-    return (
-        [expected(a + b) for a, b in zip(xv, yv)],
-        [expected(-a) for a in xv],
-        [expected(k * a) for k, a in zip(ks.tolist(), xv)],
-    )
+    powers = p ** np.arange(depth + 1, dtype=np.int64)
+    xv, yv = xs @ powers, ys @ powers
+    values = np.mod(np.stack([xv + yv, -xv, ks * xv]), modulus)
+    digits = values[..., None] // powers % p
+    return [list(map(tuple, block)) for block in digits.tolist()]
 
 
 def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int = 15) -> bool:
     """Cross-check the digit arithmetic against exact integer arithmetic.
 
-    For `trials` random pairs per prime, addition, negation, and natural
-    multiples must agree bit-exactly with integer arithmetic modulo
-    p**(depth+1) expanded in base p; additionally x + (-x) = 0 and the
-    p-th multiple always has leading digit 0.  The batched carry
-    padic_digit_matrix must give the same digits on the entrywise sums,
-    negations and multiples of the digit rows.  The expected digits come
-    from _expected_digits, which shares no code with the carry
-    normalizations under test.
+    For `trials` random pairs per prime, the entrywise x+y, -x and k*x
+    of the digit rows must carry, bit-exactly, to the digits of those
+    values modulo p**(depth+1) through both carries the verdict runs:
+    padic_digit_matrix (every draw) and _carry (every config point).  On
+    the first block of each prime, padic_add, padic_neg and padic_mul_nat
+    must agree too, with x + (-x) = 0 and digit 0 of p*x = 0.  The
+    expected digits come from _expected_digits, exact in int64 only: a
+    prime with _ORACLE_K_BOUND * p**(depth+1) >= 2**63 raises ValueError.
     """
-    rng = make_rng(seed, stream=0)
     for p in primes:
         groups.validate_prime(p)
+        if _ORACLE_K_BOUND * p ** (depth + 1) >= 2**63:
+            raise ValueError(f"{_ORACLE_K_BOUND} * {p}**{depth + 1} >= 2**63: k*x passes int64")
+    rng = make_rng(seed, stream=0)
+    for p in primes:
         xs = rng.integers(0, p, size=(trials, depth + 1))
         ys = rng.integers(0, p, size=(trials, depth + 1))
         ks = rng.integers(0, _ORACLE_K_BOUND, size=trials)
         for lo in range(0, trials, _ORACLE_BLOCK):
             block = slice(lo, lo + _ORACLE_BLOCK)
-            if not _oracle_block(p, depth, xs[block], ys[block], ks[block]):
+            if not _oracle_block(p, depth, xs[block], ys[block], ks[block], lo == 0):
                 return False
         # the next prime's trials are drawn without these beside them
         del xs, ys, ks
     return True
 
 
-def _oracle_block(p: int, depth: int, xb, yb, kb) -> bool:
-    """The oracle's checks on one block of trials; what the block builds
-    is freed on return, before the next block is built."""
+def _oracle_block(p: int, depth: int, xb, yb, kb, scalar_law: bool) -> bool:
+    """The oracle's checks on one block of trials, the scalar law's too when
+    scalar_law is set; all the block builds is freed before the next one."""
     sums, negs, mults = _expected_digits(p, depth, xb, yb, kb)
-    # the batched carry the samplers use, on the entrywise x+y, -x, k*x
+    expected = sums + negs + mults
+    # the entrywise x+y, -x and k*x through both carries the verdict runs:
+    # the batched one of the samplers and the scalar one of config points
     values = np.concatenate([xb + yb, -xb, kb[:, None] * xb])
-    if list(map(tuple, groups.padic_digit_matrix(p, values).tolist())) != sums + negs + mults:
+    if list(map(tuple, groups.padic_digit_matrix(p, values).tolist())) != expected:
         return False
-    # the scalar arithmetic, one whole block per check;
-    # rng.integers(0, p) digits of a checked prime need no re-check
+    if [groups._carry(p, row).digits for row in values.tolist()] != expected:
+        return False
+    if not scalar_law:
+        return True
+    # the scalar law; rng.integers(0, p) digits of a checked prime need no re-check
     x = [groups.PadicInt._normalized(p, tuple(d)) for d in xb.tolist()]
     y = [groups.PadicInt._normalized(p, tuple(d)) for d in yb.tolist()]
     neg = list(map(groups.padic_neg, x))

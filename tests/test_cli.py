@@ -233,6 +233,14 @@ def test_config_rejects_character_deeper_than_depth(tmp_path, capsys):
     assert "characters[0]" in capsys.readouterr().err
 
 
+def test_the_cli_loads_no_scipy_module():
+    # scipy is a test dependency only: a fresh interpreter that imports the
+    # CLI, and with it every module of the library, must not load it
+    code = "import sys, widlaws.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_machine_output_is_byte_identical_across_processes(tmp_path):
     cfg = write_cfg(tmp_path, SOLENOID_CFG)
 

@@ -351,6 +351,21 @@ def test_padic_scalar_ops_match_the_integers_at_p_2_to_31_minus_1():
         assert padic_add(x, padic_neg(x)).is_identity()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_padic_mul_nat_matches_the_integers_for_k_past_int64(p):
+    # the scalar carry holds k * digit as a Python int: k near 2**62, where
+    # k * (p - 1) passes int64, and k in 2**64..2**100, which no int64 holds
+    rng = np.random.default_rng(p)
+    for i in range(200):
+        n = 1 + i % 40
+        x = PadicInt(p, tuple(rng.integers(0, p, size=n).tolist()))
+        if i % 2:
+            k = 2**62 + int(rng.integers(-(2**20), 2**20))
+        else:
+            k = 2 ** int(rng.integers(64, 100)) + int(rng.integers(0, 2**62))
+        assert padic_mul_nat(k, x).digits == _expansion(p, k * x.to_int(), n)
+
+
 def test_padic_mul_by_p_kills_leading_digit():
     rng = np.random.default_rng(7)
     for p in (2, 3, 5):
@@ -776,6 +791,19 @@ def test_solenoid_from_lift_carries_whole_turns_as_python_ints():
         solenoid_from_lift(3, 2, 0.0, [1])
     with pytest.raises(ValueError, match="depth >= 0"):
         solenoid_from_lift(3, -1, 0.0, [])
+
+
+@pytest.mark.parametrize("p,depth,angle", [(3, 600, 1.0), (2, 1000, -2.5), (5, 400, 0.3)])
+def test_deep_solenoid_point_digits_are_its_turn_count(p, depth, angle):
+    # coordinate 0 is y0 = p**depth * angle, about 2**930 to 2**1000: its
+    # whole turns reach the digits through the scalar carry as one Python
+    # int, far past int64
+    y0 = p**depth * canonical_angle(angle)
+    x = SolenoidPoint(p, depth, angle)
+    assert x.base == canonical_angle(y0)
+    turns = round((y0 - x.base) / TWO_PI)
+    assert turns.bit_length() > 900
+    assert x.digits == _expansion(p, turns, depth)
 
 
 def test_solenoid_mul_and_inverse_are_exact_at_depth_60():

@@ -381,10 +381,12 @@ def _check_group_algebra_law(p, d, rng):
 # continuous homomorphism to the circle, with the centering shift that
 # the homomorphism does not commute with
 
-def _random_solenoid_law(rng, p):
-    """A law on S_p at a random depth 0..5: trivial or full H, an exact
-    shift and two or three jump atoms given as (base, digits)."""
-    depth = int(rng.integers(0, 6))
+def _random_solenoid_law(rng, p, depth=None):
+    """A law on S_p at depth (by default a random depth 0..5): trivial or
+    full H, an exact shift and two or three jump atoms given as (base,
+    digits)."""
+    if depth is None:
+        depth = int(rng.integers(0, 6))
 
     def point():
         return solenoid_from_lift(p, depth, rng.uniform(-PI, PI), rng.integers(0, p, size=depth))
@@ -423,6 +425,63 @@ def test_solenoid_transform_is_the_circle_transform_of_the_projected_law():
                 for ell in range(-8, 9):
                     got = ft_quadruplet(q, SolenoidCharacter(d, ell))
                     worst = max(worst, abs(got - ft_quadruplet(image, TorusCharacter(ell))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("p,depth", [(2, 500), (3, 320), (5, 220)])
+def test_projection_to_the_circle_holds_at_the_deepest_scalable_depths(p, depth):
+    # Solenoid.scale refuses d once p**(2d) reaches 2**1023: p = 2 past
+    # 511, p = 3 past 322 and p = 5 past 220.  pi_d of a law at that depth
+    # still has the circle transform, at the first, middle and last depths
+    rng = np.random.default_rng(depth)
+    worst = 0.0
+    for _ in range(2):
+        q = _random_solenoid_law(rng, p, depth)
+        for d in (0, 1, depth // 2, depth - 1, depth):
+            image = _project_solenoid_law(q, d)
+            for ell in (-7, -1, 1, 2, 8):
+                got = ft_quadruplet(q, SolenoidCharacter(d, ell))
+                worst = max(worst, abs(got - ft_quadruplet(image, TorusCharacter(ell))))
+    assert worst <= 1e-12
+
+
+def _embed_padic_point(x):
+    """iota x: the point of S_p at depth x.depth + 1 with base 0 and the
+    digits of x; it lies in Delta_p, the kernel of pi_0."""
+    return solenoid_from_lift(x.p, x.depth + 1, 0.0, x.digits)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solenoid_characters_restrict_to_the_padic_characters_on_the_kernel_of_pi_0(p):
+    # Delta_p sits in S_p as the points of base 0, where coordinate d is
+    # 2 pi (x mod p**d) / p**d: chi_(d, ell) restricts to the p-adic
+    # character (d - 1, ell mod p**d) for d >= 1 and to 1 for d = 0.  At
+    # base 0 the solenoid's centering vanishes, so the transform of the
+    # embedded law is the p-adic transform, row by row
+    rng = np.random.default_rng(9000 + p)
+    worst = 0.0
+    for depth in range(1, 9):
+        modulus = p ** (depth + 1)
+
+        def point():
+            return PadicInt.from_int(p, int(rng.integers(1, modulus)), depth)
+
+        atoms = tuple((point(), float(rng.uniform(0.1, 1.5))) for _ in range(int(rng.integers(1, 4))))
+        q = Quadruplet(PadicIntegers(p), PadicSubgroup(depth + 1), point(), 0.0, LevyMeasure(atoms))
+        embedded = Quadruplet(
+            Solenoid(p),
+            SolenoidSubgroup.trivial(),
+            _embed_padic_point(q.shift),
+            0.0,
+            LevyMeasure(tuple((_embed_padic_point(x), m) for x, m in atoms)),
+        )
+        ells = [*range(-8, 9), *rng.integers(-100, 100, size=8).tolist()]
+        for ell in ells:
+            assert ft_quadruplet(embedded, SolenoidCharacter(0, ell)) == 1
+            for d in range(1, depth + 2):
+                got = ft_quadruplet(embedded, SolenoidCharacter(d, ell))
+                want = ft_quadruplet(q, PadicCharacter(d - 1, ell % p**d))
+                worst = max(worst, abs(got - want))
     assert worst <= 1e-12
 
 

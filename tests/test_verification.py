@@ -252,9 +252,9 @@ def test_oracle_padic_arithmetic_catches_injected_bug(monkeypatch):
 
 
 def test_oracle_padic_arithmetic_catches_bug_in_the_shared_carry_routine(monkeypatch):
-    # add, neg and mul_nat all normalize through the private _carry that
-    # padic_from_ints also calls; a carry that loses the last digit agrees
-    # with itself, not with the integers
+    # the oracle carries every trial's rows through the private _carry that
+    # padic_from_ints, add, neg and mul_nat share; a carry that loses the
+    # last digit agrees with itself, not with the integers
     real_carry = widlaws.groups._carry
 
     def drops_last_digit(p, entries):
@@ -294,37 +294,41 @@ def test_oracle_padic_arithmetic_catches_p_multiple_with_a_leading_digit(monkeyp
 
 @pytest.mark.parametrize("block", [128, 1, 10_000])
 def test_oracle_checks_every_trial_in_blocks_of_any_size(block, monkeypatch):
-    # a padic_add wrong on the last of the selftest's 10,000 trials of p = 2
-    # only; every block size reaches it, so no trial goes unchecked
+    # a _carry wrong on one row only: the entrywise x+y of the last of the
+    # selftest's 10,000 trials of p = 2.  Every block size reaches it, so no
+    # trial goes unchecked.  The per-trial carries run before the scalar
+    # law, so the row is carried once even when the first block is every
+    # trial, and no other path carries it past the first block.
     rng = widlaws.verification.make_rng(0, stream=0)
     xs = rng.integers(0, 2, size=(10_000, 16))
     ys = rng.integers(0, 2, size=(10_000, 16))
-    pairs = list(zip(map(tuple, xs.tolist()), map(tuple, ys.tolist())))
-    target = pairs[-1]
-    assert pairs.count(target) == 1
-    real_add, wrong = widlaws.groups.padic_add, []
+    ks = rng.integers(0, 1000, size=10_000)
+    rows = np.concatenate([xs + ys, -xs, ks[:, None] * xs]).tolist()
+    target = rows[9_999]
+    assert rows.count(target) == 1
+    real_carry, wrong = widlaws.groups._carry, []
 
-    def wrong_on_one_trial(x, y):
-        out = real_add(x, y)
-        if (x.digits, y.digits) == target:
-            wrong.append(x)
-            return PadicInt(x.p, ((out.digits[0] + 1) % x.p,) + out.digits[1:])
+    def wrong_on_one_row(p, entries):
+        entries = list(entries)
+        out = real_carry(p, entries)
+        if p == 2 and entries == target:
+            wrong.append(entries)
+            return PadicInt(p, ((out.digits[0] + 1) % p,) + out.digits[1:])
         return out
 
-    monkeypatch.setattr(widlaws.groups, "padic_add", wrong_on_one_trial)
+    monkeypatch.setattr(widlaws.groups, "_carry", wrong_on_one_row)
     monkeypatch.setattr(widlaws.verification, "_ORACLE_BLOCK", block)
     assert not oracle_padic_arithmetic(10_000, 0)
     assert len(wrong) == 1
 
 
-# the oracle's expected digits come from int64 blocks while
-# 1000 * p**(depth+1) < 2**63 and from Python ints beyond (p=5, depth 30)
-_ORACLE_PATHS = {"int64": {}, "python-int": {"primes": (5,), "depth": 30}}
-
-
-@pytest.mark.parametrize("path", _ORACLE_PATHS.values(), ids=_ORACLE_PATHS.keys())
-def test_oracle_padic_arithmetic_passes_on_both_expectation_paths(path):
-    assert oracle_padic_arithmetic(300, seed=37, **path)
+def test_oracle_refuses_a_depth_past_the_int64_envelope():
+    # the expected digits of k*x, k < 1000, are int64: 1000 * p**(depth+1)
+    # must stay below 2**63, which p = 2 meets up to depth 52
+    assert oracle_padic_arithmetic(10, seed=37, primes=(2,), depth=52)
+    for primes, depth in (((5,), 30), ((2,), 53), ((2, 3, 5), 30)):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            oracle_padic_arithmetic(10, seed=37, primes=primes, depth=depth)
 
 
 def _corrupt_slice(out):
@@ -336,36 +340,35 @@ def _corrupt_slice(out):
     return PadicInt(out.p, tuple(digits))
 
 
-@pytest.mark.parametrize("path", _ORACLE_PATHS.values(), ids=_ORACLE_PATHS.keys())
 @pytest.mark.parametrize("routine", ["padic_neg", "padic_mul_nat"])
-def test_oracle_padic_arithmetic_catches_bug_in_neg_and_mul_nat(routine, path, monkeypatch):
+def test_oracle_padic_arithmetic_catches_bug_in_neg_and_mul_nat(routine, monkeypatch):
     real = getattr(widlaws.groups, routine)
     monkeypatch.setattr(widlaws.groups, routine, lambda *args: _corrupt_slice(real(*args)))
-    assert not oracle_padic_arithmetic(300, seed=37, **path)
+    assert not oracle_padic_arithmetic(300, seed=37)
 
 
-@pytest.mark.parametrize("path", _ORACLE_PATHS.values(), ids=_ORACLE_PATHS.keys())
-def test_oracle_padic_arithmetic_catches_batched_carry_one_digit_late(path, monkeypatch):
+def test_oracle_padic_arithmetic_catches_batched_carry_one_digit_late(monkeypatch):
     # the samplers carry through padic_digit_matrix, not padic_from_ints
     monkeypatch.setattr(widlaws.groups, "padic_digit_matrix", _late_carry)
-    assert not oracle_padic_arithmetic(300, seed=37, **path)
+    assert not oracle_padic_arithmetic(300, seed=37)
 
 
-def test_oracle_expected_digits_agree_on_both_paths(monkeypatch):
+def test_oracle_expected_digits_match_integer_arithmetic():
     rng = np.random.default_rng(71)
-    for p, depth in ((2, 15), (3, 15), (5, 15), (7, 4)):
+    for p, depth in ((2, 15), (3, 15), (5, 15), (7, 4), (2, 52)):
         xs = rng.integers(0, p, size=(200, depth + 1))
         ys = rng.integers(0, p, size=(200, depth + 1))
         ks = rng.integers(0, 1000, size=200)
-        blocked = widlaws.verification._expected_digits(p, depth, xs, ys, ks)
-        with monkeypatch.context() as m:
-            m.setattr(widlaws.verification, "_ORACLE_K_BOUND", 2**63)
-            exact = widlaws.verification._expected_digits(p, depth, xs, ys, ks)
-        assert list(blocked) == list(exact)
-        # and the k*x digits of the first trial against the integers
-        x, k = xs[0].tolist(), int(ks[0])
-        kx = k * sum(d * p**j for j, d in enumerate(x)) % p ** (depth + 1)
-        assert blocked[2][0] == tuple(kx // p**j % p for j in range(depth + 1))
+        sums, negs, mults = widlaws.verification._expected_digits(p, depth, xs, ys, ks)
+        modulus = p ** (depth + 1)
+
+        def digits(v):
+            return tuple(v % modulus // p**j % p for j in range(depth + 1))
+
+        for i, (x, y, k) in enumerate(zip(xs.tolist(), ys.tolist(), ks.tolist())):
+            xv = sum(d * p**j for j, d in enumerate(x))
+            yv = sum(d * p**j for j, d in enumerate(y))
+            assert (sums[i], negs[i], mults[i]) == (digits(xv + yv), digits(-xv), digits(k * xv))
 
 
 @pytest.mark.parametrize("tolerance_c", [math.inf, math.nan, 0.0, -1.0])
