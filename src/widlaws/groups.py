@@ -322,6 +322,12 @@ def padic_from_ints(p: int, entries) -> PadicInt:
 def _carry(p, entries) -> PadicInt:
     """The carry of padic_from_ints, trusting its input: p is a prime
     already checked and entries an iterable of Python ints, read once."""
+    return PadicInt._normalized(p, _carry_digits(p, entries))
+
+
+def _carry_digits(p, entries) -> tuple:
+    """The digits of _carry(p, entries), as a tuple of Python ints, with
+    no element built around them."""
     base = int(p)
     out = []
     carry = 0
@@ -332,7 +338,7 @@ def _carry(p, entries) -> PadicInt:
     if not out:
         raise ValueError("p-adic element needs at least one digit")
     # floor division by the checked prime leaves every digit in 0..p-1
-    return PadicInt._normalized(p, tuple(out))
+    return tuple(out)
 
 
 def padic_digit_matrix(p: int, values: np.ndarray, carry=0, out=None) -> np.ndarray:
@@ -494,7 +500,7 @@ def solenoid_from_lift(p: int, depth: int, y0: float, ints) -> SolenoidPoint:
     if depth:
         ints[0] += round((y0 - base) / TWO_PI)
     x = object.__new__(SolenoidPoint)
-    x.__dict__.update(p=p, base=base, digits=_carry(p, ints).digits if depth else ())
+    x.__dict__.update(p=p, base=base, digits=_carry_digits(p, ints) if depth else ())
     return x
 
 

@@ -57,7 +57,9 @@ quadruplet_sampler returns the covered arrays as one batch type for
 every group, Samples(group, real, digits): the real column (None on
 the p-adic integers) and the narrow digit matrix (no columns on the
 circle).  Its combine adds the real columns and carries the digit sum
-block by block in the same way, and columns(lo, hi) hands the group's
+block by block in the same way, into the arrays of one of the two
+batches when asked (a product of many factors then holds one batch
+beside the factor), and columns(lo, hi) hands the group's
 dump columns of draws lo..hi-1, computed on that slice only, so the
 dump can be written in chunks without a per-draw form of the whole
 batch.  Batch digits are stored narrow: cast them before any
@@ -228,19 +230,18 @@ def _work_matrix(n: int, width: int) -> np.ndarray:
     return np.empty((min(n, BLOCK), width), dtype=np.int64, order="F")
 
 
-def _covered_sum(group, x, y, real) -> np.ndarray:
-    """The narrow digits of the group product of two digit matrices: each
-    row block of x + y is summed in one int64 work block and covered in
-    place by group.cover, with the block's rows of real, the summed real
-    column, when the group has one."""
-    digits = np.empty(x.shape, dtype=group.digit_dtype, order="F")
+def _covered_sum(group, x, y, real, digits) -> None:
+    """Write the narrow digits of the group product of two digit matrices
+    into digits, which may be x or y itself (a row block is read before
+    it is written): each row block of x + y is summed in one int64 work
+    block and covered in place by group.cover, with the block's rows of
+    real, the summed real column, when the group has one."""
     work = _work_matrix(*x.shape)
     for rows in _row_blocks(len(x)):
         lift = work[: rows.stop - rows.start]
         np.add(x[rows], y[rows], out=lift, dtype=np.int64)
         group.cover(None if real is None else real[rows], lift)
         digits[rows] = lift
-    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +278,25 @@ class Samples:
         real = None if self.real is None else self.real[lo:hi]
         return self.group.dump_columns(real, self.digits[lo:hi])
 
-    def combine(self, other: "Samples") -> "Samples":
-        if self.group != other.group or self.digits.shape != other.digits.shape:
+    def combine(self, other: "Samples", out: "Samples | None" = None) -> "Samples":
+        """The group product of the two batches, draw by draw, written into
+        out's arrays and returned as out; a new batch when out is not
+        given.  out may be self or other itself, and must be a batch of
+        the same group and shape whose means were never read, as its
+        cache would go stale."""
+        batches = (other,) if out is None else (other, out)
+        if any(self.group != b.group or self.digits.shape != b.digits.shape for b in batches):
             raise ValueError("mismatched batches: need one group and one shape")
-        real = None if self.real is None else self.real + other.real
-        return Samples(self.group, real, _covered_sum(self.group, self.digits, other.digits, real))
+        if out is None:
+            real = None if self.real is None else np.empty_like(self.real)
+            digits = np.empty(self.digits.shape, dtype=self.group.digit_dtype, order="F")
+            out = Samples(self.group, real, digits)
+        elif out._cache:
+            raise ValueError("out has cached character means: its arrays must not change")
+        if out.real is not None:
+            np.add(self.real, other.real, out=out.real)
+        _covered_sum(self.group, self.digits, other.digits, out.real, out.digits)
+        return out
 
     def char_mean(self, chi, exact: bool = True) -> complex:
         """The mean of chi over the batch, read by the group off the work
@@ -299,9 +314,11 @@ class Samples:
         return self.group.read_mean(self._cache[chi.d], chi, exact)
 
 
-def combine_samples(a, b):
-    """Group product of two equally shaped batches of one group, elementwise."""
-    return a.combine(b)
+def combine_samples(a, b, out=None):
+    """Group product of two equally shaped batches of one group,
+    elementwise; into out, which may be a or b, when given (see
+    Samples.combine)."""
+    return a.combine(b, out)
 
 
 def char_mean(batch, chi, exact: bool = True) -> complex:

@@ -168,9 +168,11 @@ def check_divisibility(
     sampler = quadruplet_sampler(scaled, depth)
 
     def draw(rng, size):
+        # each factor is carried into the first batch in place, so the
+        # product holds one batch beside the factor being drawn
         batch = sampler(rng, size)
         for _ in range(n - 1):
-            batch = combine_samples(batch, sampler(rng, size))
+            combine_samples(batch, sampler(rng, size), out=batch)
         return batch
 
     if characters is None:
@@ -220,17 +222,16 @@ _ORACLE_K_BOUND = 1000
 _ORACLE_BLOCK = 128
 
 
-def _expected_digits(p: int, depth: int, xs, ys, ks):
-    """Base-p digits of x+y, -x and k*x modulo p**(depth+1), one tuple per
-    trial in each of three lists; xs and ys hold digit rows, ks the k.
-    Each value v gives ((v mod p**(depth+1)) // p**j) mod p in int64
-    numpy, never through the carries under test."""
+def _expected_digits(p: int, depth: int, xs, ys, ks) -> np.ndarray:
+    """Base-p digits of x+y, -x and k*x modulo p**(depth+1): an int64
+    array of shape (3, trials, depth+1), x+y first; xs and ys hold
+    digit rows, ks the k.  Each value v gives ((v mod p**(depth+1)) // p**j)
+    mod p in int64 numpy, never through the carries under test."""
     modulus = p ** (depth + 1)
     powers = p ** np.arange(depth + 1, dtype=np.int64)
     xv, yv = xs @ powers, ys @ powers
     values = np.mod(np.stack([xv + yv, -xv, ks * xv]), modulus)
-    digits = values[..., None] // powers % p
-    return [list(map(tuple, block)) for block in digits.tolist()]
+    return values[..., None] // powers % p
 
 
 def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int = 15) -> bool:
@@ -239,11 +240,12 @@ def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int
     For `trials` random pairs per prime, the entrywise x+y, -x and k*x
     of the digit rows must carry, bit-exactly, to the digits of those
     values modulo p**(depth+1) through both carries the verdict runs:
-    padic_digit_matrix (every draw) and _carry (every config point).  On
-    the first block of each prime, padic_add, padic_neg and padic_mul_nat
-    must agree too, with x + (-x) = 0 and digit 0 of p*x = 0.  The
-    expected digits come from _expected_digits, exact in int64 only: a
-    prime with _ORACLE_K_BOUND * p**(depth+1) >= 2**63 raises ValueError.
+    padic_digit_matrix (every draw) and _carry_digits, the digit loop of
+    _carry (every config point).  On the first block of each prime,
+    padic_add, padic_neg and padic_mul_nat must agree too, with
+    x + (-x) = 0 and digit 0 of p*x = 0.  The expected digits come from
+    _expected_digits, exact in int64 only: a prime with
+    _ORACLE_K_BOUND * p**(depth+1) >= 2**63 raises ValueError.
     """
     for p in primes:
         groups.validate_prime(p)
@@ -266,18 +268,20 @@ def oracle_padic_arithmetic(trials: int, seed: int, primes=(2, 3, 5), depth: int
 def _oracle_block(p: int, depth: int, xb, yb, kb, scalar_law: bool) -> bool:
     """The oracle's checks on one block of trials, the scalar law's too when
     scalar_law is set; all the block builds is freed before the next one."""
-    sums, negs, mults = _expected_digits(p, depth, xb, yb, kb)
-    expected = sums + negs + mults
+    expected = _expected_digits(p, depth, xb, yb, kb).reshape(-1, depth + 1)
     # the entrywise x+y, -x and k*x through both carries the verdict runs:
     # the batched one of the samplers and the scalar one of config points
     values = np.concatenate([xb + yb, -xb, kb[:, None] * xb])
-    if list(map(tuple, groups.padic_digit_matrix(p, values).tolist())) != expected:
+    if not np.array_equal(groups.padic_digit_matrix(p, values), expected):
         return False
-    if [groups._carry(p, row).digits for row in values.tolist()] != expected:
+    rows = list(map(tuple, expected.tolist()))
+    if [groups._carry_digits(p, row) for row in values.tolist()] != rows:
         return False
     if not scalar_law:
         return True
     # the scalar law; rng.integers(0, p) digits of a checked prime need no re-check
+    n = len(xb)
+    sums, negs, mults = rows[:n], rows[n : 2 * n], rows[2 * n :]
     x = [groups.PadicInt._normalized(p, tuple(d)) for d in xb.tolist()]
     y = [groups.PadicInt._normalized(p, tuple(d)) for d in yb.tolist()]
     neg = list(map(groups.padic_neg, x))

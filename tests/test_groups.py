@@ -366,6 +366,28 @@ def test_padic_mul_nat_matches_the_integers_for_k_past_int64(p):
         assert padic_mul_nat(k, x).digits == _expansion(p, k * x.to_int(), n)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_carry_is_its_digit_loop_wrapped_in_an_element(p):
+    # _carry only wraps the tuple of _carry_digits, which the selftest
+    # oracle checks trial by trial; entries of either sign past int64
+    # included: k * digit for k near 2**62 and in 2**64..2**100
+    from widlaws.groups import _carry, _carry_digits
+
+    rng = np.random.default_rng(p + 1)
+    rows = [rng.integers(-3 * p, 3 * p, size=1 + i % 20).tolist() for i in range(200)]
+    for k in (2**62 - 7, 2**62 + 12_345, 2**64, 2**64 + 1, 2**100 - 1, 2**100):
+        digits = rng.integers(0, p, size=8).tolist()
+        rows += [[k * d for d in digits], [-k * d for d in digits]]
+    for row in rows:
+        x = _carry(p, iter(row))
+        value = sum(e * p**j for j, e in enumerate(row))
+        assert type(x) is PadicInt and x.p == p
+        assert x.digits == _carry_digits(p, iter(row)) == _expansion(p, value, len(row))
+    for carry in (_carry, _carry_digits):
+        with pytest.raises(ValueError, match="at least one digit"):
+            carry(p, [])
+
+
 def test_padic_mul_by_p_kills_leading_digit():
     rng = np.random.default_rng(7)
     for p in (2, 3, 5):

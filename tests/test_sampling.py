@@ -669,13 +669,15 @@ def test_solenoid_combine_at_p_251_is_the_group_product_row_by_row():
 _COMBINE_GROUPS = {"torus": Torus(), "padic": PadicIntegers(3), "solenoid": Solenoid(3)}
 
 
-def _haar_batch(group, n=5, depth=2):
-    """n Haar draws on the whole group, at depth on Delta_p and S_p."""
+def _haar_batch(group, n=5, depth=2, stream=0):
+    """n Haar draws on the whole group, at depth on Delta_p and S_p, from
+    RNG stream `stream` of seed 0."""
     subgroup = {
         "torus": TorusSubgroup.full(), "padic": PadicSubgroup(0), "solenoid": SolenoidSubgroup.full()
     }[group.name]
     shift = group.point_mass(depth)[1]
-    return quadruplet_sampler(Quadruplet(group, subgroup, shift, 0.0, EMPTY_LEVY), depth)(make_rng(0), n)
+    q = Quadruplet(group, subgroup, shift, 0.0, EMPTY_LEVY)
+    return quadruplet_sampler(q, depth)(make_rng(0, stream), n)
 
 
 @pytest.mark.parametrize("group", _COMBINE_GROUPS.values(), ids=_COMBINE_GROUPS.keys())
@@ -699,6 +701,44 @@ def test_circle_combine_across_row_blocks_is_the_wrapped_sum_bit_for_bit():
     both = a.combine(b)
     assert both.digits.shape == (n, 0)
     assert both.real.view(np.int64).tolist() == canonical_angle(a.real + b.real).view(np.int64).tolist()
+
+
+def _bits(batch):
+    """The real column's and the digits' bytes, with their dtypes."""
+    real = None if batch.real is None else (batch.real.dtype, batch.real.tobytes())
+    return real, batch.digits.dtype, batch.digits.tobytes()
+
+
+@pytest.mark.parametrize("group", _COMBINE_GROUPS.values(), ids=_COMBINE_GROUPS.keys())
+def test_combine_into_either_batch_is_the_new_product_bit_for_bit(group):
+    # the in-place product of check_divisibility, across two row blocks
+    n = BLOCK + 5
+    want = combine_samples(_haar_batch(group, n, stream=1), _haar_batch(group, n, stream=2))
+    for into in (0, 1):
+        a, b = _haar_batch(group, n, stream=1), _haar_batch(group, n, stream=2)
+        out = (a, b)[into]
+        assert combine_samples(a, b, out=out) is out
+        assert _bits(out) == _bits(want)
+
+
+@pytest.mark.parametrize("group", _COMBINE_GROUPS.values(), ids=_COMBINE_GROUPS.keys())
+def test_combine_refuses_an_out_of_another_group_or_shape_or_with_means_read(group):
+    a, b = _haar_batch(group, stream=1), _haar_batch(group, stream=2)
+    outs = [_haar_batch(group, n=4), _haar_batch(group, n=6)]
+    outs += [_haar_batch(g) for g in _COMBINE_GROUPS.values() if g != group]
+    if group.name != "torus":
+        outs += [_haar_batch(type(group)(5)), _haar_batch(group, depth=3)]
+    for out in outs:
+        before = _bits(out)
+        with pytest.raises(ValueError, match="mismatched"):
+            combine_samples(a, b, out=out)
+        assert _bits(out) == before
+    # a batch whose mean was read keeps that mean in its cache
+    char_mean(a, group.default_characters(2)[-1])
+    before = _bits(a)
+    with pytest.raises(ValueError, match="cached character means"):
+        combine_samples(a, b, out=a)
+    assert _bits(a) == before
 
 
 def test_shift_depth_must_cover_requested_depth():

@@ -252,16 +252,40 @@ def test_oracle_padic_arithmetic_catches_injected_bug(monkeypatch):
 
 
 def test_oracle_padic_arithmetic_catches_bug_in_the_shared_carry_routine(monkeypatch):
-    # the oracle carries every trial's rows through the private _carry that
-    # padic_from_ints, add, neg and mul_nat share; a carry that loses the
-    # last digit agrees with itself, not with the integers
-    real_carry = widlaws.groups._carry
+    # the oracle carries every trial's rows through the private
+    # _carry_digits, the digit loop of the _carry that padic_from_ints,
+    # add, neg and mul_nat share; a carry that loses the last digit agrees
+    # with itself, not with the integers
+    real_carry = widlaws.groups._carry_digits
 
     def drops_last_digit(p, entries):
-        return PadicInt(p, real_carry(p, entries).digits[:-1] + (0,))
+        return real_carry(p, entries)[:-1] + (0,)
 
-    monkeypatch.setattr(widlaws.groups, "_carry", drops_last_digit)
+    monkeypatch.setattr(widlaws.groups, "_carry_digits", drops_last_digit)
     assert not oracle_padic_arithmetic(300, seed=37)
+
+
+def test_oracle_catches_a_carry_wrapper_that_reverses_the_digits(monkeypatch):
+    # the per-trial carries go through _carry_digits and never build the
+    # element; _carry's wrapper is checked by the scalar law, which runs on
+    # the first block of each prime, through padic_add, padic_neg and
+    # padic_mul_nat
+    real_block, blocks = widlaws.verification._oracle_block, []
+
+    def reversed_digits(p, entries):
+        return PadicInt._normalized(p, widlaws.groups._carry_digits(p, entries)[::-1])
+
+    def recorded(*args):
+        blocks.append((args, real_block(*args)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(widlaws.groups, "_carry", reversed_digits)
+    monkeypatch.setattr(widlaws.verification, "_oracle_block", recorded)
+    assert not oracle_padic_arithmetic(300, seed=37)
+    [(args, ok)] = blocks
+    assert args[0] == 2 and args[-1] is True and not ok
+    # the same block passes its per-trial carries: the scalar law failed it
+    assert real_block(*args[:-1], False)
 
 
 def test_oracle_padic_arithmetic_catches_add_that_misses_zero(monkeypatch):
@@ -294,11 +318,11 @@ def test_oracle_padic_arithmetic_catches_p_multiple_with_a_leading_digit(monkeyp
 
 @pytest.mark.parametrize("block", [128, 1, 10_000])
 def test_oracle_checks_every_trial_in_blocks_of_any_size(block, monkeypatch):
-    # a _carry wrong on one row only: the entrywise x+y of the last of the
-    # selftest's 10,000 trials of p = 2.  Every block size reaches it, so no
-    # trial goes unchecked.  The per-trial carries run before the scalar
-    # law, so the row is carried once even when the first block is every
-    # trial, and no other path carries it past the first block.
+    # a _carry_digits wrong on one row only: the entrywise x+y of the last
+    # of the selftest's 10,000 trials of p = 2.  Every block size reaches
+    # it, so no trial goes unchecked.  The per-trial carries run before the
+    # scalar law, so the row is carried once even when the first block is
+    # every trial, and no other path carries it past the first block.
     rng = widlaws.verification.make_rng(0, stream=0)
     xs = rng.integers(0, 2, size=(10_000, 16))
     ys = rng.integers(0, 2, size=(10_000, 16))
@@ -306,17 +330,17 @@ def test_oracle_checks_every_trial_in_blocks_of_any_size(block, monkeypatch):
     rows = np.concatenate([xs + ys, -xs, ks[:, None] * xs]).tolist()
     target = rows[9_999]
     assert rows.count(target) == 1
-    real_carry, wrong = widlaws.groups._carry, []
+    real_carry, wrong = widlaws.groups._carry_digits, []
 
     def wrong_on_one_row(p, entries):
         entries = list(entries)
         out = real_carry(p, entries)
         if p == 2 and entries == target:
             wrong.append(entries)
-            return PadicInt(p, ((out.digits[0] + 1) % p,) + out.digits[1:])
+            return ((out[0] + 1) % p,) + out[1:]
         return out
 
-    monkeypatch.setattr(widlaws.groups, "_carry", wrong_on_one_row)
+    monkeypatch.setattr(widlaws.groups, "_carry_digits", wrong_on_one_row)
     monkeypatch.setattr(widlaws.verification, "_ORACLE_BLOCK", block)
     assert not oracle_padic_arithmetic(10_000, 0)
     assert len(wrong) == 1
@@ -359,7 +383,9 @@ def test_oracle_expected_digits_match_integer_arithmetic():
         xs = rng.integers(0, p, size=(200, depth + 1))
         ys = rng.integers(0, p, size=(200, depth + 1))
         ks = rng.integers(0, 1000, size=200)
-        sums, negs, mults = widlaws.verification._expected_digits(p, depth, xs, ys, ks)
+        expected = widlaws.verification._expected_digits(p, depth, xs, ys, ks)
+        assert expected.shape == (3, 200, depth + 1) and expected.dtype == np.int64
+        sums, negs, mults = (list(map(tuple, block)) for block in expected.tolist())
         modulus = p ** (depth + 1)
 
         def digits(v):
