@@ -21,10 +21,11 @@ import math
 import os
 import sys
 
-from .groups import PadicIntegers, Solenoid, Torus, config_int, config_real
+from .groups import STOCK_DEPTH, PadicIntegers, Solenoid, Torus, config_int, config_real
 from .measures import AtomError, LevyMeasure, Quadruplet
 from .sampling import check_digit_budget, check_jump_budget, make_rng, quadruplet_sampler
 from .verification import (
+    TOLERANCE_C,
     check_compare_inequality,
     check_compatibility,
     check_divisibility,
@@ -33,6 +34,8 @@ from .verification import (
 )
 
 SCHEMA_VERSION = 2
+# The draws of a config that names no samples, and of selftest.
+DEFAULT_SAMPLES = 100000
 # The most draws one chunk of the sample dump holds: the dump is written
 # chunk by chunk, so its text never outgrows one chunk.
 CHUNK = 1024
@@ -115,8 +118,8 @@ def parse_config(doc, characters=True):
         group = _field("p", PadicIntegers if group_name == "padic" else Solenoid, p)
     else:
         raise ConfigError("group", f"unknown group {group_name!r}")
-    depth = _as_int("depth", _get(doc, "depth", 3), 0)
-    samples = _as_int("samples", _get(doc, "samples", 100000), 1)
+    depth = _as_int("depth", _get(doc, "depth", STOCK_DEPTH), 0)
+    samples = _as_int("samples", _get(doc, "samples", DEFAULT_SAMPLES), 1)
     if group.retained is not None:
         _field("depth", check_digit_budget, depth, samples)
 
@@ -142,7 +145,7 @@ def parse_config(doc, characters=True):
 
     _field("quadruplet.eta", check_jump_budget, levy, samples)
     seed = _as_int("seed", _get(doc, "seed", 0), 0)
-    tolerance_c = _as_real("tolerance_c", _get(doc, "tolerance_c", 4.0))
+    tolerance_c = _as_real("tolerance_c", _get(doc, "tolerance_c", TOLERANCE_C))
     if not (math.isfinite(tolerance_c) and tolerance_c > 0):
         raise ConfigError("tolerance_c", f"must be finite and positive, got {tolerance_c!r}")
     chars = None
@@ -200,6 +203,16 @@ def rows_to_csv(report) -> str:
     return buf.getvalue()
 
 
+def _write(path, option, chunks):
+    """Write the text chunks to path; an OSError, such as a missing
+    directory, becomes a ConfigError naming the path's option."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(option, str(exc)) from exc
+
+
 def _emit(chunks, out_path) -> bool:
     """Write the text chunks to out_path, or to stdout when it is None.
 
@@ -208,8 +221,7 @@ def _emit(chunks, out_path) -> bool:
     interpreter exit cannot fail again.
     """
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        _write(out_path, "--out", chunks)
         return True
     try:
         sys.stdout.writelines(chunks)
@@ -225,11 +237,11 @@ def _emit(chunks, out_path) -> bool:
 def _emit_report(report, out_path, csv_path):
     _emit([json.dumps(report_to_document(report), indent=2, sort_keys=True) + "\n"], out_path)
     if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(rows_to_csv(report))
+        _write(csv_path, "--csv", [rows_to_csv(report)])
 
 
-def _summary(name, report):
+def _summary(name, report) -> int:
+    """Print the report's summary line to stderr; returns the exit code."""
     npass = sum(r.passed for r in report.rows)
     print(
         f"{name}: {npass}/{len(report.rows)} rows pass; "
@@ -237,6 +249,7 @@ def _summary(name, report):
         f"wall={report.wall_time:.2f}s",
         file=sys.stderr,
     )
+    return 0 if report.overall_pass else 1
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +266,19 @@ def _override(doc, args, *fields):
     return doc
 
 
-def cmd_verify(args) -> int:
-    doc = _override(load_config(args.config), args, "samples", "seed", "depth", "tolerance_c")
+def _run_config(doc, args, *fields):
+    """The body of verify and haar-demo: override the doc's given fields
+    from args, parse it, run its suite and emit the report, returned."""
+    doc = _override(doc, args, *fields)
     quad, depth, characters, samples, seed, tolerance_c = parse_config(doc)
     report = run_suite(quad, characters, samples, seed, tolerance_c, depth=depth)
     _emit_report(report, args.out, args.csv)
-    _summary("verify", report)
-    return 0 if report.overall_pass else 1
+    return report
+
+
+def cmd_verify(args) -> int:
+    report = _run_config(load_config(args.config), args, "samples", "seed", "depth", "tolerance_c")
+    return _summary("verify", report)
 
 
 def _each_once(columns, convert) -> list:
@@ -308,11 +327,9 @@ def cmd_haar_demo(args) -> int:
     else:
         haar = {"H": {"kind": "full"}, "a": {"base": 0.0, "digits": []}}
     doc = {"group": args.group, "quadruplet": haar}
-    doc = _override(doc, args, "p", "depth", "samples", "seed", "tolerance_c")
-    quad, depth, characters, samples, seed, tolerance_c = parse_config(doc)
-    report = run_suite(quad, characters, samples, seed, tolerance_c, depth=depth)
-    _emit_report(report, args.out, args.csv)
-    print(f"Haar construction on {args.group} (p={args.p}, depth={args.depth}):", file=sys.stderr)
+    report = _run_config(doc, args, "p", "depth", "samples", "seed", "tolerance_c")
+    depth = report.config["depth"]
+    print(f"Haar construction on {args.group} (p={args.p}, depth={depth}):", file=sys.stderr)
     print(f"{'character':>12} {'|empirical|':>12} {'abs_err':>10} {'tol':>8} pass", file=sys.stderr)
     for r in report.rows:
         print(
@@ -320,8 +337,7 @@ def cmd_haar_demo(args) -> int:
             f"{r.tolerance:>8.5f} {'yes' if r.passed else 'NO'}",
             file=sys.stderr,
         )
-    _summary("haar-demo", report)
-    return 0 if report.overall_pass else 1
+    return _summary("haar-demo", report)
 
 
 # selftest's fixture laws as configs: two for the compatibility check,
@@ -428,17 +444,17 @@ def build_parser() -> argparse.ArgumentParser:
     haar = sub.add_parser("haar-demo", help="verify the Haar construction")
     haar.add_argument("--group", choices=["padic", "solenoid"], required=True)
     haar.add_argument("--p", type=int, required=True)
-    haar.add_argument("--depth", type=int, default=3)
-    haar.add_argument("--samples", type=int, default=100000)
-    haar.add_argument("--seed", type=int, default=0)
-    haar.add_argument("--tolerance-c", dest="tolerance_c", type=float, default=4.0)
+    haar.add_argument("--depth", type=int)
+    haar.add_argument("--samples", type=int)
+    haar.add_argument("--seed", type=int)
+    haar.add_argument("--tolerance-c", dest="tolerance_c", type=float)
     haar.add_argument("--out", help="write the JSON report here instead of stdout")
     haar.add_argument("--csv", help="also write the row table as CSV")
     haar.set_defaults(func=cmd_haar_demo)
 
     selftest = sub.add_parser("selftest", help="run the built-in fixture checks")
     selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument("--samples", type=int, default=100000)
+    selftest.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     selftest.add_argument("--out", help="write the JSON summary here instead of stdout")
     selftest.set_defaults(func=cmd_selftest)
     return parser

@@ -442,10 +442,10 @@ def solenoid_project(x: SolenoidPoint, d: int) -> TorusPoint:
     return TorusPoint(x.coordinate_angle(d))
 
 
-def solenoid_lift_matrix(p, y0, ints, out=None):
+def solenoid_lift_matrix(p, y0, ints):
     """Batch form of the rows (y0, k0, k1, ...) of R x Z^depth under the
-    covering map: y0 shape (n,), ints shape (n, depth).  The digits go
-    to out when given, as in padic_digit_matrix.
+    covering map: y0 shape (n,), ints an int64 matrix of shape (n, depth),
+    into which the digits are carried in place.
 
     Coordinate j of a row is (y0 + 2pi*(k0 + k1*p + ... + k(j-1)*p**(j-1)))
     / p**j.  The row is stored as S_p = (R x Delta_p)/Z stores it: the
@@ -457,7 +457,7 @@ def solenoid_lift_matrix(p, y0, ints, out=None):
     y0 = np.asarray(y0, dtype=float)
     base = canonical_angle(y0)
     turns = np.rint((y0 - base) / TWO_PI).astype(np.int64)
-    return base, padic_digit_matrix(p, ints, turns, out)
+    return base, padic_digit_matrix(p, ints, turns, ints)
 
 
 def solenoid_tower(p: int, base, digits):
@@ -1171,7 +1171,7 @@ class Solenoid(_PrimeGroup, _CircleTower):
         return pushforward_solenoid(eta, depth)
 
     def cover(self, real, digits):
-        real[...], _ = solenoid_lift_matrix(self.p, real, digits, digits)
+        real[...], _ = solenoid_lift_matrix(self.p, real, digits)
 
     def coordinate(self, real, digits, d):
         return solenoid_coordinate(self.p, real, digits, d)

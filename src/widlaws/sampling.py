@@ -56,14 +56,14 @@ block's real column.
 quadruplet_sampler returns the covered arrays as one batch type for
 every group, Samples(group, real, digits): the real column (None on
 the p-adic integers) and the narrow digit matrix (no columns on the
-circle).  Its combine adds the real columns and carries the digit sum
-block by block in the same way, into the arrays of one of the two
-batches when asked (a product of many factors then holds one batch
-beside the factor), and columns(lo, hi) hands the group's
-dump columns of draws lo..hi-1, computed on that slice only, so the
-dump can be written in chunks without a per-draw form of the whole
-batch.  Batch digits are stored narrow: cast them before any
-arithmetic, as the product, the residues and the tower sweep do.
+circle).  combine_samples(a, b) adds b's real column into a's and
+carries the digit sum into a's digits block by block in the same way,
+so a product of many factors holds one batch beside the factor; a
+batch's columns(lo, hi) hands the group's dump columns of draws
+lo..hi-1, computed on that slice only, so the dump can be written in
+chunks without a per-draw form of the whole batch.  Batch digits are
+stored narrow: cast them before any arithmetic, as the product, the
+residues and the tower sweep do.
 
 A batch is read by many characters (one verification suite draws one
 batch), so it keeps the per-depth work of its character means in a
@@ -74,8 +74,8 @@ group builds that work and reads each mean off it (groups._Group's
 mean_work and read_mean): the residues of x mod p**(d+1) with their
 counts on the p-adic integers, the angle column of coordinate d with
 its cached power means on the circle and the solenoid.  The cache never
-changes a result, so batches behave as immutable values; their arrays
-must not be written to after the first mean.
+changes a result, but it would go stale if a batch's arrays changed, so
+combine_samples refuses a batch whose means were read.
 """
 
 from __future__ import annotations
@@ -230,22 +230,8 @@ def _work_matrix(n: int, width: int) -> np.ndarray:
     return np.empty((min(n, BLOCK), width), dtype=np.int64, order="F")
 
 
-def _covered_sum(group, x, y, real, digits) -> None:
-    """Write the narrow digits of the group product of two digit matrices
-    into digits, which may be x or y itself (a row block is read before
-    it is written): each row block of x + y is summed in one int64 work
-    block and covered in place by group.cover, with the block's rows of
-    real, the summed real column, when the group has one."""
-    work = _work_matrix(*x.shape)
-    for rows in _row_blocks(len(x)):
-        lift = work[: rows.stop - rows.start]
-        np.add(x[rows], y[rows], out=lift, dtype=np.int64)
-        group.cover(None if real is None else real[rows], lift)
-        digits[rows] = lift
-
-
 # ---------------------------------------------------------------------------
-# the batch: combine, char_mean, and the sample dump's columns(lo, hi)
+# the batch, its product and its character means
 
 @dataclass(frozen=True, eq=False)
 class Samples:
@@ -278,57 +264,44 @@ class Samples:
         real = None if self.real is None else self.real[lo:hi]
         return self.group.dump_columns(real, self.digits[lo:hi])
 
-    def combine(self, other: "Samples", out: "Samples | None" = None) -> "Samples":
-        """The group product of the two batches, draw by draw, written into
-        out's arrays and returned as out; a new batch when out is not
-        given.  out may be self or other itself, and must be a batch of
-        the same group and shape whose means were never read, as its
-        cache would go stale."""
-        batches = (other,) if out is None else (other, out)
-        if any(self.group != b.group or self.digits.shape != b.digits.shape for b in batches):
-            raise ValueError("mismatched batches: need one group and one shape")
-        if out is None:
-            real = None if self.real is None else np.empty_like(self.real)
-            digits = np.empty(self.digits.shape, dtype=self.group.digit_dtype, order="F")
-            out = Samples(self.group, real, digits)
-        elif out._cache:
-            raise ValueError("out has cached character means: its arrays must not change")
-        if out.real is not None:
-            np.add(self.real, other.real, out=out.real)
-        _covered_sum(self.group, self.digits, other.digits, out.real, out.digits)
-        return out
 
-    def char_mean(self, chi, exact: bool = True) -> complex:
-        """The mean of chi over the batch, read by the group off the work
-        of chi's depth, which the batch keeps until another depth is read
-        (see the module docstring).  An empty batch has no mean and
-        raises ValueError."""
-        if not isinstance(chi, self.group.character_type):
-            raise TypeError("character/batch mismatch")
-        if not len(self):
-            raise ValueError("an empty batch has no character mean")
-        if chi.d not in self._cache:
-            # the old depth's work is freed before the new one is built
-            self._cache.clear()
-            self._cache[chi.d] = self.group.mean_work(self.real, self.digits, chi.d)
-        return self.group.read_mean(self._cache[chi.d], chi, exact)
+def combine_samples(a: Samples, b: Samples) -> Samples:
+    """The group product of two batches of one group and shape, draw by
+    draw, carried into a's arrays in place; returns a.  Each row block of
+    the digit sum is covered in one int64 work block by group.cover, with
+    the block's rows of the summed real column.  A batch a whose means
+    were read is refused, as its cache would go stale."""
+    if a.group != b.group or a.digits.shape != b.digits.shape:
+        raise ValueError("mismatched batches: need one group and one shape")
+    if a._cache:
+        raise ValueError("a has cached character means: its arrays must not change")
+    if a.real is not None:
+        np.add(a.real, b.real, out=a.real)
+    work = _work_matrix(*a.digits.shape)
+    for rows in _row_blocks(len(a)):
+        lift = work[: rows.stop - rows.start]
+        np.add(a.digits[rows], b.digits[rows], out=lift, dtype=np.int64)
+        a.group.cover(None if a.real is None else a.real[rows], lift)
+        a.digits[rows] = lift
+    return a
 
 
-def combine_samples(a, b, out=None):
-    """Group product of two equally shaped batches of one group,
-    elementwise; into out, which may be a or b, when given (see
-    Samples.combine)."""
-    return a.combine(b, out)
-
-
-def char_mean(batch, chi, exact: bool = True) -> complex:
-    """Mean of the character over the batch — the empirical CF.
-
-    exact=False lets a circle or solenoid batch read the mean off its
-    cached powers (see the descriptor's read_mean); the default keeps
-    the direct evaluation.
-    """
-    return batch.char_mean(chi, exact)
+def char_mean(batch: Samples, chi, exact: bool = True) -> complex:
+    """Mean of the character over the batch — the empirical CF — read by
+    the group off the work of chi's depth, which the batch keeps until
+    another depth is read (see the module docstring).  exact=False lets
+    a circle or solenoid batch read the mean off its cached powers (see
+    the descriptor's read_mean); the default keeps the direct
+    evaluation.  An empty batch has no mean and raises ValueError."""
+    if not isinstance(chi, batch.group.character_type):
+        raise TypeError("character/batch mismatch")
+    if not len(batch):
+        raise ValueError("an empty batch has no character mean")
+    if chi.d not in batch._cache:
+        # the old depth's work is freed before the new one is built
+        batch._cache.clear()
+        batch._cache[chi.d] = batch.group.mean_work(batch.real, batch.digits, chi.d)
+    return batch.group.read_mean(batch._cache[chi.d], chi, exact)
 
 
 def quadruplet_sampler(q: Quadruplet, depth: int | None = None):

@@ -22,10 +22,9 @@ union bound, which needs no independence.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,10 @@ from . import groups
 from .groups import canonical_angle
 from .measures import Quadruplet, ft_quadruplet
 from .sampling import char_mean, combine_samples, make_rng, quadruplet_sampler
+
+
+# The c of a row's bound c/sqrt(N) when the config names none.
+TOLERANCE_C = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -52,27 +55,29 @@ class ComparisonRow:
     passed: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     config: dict
-    rows: list = field(default_factory=list)
-    overall_pass: bool = True
-    wall_time: float = 0.0
+    rows: list
+    overall_pass: bool
+    wall_time: float
 
 
-def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, **config):
+def _compare(q: Quadruplet, runs, samples: int, seed: int, tolerance_c: float, **config):
     """The comparison engine behind every report.
 
-    rows is a list of (label, character, draw) triples, where
-    draw(rng, samples) returns a batch.  Each run of consecutive rows
-    with the same draw reads one batch; the k-th run draws it from RNG
-    stream k of the seed.  A row passes when its empirical character
-    mean lies within tolerance_c / sqrt(samples) of the closed form of
-    q.  config holds the caller's extra report keys.  An empty rows list
-    raises ValueError: a verdict over no rows would pass vacuously.
+    runs holds one (draw, characters, label_suffix) per batch: run k
+    draws its batch as draw(rng, samples) from RNG stream k of the seed,
+    and its characters read it in (d, ell) order, so that the batch's
+    mean cache works each depth once.  The row chi.label + label_suffix
+    passes when chi's empirical mean lies within tolerance_c /
+    sqrt(samples) of the closed form of q.  config holds the caller's
+    extra report keys.  A run with no characters raises ValueError: a
+    verdict over no rows would pass vacuously.
     """
     start = time.perf_counter()
-    if not rows:
+    runs = [(draw, sorted(chars, key=_char_key), suffix) for draw, chars, suffix in runs]
+    if not all(chars for _, chars, _ in runs):
         raise ValueError("no rows: a verdict over no rows would pass vacuously")
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -82,11 +87,10 @@ def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, *
     config.update(
         quadruplet=q.group.describe(q), samples=samples, seed=seed, tolerance_c=tolerance_c
     )
-    report = VerificationReport(config=config)
-    runs = itertools.groupby(rows, key=lambda row: row[2])
-    for stream, (draw, run) in enumerate(runs):
+    rows = []
+    for stream, (draw, chars, suffix) in enumerate(runs):
         batch = draw(make_rng(seed, stream=stream), samples)
-        for label, chi, _ in run:
+        for chi in chars:
             theory = ft_quadruplet(q, chi)
             # |theory| = 1: the character is constant on the law's draws
             # (a point mass, or a Haar layer it annihilates), so the row
@@ -94,12 +98,11 @@ def _compare(q: Quadruplet, rows, samples: int, seed: int, tolerance_c: float, *
             exact = abs(abs(theory) - 1.0) <= 1e-12
             empirical = char_mean(batch, chi, exact)
             err = abs(theory - empirical)
-            report.rows.append(ComparisonRow(label, theory, empirical, err, tol, err <= tol))
+            rows.append(ComparisonRow(chi.label + suffix, theory, empirical, err, tol, err <= tol))
         # the next run's batch is drawn without this one beside it
         del batch
-    report.overall_pass = all(r.passed for r in report.rows)
-    report.wall_time = time.perf_counter() - start
-    return report
+    passed = all(r.passed for r in rows)
+    return VerificationReport(config, rows, passed, time.perf_counter() - start)
 
 
 def run_suite(
@@ -107,7 +110,7 @@ def run_suite(
     characters,
     samples: int,
     seed: int,
-    tolerance_c: float = 4.0,
+    tolerance_c: float = TOLERANCE_C,
     depth: int | None = None,
 ) -> VerificationReport:
     """Empirical-vs-closed-form comparison, one row per character.
@@ -115,12 +118,11 @@ def run_suite(
     Every row reads one batch of `samples` draws from RNG stream 0 and
     is accepted when |theory - empirical| <= tolerance_c / sqrt(samples).
     """
-    sampler = quadruplet_sampler(q, depth)
-    rows = [(chi.label, chi, sampler) for chi in sorted(characters, key=_char_key)]
+    runs = [(quadruplet_sampler(q, depth), characters, "")]
     if depth is None:
         depth = q.shift.depth
     extra = {} if depth is None else {"depth": depth}
-    return _compare(q, rows, samples, seed, tolerance_c, **extra)
+    return _compare(q, runs, samples, seed, tolerance_c, **extra)
 
 
 def check_compatibility(q: Quadruplet, n: int, samples: int, seed: int) -> VerificationReport:
@@ -129,18 +131,15 @@ def check_compatibility(q: Quadruplet, n: int, samples: int, seed: int) -> Verif
     One batch per depth (streams 0 and 1) is compared, at every stock
     character of depth <= n-1, against the shared closed form; the
     deeper batch must reproduce the shallower marginals, with
-    tolerance_c = 4.
+    tolerance_c = TOLERANCE_C.
     """
     if q.group.retained is None:
         raise ValueError("compatibility check applies to the p-adic and solenoid samplers")
     if n < 1:
         raise ValueError("n must be >= 1")
-    chars = sorted(q.group.default_characters(n - 1), key=_char_key)
-    rows = []
-    for d in (n, n + 1):
-        sampler = quadruplet_sampler(q, depth=d)
-        rows += [(f"{chi.label} @depth={d}", chi, sampler) for chi in chars]
-    return _compare(q, rows, samples, seed, 4.0, check="compatibility", n=n)
+    chars = q.group.default_characters(n - 1)
+    runs = [(quadruplet_sampler(q, depth=d), chars, f" @depth={d}") for d in (n, n + 1)]
+    return _compare(q, runs, samples, seed, TOLERANCE_C, check="compatibility", n=n)
 
 
 def check_divisibility(
@@ -156,7 +155,7 @@ def check_divisibility(
     Draws n independent batches with parameters (b/n, eta/n) in turn
     from RNG stream 0, multiplies them in the group, and compares the
     empirical CF of the product against the unscaled closed form, with
-    tolerance_c = 4.
+    tolerance_c = TOLERANCE_C.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -172,13 +171,13 @@ def check_divisibility(
         # product holds one batch beside the factor being drawn
         batch = sampler(rng, size)
         for _ in range(n - 1):
-            combine_samples(batch, sampler(rng, size), out=batch)
+            combine_samples(batch, sampler(rng, size))
         return batch
 
     if characters is None:
         characters = q.group.default_characters(depth)
-    rows = [(chi.label, chi, draw) for chi in sorted(characters, key=_char_key)]
-    return _compare(q, rows, samples, seed, 4.0, check="divisibility", n=n)
+    runs = [(draw, characters, "")]
+    return _compare(q, runs, samples, seed, TOLERANCE_C, check="divisibility", n=n)
 
 
 # The points of check_compare_inequality's grid, per character.

@@ -8,9 +8,10 @@ import sys
 
 import numpy as np
 
-from widlaws.cli import main, parse_config
-from widlaws.groups import canonical_angle
+from widlaws.cli import DEFAULT_SAMPLES, main, parse_config
+from widlaws.groups import STOCK_DEPTH, canonical_angle
 from widlaws.sampling import make_rng, quadruplet_sampler
+from widlaws.verification import TOLERANCE_C
 
 TORUS_CFG = {
     "group": "torus",
@@ -57,6 +58,13 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_a_config_naming_no_depth_samples_seed_or_tolerance_takes_the_defaults():
+    doc = {"group": "padic", "p": 3, "quadruplet": {"H": {"kind": "lambda", "r": 0}, "a": [0]}}
+    _, depth, _, samples, seed, tolerance_c = parse_config(doc)
+    assert (depth, samples, seed, tolerance_c) == (STOCK_DEPTH, DEFAULT_SAMPLES, 0, TOLERANCE_C)
+    assert (STOCK_DEPTH, DEFAULT_SAMPLES, TOLERANCE_C) == (3, 100_000, 4.0)
 
 
 def test_verify_passes_and_writes_versioned_report(tmp_path, capsys):
@@ -170,6 +178,18 @@ def test_haar_demo_padic(tmp_path):
     for row in doc["rows"]:
         theory = complex(row["re_theory"], row["im_theory"])
         assert theory in (0, 1)
+
+
+def test_haar_demo_takes_depth_seed_and_tolerance_from_the_config_defaults(tmp_path, capsys):
+    # haar-demo's options default to nothing, so parse_config supplies the
+    # defaults and the stderr header names the parsed depth
+    for extra, depth in (([], STOCK_DEPTH), (["--depth", "2"], 2)):
+        out = tmp_path / "haar.json"
+        argv = ["haar-demo", "--group", "solenoid", "--p", "3", "--samples", "2000", *extra]
+        assert main([*argv, "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["depth"], config["seed"], config["tolerance_c"]) == (depth, 0, TOLERANCE_C)
+        assert f"Haar construction on solenoid (p=3, depth={depth}):" in capsys.readouterr().err
 
 
 def test_selftest_small_run(tmp_path):

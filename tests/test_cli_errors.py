@@ -655,3 +655,25 @@ def test_exact_solenoid_point_at_depth_0_verifies(tmp_path):
     cfg = tmp_path / "depth0.json"
     cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg), "--samples", "2000"]) == 0
+
+
+_UNWRITABLE = {
+    "verify-out": (["verify", "--config", "{config}", "--samples", "200"], "--out"),
+    "verify-csv": (["verify", "--config", "{config}", "--samples", "200", "--out", "{ok}"], "--csv"),
+    "sample-out": (["sample", "--config", "{config}", "--count", "10"], "--out"),
+    "haar-demo-csv": (["haar-demo", "--group", "padic", "--p", "3", "--samples", "200"], "--csv"),
+    "selftest-out": (["selftest", "--samples", "300"], "--out"),
+}
+
+
+@pytest.mark.parametrize("argv,option", _UNWRITABLE.values(), ids=_UNWRITABLE.keys())
+def test_an_unwritable_output_path_is_a_config_error_naming_its_option(argv, option, tmp_path, capsys):
+    # exit 1 means a verification failed; a path in a missing directory
+    # is a usage error, named like an unreadable config file
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"group": "torus", "quadruplet": {"H": {"kind": "trivial"}, "a": 0.0}}))
+    fields = {"config": str(config), "ok": str(tmp_path / "ok.json")}
+    argv = [arg.format(**fields) for arg in argv] + [option, str(tmp_path / "missing" / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: field '{option}'" in err and "Traceback" not in err

@@ -599,8 +599,11 @@ def test_sampled_digit_matrices_are_column_major():
         q = Quadruplet(PadicIntegers(p), PadicSubgroup(zero_digits), zero, 0.0, levy)
         digits = quadruplet_sampler(q, depth)(make_rng(5), n).digits
         assert digits.shape == (n, depth + 1) and digits.flags.f_contiguous
-    ints = np.arange(n * depth, dtype=np.int64).reshape(n, depth)  # C order in
+    # the lift is carried in place, so the sampler's column-major work
+    # block stays column-major
+    ints = np.asfortranarray(np.arange(n * depth, dtype=np.int64).reshape(n, depth))
     _, digits = solenoid_lift_matrix(p, np.linspace(-9.0, 9.0, n), ints)
+    assert digits is ints
     assert digits.shape == (n, depth) and digits.flags.f_contiguous
     sol_eta = LevyMeasure(((SolenoidPoint(p, depth, 0.9), 0.5),))
     shift = SolenoidPoint(p, depth, 0.3)
@@ -728,7 +731,8 @@ def test_deep_solenoid_batch_coordinates_match_exact_rationals(p, depth, data):
     ints = data.draw(
         st.lists(st.lists(entry, min_size=depth, max_size=depth), min_size=rows, max_size=rows)
     )
-    base, digits = solenoid_lift_matrix(p, y0, ints)
+    # the lift is carried in place, into a copy of the reference rows
+    base, digits = solenoid_lift_matrix(p, y0, np.array(ints, dtype=np.int64))
     assert np.all((base >= -math.pi) & (base < math.pi))
     assert digits.shape == (rows, depth) and np.all((digits >= 0) & (digits < p))
     batch = Samples(Solenoid(p), base, digits)

@@ -41,3 +41,12 @@ def test_every_traced_boundary_resolves():
 )
 def test_names_the_workloads_import_resolve(module_name, name):
     assert callable(getattr(importlib.import_module(module_name), name))
+
+
+@pytest.mark.parametrize("name", ["char_mean", "combine_samples", "quadruplet_sampler"])
+def test_the_engine_binds_the_traced_sampling_functions_themselves(name):
+    # the tracer rebinds each function wherever its object is bound, so the
+    # engine's names must be the sampling module's objects, not forwarders
+    verification = importlib.import_module("widlaws.verification")
+    sampling = importlib.import_module("widlaws.sampling")
+    assert getattr(verification, name) is getattr(sampling, name)

@@ -18,7 +18,7 @@ import pytest
 from widlaws import cli
 from widlaws.cli import CHUNK, load_config, main, parse_config
 from widlaws.groups import PadicIntegers, Solenoid, SolenoidCharacter, solenoid_tower
-from widlaws.sampling import make_rng, quadruplet_sampler
+from widlaws.sampling import char_mean, combine_samples, make_rng, quadruplet_sampler
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 COUNT = 2 * CHUNK + 3
@@ -108,13 +108,13 @@ def test_deep_solenoid_batch_samples_combines_and_dumps(tmp_path, capsys):
     }
     quad = parse_config(doc)[0]
     sampler = quadruplet_sampler(quad, depth=depth)
-    batch = sampler(make_rng(7, 0), 4000).combine(sampler(make_rng(7, 1), 4000))
+    batch = combine_samples(sampler(make_rng(7, 0), 4000), sampler(make_rng(7, 1), 4000))
     assert batch.digits.shape == (4000, depth)
     # the product of two Gauss(0.3) draws is Gauss(0.6): coordinate d has
     # variance 0.6 / p**(2d)
     for d, ell in ((0, 1), (1, 2), (depth, 1)):
         want = math.exp(-0.6 * ell**2 / p ** (2 * d) / 2)
-        got = batch.char_mean(SolenoidCharacter(d, ell))
+        got = char_mean(batch, SolenoidCharacter(d, ell))
         assert abs(got - want) <= 4 / math.sqrt(4000), (d, ell)
     config = tmp_path / "deep.json"
     config.write_text(json.dumps(doc))

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 import widlaws.sampling
+import widlaws.verification
 from widlaws import (
     EMPTY_LEVY,
     LatticeMeasure,
@@ -645,7 +646,8 @@ def test_combine_at_p_251_carries_digit_sums_past_the_narrow_dtype():
     # span two row blocks
     p, depth, n = 251, 3, BLOCK + 5
     a, b = (_padic_haar(make_rng(seed), p, depth, size=n) for seed in (32, 33))
-    both = _padic_batch(p, a).combine(_padic_batch(p, b))
+    # the product is carried into the first batch: a copy, as a is read below
+    both = combine_samples(_padic_batch(p, a.copy(order="F")), _padic_batch(p, b))
     assert both.digits.dtype == np.uint8 and (a.astype(int) + b).max() > 255
     pairs = zip(a.tolist(), b.tolist())
     want = [padic_add(PadicInt(p, x), PadicInt(p, y)).digits for x, y in pairs]
@@ -655,7 +657,7 @@ def test_combine_at_p_251_carries_digit_sums_past_the_narrow_dtype():
 def test_solenoid_combine_at_p_251_is_the_group_product_row_by_row():
     p, depth, n = 251, 2, BLOCK + 5
     x, y = (_solenoid_haar_batch(make_rng(seed), p, depth, n) for seed in (34, 35))
-    both = x.combine(y)
+    both = combine_samples(_copy(x), y)
     assert both.digits.dtype == np.uint8 and (x.digits.astype(int) + y.digits).max() > 255
 
     def point(batch, i):
@@ -667,6 +669,12 @@ def test_solenoid_combine_at_p_251_is_the_group_product_row_by_row():
 
 
 _COMBINE_GROUPS = {"torus": Torus(), "padic": PadicIntegers(3), "solenoid": Solenoid(3)}
+
+
+def _copy(batch):
+    """A batch of the same group holding copies of batch's arrays."""
+    real = None if batch.real is None else batch.real.copy()
+    return Samples(batch.group, real, batch.digits.copy(order="F"))
 
 
 def _haar_batch(group, n=5, depth=2, stream=0):
@@ -698,7 +706,7 @@ def test_combine_samples_refuses_another_size_group_p_or_depth(group):
 def test_circle_combine_across_row_blocks_is_the_wrapped_sum_bit_for_bit():
     n = BLOCK + 5
     a, b = _haar_batch(Torus(), n), _haar_batch(Torus(), n)
-    both = a.combine(b)
+    both = combine_samples(_copy(a), b)
     assert both.digits.shape == (n, 0)
     assert both.real.view(np.int64).tolist() == canonical_angle(a.real + b.real).view(np.int64).tolist()
 
@@ -709,36 +717,46 @@ def _bits(batch):
     return real, batch.digits.dtype, batch.digits.tobytes()
 
 
+def _whole_cover_bits(a, b):
+    """The bits of the product of copies of a and b, covered as one block
+    of the summed lift, without combine_samples's row blocks."""
+    real = None if a.real is None else a.real + b.real
+    lift = a.digits.astype(np.int64) + b.digits
+    a.group.cover(real, lift)
+    return _bits(Samples(a.group, real, lift.astype(a.group.digit_dtype)))
+
+
 @pytest.mark.parametrize("group", _COMBINE_GROUPS.values(), ids=_COMBINE_GROUPS.keys())
-def test_combine_into_either_batch_is_the_new_product_bit_for_bit(group):
+def test_combine_into_the_first_batch_is_the_product_of_copies_bit_for_bit(group):
     # the in-place product of check_divisibility, across two row blocks
     n = BLOCK + 5
-    want = combine_samples(_haar_batch(group, n, stream=1), _haar_batch(group, n, stream=2))
-    for into in (0, 1):
-        a, b = _haar_batch(group, n, stream=1), _haar_batch(group, n, stream=2)
-        out = (a, b)[into]
-        assert combine_samples(a, b, out=out) is out
-        assert _bits(out) == _bits(want)
+    a, b = _haar_batch(group, n, stream=1), _haar_batch(group, n, stream=2)
+    want, b_before = _whole_cover_bits(a, b), _bits(b)
+    assert combine_samples(a, b) is a
+    assert _bits(a) == want
+    assert _bits(b) == b_before
 
 
 @pytest.mark.parametrize("group", _COMBINE_GROUPS.values(), ids=_COMBINE_GROUPS.keys())
-def test_combine_refuses_an_out_of_another_group_or_shape_or_with_means_read(group):
+def test_combine_refuses_a_batch_of_another_group_or_shape_or_with_means_read(group):
+    # a refusal writes nothing into either batch
     a, b = _haar_batch(group, stream=1), _haar_batch(group, stream=2)
-    outs = [_haar_batch(group, n=4), _haar_batch(group, n=6)]
-    outs += [_haar_batch(g) for g in _COMBINE_GROUPS.values() if g != group]
+    others = [_haar_batch(group, n=4), _haar_batch(group, n=6)]
+    others += [_haar_batch(g) for g in _COMBINE_GROUPS.values() if g != group]
     if group.name != "torus":
-        outs += [_haar_batch(type(group)(5)), _haar_batch(group, depth=3)]
-    for out in outs:
-        before = _bits(out)
-        with pytest.raises(ValueError, match="mismatched"):
-            combine_samples(a, b, out=out)
-        assert _bits(out) == before
+        others += [_haar_batch(type(group)(5)), _haar_batch(group, depth=3)]
+    for other in others:
+        for x, y in ((a, other), (other, b)):
+            before = _bits(x), _bits(y)
+            with pytest.raises(ValueError, match="mismatched"):
+                combine_samples(x, y)
+            assert (_bits(x), _bits(y)) == before
     # a batch whose mean was read keeps that mean in its cache
     char_mean(a, group.default_characters(2)[-1])
-    before = _bits(a)
+    before = _bits(a), _bits(b)
     with pytest.raises(ValueError, match="cached character means"):
-        combine_samples(a, b, out=a)
-    assert _bits(a) == before
+        combine_samples(a, b)
+    assert (_bits(a), _bits(b)) == before
 
 
 def test_shift_depth_must_cover_requested_depth():
@@ -1043,7 +1061,7 @@ def test_exact_rows_and_large_frequencies_take_the_direct_path_bit_for_bit():
                 chi = _character(kind, d, ell)
                 assert char_mean(batch, chi, exact=True) == _direct(column, ell)
                 assert char_mean(batch, chi) == _direct(column, ell)
-                assert batch.char_mean(chi) == _direct(column, ell)
+                assert widlaws.verification.char_mean(batch, chi, True) == _direct(column, ell)
 
 
 def test_power_path_mean_does_not_depend_on_which_row_asked_first():

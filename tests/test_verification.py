@@ -200,6 +200,7 @@ def test_every_check_rejects_zero_samples():
 
 _NO_ROWS = {
     "run_suite": lambda q: run_suite(q, [], 100, seed=0),
+    "run_suite_of_an_empty_iterator": lambda q: run_suite(q, iter([]), 100, seed=0),
     "check_divisibility": lambda q: check_divisibility(q, 2, 100, seed=0, characters=[]),
 }
 
@@ -209,6 +210,54 @@ def test_a_verdict_over_no_characters_is_refused(check):
     # each passed with no rows: a vacuous verdict
     with pytest.raises(ValueError, match="no rows"):
         check(trivial_quadruplet(Torus()))
+
+
+def test_run_suite_reports_characters_given_in_reverse_in_depth_then_frequency_order():
+    q = trivial_quadruplet(PadicIntegers(3), depth=3)
+    chars = q.group.default_characters(3)
+    report = run_suite(q, reversed(chars), 200, seed=3)
+    want = sorted(chars, key=lambda chi: (chi.d, chi.ell))
+    assert [r.label for r in report.rows] == [chi.label for chi in want]
+    assert report.rows == run_suite(q, chars, 200, seed=3).rows
+
+
+def _count_mean_work(monkeypatch, group_type):
+    """The depths of every mean_work call on group_type, in call order."""
+    depths, real_mean_work = [], group_type.mean_work
+
+    def mean_work(self, real, digits, d):
+        depths.append(d)
+        return real_mean_work(self, real, digits, d)
+
+    monkeypatch.setattr(group_type, "mean_work", mean_work)
+    return depths
+
+
+@pytest.mark.parametrize("group", [PadicIntegers(2), Solenoid(3)], ids=["padic", "solenoid"])
+def test_each_run_works_each_depth_of_its_batch_once(group, monkeypatch):
+    # the characters come shuffled across depths; the engine sorts each
+    # run, so the batch's one-depth mean cache builds every depth once
+    depths = _count_mean_work(monkeypatch, type(group))
+    q = trivial_quadruplet(group, depth=4)
+    chars = group.default_characters(3)
+    shuffled = chars[1::2] + chars[::2]
+    assert len(run_suite(q, shuffled, 200, seed=5).rows) == len(chars)
+    assert depths == [0, 1, 2, 3]
+    depths.clear()
+    check_compatibility(q, 3, 200, seed=5)
+    assert depths == [0, 1, 2] * 2
+    depths.clear()
+    check_divisibility(q, 2, 200, seed=5, characters=shuffled)
+    assert depths == [0, 1, 2, 3]
+
+
+def test_check_compatibility_labels_name_each_run_depth():
+    q = trivial_quadruplet(PadicIntegers(2), depth=3)
+    labels = [r.label for r in check_compatibility(q, 1, 100, seed=0).rows]
+    assert labels == ["d=0,l=0 @depth=1", "d=0,l=1 @depth=1", "d=0,l=0 @depth=2", "d=0,l=1 @depth=2"]
+    labels = [r.label for r in check_compatibility(q, 2, 100, seed=0).rows]
+    row = ["d=0,l=0", "d=0,l=1", "d=1,l=0", "d=1,l=1", "d=1,l=2", "d=1,l=3"]
+    assert labels == [f"{label} @depth={d}" for d in (2, 3) for label in row]
 
 
 def test_compare_inequality_worked_example():
