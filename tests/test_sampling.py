@@ -972,6 +972,16 @@ def test_an_empty_batch_has_no_character_mean(q):
                 char_mean(batch, chi, exact)
 
 
+@pytest.mark.parametrize("group", _COMBINE_GROUPS.values(), ids=_COMBINE_GROUPS.keys())
+def test_char_mean_refuses_a_character_of_another_group(group):
+    batch = _haar_batch(group)
+    for other in _COMBINE_GROUPS.values():
+        if other.character_type is not group.character_type:
+            with pytest.raises(TypeError, match="character/batch mismatch"):
+                char_mean(batch, other.default_characters(2)[-1])
+    assert not batch._cache
+
+
 # ---------------------------------------------------------------------------
 # circle and solenoid means from cached powers of z = exp(i theta)
 
