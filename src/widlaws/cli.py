@@ -84,9 +84,11 @@ def _parse_subgroup(group, raw):
     def order(minimum):
         return _as_int("quadruplet.H.r", _get(raw, "quadruplet.H.r", required=True), minimum)
 
-    subgroup = _field("quadruplet.H", group.parse_subgroup, raw["kind"], order)
+    kind = raw["kind"]
+    # a kind that is not a string, a list say, is no kind of any group
+    subgroup = _field("quadruplet.H", group.parse_subgroup, kind, order) if isinstance(kind, str) else None
     if subgroup is None:
-        raise ConfigError("quadruplet.H.kind", f"unknown kind {raw['kind']!r} for this group")
+        raise ConfigError("quadruplet.H.kind", f"unknown kind {kind!r} for this group")
     return subgroup
 
 
@@ -213,6 +215,27 @@ def _write(path, option, chunks):
         raise ConfigError(option, str(exc)) from exc
 
 
+def _check_outputs(args):
+    """Refuse a given --out or --csv path that cannot be written, before
+    any draw or check runs: it must name a file, not a directory, in a
+    writable directory that exists.  No file is made here; _write still
+    turns a later OSError into the same ConfigError."""
+    for option in ("--out", "--csv"):
+        path = getattr(args, option[2:], None)
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not path or os.path.isdir(path):
+            problem = "not a file name"
+        elif not os.path.isdir(parent):
+            problem = f"no directory {parent!r}"
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            problem = "not writable"
+        else:
+            continue
+        raise ConfigError(option, f"{path!r}: {problem}")
+
+
 def _emit(chunks, out_path) -> bool:
     """Write the text chunks to out_path, or to stdout when it is None.
 
@@ -271,7 +294,8 @@ def _run_config(doc, args, *fields):
     from args, parse it, run its suite and emit the report, returned."""
     doc = _override(doc, args, *fields)
     quad, depth, characters, samples, seed, tolerance_c = parse_config(doc)
-    report = run_suite(quad, characters, samples, seed, tolerance_c, depth=depth)
+    # a drawn jump total over the cap is refused while drawing (poisson_counts)
+    report = _field("quadruplet.eta", run_suite, quad, characters, samples, seed, tolerance_c, depth)
     _emit_report(report, args.out, args.csv)
     return report
 
@@ -313,7 +337,7 @@ def cmd_sample(args) -> int:
     doc = _override(load_config(args.config), args, "samples", "seed", "depth")
     quad, depth, _, samples, seed, _ = parse_config(doc, characters=False)
     sampler = quadruplet_sampler(quad, depth=depth)
-    batch = sampler(make_rng(seed, stream=0), samples)
+    batch = _field("quadruplet.eta", sampler, make_rng(seed, stream=0), samples)
     if _emit(_sample_lines(batch, args.format), args.out):
         print(f"sample: wrote {samples} draws ({args.format})", file=sys.stderr)
     return 0
@@ -464,6 +488,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,37 +38,28 @@ TWO_PI = 2.0 * math.pi
 
 def is_prime(p) -> bool:
     """True iff p is a prime integer; False for bools and non-integers.
-    Raises ValueError for an integer at or above MILLER_RABIN_BOUND."""
+
+    Raises ValueError for an integer of 2**32 or more, before any modular
+    exponentiation: no p-adic character exists once p**2 >= 2**63 (see
+    check_padic_character).  Below that bound the Miller-Rabin bases
+    2, 7 and 61 decide primality exactly, as they do for every n below
+    4,759,123,141 (Jaeschke, Math. Comp. 61, 1993).
+    """
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
         return False
-    return _is_prime_int(int(p))
-
-
-# The first 13 primes as Miller-Rabin bases decide primality exactly for
-# every n below MILLER_RABIN_BOUND, the least strong pseudoprime to all
-# of them (Sorenson and Webster, 2017).  The first 12 alone are not
-# enough above 318665857834031151167461, a strong pseudoprime to each.
-MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MILLER_RABIN_BOUND = 3317044064679887385961981
-
-
-@functools.lru_cache(maxsize=256)
-def _is_prime_int(p: int) -> bool:
-    """Deterministic Miller-Rabin test over MILLER_RABIN_BASES, memoized:
-    every carry normalization checks its prime.  Only ever called with a
-    Python int, so one cache key is one question."""
-    if p >= MILLER_RABIN_BOUND:
-        raise ValueError(f"primality is decided only below {MILLER_RABIN_BOUND}, got {p}")
+    p = int(p)
+    if p >= 2**32:
+        raise ValueError(f"p must be below 2**32, got {p}")
     if p < 2:
         return False
-    for a in MILLER_RABIN_BASES:
+    for a in (2, 7, 61):
         if p % a == 0:
             return p == a
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in MILLER_RABIN_BASES:
+    for a in (2, 7, 61):
         x = pow(a, d, p)
         if x == 1 or x == p - 1:
             continue
@@ -83,10 +73,8 @@ def _is_prime_int(p: int) -> bool:
 
 
 def validate_prime(p):
-    """Raise ValueError unless p is a prime integer below 2**32: no p-adic
-    character exists once p**2 >= 2**63 (see check_padic_character)."""
-    if isinstance(p, (int, np.integer)) and p >= 2**32:
-        raise ValueError(f"p must be below 2**32, got {p}")
+    """Raise ValueError unless p is a prime integer below 2**32 (the bound
+    is is_prime's)."""
     if not is_prime(p):
         raise ValueError(f"p must be a prime integer, got {p!r}")
 

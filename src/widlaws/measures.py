@@ -42,19 +42,14 @@ class LevyMeasure:
 
     def __post_init__(self):
         merged = {}
-        order = []
         for i, (point, mass) in enumerate(self.atoms):
             mass = float(mass)
             if not math.isfinite(mass) or mass <= 0:
                 raise AtomError(i, "mass", f"atom mass must be positive and finite, got {mass}")
             if point.is_identity():
                 raise AtomError(i, "point", _IDENTITY_MESSAGE)
-            if point in merged:
-                merged[point] += mass
-            else:
-                merged[point] = mass
-                order.append(point)
-        object.__setattr__(self, "atoms", tuple((pt, merged[pt]) for pt in order))
+            merged[point] = merged.get(point, 0.0) + mass
+        object.__setattr__(self, "atoms", tuple(merged.items()))
 
     @property
     def total_mass(self) -> float:
@@ -172,7 +167,6 @@ class LatticeMeasure:
 
     def __post_init__(self):
         merged = {}
-        order = []
         for x, ints, mass in self.atoms:
             x = float(x)
             ints = tuple(int(k) for k in ints)
@@ -183,15 +177,8 @@ class LatticeMeasure:
                 raise ValueError(f"atom mass must be positive and finite, got {mass}")
             if x == 0.0 and all(k == 0 for k in ints):
                 raise ValueError("lattice measure carries no atom at the origin")
-            key = (x, ints)
-            if key in merged:
-                merged[key] += mass
-            else:
-                merged[key] = mass
-                order.append(key)
-        object.__setattr__(
-            self, "atoms", tuple((x, ints, merged[(x, ints)]) for x, ints in order)
-        )
+            merged[x, ints] = merged.get((x, ints), 0.0) + mass
+        object.__setattr__(self, "atoms", tuple((x, ints, m) for (x, ints), m in merged.items()))
 
     @property
     def total_mass(self) -> float:

@@ -523,12 +523,12 @@ def _padic_haar(p, depth, **extra):
     return {"group": "padic", "p": p, "depth": depth, "quadruplet": haar, **extra}
 
 
-def test_prime_of_2_to_32_or_more_is_refused_before_trial_division(monkeypatch, tmp_path, capsys):
-    # trial division of 2**61 - 1 would take about 7.6e8 steps
-    def trial_division(p):
-        raise AssertionError(f"trial division ran on p={p}")
+def test_prime_of_2_to_32_or_more_is_refused_before_the_primality_test(monkeypatch, tmp_path, capsys):
+    # the refusal comes before any modular exponentiation of Miller-Rabin
+    def boom(*args):
+        raise AssertionError(f"pow ran on {args}")
 
-    monkeypatch.setattr(widlaws.groups, "_is_prime_int", trial_division)
+    monkeypatch.setattr(widlaws.groups, "pow", boom, raising=False)
     doc = _padic_haar(2**61 - 1, 0, characters=[[0, 1]])
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
@@ -666,14 +666,40 @@ _UNWRITABLE = {
 }
 
 
+def _refuse_to_run(monkeypatch):
+    """Make every command fail if it reaches its draws or checks."""
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started before the output paths were checked")
+
+    for name in ("run_suite", "quadruplet_sampler", "_selftest_fixtures"):
+        monkeypatch.setattr(widlaws.cli, name, reached)
+
+
 @pytest.mark.parametrize("argv,option", _UNWRITABLE.values(), ids=_UNWRITABLE.keys())
-def test_an_unwritable_output_path_is_a_config_error_naming_its_option(argv, option, tmp_path, capsys):
+def test_an_unwritable_output_path_is_a_config_error_naming_its_option(
+    argv, option, tmp_path, monkeypatch, capsys
+):
     # exit 1 means a verification failed; a path in a missing directory
-    # is a usage error, named like an unreadable config file
+    # is a usage error, named like an unreadable config file, and it is
+    # refused before anything is drawn or written
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"group": "torus", "quadruplet": {"H": {"kind": "trivial"}, "a": 0.0}}))
     fields = {"config": str(config), "ok": str(tmp_path / "ok.json")}
     argv = [arg.format(**fields) for arg in argv] + [option, str(tmp_path / "missing" / "x")]
+    _refuse_to_run(monkeypatch)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"config error: field '{option}'" in err and "Traceback" not in err
+    assert "PASS" not in err and "FAIL" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["directory", "empty"])
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_an_output_path_that_names_no_file_is_refused_before_the_run(option, empty, tmp_path, monkeypatch, capsys):
+    _refuse_to_run(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    argv = ["haar-demo", "--group", "padic", "--p", "3", "--samples", "200", option, "" if empty else "."]
+    assert main(argv) == 2
+    assert f"config error: field '{option}': " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -226,8 +226,7 @@ def test_is_prime_is_false_for_non_integers():
 
 @pytest.mark.parametrize("float_first,q", [(True, 7919), (False, 7927)])
 def test_is_prime_answers_by_type_in_either_call_order(float_first, q):
-    # a prime no other test asks about, so each order starts from a cold
-    # cache: the float must not share an answer with the integer
+    # the float must not share an answer with the integer, in either order
     def as_float():
         assert not is_prime(float(q))
 
@@ -240,12 +239,22 @@ def test_is_prime_answers_by_type_in_either_call_order(float_first, q):
 
 
 def test_is_prime_decides_large_integers_at_once():
-    assert is_prime(2**61 - 1)
-    # strong pseudoprimes: to bases 2, 3, 5 and 7, and to the first 12 primes
+    # a strong pseudoprime to bases 2, 3, 5 and 7
     assert not is_prime(3215031751)
-    assert not is_prime(318665857834031151167461)
-    with pytest.raises(ValueError, match="3317044064679887385961981"):
-        is_prime(3317044064679887385961981)
+    # the largest prime below 2**32, and 2**32 - 1 = 3 * 5 * 17 * 257 * 65537
+    assert is_prime(4294967291)
+    assert not is_prime(2**32 - 1)
+    for n in (2**32, 2**61 - 1):
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            is_prime(n)
+
+
+def test_is_prime_agrees_with_trial_division_below_2_to_32():
+    small = [f for f in range(2, 2**16 + 1) if all(f % g for g in range(2, math.isqrt(f) + 1))]
+    rng = np.random.default_rng(32)
+    # odd draws, so about one in eleven is a prime
+    for n in map(int, rng.integers(2**16, 2**32, size=400) | 1):
+        assert is_prime(n) == all(n % f for f in small if f * f <= n), n
 
 
 def test_is_prime_agrees_with_trial_division_below_10_to_5():
@@ -265,10 +274,10 @@ def test_is_prime_agrees_with_trial_division_below_10_to_5():
     ids=["PadicInt", "SolenoidPoint", "solenoid_from_lift"],
 )
 def test_constructors_refuse_p_of_2_to_32_or_more_before_the_primality_test(build, monkeypatch):
-    def primality_test(p):
-        raise AssertionError(f"primality test ran on p={p}")
+    def boom(*args):
+        raise AssertionError(f"pow ran on {args}")
 
-    monkeypatch.setattr(widlaws.groups, "_is_prime_int", primality_test)
+    monkeypatch.setattr(widlaws.groups, "pow", boom, raising=False)
     with pytest.raises(ValueError, match="below 2\\*\\*32"):
         build(2**61 - 1)
 

@@ -68,6 +68,11 @@ def test_levy_measure_merges_duplicates():
     assert half.total_mass == pytest.approx(0.875)
     with pytest.raises(ValueError):
         eta.scaled(0.0)
+    # three duplicates keep their first-seen place and add left to right
+    x, y = TorusPoint(0.5), TorusPoint(-0.5)
+    eta = LevyMeasure(((x, 0.1), (y, 1.0), (TorusPoint(0.5), 0.2), (TorusPoint(0.5), 0.3)))
+    assert eta.atoms == ((x, 0.6000000000000001), (y, 1.0))
+    assert eta.atoms[0][0] is x
 
 
 def test_quadruplet_accepts_point_mass():
@@ -262,6 +267,21 @@ def test_pushforward_padic_drops_zero_prefix_and_merges():
     assert m.total_mass == pytest.approx(5.0)
     with pytest.raises(ValueError, match="depth"):
         pushforward_padic(eta, 3)
+    # three atoms with one prefix keep its first-seen place and add left to right
+    eta = LevyMeasure(
+        (
+            (PadicInt(2, (1, 0, 0)), 0.1),
+            (PadicInt(2, (0, 1, 0)), 1.0),
+            (PadicInt(2, (1, 1, 0)), 0.2),
+            (PadicInt(2, (1, 0, 1)), 0.3),
+        )
+    )
+    assert pushforward_padic(eta, 0).atoms == ((0.0, (1,), 0.6000000000000001),)
+    assert pushforward_padic(eta, 1).atoms == (
+        (0.0, (1, 0), 0.1 + 0.3),
+        (0.0, (0, 1), 1.0),
+        (0.0, (1, 1), 0.2),
+    )
 
 
 def test_pushforward_solenoid():
