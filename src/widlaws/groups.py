@@ -406,7 +406,7 @@ class SolenoidPoint:
 
     def coordinate_angle(self, j: int) -> float:
         """(base + 2pi*(x mod p**j)) / p**j, a Python float: the point
-        sweeps as the batch row it is, through solenoid_tower."""
+        sweeps as the batch row it is, through solenoid_coordinate."""
         if not 0 <= j <= self.depth:
             raise ValueError(f"coordinate index {j} outside 0..{self.depth}")
         return solenoid_coordinate(self.p, self.base, self.digits, j)
@@ -448,6 +448,17 @@ def solenoid_lift_matrix(p, y0, ints):
     return base, padic_digit_matrix(p, ints, turns, ints)
 
 
+def _horner_sweep(p: int, base, digits):
+    """Yield (theta0 / p**j, (x mod p**j) / p**j) for j = 1, 2, ..., one
+    Horner step f <- (f + x_(j-1)) / p per digit column; the float
+    operations every coordinate read shares."""
+    frac = np.zeros_like(base)
+    for column in np.asarray(digits).T:
+        base = base / p
+        frac = (frac + column) / p
+        yield base, frac
+
+
 def solenoid_tower(p: int, base, digits):
     """Yield the coordinates 0, 1, ..., depth of the batch (base, digits)
     as canonical angle columns.
@@ -460,20 +471,21 @@ def solenoid_tower(p: int, base, digits):
     A float base with a digit tuple, one SolenoidPoint, sweeps in the
     same float operations as its batch row and yields Python floats.
     """
-    frac = np.zeros_like(base)
     yield base
-    for column in np.asarray(digits).T:
-        base = base / p
-        frac = (frac + column) / p
-        yield canonical_angle(base + TWO_PI * frac)
+    for scaled, frac in _horner_sweep(p, base, digits):
+        yield canonical_angle(scaled + TWO_PI * frac)
 
 
 def solenoid_coordinate(p: int, base, digits, j: int):
     """Coordinate j of the batch or point (base, digits), swept through
-    digit j-1."""
-    for column in solenoid_tower(p, base, np.asarray(digits)[..., :j]):
+    digit j-1 (through the last digit when there are fewer): the tower's
+    column j, bit for bit, with only that column folded by
+    canonical_angle.  With no digit swept, j = 0 among them, it returns
+    the base object itself."""
+    scaled = None
+    for scaled, frac in _horner_sweep(p, base, np.asarray(digits)[..., :j]):
         pass
-    return column
+    return base if scaled is None else canonical_angle(scaled + TWO_PI * frac)
 
 
 def solenoid_from_lift(p: int, depth: int, y0: float, ints) -> SolenoidPoint:

@@ -44,14 +44,15 @@ consume nothing, and the whole solenoid is no special case:
 Haar(S_p) * mu = Haar(S_p) comes out of the same steps.  A row block's
 jumps are taken in chunks of at most JUMP_BLOCK jumps, however few draws
 carry them.  Each chunk stands alone: it draws its uniforms in row
-order, picks their atoms at once, finds the rows that own its jumps off
-the running jump count, and np.add.at adds every jump, in jump order,
-into its row on R x Z^k.  The integer coordinates go straight into the
-work block, exact; the real coordinate goes into a column zeroed once
-per row block, or nowhere when every atom's real part is 0, as on the
-p-adic integers.  So a draw's real sum runs from 0.0 in jump order
-wherever the chunk boundaries fall, and only then is added into the
-block's real column.
+order, picks their atoms at once by a branch-free level search of the
+cumulative mass table, finds the rows that own its jumps off the
+running jump count, and np.add.at adds every jump, in jump order, into
+its row on R x Z^k.  The integer coordinates go straight into the work
+block, exact, except those that are 0 in every atom; the real
+coordinate goes into a column zeroed once per row block, or nowhere
+when every atom's real part is 0, as on the p-adic integers.  So a
+draw's real sum runs from 0.0 in jump order wherever the chunk
+boundaries fall, and only then is added into the block's real column.
 
 quadruplet_sampler returns the covered arrays as one batch type for
 every group, Samples(group, real, digits): the real column (None on
@@ -110,10 +111,13 @@ JUMP_BLOCK = 2**18
 
 # The most base-p digits one p-adic or solenoid batch may hold, counted
 # as draws * (depth + 1).  A digit costs 1 byte in the batch at p <= 256
-# (at most 4, _PrimeGroup.digit_dtype), and 8 in each int64 work array of the draw
-# and the carry, which hold one row block, so the cap keeps one batch at
-# 10 MB to 40 MB: a verify at the cap (p = 2, depth 99, 100,000 draws)
-# peaks at 53 MB RSS.  The stock configs and demos hold under 6e6.
+# (at most 4, _PrimeGroup.digit_dtype), so the cap keeps one batch at
+# 10 MB to 40 MB, and 8 bytes in the int64 work block of the draw and the
+# carry, which holds one row block of BLOCK draws at the full width.  So
+# the cap bounds the batch, not the work block: a verify at the cap peaks
+# at 53 MB RSS with 100,000 draws at depth 99 (p = 2), but at 126-139 MB
+# with 50 draws at depth 199,999 (p = 3), whose one 50-row block is
+# 80 MB.  The stock configs and demos hold under 6e6.
 MAX_DIGITS = 10**7
 
 
@@ -162,6 +166,31 @@ def poisson_counts(rng, measure: LatticeMeasure, n: int) -> np.ndarray:
     return counts
 
 
+def _level_table(bounds) -> np.ndarray:
+    """The sorted bounds padded with +inf to 2**L - 1 entries, for the
+    least L with 2**L > len(bounds): the table _level_search reads."""
+    size = 1 << len(bounds).bit_length()
+    return np.concatenate([bounds, np.full(size - 1 - len(bounds), np.inf)])
+
+
+def _level_search(table, u) -> np.ndarray:
+    """How many bounds of a _level_table are <= each entry of u, as
+    np.searchsorted(bounds, u, side="right") counts them, one bit per
+    level from the top: a level adds step where u >= table[picks + step
+    - 1].  Each level is a few branch-free numpy passes over u, where
+    searchsorted's branchy search costs about 6 ns a key, most of a
+    jump's cost on the one- or two-bound tables of the stock laws."""
+    step = (len(table) + 1) // 2
+    if not step:
+        return np.zeros(len(u), dtype=np.intp)
+    # the first level compares every u with one bound
+    picks = step * (u >= table[step - 1])
+    while step > 1:
+        step //= 2
+        picks += step * (u >= table[picks + (step - 1)])
+    return picks
+
+
 def sample_compound_poisson(rng, measure: LatticeMeasure, counts, ints) -> np.ndarray:
     """Adds the jump sums of draws with the given Poisson counts into the
     int64 matrix ints, one row per draw and one column per integer
@@ -169,14 +198,16 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, counts, ints) -> np.nd
     parts, floats of shape (len(counts),).
 
     Each jump is an atom picked with probability mass/total by one
-    uniform, in draw order, binary-searched in the cumulative mass
-    table.  The jumps are taken in chunks of at most JUMP_BLOCK, each
-    drawing its uniforms in draw order and standing alone: it finds the
-    rows that own its jumps and np.add.at adds each jump, in jump order,
-    into its row of ints and of a real column zeroed once per call.  So
-    each draw's real sum runs from 0.0 in jump order wherever the chunks
-    split it, and consecutive row blocks of counts, called in order with
-    nothing else drawn from rng in between, give the bits of one call.
+    uniform, in draw order: the atom's index is the number of cumulative
+    mass bounds at or below the uniform, counted by _level_search.  The
+    jumps are taken in chunks of at most JUMP_BLOCK, each drawing its
+    uniforms in draw order and standing alone: it finds the rows that
+    own its jumps and np.add.at adds each jump, in jump order, into its
+    row of ints (but for a coordinate that is 0 in every atom) and of a
+    real column zeroed once per call.  So each draw's real sum runs from
+    0.0 in jump order wherever the chunks split it, and consecutive row
+    blocks of counts, called in order with nothing else drawn from rng
+    in between, give the bits of one call.
     A measure whose atoms all have real part 0 returns zeros for the
     real part without summing it; draws without jumps consume nothing.
     """
@@ -184,24 +215,25 @@ def sample_compound_poisson(rng, measure: LatticeMeasure, counts, ints) -> np.nd
     masses = np.array([m for _, _, m in measure.atoms])
     # every bound but the last, which rounds near 1.0: a uniform past
     # every bound kept picks the last atom
-    cum = np.cumsum(masses)[:-1] / masses.sum()
+    table = _level_table(np.cumsum(masses)[:-1] / masses.sum())
     atom_real = np.array([x for x, _, _ in measure.atoms])
-    # one row per coordinate
+    # one row per coordinate; a coordinate that is 0 in every atom adds nothing
     atom_ints = np.array([ki for _, ki, _ in measure.atoms], dtype=np.int64).reshape(
         len(measure.atoms), k
     ).T
+    columns = [(j, column) for j, column in enumerate(atom_ints) if column.any()]
     # row i owns jumps ends[i] - counts[i] .. ends[i] - 1
     ends = np.cumsum(counts)
     real = np.zeros(n) if atom_real.any() else None
     jumps = int(ends[-1]) if n else 0
     for lo in range(0, jumps, JUMP_BLOCK):
         hi = min(lo + JUMP_BLOCK, jumps)
-        picks = np.searchsorted(cum, rng.random(hi - lo), side="right")
+        picks = _level_search(table, rng.random(hi - lo))
         first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
         end = ends[first : last + 1]
         share = np.minimum(end, hi) - np.maximum(end - counts[first : last + 1], lo)
         owner = np.repeat(np.arange(first, last + 1), share)
-        for j, column in enumerate(atom_ints):
+        for j, column in columns:
             np.add.at(ints[:, j], owner, column[picks])
         if real is not None:
             np.add.at(real, owner, atom_real[picks])

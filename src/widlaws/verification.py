@@ -87,11 +87,14 @@ def _compare(q: Quadruplet, runs, samples: int, seed: int, tolerance_c: float, *
     config.update(
         quadruplet=q.group.describe(q), samples=samples, seed=seed, tolerance_c=tolerance_c
     )
-    rows = []
+    rows, theories = [], {}
     for stream, (draw, chars, suffix) in enumerate(runs):
         batch = draw(make_rng(seed, stream=stream), samples)
         for chi in chars:
-            theory = ft_quadruplet(q, chi)
+            # a character read on two batches takes its closed form once
+            if chi not in theories:
+                theories[chi] = ft_quadruplet(q, chi)
+            theory = theories[chi]
             # |theory| = 1: the character is constant on the law's draws
             # (a point mass, or a Haar layer it annihilates), so the row
             # takes the direct evaluation and stays exact

@@ -47,6 +47,7 @@ from widlaws.groups import (
     padic_digit_matrix,
     solenoid_coordinate,
     solenoid_lift_matrix,
+    solenoid_tower,
     validate_prime,
 )
 
@@ -766,6 +767,38 @@ def test_solenoid_batch_reads_one_sweep_for_every_view():
     assert np.array_equal(batch.group.coordinate(base, digits, depth), columns[0])
     for d in (0, 1, 17, depth):
         assert np.array_equal(solenoid_coordinate(p, base, digits, d), columns[d + 1])
+
+
+def test_solenoid_coordinates_are_the_tower_columns_bit_for_bit():
+    # a coordinate read sweeps to its coordinate and folds it alone; its
+    # bits are those of the tower's column, for a point and for a batch
+    rng = np.random.default_rng(2718)
+    p, depth = 3, 45
+    for y0 in rng.uniform(-40.0, 40.0, size=20):
+        x = solenoid_from_lift(p, depth, float(y0), rng.integers(-5, 5, size=depth).tolist())
+        columns = list(solenoid_tower(p, x.base, x.digits))
+        assert len(columns) == depth + 1
+        for j, column in enumerate(columns):
+            got = x.coordinate_angle(j)
+            assert type(got) is float and got.hex() == float(column).hex(), j
+    base, digits = solenoid_lift_matrix(
+        p, rng.uniform(-9.0, 9.0, size=200), rng.integers(-5, 5, size=(200, depth))
+    )
+    for j, column in enumerate(solenoid_tower(p, base, digits)):
+        got = solenoid_coordinate(p, base, digits, j)
+        assert got.view(np.int64).tolist() == column.view(np.int64).tolist(), j
+
+
+def test_solenoid_coordinate_zero_is_the_base_object():
+    base, digits = np.array([0.5, -1.0]), np.array([[1, 2, 0, 1], [0, 0, 2, 2]], dtype=np.uint8)
+    assert solenoid_coordinate(3, base, digits, 0) is base
+    x = SolenoidPoint(3, 4, 0.7)
+    assert solenoid_coordinate(3, x.base, x.digits, 0) is x.base
+    # past the last digit the read is the deepest coordinate, as the
+    # tower's last column
+    deepest = solenoid_coordinate(3, base, digits, 4)
+    assert np.array_equal(solenoid_coordinate(3, base, digits, 9), deepest)
+    assert solenoid_coordinate(3, base, digits[:, :0], 2) is base
 
 
 def test_solenoid_samples_refuse_mismatched_shapes():

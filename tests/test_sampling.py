@@ -49,7 +49,7 @@ from widlaws.groups import (
     solenoid_from_lift,
     solenoid_mul,
 )
-from widlaws.sampling import BLOCK, poisson_counts
+from widlaws.sampling import BLOCK, _level_search, _level_table, poisson_counts
 
 N = 100_000
 
@@ -266,7 +266,26 @@ _JUMP_MEASURES = {
     "heavy": lambda: LatticeMeasure(
         2, ((0.7, (1, -2), 8.0), (-1.3, (2, 1), 5.0), (0.05, (0, 3), 2.0))
     ),
+    # tables of 63 and 999 bounds for the level search, 1.6 and 2.0 jumps
+    # a draw; the 64 atoms' middle integer column is all zeros
+    "64-atoms": lambda: LatticeMeasure(
+        3, tuple((0.01 * i - 0.3, (i % 5 - 2, 0, i // 8), 0.01 * (1 + i % 4)) for i in range(64))
+    ),
+    "1000-atoms": lambda: LatticeMeasure(
+        2, tuple((0.003 * i - 1.5, (i % 7 - 3, i // 100), 0.001 * (1 + i % 3)) for i in range(1000))
+    ),
 }
+
+
+@pytest.mark.parametrize("bounds", [0, 1, 2, 4, 999])
+def test_level_search_counts_the_bounds_as_searchsorted(bounds):
+    masses = np.random.default_rng(bounds).uniform(0.01, 1.0, size=bounds + 1)
+    cum = np.cumsum(masses)[:-1] / masses.sum()
+    near = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    u = np.concatenate([near, [0.0, 1.0 - 2.0**-53]])
+    picks = _level_search(_level_table(cum), u)
+    want = np.searchsorted(cum, u, side="right")
+    assert picks.dtype == want.dtype and picks.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("name", _JUMP_MEASURES)

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+import widlaws.cli
 import widlaws.groups
 import widlaws.sampling
 import widlaws.verification
@@ -39,6 +40,7 @@ from widlaws import (
     run_suite,
     trivial_quadruplet,
 )
+from widlaws.verification import ComparisonRow
 
 N = 100_000
 PI = math.pi
@@ -510,6 +512,35 @@ def test_each_check_draws_once_per_sampler(draw_log):
         entries.clear()
     assert len(check_divisibility(q, 3, 300, seed=1).rows) == 30
     assert draw_log == {"draws": [300, 300, 300], "streams": [0]}
+
+
+def test_compatibility_takes_one_closed_form_per_character(monkeypatch):
+    # selftest's solenoid compatibility fixture reads each character on
+    # two batches; its closed form is taken once, and the rows are those
+    # of one closed form per row
+    q = widlaws.cli._selftest_law(widlaws.cli._COMPATIBILITY_LAWS[1], 2000)
+    calls = []
+
+    def counted(law, chi):
+        calls.append(chi)
+        return ft_quadruplet(law, chi)
+
+    monkeypatch.setattr(widlaws.verification, "ft_quadruplet", counted)
+    report = check_compatibility(q, 3, 2000, 0)
+    monkeypatch.undo()
+    chars = sorted(q.group.default_characters(2), key=lambda chi: (chi.d, chi.ell))
+    assert sorted(calls, key=lambda chi: (chi.d, chi.ell)) == chars
+    assert len(report.rows) == 2 * len(chars) == 102
+    want, tol = [], 4.0 / math.sqrt(2000)
+    for stream, depth in enumerate((3, 4)):
+        batch = quadruplet_sampler(q, depth)(make_rng(0, stream), 2000)
+        for chi in chars:
+            theory = ft_quadruplet(q, chi)
+            empirical = char_mean(batch, chi, abs(abs(theory) - 1.0) <= 1e-12)
+            err = abs(theory - empirical)
+            label = f"{chi.label} @depth={depth}"
+            want.append(ComparisonRow(label, theory, empirical, err, tol, err <= tol))
+    assert report.rows == want
 
 
 def test_selftest_solenoid_divisibility_fixture_holds_one_column_at_a_time():
