@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .groups import STOCK_DEPTH, PadicIntegers, Solenoid, Torus, config_int, config_real
+from .groups import MAX_STOCK, STOCK_DEPTH, PadicIntegers, Solenoid, Torus, config_int, config_real
 from .measures import AtomError, LevyMeasure, Quadruplet
 from .sampling import check_digit_budget, check_jump_budget, make_rng, quadruplet_sampler
 from .verification import (
@@ -345,13 +345,21 @@ def cmd_sample(args) -> int:
 
 def cmd_haar_demo(args) -> int:
     """The verify suite of the group's Haar law: full subgroup, identity
-    shift, no Gauss or jump layer, default characters."""
+    shift, no Gauss or jump layer, default characters; it lists none, so a
+    set over MAX_STOCK is refused naming depth, or p when no depth fits."""
     if args.group == "padic":
         haar = {"H": {"kind": "lambda", "r": 0}, "a": [0]}
     else:
         haar = {"H": {"kind": "full"}, "a": {"base": 0.0, "digits": []}}
     doc = {"group": args.group, "quadruplet": haar}
-    report = _run_config(doc, args, "p", "depth", "samples", "seed", "tolerance_c")
+    try:
+        report = _run_config(doc, args, "p", "depth", "samples", "seed", "tolerance_c")
+    except ConfigError as exc:
+        if exc.field != "characters":
+            raise
+        fits = [d for d in range(STOCK_DEPTH) if PadicIntegers(args.p).stock_size(d) <= MAX_STOCK]
+        hint = f"the deepest depth that fits is {fits[-1]}" if fits else f"no depth fits at p > {MAX_STOCK}"
+        raise ConfigError("depth" if fits else "p", f"{exc.message.partition(';')[0]}; {hint}") from exc
     depth = report.config["depth"]
     print(f"Haar construction on {args.group} (p={args.p}, depth={depth}):", file=sys.stderr)
     print(f"{'character':>12} {'|empirical|':>12} {'abs_err':>10} {'tol':>8} pass", file=sys.stderr)

@@ -17,8 +17,10 @@ The group descriptors (Torus, PadicIntegers, Solenoid) own, as methods,
 everything that differs between the groups; the circle shares the
 solenoid's formulas with p**d = 1.
 
-All values are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads.
+All fields are frozen after construction and all operations are pure
+functions, so everything here is safe to share across threads.  Only
+PadicCharacter, SolenoidCharacter, PadicIntegers and Solenoid, which add
+no field to their dataclass parent, accept a new non-field attribute.
 """
 
 from __future__ import annotations
@@ -141,15 +143,8 @@ def angle_cutoff(x):
     this the centering function for Poisson jumps.
     """
     arr = np.asarray(x, dtype=float)
-    out = np.where(
-        arr < -np.pi,
-        0.0,
-        np.where(
-            arr < -np.pi / 2,
-            -arr - np.pi,
-            np.where(arr < np.pi / 2, arr, np.where(arr < np.pi, -arr + np.pi, 0.0)),
-        ),
-    )
+    folded = np.where(np.abs(arr) < np.pi / 2, arr, np.copysign(np.pi, arr) - arr)
+    out = np.where((arr >= -np.pi) & (arr < np.pi), folded, 0.0)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -645,7 +640,6 @@ class _DepthCharacter:
             raise ValueError("character depth exceeds element depth")
 
 
-@dataclass(frozen=True)
 class PadicCharacter(_DepthCharacter):
     """x -> exp(2*pi*i*ell*(x_0 + p*x_1 + ... + p**d*x_d) / p**(d+1)).
 
@@ -677,7 +671,6 @@ class PadicCharacter(_DepthCharacter):
         return cmath.exp(2j * math.pi * num / modulus)
 
 
-@dataclass(frozen=True)
 class SolenoidCharacter(_DepthCharacter):
     """y -> (coordinate d of y)**ell on the solenoid, for |ell| <= 2**31
     (check_angle_frequency)."""
@@ -780,6 +773,7 @@ def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> 
 # and solenoid stock sets, which keeps each stock character readable on
 # draws of any depth.
 STOCK_DEPTH = 3
+MAX_STOCK = 10**5  # the most characters a default p-adic set may hold
 
 
 class _Group:
@@ -1025,7 +1019,6 @@ class _PrimeGroup(_Group):
         return self.character_type(d, ell)
 
 
-@dataclass(frozen=True)
 class PadicIntegers(_PrimeGroup):
     """The group of p-adic integers for a fixed prime p.
 
@@ -1116,16 +1109,20 @@ class PadicIntegers(_PrimeGroup):
     def subgroup_is_trivial(self, subgroup, depth) -> bool:
         return subgroup.zero_digits >= depth + 1
 
+    def stock_size(self, depth: int = STOCK_DEPTH) -> int:
+        """How many characters default_characters(depth) lists."""
+        return sum(self.p ** (d + 1) for d in range(min(STOCK_DEPTH, depth) + 1))
+
     def default_characters(self, depth: int = STOCK_DEPTH) -> list:
         """Every (d, ell) with d <= min(STOCK_DEPTH, depth).  The set grows
-        as p**4, so it is counted first and refused above 10**5 characters."""
-        depths = range(min(STOCK_DEPTH, depth) + 1)
-        count = sum(self.p ** (d + 1) for d in depths)
-        if count > 10**5:
+        as p**4, so it is counted first and refused above MAX_STOCK characters."""
+        count = self.stock_size(depth)
+        if count > MAX_STOCK:
             raise ValueError(
                 f"the default set at p={self.p} has {count} characters, more than 10**5; "
                 "list the characters instead"
             )
+        depths = range(min(STOCK_DEPTH, depth) + 1)
         return [PadicCharacter(d, ell) for d in depths for ell in range(self.p ** (d + 1))]
 
     def describe_subgroup(self, subgroup) -> dict:
@@ -1147,7 +1144,6 @@ class PadicIntegers(_PrimeGroup):
         return chi
 
 
-@dataclass(frozen=True)
 class Solenoid(_PrimeGroup, _CircleTower):
     """The p-adic solenoid for a fixed prime p."""
 

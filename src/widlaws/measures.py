@@ -55,9 +55,6 @@ class LevyMeasure:
     def total_mass(self) -> float:
         return sum(m for _, m in self.atoms)
 
-    def is_empty(self) -> bool:
-        return len(self.atoms) == 0
-
     def scaled(self, factor: float) -> "LevyMeasure":
         """Same atoms with every mass multiplied by factor > 0."""
         if factor <= 0:

@@ -370,7 +370,7 @@ def _draw(q: Quadruplet, depth, width: int, rng, size: int) -> Samples:
         real += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
     work = _work_matrix(size, width)
     counts = None
-    if not q.levy.is_empty():
+    if q.levy.atoms:
         measure = group.pushforward(q.levy, depth)
         counts = poisson_counts(rng, measure, size)
         drift = group.drift(q.levy)

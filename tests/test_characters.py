@@ -52,6 +52,24 @@ def test_angle_cutoff_array_matches_scalar():
     assert np.all(np.abs(arr) <= PI / 2)
 
 
+def test_angle_cutoff_is_the_piecewise_formula_bit_for_bit():
+    # the piecewise definition, one IEEE operation per piece: -x - pi,
+    # x, -x + pi, and 0 outside [-pi, pi) and at nan
+    def pieces(x):
+        if not -PI <= x < PI:
+            return 0.0
+        if x < -PI / 2:
+            return -x - PI
+        return x if x < PI / 2 else -x + PI
+
+    edges = [e for b in (-PI, -PI / 2, PI / 2, PI) for e in (b, math.nextafter(b, -9), math.nextafter(b, 9))]
+    xs = np.concatenate([np.random.default_rng(5).uniform(-7, 7, 20000), edges, [0.0, -0.0, 5e-324]])
+    xs = np.concatenate([xs, [math.nan, math.inf, -math.inf]])
+    want = np.array([pieces(float(x)) for x in xs])
+    assert np.array_equal(angle_cutoff(xs).view(np.int64), want.view(np.int64))
+    assert [struct.pack("<d", angle_cutoff(float(x))) for x in xs] == [struct.pack("<d", w) for w in want]
+
+
 def test_eval_torus_char_examples():
     y = TorusPoint(PI / 2)
     assert TorusCharacter(0)(y) == 1 + 0j

@@ -584,6 +584,26 @@ def test_sample_does_not_read_the_characters_field(tmp_path, capsys):
         assert len(out.read_text().splitlines()) == 20
 
 
+@pytest.mark.parametrize(
+    "p,extra,field,hint",
+    [
+        (19, [], "depth", "the deepest depth that fits is 2"),
+        (257, ["--depth", "2"], "depth", "the deepest depth that fits is 1"),
+        (100003, ["--depth", "0"], "p", "no depth fits at p > 100000"),
+    ],
+)
+def test_haar_demo_over_the_default_set_cap_names_depth_or_p(p, extra, field, hint, capsys):
+    # haar-demo lists no characters, so naming them is no remedy: it names
+    # the setting that shrinks the default set, with the deepest depth that
+    # fits (19 + 19**2 + 19**3 = 7,239 characters; 257 + 257**2 = 66,306;
+    # depth 0 alone holds p characters)
+    argv = ["haar-demo", "--group", "padic", "--p", str(p), "--samples", "10", *extra]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: field '{field}': the default set at p={p} has " in err
+    assert hint in err and "characters'" not in err
+
+
 def test_sample_at_p_17_builds_no_character(monkeypatch, tmp_path):
     def build(d, ell):
         raise AssertionError("a default character was built")

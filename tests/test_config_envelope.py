@@ -1,5 +1,6 @@
 """The config envelope by generation: single-field mutations of the golden
-configs, each run through `verify` at 50 draws.
+configs, each run through `verify` at 50 draws, and `haar-demo` arguments
+at and past their bounds.
 
 Whatever the mutation, the command exits 0, 1 or 2 without a traceback,
 an exit 2 names a field of the document (or a key missing from one of
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from widlaws.cli import main
+from widlaws.groups import MAX_STOCK, STOCK_DEPTH, PadicIntegers
 from widlaws.sampling import MAX_DIGITS, MAX_JUMPS
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -91,14 +93,19 @@ def _names_a_field(doc, field) -> bool:
     return True
 
 
+def _run(argv):
+    """(exit code, stdout, stderr) of the CLI on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _verify(doc, directory):
     """(exit code, stdout, stderr) of verify on doc at SAMPLES draws."""
     config = pathlib.Path(directory) / "config.json"
     config.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", "--config", str(config), "--samples", str(SAMPLES)])
-    return code, out.getvalue(), err.getvalue()
+    return _run(["verify", "--config", str(config), "--samples", str(SAMPLES)])
 
 
 @st.composite
@@ -131,6 +138,71 @@ def test_a_mutated_golden_config_exits_cleanly_naming_its_field(mutation, rerun)
             assert len(json.loads(out)["rows"]) > 0
         if rerun == 0:
             assert _verify(doc, directory)[:2] == (code, out)
+
+
+# haar-demo arguments: primes small, near 2**4, past 2**8, 2**16 and
+# 2**31, and the largest below 2**32, with non-primes and p past 2**32;
+# draw counts at and past their bounds (the default 100,000 draws is left
+# out: at p = 3 it costs a third of a second a run); a depth at and past
+# the digit cap at those draws, both refused (an accepted depth exactly at
+# the cap costs seconds and about 140 MB a run); and seeds and tolerances
+# at and past theirs.  Half the draws of each option but p and depth take
+# a plain value, so that enough runs get past the option checks.
+HAAR_PRIMES = [2, 3, 5, 17, 19, 257, 65537, 2**31 - 1, 4294967291, -3, 0, 1, 4, 2**32, 2**70]
+HAAR_SAMPLES = [-1, 0, 1, 2, SAMPLES, MAX_DIGITS + 1, 2**70]
+HAAR_SEEDS = [-1, 0, 2**64, 2**70]
+HAAR_TOLERANCES = ["nan", "inf", "-inf", "1e400", "-1", "0", "1e-300", "4"]
+# an accepted default p-adic set above this many rows is not generated:
+# at p = 65,537, depth 0 its 65,537 rows take more than a second a run
+HAAR_ROWS = 1000
+
+
+def _accepts_a_large_stock_set(group, p, depth) -> bool:
+    """True iff haar-demo would build a p-adic default set of more than
+    HAAR_ROWS characters, and no more than MAX_STOCK, at (p, depth)."""
+    if group != "padic" or (depth is not None and depth < 0):
+        return False
+    try:
+        size = PadicIntegers(p).stock_size(STOCK_DEPTH if depth is None else depth)
+    except ValueError:
+        return False
+    return HAAR_ROWS < size <= MAX_STOCK
+
+
+@st.composite
+def haar_demo_arguments(draw):
+    group = draw(st.sampled_from(["padic", "solenoid"]))
+    p = draw(st.sampled_from(HAAR_PRIMES))
+    samples = draw(st.just(SAMPLES) | st.sampled_from(HAAR_SAMPLES))
+    cap = MAX_DIGITS // samples if samples > 0 else MAX_DIGITS
+    depths = [None, -1, 0, 1, 2, 3, 4, 40, cap, MAX_DIGITS, 2**70]
+    options = {
+        "--depth": draw(st.sampled_from([d for d in depths if not _accepts_a_large_stock_set(group, p, d)])),
+        "--seed": draw(st.none() | st.sampled_from(HAAR_SEEDS)),
+        "--tolerance-c": draw(st.none() | st.sampled_from(HAAR_TOLERANCES)),
+    }
+    argv = ["haar-demo", f"--group={group}", f"--p={p}", f"--samples={samples}"]
+    return argv + [f"{option}={value}" for option, value in options.items() if value is not None]
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(haar_demo_arguments(), st.integers(0, 4))
+def test_haar_demo_arguments_exit_cleanly_naming_their_field(argv, rerun):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        named = re.match(r"config error: field '(.*?)': ", err)
+        assert named and named.group(1) in ("p", "depth", "samples", "seed", "tolerance_c"), (argv, err)
+    else:
+        assert len(json.loads(out)["rows"]) > 0
+    if rerun == 0:
+        assert _run(argv)[:2] == (code, out)
 
 
 def test_the_field_check_reads_paths_and_missing_keys():

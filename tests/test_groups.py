@@ -15,11 +15,13 @@ import widlaws.groups
 from widlaws import (
     EMPTY_LEVY,
     LevyMeasure,
+    PadicCharacter,
     PadicInt,
     PadicIntegers,
     PadicSubgroup,
     Quadruplet,
     Solenoid,
+    SolenoidCharacter,
     SolenoidPoint,
     SolenoidSubgroup,
     TorusPoint,
@@ -481,6 +483,39 @@ def test_normalized_padic_int_is_the_checked_element():
         assert x.digits == digits
         for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
             assert copied == checked and hash(copied) == hash(checked)
+
+
+# The four classes that add no field to their frozen dataclass parent:
+# (class, fields, the twin over the same parent, repr, a changed field
+# set, arguments its __post_init__ refuses).
+_NO_FIELD_CLASSES = [
+    (PadicCharacter, (1, 2), SolenoidCharacter, "PadicCharacter(d=1, ell=2)", (1, 5), (0, -1)),
+    (SolenoidCharacter, (1, 2), PadicCharacter, "SolenoidCharacter(d=1, ell=2)", (1, 5), (0, 2**31 + 1)),
+    (PadicIntegers, (3,), Solenoid, "PadicIntegers(p=3)", (5,), (4,)),
+    (Solenoid, (3,), PadicIntegers, "Solenoid(p=3)", (5,), (4,)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,args,twin,text,changed,refused", _NO_FIELD_CLASSES, ids=[c[0].__name__ for c in _NO_FIELD_CLASSES]
+)
+def test_values_that_add_no_field_keep_their_value_semantics(cls, args, twin, text, changed, refused):
+    x = cls(*args)
+    assert repr(x) == text
+    assert x == cls(*args) and hash(x) == hash(cls(*args))
+    assert x != twin(*args)
+    names = [f.name for f in dataclasses.fields(x)]
+    assert dataclasses.asdict(x) == dict(zip(names, args))
+    replaced = dataclasses.replace(x, **dict(zip(names, changed)))
+    assert type(replaced) is cls and replaced == cls(*changed)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, 7)
+    assert x == cls(*args)
+    for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert type(copied) is cls and copied == x and hash(copied) == hash(x)
+    with pytest.raises(ValueError):
+        cls(*refused)
 
 
 def test_padic_from_ints_reads_any_iterable_like_a_list():
