@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -23,7 +24,7 @@ import sys
 
 from .groups import MAX_STOCK, STOCK_DEPTH, PadicIntegers, Solenoid, Torus, config_int, config_real
 from .measures import AtomError, LevyMeasure, Quadruplet
-from .sampling import check_digit_budget, check_jump_budget, make_rng, quadruplet_sampler
+from .sampling import MAX_DIGITS, check_digit_budget, check_jump_budget, make_rng, quadruplet_sampler
 from .verification import (
     TOLERANCE_C,
     check_compare_inequality,
@@ -123,7 +124,8 @@ def parse_config(doc, characters=True):
     depth = _as_int("depth", _get(doc, "depth", STOCK_DEPTH), 0)
     samples = _as_int("samples", _get(doc, "samples", DEFAULT_SAMPLES), 1)
     if group.retained is not None:
-        _field("depth", check_digit_budget, depth, samples)
+        # a draw holds at least one digit: past MAX_DIGITS draws no depth fits
+        _field("samples" if samples > MAX_DIGITS else "depth", check_digit_budget, depth, samples)
 
     qraw = _get(doc, "quadruplet", required=True)
     if not isinstance(qraw, dict):
@@ -506,5 +508,18 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run():
+    """The process entry of `python -m widlaws` and of the `widlaws`
+    script: exit with main()'s code.  The collector is frozen once main
+    returns or raises, so the interpreter's shutdown frees objects by
+    reference count alone instead of running full cyclic collections
+    over every object numpy and widlaws made.  stdio is still flushed
+    and atexit handlers still run, but an object left in a reference
+    cycle is never finalized: every file the commands write is closed
+    before main returns.  Callers of main() in their own process keep
+    normal collection."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)

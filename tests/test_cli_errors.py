@@ -30,6 +30,19 @@ def test_haar_demo_rejects_nonpositive_tolerance(group, capsys):
     assert "field 'tolerance_c'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1e3", "-inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["haar-demo", "--group", "padic", "--p", "3"], ["verify", "--config", str(pathlib.Path(__file__).parent / "data" / "golden" / "config-torus.json")]],
+    ids=["haar-demo", "verify"],
+)
+def test_negative_tolerance_in_equals_form_reaches_the_config_check(command, value, capsys):
+    # "--tolerance-c -1e3" is read by argparse as an option, a usage error;
+    # the "=" form hands the value to the config check
+    assert main([*command, "--samples", "100", f"--tolerance-c={value}"]) == 2
+    assert "config error: field 'tolerance_c': " in capsys.readouterr().err
+
+
 def test_selftest_rejects_zero_samples_before_running(monkeypatch, capsys):
     def oracle(*args, **kwargs):
         raise AssertionError("the oracle ran before --samples was checked")
@@ -216,6 +229,21 @@ def test_draw_over_the_digit_cap_names_depth(group, monkeypatch, tmp_path, capsy
     argv = ["haar-demo", "--group", group, "--p", "2", "--depth", "1000000"]
     assert main(argv) == 2
     assert "field 'depth'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "samples, depth, field",
+    [(10_000_001, 0, "samples"), (10_000_001, 5, "samples"), (10_000_000, 1, "depth"), (5_000_001, 1, "depth")],
+)
+def test_draws_alone_over_the_digit_cap_name_samples(samples, depth, field, capsys):
+    # past MAX_DIGITS draws no depth fits, since a draw holds at least one
+    # digit; at or below it a smaller depth does
+    argv = ["haar-demo", "--group", "padic", "--p", "17", "--samples", str(samples), "--depth", str(depth)]
+    assert main(argv) == 2
+    assert f"config error: field '{field}': " in capsys.readouterr().err
+    with pytest.raises(ConfigError) as err:
+        parse_config(_digits_doc("solenoid", depth, samples))
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize("group", ["padic", "solenoid"])
