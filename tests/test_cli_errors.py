@@ -33,7 +33,10 @@ def test_haar_demo_rejects_nonpositive_tolerance(group, capsys):
 @pytest.mark.parametrize("value", ["-1e3", "-inf"])
 @pytest.mark.parametrize(
     "command",
-    [["haar-demo", "--group", "padic", "--p", "3"], ["verify", "--config", str(pathlib.Path(__file__).parent / "data" / "golden" / "config-torus.json")]],
+    [
+        ["haar-demo", "--group", "padic", "--p", "3"],
+        ["verify", "--config", str(pathlib.Path(__file__).parent / "data" / "golden" / "config-torus.json")],
+    ],
     ids=["haar-demo", "verify"],
 )
 def test_negative_tolerance_in_equals_form_reaches_the_config_check(command, value, capsys):
@@ -233,7 +236,7 @@ def test_draw_over_the_digit_cap_names_depth(group, monkeypatch, tmp_path, capsy
 
 @pytest.mark.parametrize(
     "samples, depth, field",
-    [(10_000_001, 0, "samples"), (10_000_001, 5, "samples"), (10_000_000, 1, "depth"), (5_000_001, 1, "depth")],
+    [(10_000_001, 0, "samples"), (10_000_001, 5, "samples"), (10_000_000, 1, "depth")],
 )
 def test_draws_alone_over_the_digit_cap_name_samples(samples, depth, field, capsys):
     # past MAX_DIGITS draws no depth fits, since a draw holds at least one
