@@ -123,9 +123,10 @@ def parse_config(doc, characters=True):
         raise ConfigError("group", f"unknown group {group_name!r}")
     depth = _as_int("depth", _get(doc, "depth", STOCK_DEPTH), 0)
     samples = _as_int("samples", _get(doc, "samples", DEFAULT_SAMPLES), 1)
-    if group.retained is not None:
-        # a draw holds at least one digit: past MAX_DIGITS draws no depth fits
-        _field("samples" if samples > MAX_DIGITS else "depth", check_digit_budget, depth, samples)
+    # a circle draw counts as one digit, whatever the depth; a draw holds
+    # at least one digit, so past MAX_DIGITS draws no depth fits
+    counted = depth if group.retained else 0
+    _field("samples" if samples > MAX_DIGITS else "depth", check_digit_budget, counted, samples)
 
     qraw = _get(doc, "quadruplet", required=True)
     if not isinstance(qraw, dict):

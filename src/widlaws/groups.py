@@ -559,8 +559,11 @@ class PadicSubgroup:
     zero_digits: int = 0
 
     def __post_init__(self):
-        if self.zero_digits < 0:
+        # operator.index refuses a float instead of truncating it
+        zero_digits = operator.index(self.zero_digits)
+        if zero_digits < 0:
             raise ValueError("zero_digits must be >= 0")
+        object.__setattr__(self, "zero_digits", zero_digits)
 
     @property
     def first_digit(self) -> int:
@@ -784,10 +787,10 @@ class _Group:
     depth), and implements quadratic_form(b, chi), pairing(x, chi)
     (the centering pairing g), drift(eta) (the local-mean drift),
     _annihilates, point_mass(depth) (the trivial subgroup and the
-    identity), subgroup_is_trivial, default_characters(depth=STOCK_DEPTH)
-    (the stock verification character set, which covers every
-    annihilator regime at desk-scale cost), describe_subgroup,
-    describe_point and the config parsers parse_point(raw, depth, subgroup),
+    identity), default_characters(depth=STOCK_DEPTH) (the stock
+    verification character set, which covers every annihilator regime
+    at desk-scale cost), describe_subgroup, describe_point and the
+    config parsers parse_point(raw, depth, subgroup),
     parse_subgroup(kind, order) and parse_character(raw, depth).  The
     parsers raise ValueError and leave naming the config field to the
     caller; parse_subgroup returns None for a kind the group lacks and
@@ -883,9 +886,6 @@ class _CircleTower(_Group):
         if subgroup.order is None:
             return chi.ell == 0
         return chi.ell % subgroup.order == 0
-
-    def subgroup_is_trivial(self, subgroup, depth) -> bool:
-        return subgroup.order == 1
 
     def mean_work(self, real, digits, d):
         """The angle column of coordinate d, swept through digit d-1, with
@@ -1105,9 +1105,6 @@ class PadicIntegers(_PrimeGroup):
 
     def point_mass(self, depth: int):
         return PadicSubgroup(depth + 1), PadicInt.zero(self.p, depth)
-
-    def subgroup_is_trivial(self, subgroup, depth) -> bool:
-        return subgroup.zero_digits >= depth + 1
 
     def stock_size(self, depth: int = STOCK_DEPTH) -> int:
         """How many characters default_characters(depth) lists."""

@@ -109,15 +109,19 @@ MAX_JUMPS = 10**7
 JUMP_BLOCK = 2**18
 
 
-# The most base-p digits one p-adic or solenoid batch may hold, counted
-# as draws * (depth + 1).  A digit costs 1 byte in the batch at p <= 256
-# (at most 4, _PrimeGroup.digit_dtype), so the cap keeps one batch at
-# 10 MB to 40 MB, and 8 bytes in the int64 work block of the draw and the
-# carry, which holds one row block of BLOCK draws at the full width.  So
-# the cap bounds the batch, not the work block: a verify at the cap peaks
-# at 53 MB RSS with 100,000 draws at depth 99 (p = 2), but at 126-139 MB
-# with 50 draws at depth 199,999 (p = 3), whose one 50-row block is
-# 80 MB.  The stock configs and demos hold under 6e6.
+# The most base-p digits one batch may hold, counted as
+# draws * (depth + 1) on the p-adic integers and the solenoid and as
+# draws on the circle, whose draw counts as one digit.  A digit costs
+# 1 byte in the batch at p <= 256 (at most 4, _PrimeGroup.digit_dtype),
+# so the cap keeps one batch at 10 MB to 40 MB, and 8 bytes in the int64
+# work block of the draw and the carry, which holds one row block of
+# BLOCK draws at the full width.  So the cap bounds the batch, not the
+# work block: a verify at the cap peaks at 53 MB RSS with 100,000 draws
+# at depth 99 (p = 2), but at 126-139 MB with 50 draws at depth 199,999
+# (p = 3), whose one 50-row block is 80 MB.  On the circle it bounds the
+# draws: a Gauss-only verify of 10**7 circle draws takes about 1.8 s and
+# peaks at 418 MB RSS, its float columns.  The stock configs and demos
+# hold under 6e6.
 MAX_DIGITS = 10**7
 
 

@@ -153,28 +153,30 @@ def check_divisibility(
     depth: int | None = None,
     characters=None,
 ) -> VerificationReport:
-    """n-th convolution root realized by parameter scaling.
+    """The n-th convolution root, drawn as a law.
 
-    Draws n independent batches with parameters (b/n, eta/n) in turn
-    from RNG stream 0, multiplies them in the group, and compares the
-    empirical CF of the product against the unscaled closed form, with
-    tolerance_c = TOLERANCE_C.
+    q's law is nu^{*n} * delta(a) with nu = Haar(H) * Gauss(b/n) *
+    centered-Poisson(eta/n): Haar(H)^{*n} = Haar(H), and the Gauss and
+    centered-Poisson blocks scale linearly.  Draws n batches in turn from
+    RNG stream 0, the first of nu * delta(a) and the rest of nu,
+    multiplies them in the group and compares the product's empirical CF
+    against the closed form of q, with tolerance_c = TOLERANCE_C.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if depth is None:
         depth = q.shift.depth
-    if not (q.group.subgroup_is_trivial(q.subgroup, depth) and q.shift.is_identity()):
-        raise ValueError("divisibility check requires centered measure")
-    scaled = Quadruplet(q.group, q.subgroup, q.shift, q.gauss_b / n, q.levy.scaled(1.0 / n))
-    sampler = quadruplet_sampler(scaled, depth)
+    first, rest = (
+        quadruplet_sampler(Quadruplet(q.group, q.subgroup, a, q.gauss_b / n, q.levy.scaled(1.0 / n)), depth)
+        for a in (q.shift, q.group.point_mass(q.shift.depth)[1])
+    )
 
     def draw(rng, size):
         # each factor is carried into the first batch in place, so the
         # product holds one batch beside the factor being drawn
-        batch = sampler(rng, size)
+        batch = first(rng, size)
         for _ in range(n - 1):
-            combine_samples(batch, sampler(rng, size))
+            combine_samples(batch, rest(rng, size))
         return batch
 
     if characters is None:

@@ -6,6 +6,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -247,6 +248,32 @@ def test_draws_alone_over_the_digit_cap_name_samples(samples, depth, field, caps
     with pytest.raises(ConfigError) as err:
         parse_config(_digits_doc("solenoid", depth, samples))
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--samples", "10000001"],
+        ["verify", "--samples", str(2**70)],
+        ["sample", "--count", "10000001"],
+    ],
+    ids=["verify", "verify-2**70", "sample"],
+)
+def test_circle_draws_over_the_digit_cap_name_samples(argv, capsys):
+    # a circle draw counts as one digit: 10**9 draws of a Gauss-only law
+    # passed parse_config and crashed in the sampler's np.full, exit 1.
+    # The digit cap is checked before the jump cap, which this config's
+    # eta would also break
+    config = pathlib.Path(__file__).parent / "data" / "golden" / "config-torus.json"
+    start = time.perf_counter()
+    assert main([argv[0], "--config", str(config), *argv[1:]]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("config error: field 'samples': ")
+
+
+def test_circle_draws_at_the_digit_cap_parse():
+    doc = {"group": "torus", "samples": 10**7, "quadruplet": {"H": {"kind": "trivial"}, "a": 0.0, "b": 0.5}}
+    assert parse_config(doc)[3] == 10**7
 
 
 @pytest.mark.parametrize("group", ["padic", "solenoid"])

@@ -668,6 +668,19 @@ def test_padic_in_subgroup():
         padic_in_subgroup(x, 4)
 
 
+def test_padic_subgroup_reads_zero_digits_as_an_exact_integer():
+    # a float was kept: with r = 1.5 the closed form annihilated (1, 1)
+    # while the draw raised TypeError
+    r = PadicSubgroup(np.int64(2)).zero_digits
+    assert r == 2 and type(r) is int
+    assert PadicSubgroup(True) == PadicSubgroup(1) and type(PadicSubgroup(True).zero_digits) is int
+    for bad in (1.5, 2.0):
+        with pytest.raises(TypeError):
+            PadicSubgroup(bad)
+    with pytest.raises(ValueError, match=">= 0"):
+        PadicSubgroup(-1)
+
+
 # ---------------------------------------------------------------------------
 # solenoid
 

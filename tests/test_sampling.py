@@ -426,6 +426,41 @@ def test_draws_in_jump_chunks_equal_the_unsplit_draws_bit_for_bit(q, monkeypatch
             assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), name
 
 
+@pytest.mark.parametrize("p", [2, 3, 251, 65521, 4294967291])
+def test_integer_draws_cut_at_any_points_equal_one_call(p):
+    # the Haar layer draws its digits one row block at a time and claims
+    # the bits of one whole-batch call: the generator's bounded int64
+    # draws take the stream draw by draw, however the calls cut it
+    n = 1000
+    whole = make_rng(37).integers(0, p, size=n, dtype=np.int64)
+    cuts = sorted(make_rng(p, stream=1).integers(0, n + 1, size=12).tolist())
+    rng = make_rng(37)
+    pieces = [rng.integers(0, p, size=hi - lo, dtype=np.int64) for lo, hi in zip([0, *cuts], [*cuts, n])]
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
+_HAAR_LAWS = {
+    "solenoid-whole": Quadruplet(
+        Solenoid(2), SolenoidSubgroup.full(), SolenoidPoint.identity(2, 5), 0.0, EMPTY_LEVY
+    ),
+    "padic-lambda-1": Quadruplet(
+        PadicIntegers(3), PadicSubgroup(1), PadicInt.zero(3, 5), 0.0, EMPTY_LEVY
+    ),
+}
+
+
+@pytest.mark.parametrize("q", _HAAR_LAWS.values(), ids=_HAAR_LAWS.keys())
+def test_haar_draws_in_row_blocks_of_seven_equal_the_default_draw_bit_for_bit(q, monkeypatch):
+    sampler = quadruplet_sampler(q)
+    whole = sampler(make_rng(41), 100)
+    monkeypatch.setattr(widlaws.sampling, "BLOCK", 7)
+    blocked = sampler(make_rng(41), 100)
+    assert whole.digits.dtype == blocked.digits.dtype
+    assert np.array_equal(whole.digits, blocked.digits)
+    if q.group.real_coordinate:
+        assert whole.real.view(np.int64).tolist() == blocked.real.view(np.int64).tolist()
+
+
 def test_a_draw_sums_each_row_block_of_jumps_in_one_call(monkeypatch):
     # one atom, so a draw's integer jump sum is its count times the atom:
     # each call must have added exactly that into its rows when it returns

@@ -32,7 +32,9 @@ from widlaws import (
     check_compare_inequality,
     check_compatibility,
     check_divisibility,
+    combine_samples,
     ft_compound_poisson,
+    ft_dirac,
     ft_quadruplet,
     make_rng,
     oracle_padic_arithmetic,
@@ -179,15 +181,65 @@ def test_check_divisibility_padic_single_atom():
     assert row.theory == ft_compound_poisson(eta, PadicCharacter(1, 1))
 
 
-def test_check_divisibility_requires_centered_measure():
-    q = Quadruplet(Torus(), TorusSubgroup.cyclic(2), TorusPoint.identity(), 1.0, EMPTY_LEVY)
-    with pytest.raises(ValueError, match="centered"):
-        check_divisibility(q, 4, 100, seed=0)
-    q = Quadruplet(Torus(), TorusSubgroup.trivial(), TorusPoint(0.5), 1.0, EMPTY_LEVY)
-    with pytest.raises(ValueError, match="centered"):
-        check_divisibility(q, 4, 100, seed=0)
-    with pytest.raises(ValueError):
+def test_check_divisibility_refuses_n_below_2():
+    with pytest.raises(ValueError, match="n must be >= 2"):
         check_divisibility(trivial_quadruplet(Torus()), 1, 100, seed=0)
+
+
+@pytest.mark.parametrize("doc", widlaws.cli._DIVISIBILITY_LAWS, ids=["torus", "padic", "solenoid"])
+def test_divisibility_of_a_centered_law_draws_the_scaled_law_n_times(doc):
+    # on a centered law the root's shifted first factor and its other
+    # n - 1 factors are one law, so the rows are those of n draws of
+    # (H, a, b/n, eta/n) on stream 0, carried into the first
+    n, samples = 4, 2000
+    q = widlaws.cli._selftest_law(doc, samples)
+    report = check_divisibility(q, n, samples, 0)
+    scaled = Quadruplet(q.group, q.subgroup, q.shift, q.gauss_b / n, q.levy.scaled(1.0 / n))
+    sampler, rng = quadruplet_sampler(scaled), make_rng(0, 0)
+    batch = sampler(rng, samples)
+    for _ in range(n - 1):
+        combine_samples(batch, sampler(rng, samples))
+    chars = sorted(q.group.default_characters(q.shift.depth), key=lambda chi: (chi.d, chi.ell))
+    want, tol = [], 4.0 / math.sqrt(samples)
+    for chi in chars:
+        theory = ft_quadruplet(q, chi)
+        empirical = char_mean(batch, chi, abs(abs(theory) - 1.0) <= 1e-12)
+        err = abs(theory - empirical)
+        want.append(ComparisonRow(chi.label, theory, empirical, err, tol, err <= tol))
+    assert report.rows == want
+
+
+_ROOT_PADIC_ETA = LevyMeasure(((PadicInt(2, (1, 0, 1, 0, 0)), 0.8), (PadicInt(2, (0, 1, 1, 0, 0)), 0.5)))
+_ROOT_SOLENOID_ETA = LevyMeasure(((SolenoidPoint(2, 4, 0.9), 0.7), (SolenoidPoint(2, 4, -1.3), 0.4)))
+# Laws with a Haar layer or a shift: the acceptance suite's Delta_2 and
+# S_2 laws, and a circle law whose shift, unlike the acceptance suite's
+# a = 0.7 (3 * 3 * 0.7 is within 0.02 of 2 pi), moves the rows that its
+# Haar layer keeps when every factor takes it
+_ROOTED = {
+    "torus": Quadruplet(
+        Torus(),
+        TorusSubgroup.cyclic(3),
+        TorusPoint(0.5),
+        0.4,
+        LevyMeasure(((TorusPoint(2.1), 1.1), (TorusPoint(-0.6), 0.5))),
+    ),
+    "padic": Quadruplet(
+        PadicIntegers(2), PadicSubgroup(1), PadicInt(2, (1, 1, 0, 0, 0)), 0.0, _ROOT_PADIC_ETA
+    ),
+    "solenoid": Quadruplet(
+        Solenoid(2), SolenoidSubgroup.trivial(), SolenoidPoint(2, 4, 0.5), 0.3, _ROOT_SOLENOID_ETA
+    ),
+    "solenoid-whole": Quadruplet(
+        Solenoid(2), SolenoidSubgroup.full(), SolenoidPoint(2, 4, 0.5), 0.3, _ROOT_SOLENOID_ETA
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", _ROOTED)
+def test_divisibility_holds_for_laws_with_a_haar_layer_or_a_shift(name, seed):
+    report = check_divisibility(_ROOTED[name], 4, N, seed)
+    assert report.overall_pass, [r.label for r in report.rows if not r.passed]
 
 
 def test_every_check_rejects_zero_samples():
@@ -800,3 +852,54 @@ def test_gate_catches_solenoid_gauss_scale_p_to_the_d(monkeypatch):
     defect = max(abs(ft_quadruplet(q, chi) - t) for chi, t in zip(chars, theory))
     assert defect > 10 * 4 / math.sqrt(N)
     assert not run_suite(q, chars, N, seed=79).overall_pass
+
+
+# The three wrong n-th roots: each is injected into every factor of the
+# root as a change of the factor's law, and each product has a closed
+# form.  n = 4.
+_ROOT_MUTANTS = {
+    # a root without Haar(H): the product lacks it too
+    "drop-haar": (
+        lambda q, law: dataclasses.replace(law, subgroup=q.group.point_mass(q.shift.depth)[0]),
+        lambda q, chi: ft_quadruplet(
+            dataclasses.replace(q, subgroup=q.group.point_mass(q.shift.depth)[0]), chi
+        ),
+    ),
+    # a root that applies the shift in every factor: the product is shifted by a**4
+    "shift-every-factor": (
+        lambda q, law: dataclasses.replace(law, shift=q.shift),
+        lambda q, chi: ft_quadruplet(q, chi) * ft_dirac(q.shift, chi) ** 3,
+    ),
+    # a root that scales b by 1/n**2: the product's Gauss scale is b/n
+    "b-over-n-squared": (
+        lambda q, law: dataclasses.replace(law, gauss_b=law.gauss_b / 4),
+        lambda q, chi: ft_quadruplet(dataclasses.replace(q, gauss_b=q.gauss_b / 4), chi),
+    ),
+}
+
+
+# each mutant on every law of _ROOTED whose rows can see it: Haar(H) with
+# H trivial hides the first, and Haar(S_2) hides the other two, as Delta_2,
+# which has no Gauss layer, hides the third
+@pytest.mark.parametrize(
+    "mutant, name",
+    [
+        ("drop-haar", "torus"),
+        ("drop-haar", "padic"),
+        ("drop-haar", "solenoid-whole"),
+        ("shift-every-factor", "torus"),
+        ("shift-every-factor", "padic"),
+        ("shift-every-factor", "solenoid"),
+        ("b-over-n-squared", "torus"),
+        ("b-over-n-squared", "solenoid"),
+    ],
+)
+def test_gate_catches_a_wrong_divisibility_root(mutant, name, monkeypatch):
+    q = _ROOTED[name]
+    mutate, broken = _ROOT_MUTANTS[mutant]
+    chars = q.group.default_characters(q.shift.depth)
+    defect = max(abs(broken(q, chi) - ft_quadruplet(q, chi)) for chi in chars)
+    assert defect > 10 * 4 / math.sqrt(N)
+    # the unmutated root passes at this seed (see the test above)
+    _sample_instead(monkeypatch, lambda law: mutate(q, law))
+    assert not check_divisibility(q, 4, N, seed=0).overall_pass
