@@ -125,7 +125,7 @@ def parse_config(doc, characters=True):
     samples = _as_int("samples", _get(doc, "samples", DEFAULT_SAMPLES), 1)
     # a circle draw counts as one digit, whatever the depth; a draw holds
     # at least one digit, so past MAX_DIGITS draws no depth fits
-    counted = depth if group.retained else 0
+    counted = depth if group.retained else None
     _field("samples" if samples > MAX_DIGITS else "depth", check_digit_budget, counted, samples)
 
     qraw = _get(doc, "quadruplet", required=True)

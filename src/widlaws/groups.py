@@ -18,7 +18,8 @@ everything that differs between the groups; the circle shares the
 solenoid's formulas with p**d = 1.
 
 All fields are frozen after construction and all operations are pure
-functions, so everything here is safe to share across threads.  Only
+functions, so everything here is safe to share across threads, except
+_AngleMeans, the mean cache a batch keeps to itself.  Only
 PadicCharacter, SolenoidCharacter, PadicIntegers and Solenoid, which add
 no field to their dataclass parent, accept a new non-field attribute.
 """
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -446,11 +449,26 @@ def solenoid_lift_matrix(p, y0, ints):
 def _horner_sweep(p: int, base, digits):
     """Yield (theta0 / p**j, (x mod p**j) / p**j) for j = 1, 2, ..., one
     Horner step f <- (f + x_(j-1)) / p per digit column; the float
-    operations every coordinate read shares."""
+    operations every coordinate read shares.
+
+    A float base with a digit tuple, one SolenoidPoint, steps in Python
+    floats: the same IEEE operations, in the same order, as its batch
+    row.  A batch steps in place in two arrays of its own (the first
+    division leaves base as it is), so a yielded pair is valid until
+    the next step only.
+    """
+    if isinstance(base, float):
+        frac = 0.0
+        for digit in digits:
+            base = base / p
+            frac = (frac + digit) / p
+            yield base, frac
+        return
     frac = np.zeros_like(base)
-    for column in np.asarray(digits).T:
-        base = base / p
-        frac = (frac + column) / p
+    for j, column in enumerate(np.asarray(digits).T):
+        base = np.divide(base, p, out=base if j else None)
+        frac += column
+        frac /= p
         yield base, frac
 
 
@@ -478,9 +496,15 @@ def solenoid_coordinate(p: int, base, digits, j: int):
     canonical_angle.  With no digit swept, j = 0 among them, it returns
     the base object itself."""
     scaled = None
-    for scaled, frac in _horner_sweep(p, base, np.asarray(digits)[..., :j]):
+    for scaled, frac in itertools.islice(_horner_sweep(p, base, digits), j):
         pass
-    return base if scaled is None else canonical_angle(scaled + TWO_PI * frac)
+    if scaled is None:
+        return base
+    # scaled + 2pi*f, summed into f's own buffer, so the fold holds only it
+    frac *= TWO_PI
+    frac += scaled
+    del scaled
+    return canonical_angle(frac)
 
 
 def solenoid_from_lift(p: int, depth: int, y0: float, ints) -> SolenoidPoint:
@@ -743,29 +767,49 @@ def _unit_phases(theta: np.ndarray) -> np.ndarray:
     return np.exp(z, out=z)
 
 
-def _angle_char_mean(column: np.ndarray, means: list, ell: int, exact: bool) -> complex:
-    """Mean of exp(i ell theta) over the canonical angles theta in column.
+class _AngleMeans:
+    """The character means of one circle or solenoid batch at one depth:
+    means of exp(i ell theta) over the canonical angles theta of the
+    column that read_column() returns.
 
     means holds the means of z**1 ... z**k, z = exp(i theta), taken so
     far; a row with exact=False and 1 <= |ell| <= MAX_POWER reads entry
     |ell| of it, extending it by one sweep of products from z when |ell|
-    > k.  Only z and the current power are alive during a sweep.
+    > k.  The column is read when a row first needs it and kept for the
+    direct rows that follow; a sweep drops it once z is built, so only z
+    and the current power are alive while it runs, and a direct row
+    after it reads the column again, to the same bits.
     """
-    k = abs(ell)
-    if k == 0:
-        # the mean of N exact ones is exactly 1, on either path
-        return 1 + 0j
-    if exact or k > MAX_POWER:
-        return complex(_unit_phases(canonical_angle(ell * column)).mean())
-    if k > len(means):
-        z = _unit_phases(column)
-        power = z.copy()
-        for j in range(1, k + 1):
-            if j > 1:
-                power *= z
-            if j > len(means):
-                means.append(complex(power.mean()))
-    return means[k - 1] if ell > 0 else means[k - 1].conjugate()
+
+    def __init__(self, read_column):
+        self._read_column = read_column
+        self._column = None
+        self.means = []
+
+    def column(self) -> np.ndarray:
+        """The angle column, read from the batch unless it is held."""
+        if self._column is None:
+            self._column = self._read_column()
+        return self._column
+
+    def mean(self, ell: int, exact: bool) -> complex:
+        k = abs(ell)
+        if k == 0:
+            # the mean of N exact ones is exactly 1, on either path
+            return 1 + 0j
+        if exact or k > MAX_POWER:
+            return complex(_unit_phases(canonical_angle(ell * self.column())).mean())
+        means = self.means
+        if k > len(means):
+            z = _unit_phases(self.column())
+            self._column = None
+            power = z.copy()
+            for j in range(1, k + 1):
+                if j > 1:
+                    power *= z
+                if j > len(means):
+                    means.append(complex(power.mean()))
+        return means[k - 1] if ell > 0 else means[k - 1].conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -888,11 +932,13 @@ class _CircleTower(_Group):
         return chi.ell % subgroup.order == 0
 
     def mean_work(self, real, digits, d):
-        """The angle column of coordinate d, swept through digit d-1, with
-        the list of its power means taken so far (see _angle_char_mean)."""
+        """The _AngleMeans of the angle column of coordinate d, swept
+        through digit d-1, which it reads from the batch when a row needs
+        it; at d = 0, and on the circle, that column is the batch's real
+        array, and reading it costs nothing."""
         if d > digits.shape[1]:
             raise ValueError("character depth exceeds sample depth")
-        return self.coordinate(real, digits, d), []
+        return _AngleMeans(functools.partial(self.coordinate, real, digits, d))
 
     def read_mean(self, work, chi, exact: bool) -> complex:
         """The mean of exp(i ell theta) over the column; ell = 0 gives
@@ -903,7 +949,7 @@ class _CircleTower(_Group):
         closed form has modulus one) and |ell| > MAX_POWER take the direct
         exp(1j * canonical_angle(ell * theta)), so a point-mass row stays
         exactly 1 + 0j."""
-        return _angle_char_mean(*work, chi.ell, exact)
+        return work.mean(chi.ell, exact)
 
 
 @dataclass(frozen=True)

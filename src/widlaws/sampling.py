@@ -73,9 +73,11 @@ kept (the engine reads rows sorted by depth, so no depth's work is done
 twice; a depth read again is worked again, to the same bits).  The
 group builds that work and reads each mean off it (groups._Group's
 mean_work and read_mean): the residues of x mod p**(d+1) with their
-counts on the p-adic integers, the angle column of coordinate d with
-its cached power means on the circle and the solenoid.  The cache never
-changes a result, but it would go stale if a batch's arrays changed, so
+counts on the p-adic integers; on the circle and the solenoid, the
+cached power means of coordinate d with its angle column, which is read
+from the batch when a row first needs it and dropped by a power sweep
+once z is built (a later row reads it again).  The cache never changes
+a result, but it would go stale if a batch's arrays changed, so
 combine_samples refuses a batch whose means were read.
 """
 
@@ -125,9 +127,14 @@ JUMP_BLOCK = 2**18
 MAX_DIGITS = 10**7
 
 
-def check_digit_budget(depth: int, draws: int):
+def check_digit_budget(depth: int | None, draws: int):
     """Raise ValueError when `draws` draws of depth + 1 digits each hold
-    more than MAX_DIGITS digits in total."""
+    more than MAX_DIGITS digits in total.  depth None is the circle,
+    whose draw holds no digit and counts as one: the cap bounds its draws."""
+    if depth is None:
+        if draws > MAX_DIGITS:
+            raise ValueError(f"{draws} circle draws, above the cap of {MAX_DIGITS} draws")
+        return
     digits = draws * (depth + 1)
     if digits > MAX_DIGITS:
         raise ValueError(

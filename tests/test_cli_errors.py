@@ -268,7 +268,10 @@ def test_circle_draws_over_the_digit_cap_name_samples(argv, capsys):
     start = time.perf_counter()
     assert main([argv[0], "--config", str(config), *argv[1:]]) == 2
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err.startswith("config error: field 'samples': ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: field 'samples': {argv[-1]} circle draws, ")
+    # a circle draw holds no digits, so the refusal counts draws only
+    assert "above the cap of 10000000 draws" in err and "digit" not in err
 
 
 def test_circle_draws_at_the_digit_cap_parse():

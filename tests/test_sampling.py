@@ -43,7 +43,7 @@ from widlaws import (
     trivial_quadruplet,
 )
 from widlaws.groups import (
-    _angle_char_mean,
+    _AngleMeans,
     padic_add,
     solenoid_coordinate,
     solenoid_from_lift,
@@ -1081,14 +1081,14 @@ def test_angle_char_mean_matches_np_exp_bit_for_bit_on_both_paths():
         for _, column in columns:
             before = column.copy()
             for ell in (1, -2, 7, 64, 65, -300, 2**31 - 1):
-                got = _angle_char_mean(column, [], ell, exact=True)
+                got = _AngleMeans(lambda: column).mean(ell, exact=True)
                 assert got == complex(np.exp(1j * canonical_angle(ell * column)).mean())
-            means = []
+            work = _AngleMeans(lambda: column)
             for ell in (3, -1, 12):
-                got = _angle_char_mean(column, means, ell, exact=False)
+                got = work.mean(ell, exact=False)
                 want = _reference_power_means(column, abs(ell))[-1]
                 assert got == (want if ell > 0 else want.conjugate())
-            assert means == _reference_power_means(column, 12)
+            assert work.means == _reference_power_means(column, 12)
             assert np.array_equal(column, before)
 
 
@@ -1110,7 +1110,7 @@ def test_zero_frequency_rows_are_exactly_one_and_leave_the_power_cache_empty():
             for exact in (True, False):
                 got = char_mean(batch, chi, exact=exact)
                 assert got == 1 + 0j and math.copysign(1.0, got.imag) == 1.0
-        means = [m for _, m in batch._cache.values()]
+        means = [work.means for work in batch._cache.values()]
         assert means and all(m == [] for m in means)
 
 
@@ -1136,3 +1136,75 @@ def test_power_path_mean_does_not_depend_on_which_row_asked_first():
             first = (char_mean(up, small, exact=False), char_mean(up, big, exact=False))
             second = (char_mean(down, big, exact=False), char_mean(down, small, exact=False))
             assert first == second[::-1], (kind, d)
+
+
+def _released_cases():
+    """(draw(n), character type, depths, period) for an S_2 batch of
+    depth 3 and a circle batch of Haar(C_3) and a shift.  On the circle
+    the rows at multiples of the period 3 have |theory| = 1, so the
+    engine reads them on the direct path between power-path rows."""
+    cyclic = Quadruplet(Torus(), TorusSubgroup.cyclic(3), TorusPoint(0.4), 0.0, EMPTY_LEVY)
+    return [
+        (lambda n: _solenoid_haar_batch(make_rng(74), 2, 3, n), SolenoidCharacter, (1, 2, 3), None),
+        (lambda n: quadruplet_sampler(cyclic)(make_rng(75), n), TorusCharacter, (0,), 3),
+    ]
+
+
+def test_direct_rows_after_a_sweep_equal_a_fresh_batch_bit_for_bit():
+    # the sweep drops the angle column; exact rows and |ell| > MAX_POWER
+    # rows after it re-read the column from the batch, to the bits of a
+    # batch that never swept
+    for draw, kind, depths, period in _released_cases():
+        batch = draw(5000)
+        for d in depths:
+            for ell in range(-9, 10):
+                chi = _character(kind, d, ell)
+                exact = ell % period == 0 if period else ell in (-7, 2, 5)
+                assert char_mean(batch, chi, exact) == char_mean(draw(5000), chi, exact), (kind, d, ell)
+            for ell in (65, -100, 2**31 - 1):
+                chi = _character(kind, d, ell)
+                want = char_mean(draw(5000), chi)
+                assert char_mean(batch, chi, exact=False) == want, (kind, d, ell)
+                assert char_mean(batch, chi) == want, (kind, d, ell)
+
+
+def test_direct_rows_read_the_column_once_until_a_sweep(monkeypatch):
+    # every default-flag row takes the direct path, as a point-mass law's
+    # rows do: the column of a depth is read by its first row and kept
+    # for the rest, and only a power sweep makes the next direct row
+    # read it again
+    reads, coordinate = [], Solenoid.coordinate
+
+    def counted(self, real, digits, d):
+        reads.append(d)
+        return coordinate(self, real, digits, d)
+
+    monkeypatch.setattr(Solenoid, "coordinate", counted)
+    batch = _solenoid_haar_batch(make_rng(77), 2, 3, 1000)
+    for d in (1, 2):
+        for ell in (-3, 1, 2, 65):
+            char_mean(batch, SolenoidCharacter(d, ell))
+    assert reads == [1, 2]
+    # the sweep takes the held column and drops it
+    char_mean(batch, SolenoidCharacter(2, 5), exact=False)
+    assert reads == [1, 2]
+    char_mean(batch, SolenoidCharacter(2, 3))
+    char_mean(batch, SolenoidCharacter(2, 100))
+    assert reads == [1, 2, 2]
+
+
+def test_a_power_sweep_keeps_no_angle_column():
+    # at 100,000 draws an angle column is 0.8 MB and z and the running
+    # power 1.6 MB each: a sweep holds z and the power at its peak, and
+    # the batch keeps only the power means after it (the cached column
+    # made these 0.8 MB and 4.0 MB at coordinates d >= 1 of S_2)
+    for draw, kind, depths, _ in _released_cases():
+        batch = draw(100_000)
+        for d in depths:
+            tracemalloc.start()
+            try:
+                char_mean(batch, _character(kind, d, 8), exact=False)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert kept < 1e5 and peak < 3.5e6, (kind, d, kept, peak)

@@ -600,7 +600,9 @@ def test_selftest_solenoid_divisibility_fixture_holds_one_column_at_a_time():
     # batches multiplied, then 68 rows read one depth column at a time.
     # The traced peak was 8.73 MB with every depth's column cached, every
     # run's batch alive into the next draw and np.where temporaries in
-    # the angle kernels; it is 5.53 MB with one block of each at a time
+    # the angle kernels, and 5.34 MB with the column kept through each
+    # power sweep; it is 4.54 MB now that a sweep holds the batch beside
+    # z and the running power alone (1.6 MB each)
     p = 2
     eta = LevyMeasure(((SolenoidPoint(p, 5, 0.7), 0.6), (SolenoidPoint(p, 5, -1.2), 0.4)))
     q = Quadruplet(Solenoid(p), SolenoidSubgroup.trivial(), SolenoidPoint.identity(p, 5), 0.5, eta)
@@ -612,7 +614,24 @@ def test_selftest_solenoid_divisibility_fixture_holds_one_column_at_a_time():
     finally:
         tracemalloc.stop()
     assert report.overall_pass and len(report.rows) == 68
-    assert peak < 6.1e6
+    assert peak < 5.0e6
+
+
+def test_selftest_solenoid_compatibility_fixture_holds_one_column_at_a_time():
+    # selftest's S_2 compatibility fixture at its default 100,000 draws:
+    # a batch of depth n, then one of depth n + 1, each read one depth at
+    # a time.  The traced peak at n = 3 was 5.24 MB with the column kept
+    # through each power sweep, and is 4.44 MB without it
+    q = widlaws.cli._selftest_law(widlaws.cli._COMPATIBILITY_LAWS[1], 100_000)
+    check_compatibility(q, 3, 1000, 0)
+    tracemalloc.start()
+    try:
+        report = check_compatibility(q, 3, 100_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall_pass and len(report.rows) == 2 * 51
+    assert peak < 5.0e6
 
 
 _ALONE_CASES = {
