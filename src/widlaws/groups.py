@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -451,22 +450,14 @@ def _horner_sweep(p: int, base, digits):
     Horner step f <- (f + x_(j-1)) / p per digit column; the float
     operations every coordinate read shares.
 
-    A float base with a digit tuple, one SolenoidPoint, steps in Python
-    floats: the same IEEE operations, in the same order, as its batch
-    row.  A batch steps in place in two arrays of its own (the first
-    division leaves base as it is), so a yielded pair is valid until
-    the next step only.
+    A batch's f steps in place in an array of its own, so a yielded f
+    is valid until the next step only; a point's f, a numpy scalar,
+    steps out of place.  Each step divides base out of place, so the
+    caller's base is left as it is.
     """
-    if isinstance(base, float):
-        frac = 0.0
-        for digit in digits:
-            base = base / p
-            frac = (frac + digit) / p
-            yield base, frac
-        return
-    frac = np.zeros_like(base)
-    for j, column in enumerate(np.asarray(digits).T):
-        base = np.divide(base, p, out=base if j else None)
+    frac = np.zeros_like(base)[()]  # [()] makes a 0-d zero a scalar
+    for column in np.asarray(digits).T:
+        base = base / p
         frac += column
         frac /= p
         yield base, frac
@@ -496,7 +487,7 @@ def solenoid_coordinate(p: int, base, digits, j: int):
     canonical_angle.  With no digit swept, j = 0 among them, it returns
     the base object itself."""
     scaled = None
-    for scaled, frac in itertools.islice(_horner_sweep(p, base, digits), j):
+    for scaled, frac in _horner_sweep(p, base, np.asarray(digits)[..., :j]):
         pass
     if scaled is None:
         return base
@@ -776,9 +767,10 @@ class _AngleMeans:
     far; a row with exact=False and 1 <= |ell| <= MAX_POWER reads entry
     |ell| of it, extending it by one sweep of products from z when |ell|
     > k.  The column is read when a row first needs it and kept for the
-    direct rows that follow; a sweep drops it once z is built, so only z
-    and the current power are alive while it runs, and a direct row
-    after it reads the column again, to the same bits.
+    direct rows that follow.  The first sweep drops it once z is built,
+    so only z and the current power are alive while it runs; a later row
+    that needs the column reads it again, to the same bits, and keeps it,
+    so a depth reads its column at most twice however its rows interleave.
     """
 
     def __init__(self, read_column):
@@ -802,7 +794,8 @@ class _AngleMeans:
         means = self.means
         if k > len(means):
             z = _unit_phases(self.column())
-            self._column = None
+            if not means:
+                self._column = None
             power = z.copy()
             for j in range(1, k + 1):
                 if j > 1:

@@ -75,10 +75,10 @@ group builds that work and reads each mean off it (groups._Group's
 mean_work and read_mean): the residues of x mod p**(d+1) with their
 counts on the p-adic integers; on the circle and the solenoid, the
 cached power means of coordinate d with its angle column, which is read
-from the batch when a row first needs it and dropped by a power sweep
-once z is built (a later row reads it again).  The cache never changes
-a result, but it would go stale if a batch's arrays changed, so
-combine_samples refuses a batch whose means were read.
+from the batch when a row first needs it and dropped by the first power
+sweep once z is built (a later row reads it again and keeps it).  The
+cache never changes a result, but it would go stale if a batch's arrays
+changed, so combine_samples refuses a batch whose means were read.
 """
 
 from __future__ import annotations

@@ -1193,6 +1193,24 @@ def test_direct_rows_read_the_column_once_until_a_sweep(monkeypatch):
     assert reads == [1, 2, 2]
 
 
+def test_a_depth_reads_its_column_at_most_twice(monkeypatch):
+    # rows of rising |ell| each extend the power means: the first sweep
+    # drops the column, the second reads it again and keeps it, and the
+    # sweeps and direct rows after that share it
+    reads, coordinate = [], Solenoid.coordinate
+
+    def counted(self, real, digits, d):
+        reads.append(d)
+        return coordinate(self, real, digits, d)
+
+    monkeypatch.setattr(Solenoid, "coordinate", counted)
+    batch = _solenoid_haar_batch(make_rng(78), 2, 3, 1000)
+    for ell in range(1, 9):
+        char_mean(batch, SolenoidCharacter(3, ell), exact=False)
+        char_mean(batch, SolenoidCharacter(3, ell + 64), exact=False)
+    assert reads == [3, 3]
+
+
 def test_a_power_sweep_keeps_no_angle_column():
     # at 100,000 draws an angle column is 0.8 MB and z and the running
     # power 1.6 MB each: a sweep holds z and the power at its peak, and
