@@ -1171,8 +1171,9 @@ def test_direct_rows_after_a_sweep_equal_a_fresh_batch_bit_for_bit():
 def test_direct_rows_read_the_column_once_until_a_sweep(monkeypatch):
     # every default-flag row takes the direct path, as a point-mass law's
     # rows do: the column of a depth is read by its first row and kept
-    # for the rest, and only a power sweep makes the next direct row
-    # read it again
+    # for the rest, and only the first power sweep makes the next row
+    # read it again; that second read is kept, so a depth reads its
+    # column at most twice however its rows interleave
     reads, coordinate = [], Solenoid.coordinate
 
     def counted(self, real, digits, d):
@@ -1191,24 +1192,14 @@ def test_direct_rows_read_the_column_once_until_a_sweep(monkeypatch):
     char_mean(batch, SolenoidCharacter(2, 3))
     char_mean(batch, SolenoidCharacter(2, 100))
     assert reads == [1, 2, 2]
-
-
-def test_a_depth_reads_its_column_at_most_twice(monkeypatch):
-    # rows of rising |ell| each extend the power means: the first sweep
-    # drops the column, the second reads it again and keeps it, and the
-    # sweeps and direct rows after that share it
-    reads, coordinate = [], Solenoid.coordinate
-
-    def counted(self, real, digits, d):
-        reads.append(d)
-        return coordinate(self, real, digits, d)
-
-    monkeypatch.setattr(Solenoid, "coordinate", counted)
-    batch = _solenoid_haar_batch(make_rng(78), 2, 3, 1000)
+    char_mean(batch, SolenoidCharacter(2, 8), exact=False)
+    char_mean(batch, SolenoidCharacter(2, -7))
+    assert reads == [1, 2, 2]
+    # rows of rising |ell| each extend the power means
     for ell in range(1, 9):
         char_mean(batch, SolenoidCharacter(3, ell), exact=False)
         char_mean(batch, SolenoidCharacter(3, ell + 64), exact=False)
-    assert reads == [3, 3]
+    assert reads == [1, 2, 2, 3, 3]
 
 
 def test_a_power_sweep_keeps_no_angle_column():
