@@ -84,6 +84,9 @@ changed, so combine_samples refuses a batch whose means were read.
 from __future__ import annotations
 
 import math
+import random
+import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +97,32 @@ from .measures import LatticeMeasure, Quadruplet
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic generator for the (seed, stream) pair."""
+    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
+        _import_numpy_random()
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _import_numpy_random() -> None:
+    """Import numpy.random without loading OpenSSL.
+
+    numpy.random.bit_generator runs `from secrets import randbits` at
+    import, and secrets imports hmac, which loads _hashlib and with it
+    OpenSSL's libcrypto, resident for the rest of the process although a
+    seeded draw never calls randbits.  While numpy.random is imported,
+    sys.modules holds a stand-in secrets whose randbits is CPython's own
+    (secrets.randbits is SystemRandom().getrandbits), so SeedSequence()
+    without entropy still draws OS entropy.  The stand-in is removed
+    afterwards, so a later `import secrets` loads the real module.
+    """
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    sys.modules["secrets"] = stand_in
+    try:
+        import numpy.random  # noqa: F401
+    finally:
+        if sys.modules.get("secrets") is stand_in:
+            del sys.modules["secrets"]
 
 
 # The most Poisson jumps one batch may hold.  The jump layer holds at

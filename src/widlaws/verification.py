@@ -45,6 +45,12 @@ def _char_key(chi):
     return (chi.d, chi.ell)
 
 
+def _read_key(chi):
+    # a depth's rows read its batch largest |ell| first, so that the
+    # first power sweep at that depth serves every later row
+    return (chi.d, -abs(chi.ell), chi.ell)
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     label: str
@@ -67,9 +73,11 @@ def _compare(q: Quadruplet, runs, samples: int, seed: int, tolerance_c: float, *
     """The comparison engine behind every report.
 
     runs holds one (draw, characters, label_suffix) per batch: run k
-    draws its batch as draw(rng, samples) from RNG stream k of the seed,
-    and its characters read it in (d, ell) order, so that the batch's
-    mean cache works each depth once.  The row chi.label + label_suffix
+    draws its batch as draw(rng, samples) from RNG stream k of the seed.
+    Its characters read the batch depth by depth, largest |ell| first,
+    so that the batch's mean cache works each depth once and sweeps its
+    powers once; the rows come out in (d, ell) order.  The row
+    chi.label + label_suffix
     passes when chi's empirical mean lies within tolerance_c /
     sqrt(samples) of the closed form of q.  config holds the caller's
     extra report keys.  A run with no characters raises ValueError: a
@@ -90,20 +98,22 @@ def _compare(q: Quadruplet, runs, samples: int, seed: int, tolerance_c: float, *
     rows, theories = [], {}
     for stream, (draw, chars, suffix) in enumerate(runs):
         batch = draw(make_rng(seed, stream=stream), samples)
-        for chi in chars:
+        means = {}
+        for chi in sorted(chars, key=_read_key):
             # a character read on two batches takes its closed form once
             if chi not in theories:
                 theories[chi] = ft_quadruplet(q, chi)
-            theory = theories[chi]
             # |theory| = 1: the character is constant on the law's draws
             # (a point mass, or a Haar layer it annihilates), so the row
             # takes the direct evaluation and stays exact
-            exact = abs(abs(theory) - 1.0) <= 1e-12
-            empirical = char_mean(batch, chi, exact)
-            err = abs(theory - empirical)
-            rows.append(ComparisonRow(chi.label + suffix, theory, empirical, err, tol, err <= tol))
+            exact = abs(abs(theories[chi]) - 1.0) <= 1e-12
+            means[chi] = char_mean(batch, chi, exact)
         # the next run's batch is drawn without this one beside it
         del batch
+        for chi in chars:
+            theory, empirical = theories[chi], means[chi]
+            err = abs(theory - empirical)
+            rows.append(ComparisonRow(chi.label + suffix, theory, empirical, err, tol, err <= tol))
     passed = all(r.passed for r in rows)
     return VerificationReport(config, rows, passed, time.perf_counter() - start)
 
@@ -155,21 +165,22 @@ def check_divisibility(
 ) -> VerificationReport:
     """The n-th convolution root, drawn as a law.
 
-    q's law is nu^{*n} * delta(a) with nu = Haar(H) * Gauss(b/n) *
-    centered-Poisson(eta/n): Haar(H)^{*n} = Haar(H), and the Gauss and
-    centered-Poisson blocks scale linearly.  Draws n batches in turn from
-    RNG stream 0, the first of nu * delta(a) and the rest of nu,
-    multiplies them in the group and compares the product's empirical CF
-    against the closed form of q, with tolerance_c = TOLERANCE_C.
+    q's law is Haar(H) * delta(a) * nu^{*n} with nu = Gauss(b/n) *
+    centered-Poisson(eta/n): Haar(H)^{*n} = Haar(H), so H is drawn once,
+    and the Gauss and centered-Poisson blocks scale linearly.  Draws n
+    batches in turn from RNG stream 0, the first of Haar(H) * delta(a) *
+    nu and the rest of nu, multiplies them in the group and compares the
+    product's empirical CF against the closed form of q, with
+    tolerance_c = TOLERANCE_C.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if depth is None:
         depth = q.shift.depth
-    first, rest = (
-        quadruplet_sampler(Quadruplet(q.group, q.subgroup, a, q.gauss_b / n, q.levy.scaled(1.0 / n)), depth)
-        for a in (q.shift, q.group.point_mass(q.shift.depth)[1])
-    )
+    b, eta = q.gauss_b / n, q.levy.scaled(1.0 / n)
+    trivial, identity = q.group.point_mass(q.shift.depth)
+    first = quadruplet_sampler(Quadruplet(q.group, q.subgroup, q.shift, b, eta), depth)
+    rest = quadruplet_sampler(Quadruplet(q.group, trivial, identity, b, eta), depth)
 
     def draw(rng, size):
         # each factor is carried into the first batch in place, so the

@@ -22,6 +22,7 @@ from widlaws import (
     PadicSubgroup,
     Quadruplet,
     Solenoid,
+    SolenoidCharacter,
     SolenoidPoint,
     SolenoidSubgroup,
     Torus,
@@ -199,14 +200,19 @@ def test_divisibility_of_a_centered_law_draws_the_scaled_law_n_times(doc):
     batch = sampler(rng, samples)
     for _ in range(n - 1):
         combine_samples(batch, sampler(rng, samples))
-    chars = sorted(q.group.default_characters(q.shift.depth), key=lambda chi: (chi.d, chi.ell))
-    want, tol = [], 4.0 / math.sqrt(samples)
-    for chi in chars:
+    chars = q.group.default_characters(q.shift.depth)
+    assert report.rows == _rows_read_in_order(q, batch, chars, samples)
+
+
+def _rows_read_in_order(q, batch, chars, samples):
+    """The rows of chars read one by one, in (d, ell) order, off batch."""
+    rows, tol = [], 4.0 / math.sqrt(samples)
+    for chi in sorted(chars, key=lambda chi: (chi.d, chi.ell)):
         theory = ft_quadruplet(q, chi)
         empirical = char_mean(batch, chi, abs(abs(theory) - 1.0) <= 1e-12)
         err = abs(theory - empirical)
-        want.append(ComparisonRow(chi.label, theory, empirical, err, tol, err <= tol))
-    assert report.rows == want
+        rows.append(ComparisonRow(chi.label, theory, empirical, err, tol, err <= tol))
+    return rows
 
 
 _ROOT_PADIC_ETA = LevyMeasure(((PadicInt(2, (1, 0, 1, 0, 0)), 0.8), (PadicInt(2, (0, 1, 1, 0, 0)), 0.5)))
@@ -240,6 +246,23 @@ _ROOTED = {
 def test_divisibility_holds_for_laws_with_a_haar_layer_or_a_shift(name, seed):
     report = check_divisibility(_ROOTED[name], 4, N, seed)
     assert report.overall_pass, [r.label for r in report.rows if not r.passed]
+
+
+@pytest.mark.parametrize("name", _ROOTED)
+def test_the_root_draws_the_haar_layer_in_its_first_factor_only(name):
+    # Haar(H)^{*n} = Haar(H): the other n - 1 factors draw the trivial
+    # subgroup at the identity
+    q, n, samples = _ROOTED[name], 4, 2000
+    report = check_divisibility(q, n, samples, 0)
+    trivial, identity = q.group.point_mass(q.shift.depth)
+    b, eta = q.gauss_b / n, q.levy.scaled(1.0 / n)
+    rng = make_rng(0, 0)
+    batch = quadruplet_sampler(Quadruplet(q.group, q.subgroup, q.shift, b, eta))(rng, samples)
+    rest = quadruplet_sampler(Quadruplet(q.group, trivial, identity, b, eta))
+    for _ in range(n - 1):
+        combine_samples(batch, rest(rng, samples))
+    chars = q.group.default_characters(q.shift.depth)
+    assert report.rows == _rows_read_in_order(q, batch, chars, samples)
 
 
 def test_every_check_rejects_zero_samples():
@@ -303,6 +326,25 @@ def test_each_run_works_each_depth_of_its_batch_once(group, monkeypatch):
     depths.clear()
     check_divisibility(q, 2, 200, seed=5, characters=shuffled)
     assert depths == [0, 1, 2, 3]
+
+
+def test_each_depth_sweeps_its_powers_once_when_its_frequencies_rise(monkeypatch):
+    # rows asked in rising ell would extend the power means once per row;
+    # read largest |ell| first, each depth builds z = exp(i theta) once
+    q, samples = _ROOTED["solenoid"], 2000
+    chars = [SolenoidCharacter(d, ell) for d in (0, 1, 2) for ell in range(1, 9)]
+    assert all(abs(ft_quadruplet(q, chi)) < 1 - 1e-12 for chi in chars)
+    want = _rows_read_in_order(q, quadruplet_sampler(q)(make_rng(3, 0), samples), chars, samples)
+    calls, real_unit_phases = [], widlaws.groups._unit_phases
+
+    def unit_phases(theta):
+        calls.append(len(theta))
+        return real_unit_phases(theta)
+
+    monkeypatch.setattr(widlaws.groups, "_unit_phases", unit_phases)
+    report = run_suite(q, chars, samples, seed=3)
+    assert calls == [samples] * 3
+    assert report.rows == want
 
 
 def test_check_compatibility_labels_name_each_run_depth():
