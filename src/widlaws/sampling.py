@@ -22,11 +22,16 @@ randomness in this order:
 
 - the real column starts at the shift's base angle, so each layer adds
   into it as y0 + x rounds; the digits start at 0;
-- the Haar layer of H: a uniform, cyclic or no real coordinate, then
-  uniform digits from the subgroup's first digit on, drawn BLOCK draws
-  at a time in C order straight into the narrow matrix;
-- the Gauss layer, on the real coordinate;
-- the Poisson counts of every draw, in one call of poisson_counts.
+- the Haar layer of H: a uniform, cyclic or no real coordinate, added
+  into the real column, then uniform digits from the subgroup's first
+  digit on, in C order straight into the narrow matrix;
+- the Gauss layer, added into the real column;
+- the Poisson counts of every draw, as int32 (poisson_counts).
+
+Each of these layers is drawn BLOCK draws at a time, in row order: the
+generator's uniform, bounded integer, normal and Poisson draws take
+the stream draw by draw, so the blocks hold the bits of one whole-batch
+call while only one block of random numbers exists at a time.
 
 Then each row block of BLOCK draws runs the six steps in one int64 work
 block: (1) it takes the block's Haar digits, (2) adds the shift's digits,
@@ -37,7 +42,8 @@ to the block's real column, (5) subtracts the drift, and (6) covers the
 block in place, writing its digits back narrow.  The blocks draw their
 uniforms in row order, so the stream, and every bit of the batch, is
 that of one whole-batch draw, while the draw's scratch is O(BLOCK) rows
-and O(JUMP_BLOCK) jumps beside the batch and the counts.
+and O(JUMP_BLOCK) jumps beside the batch and the counts (4 bytes a
+draw).
 
 Degenerate layers (trivial subgroup, zero variance, empty jump measure)
 consume nothing, and the whole solenoid is no special case:
@@ -130,8 +136,8 @@ def _import_numpy_random() -> None:
 # (its uniforms and atom picks, then its picks, owners and the one
 # coordinate of the picked atoms that np.add.at is adding), so its
 # scratch stays near 6 MB however the jumps fall on the draws: a verify
-# at the cap peaks at about 43 MB RSS with 10**7 jumps over 100,000
-# draws and at about 42 MB with every jump on 100 draws.
+# at the cap peaks at about 39 MB RSS with 10**7 jumps over 100,000
+# draws and at about 38.5 MB with every jump on 100 draws.
 # The stock fixtures draw about 1e5 jumps per batch.
 MAX_JUMPS = 10**7
 # The most jumps one chunk of the jump layer draws and sums at once.
@@ -145,12 +151,12 @@ JUMP_BLOCK = 2**18
 # so the cap keeps one batch at 10 MB to 40 MB, and 8 bytes in the int64
 # work block of the draw and the carry, which holds one row block of
 # BLOCK draws at the full width.  So the cap bounds the batch, not the
-# work block: a verify at the cap peaks at 53 MB RSS with 100,000 draws
-# at depth 99 (p = 2), but at 126-139 MB with 50 draws at depth 199,999
+# work block: a verify at the cap peaks at 48 MB RSS with 100,000 draws
+# at depth 99 (p = 2), but at 122-135 MB with 50 draws at depth 199,999
 # (p = 3), whose one 50-row block is 80 MB.  On the circle it bounds the
 # draws: a Gauss-only verify of 10**7 circle draws takes about 1.8 s and
-# peaks at 418 MB RSS, its float columns.  The stock configs and demos
-# hold under 6e6.
+# peaks at 414 MB RSS in the power sweep, which holds the real column
+# and two complex columns.  The stock configs and demos hold under 6e6.
 MAX_DIGITS = 10**7
 
 
@@ -182,17 +188,29 @@ def check_jump_budget(levy, draws: int):
 
 
 def poisson_counts(rng, measure: LatticeMeasure, n: int) -> np.ndarray:
-    """The Poisson(total mass) jump counts of n draws, in one call; the
-    empty measure draws no counts and consumes nothing.
+    """The Poisson(total mass) jump counts of n draws, as int32, drawn
+    one row block at a time: the generator takes its stream draw by
+    draw, so the counts are the bits of one whole call.  The empty
+    measure draws no counts and consumes nothing.
 
     Raises ValueError, before anything per jump is allocated, when the
     drawn jump total exceeds MAX_JUMPS or, times the largest |integer
     entry| of an atom, reaches 2**63, where an int64 jump sum could wrap.
+    A block is stored only while the running total is at most
+    MAX_JUMPS < 2**31, so no stored count wraps; past it the remaining
+    blocks are drawn and summed, so the refusal names the whole total.
     """
     masses = [m for _, _, m in measure.atoms]
-    counts = rng.poisson(np.array(masses).sum(), size=n) if masses else np.zeros(n, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int32)
     # summed in float: huge per-draw counts must not wrap int64
-    jumps = counts.sum(dtype=float)
+    jumps = 0.0
+    if masses:
+        mean = np.array(masses).sum()
+        for rows in _row_blocks(n):
+            block = rng.poisson(mean, size=rows.stop - rows.start)
+            jumps += block.sum(dtype=float)
+            if jumps <= MAX_JUMPS:
+                counts[rows] = block
     if jumps > MAX_JUMPS:
         raise ValueError(f"{jumps:.3g} Poisson jumps drawn, above the cap of {MAX_JUMPS}")
     entry = max((abs(c) for _, ki, _ in measure.atoms for c in ki), default=0)
@@ -292,6 +310,15 @@ BLOCK = 8192
 def _row_blocks(n: int) -> list:
     """Consecutive row slices of at most BLOCK rows covering 0..n-1."""
     return [slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
+
+
+def _add_in_blocks(column, draw) -> None:
+    """Adds draw(m) into each row block of m rows of column, in row
+    order, so the draws take the stream of one whole-column call while
+    one block of them is held at a time."""
+    for rows in _row_blocks(len(column)):
+        part = column[rows]
+        part += draw(len(part))
 
 
 def _work_matrix(n: int, width: int) -> np.ndarray:
@@ -394,9 +421,10 @@ def _draw(q: Quadruplet, depth, width: int, rng, size: int) -> Samples:
     real = np.full(size, group.base_angle(q.shift)) if group.real_coordinate else None
     digits = np.zeros((size, width), dtype=group.digit_dtype, order="F")
     if real is not None and subgroup.order is None:
-        real += rng.uniform(0.0, TWO_PI, size=size)
+        _add_in_blocks(real, lambda m: rng.uniform(0.0, TWO_PI, size=m))
     elif real is not None and subgroup.order > 1:
-        real += rng.integers(0, subgroup.order, size=size) * (TWO_PI / subgroup.order)
+        k = subgroup.order
+        _add_in_blocks(real, lambda m: rng.integers(0, k, size=m) * (TWO_PI / k))
     first = subgroup.first_digit
     if first is not None and first < width:
         for rows in _row_blocks(size):
@@ -405,7 +433,8 @@ def _draw(q: Quadruplet, depth, width: int, rng, size: int) -> Samples:
             shape = (rows.stop - rows.start, width - first)
             digits[rows, first:] = rng.integers(0, group.p, size=shape, dtype=np.int64)
     if q.gauss_b > 0:
-        real += rng.normal(0.0, math.sqrt(q.gauss_b), size=size)
+        sigma = math.sqrt(q.gauss_b)
+        _add_in_blocks(real, lambda m: rng.normal(0.0, sigma, size=m))
     work = _work_matrix(size, width)
     counts = None
     if q.levy.atoms:

@@ -161,6 +161,28 @@ def test_compound_poisson_refuses_a_jump_total_over_the_cap(monkeypatch):
         _whole_batch_jumps(17, unit, 50)
 
 
+def test_poisson_counts_are_int32_rows_of_one_call(monkeypatch):
+    measure = LatticeMeasure(0, ((1.0, (), 3.7),))
+    whole = make_rng(44).poisson(3.7, size=1000)
+    monkeypatch.setattr(widlaws.sampling, "BLOCK", 7)
+    counts = poisson_counts(make_rng(44), measure, 1000)
+    assert counts.dtype == np.int32 and counts.tolist() == whole.tolist()
+    empty = poisson_counts(make_rng(44), LatticeMeasure(0, ()), 5)
+    assert empty.dtype == np.int32 and not empty.any()
+
+
+def test_an_over_cap_draw_names_the_whole_drawn_total(monkeypatch):
+    # the cap is passed in the first block of 7 draws; the other 43 are
+    # still drawn and summed, unstored, so the refusal names all 50
+    unit = LatticeMeasure(0, ((1.0, (), 1.0),))
+    draws = make_rng(17).poisson(1.0, size=50)
+    assert draws[:7].sum() > 2
+    monkeypatch.setattr(widlaws.sampling, "BLOCK", 7)
+    monkeypatch.setattr(widlaws.sampling, "MAX_JUMPS", 2)
+    with pytest.raises(ValueError, match=f"^{draws.sum()} Poisson jumps drawn, above the cap of 2$"):
+        poisson_counts(make_rng(17), unit, 50)
+
+
 def test_compound_poisson_integer_sums_are_exact_past_2_53():
     # about 2.2e16 per draw: a float sum would round off the low bits
     atom = 2**40 + 1
@@ -426,17 +448,41 @@ def test_draws_in_jump_chunks_equal_the_unsplit_draws_bit_for_bit(q, monkeypatch
             assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), name
 
 
+def _drawn_whole_and_in_pieces(draw, cut_seed, n=1000):
+    """draw(rng, n) in one call, and the same stream's draws in pieces
+    cut at 12 random points of 0..n, concatenated."""
+    whole = draw(make_rng(37), n)
+    cuts = sorted(make_rng(cut_seed, stream=1).integers(0, n + 1, size=12).tolist())
+    rng = make_rng(37)
+    return whole, np.concatenate([draw(rng, hi - lo) for lo, hi in zip([0, *cuts], [*cuts, n])])
+
+
 @pytest.mark.parametrize("p", [2, 3, 251, 65521, 4294967291])
 def test_integer_draws_cut_at_any_points_equal_one_call(p):
     # the Haar layer draws its digits one row block at a time and claims
     # the bits of one whole-batch call: the generator's bounded int64
     # draws take the stream draw by draw, however the calls cut it
-    n = 1000
-    whole = make_rng(37).integers(0, p, size=n, dtype=np.int64)
-    cuts = sorted(make_rng(p, stream=1).integers(0, n + 1, size=12).tolist())
-    rng = make_rng(37)
-    pieces = [rng.integers(0, p, size=hi - lo, dtype=np.int64) for lo, hi in zip([0, *cuts], [*cuts, n])]
-    assert np.array_equal(np.concatenate(pieces), whole)
+    whole, pieces = _drawn_whole_and_in_pieces(lambda rng, m: rng.integers(0, p, size=m, dtype=np.int64), p)
+    assert np.array_equal(pieces, whole)
+
+
+# the calls a draw makes one row block at a time: the Haar angle (uniform,
+# or cyclic below and above 2**32), the Gauss layer and the Poisson counts
+# (inversion below a mean of 10, transformed rejection from 10 on)
+_LAYER_DRAWS = {
+    "normal": lambda rng, m: rng.normal(0.0, math.sqrt(0.7), size=m),
+    "uniform": lambda rng, m: rng.uniform(0.0, 2 * math.pi, size=m),
+    "cyclic-3": lambda rng, m: rng.integers(0, 3, size=m),
+    "cyclic-2**33+1": lambda rng, m: rng.integers(0, 2**33 + 1, size=m),
+    "poisson-2.6": lambda rng, m: rng.poisson(2.6, size=m),
+    "poisson-37.5": lambda rng, m: rng.poisson(37.5, size=m),
+}
+
+
+@pytest.mark.parametrize("cut_seed,draw", enumerate(_LAYER_DRAWS.values(), 100), ids=_LAYER_DRAWS.keys())
+def test_layer_draws_cut_at_any_points_equal_one_call(cut_seed, draw):
+    whole, pieces = _drawn_whole_and_in_pieces(draw, cut_seed)
+    assert pieces.dtype == whole.dtype and pieces.tobytes() == whole.tobytes()
 
 
 _HAAR_LAWS = {
@@ -445,6 +491,17 @@ _HAAR_LAWS = {
     ),
     "padic-lambda-1": Quadruplet(
         PadicIntegers(3), PadicSubgroup(1), PadicInt.zero(3, 5), 0.0, EMPTY_LEVY
+    ),
+    "torus-cyclic-gauss-jumps": Quadruplet(
+        Torus(), TorusSubgroup.cyclic(5), TorusPoint(0.4), 0.3,
+        LevyMeasure(((TorusPoint(1.2), 1.5), (TorusPoint(-2.5), 0.8))),
+    ),
+    "solenoid-whole-gauss": Quadruplet(
+        Solenoid(2), SolenoidSubgroup.full(), SolenoidPoint.identity(2, 5), 0.6, EMPTY_LEVY
+    ),
+    "padic-lambda-2-jumps": Quadruplet(
+        PadicIntegers(3), PadicSubgroup(2), PadicInt(3, (1, 2, 0, 1)), 0.0,
+        LevyMeasure(((PadicInt(3, (2, 1, 0, 0)), 2.5), (PadicInt(3, (0, 1, 2, 2)), 2.0))),
     ),
 }
 
@@ -597,6 +654,20 @@ def test_solenoid_draw_holds_one_narrow_digit_matrix_beside_the_random_draws():
     batch, peak = _traced_draw(quadruplet_sampler(q, depth), n)
     assert batch.digits.shape == (n, depth) and batch.digits.dtype == np.uint8
     assert peak < 1.0 * n * (depth + 1) * 8
+
+
+def test_circle_draw_holds_the_batch_and_int32_counts_beside_row_blocks():
+    # a uniform angle, a Gauss layer and jumps: beside the real column
+    # (8 bytes a draw) and the int32 counts (4), the traced peak holds
+    # about 6.6 int64 columns of BLOCK rows (a row block's jump ends and
+    # real sums, one chunk's uniforms, picks, owners and shares); a
+    # whole-batch uniform, normal and int64 counts held about 12.7
+    n = 100_000
+    eta = LevyMeasure(((TorusPoint(1.1), 0.3), (TorusPoint(-2.0), 0.2)))
+    q = Quadruplet(Torus(), TorusSubgroup.full(), TorusPoint(0.3), 0.5, eta)
+    batch, peak = _traced_draw(quadruplet_sampler(q), n)
+    assert batch.real.shape == (n,) and batch.digits.shape == (n, 0)
+    assert peak < (8 + 4) * n + 10 * 8 * BLOCK
 
 
 @pytest.mark.parametrize("p,dtype", [(2, np.uint8), (251, np.uint8), (257, np.uint16)])
